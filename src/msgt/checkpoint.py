@@ -2,13 +2,15 @@
 
 Layout (all integers little-endian): magic bytes ``MSGT``, version u32,
 tensor count u32, then per tensor: name length u16, UTF-8 name, rank u8,
-one u32 extent per axis, then 32-bit little-endian float values. Loading
+one u32 extent per axis, then 32-bit little-endian float values. Saving
+writes a sibling ``.tmp`` file and renames it over the target. Loading
 rebuilds the model from its architecture config and validates every
-name/shape before accepting values.
+name, shape and value (NaN and Inf are rejected) before accepting them.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -21,17 +23,27 @@ VERSION = 1
 
 
 def save_checkpoint(model: Model, path: str) -> None:
+    """Write ``model`` to ``path`` atomically: a partial write never replaces a good file."""
     params = model.named_parameters()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(params)))
-        for name, tensor in params:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", tensor.data.ndim))
-            f.write(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
-            f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(params)))
+            for name, tensor in params:
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", tensor.data.ndim))
+                f.write(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read(f, n: int, what: str) -> bytes:
@@ -57,7 +69,10 @@ def load_checkpoint(path: str, cfg: ArchConfig, msg_policy: str = "learnable") -
             shape = struct.unpack(f"<{rank}I", _read(f, 4 * rank, f"extents of {name}"))
             size = int(np.prod(shape)) if rank else 1
             raw = _read(f, 4 * size, f"values of {name}")
-            entries[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(values).all():
+                raise FormatError(f"{path}: checkpoint tensor {name!r} holds NaN or Inf")
+            entries[name] = values
 
     model = build_model(cfg, seed=0, msg_policy=msg_policy)
     for name, tensor in model.named_parameters():

@@ -182,8 +182,8 @@ def _cmd_eval(args) -> int:
     from .train import evaluate, load_data
 
     cfg, data_spec = parse_config(load_config(args.config), args.seed)
-    model = load_checkpoint(args.checkpoint, cfg.arch_config())
     _, val_ds = load_data(data_spec)
+    model = load_checkpoint(args.checkpoint, cfg.arch_config())
     loss, top1 = evaluate(model, val_ds, cfg.batch_size)
     print(f"val loss {loss:.6f}  top1 {top1:.4f}")
     return 0

@@ -185,6 +185,10 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_pa
     """Write u8 grayscale images (N, H, W) and labels (N,) in IDX format."""
     if images.dtype != np.uint8 or images.ndim != 3:
         raise ConfigError(f"expected u8 (N, H, W) images, got {images.dtype} {images.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() <= 255:
+        raise ConfigError(
+            f"IDX labels are single bytes; got labels in [{labels.min()}, {labels.max()}]"
+        )
     n, h, w = images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, h, w))

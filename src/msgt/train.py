@@ -56,6 +56,12 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.eval_interval < 1:
+            raise ConfigError(f"eval interval must be >= 1, got {self.eval_interval}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ConfigError(f"label smoothing must lie in [0, 1), got {self.label_smoothing}")
+        if not self.base_lr >= 0.0:  # 0 is allowed: it freezes the weights
+            raise ConfigError(f"base learning rate must be >= 0, got {self.base_lr}")
         if self.msg_input_policy not in MSG_POLICIES:
             raise ConfigError(
                 f"unknown msg_input_policy {self.msg_input_policy!r}; expected one of {MSG_POLICIES}"
@@ -206,6 +212,12 @@ def load_data(spec: D.DatasetSpec) -> tuple[D.Dataset, D.Dataset]:
         full = D.generate_synthetic(spec)
     else:
         full = D.load_idx(spec.images_path, spec.labels_path, spec.image_size)
+        bad = np.flatnonzero(full.labels >= spec.num_classes)
+        if bad.size:
+            raise ConfigError(
+                f"IDX label {full.labels[bad[0]]} at index {bad[0]} is out of range "
+                f"for num_classes={spec.num_classes}"
+            )
     return D.split_train_val(full, spec)
 
 

@@ -1,5 +1,8 @@
 """Checkpoint round-trip and validation tests."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,3 +76,39 @@ def test_magic_bytes_literal(micro_model, tmp_path):
     path = tmp_path / "ckpt.msgt"
     save_checkpoint(micro_model, str(path))
     assert path.read_bytes()[:4] == MAGIC == b"MSGT"
+
+
+def test_failed_save_leaves_previous_file_intact(micro_model, tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.msgt"
+    save_checkpoint(micro_model, str(path))
+    before = path.read_bytes()
+    params = micro_model.named_parameters()
+
+    def broken():
+        # a tensor whose data cannot be serialized, after some bytes are written
+        return params[:3] + [("broken", object())]
+
+    monkeypatch.setattr(micro_model, "named_parameters", broken)
+    with pytest.raises(AttributeError):
+        save_checkpoint(micro_model, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.msgt"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_names_first_bad_tensor(micro_model, tmp_path, bad):
+    path = tmp_path / "ckpt.msgt"
+    save_checkpoint(micro_model, str(path))
+    names = [n for n, _ in micro_model.named_parameters()]
+    blob = bytearray(path.read_bytes())
+    # poison the last value of the third and fifth tensors; the third is reported
+    for victim in (names[2], names[4]):
+        tensor = dict(micro_model.named_parameters())[victim]
+        header = struct.pack("<H", len(victim)) + victim.encode()
+        start = blob.index(header) + len(header) + 1 + 4 * tensor.data.ndim
+        end = start + 4 * tensor.data.size
+        blob[end - 4 : end] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=re.escape(repr(names[2])) + ".*NaN or Inf"):
+        load_checkpoint(str(path), M.micro_config())
+    assert path.read_bytes() == bytes(blob)

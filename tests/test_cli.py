@@ -139,6 +139,40 @@ class TestDataAndTraining:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("eval_interval", 0), ("label_smoothing", 1.5), ("optimizer", {"lr": -1e-3})],
+    )
+    def test_train_rejects_bad_value_exit_1(self, capsys, tmp_path, config_file, key, value):
+        raw = json.loads(open(config_file).read())
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "error:" in err and "runtime error" not in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_idx_label_out_of_range_exit_1(self, capsys, tmp_path, config_file):
+        from msgt.data import save_idx
+
+        images = np.zeros((24, 8, 8), dtype=np.uint8)
+        labels = np.arange(24) % 4
+        labels[5] = 7
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        save_idx(images, labels, ip, lp)
+        raw = json.loads(open(config_file).read())
+        raw["data"] = {
+            "source": "idx-files", "image_size": 128, "num_train": 16, "num_val": 8,
+            "images_path": ip, "labels_path": lp,
+        }
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["train"], ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]):
+            code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+            assert code == 1
+            assert "label 7 at index 5" in err
+
     def test_custom_stage_config_parses(self, tmp_path):
         raw = {
             "stages": [

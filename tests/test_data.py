@@ -122,3 +122,11 @@ class TestIdx:
         images_path, labels_path = self.hand_built_fixture(tmp_path)
         with pytest.raises(ConfigError):
             D.load_idx(images_path, labels_path, image_size=2)
+
+    def test_writer_rejects_labels_above_one_byte(self, tmp_path):
+        images = np.zeros((2, 4, 4), dtype=np.uint8)
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        with pytest.raises(ConfigError, match="256"):
+            D.save_idx(images, np.array([3, 256]), ip, lp)
+        with pytest.raises(ConfigError, match="-1"):
+            D.save_idx(images, np.array([-1, 0]), ip, lp)

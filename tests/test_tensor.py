@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from msgt import tensor as T
 from msgt.errors import ConfigError, ContractError, ShapeError
@@ -110,6 +111,65 @@ class TestConv2d:
             T.conv2d(x, w, None, stride=1, padding=0)
 
 
+def reference_conv2d(x, w, bias, stride, padding, g):
+    """The kh*kw slice-copy im2col conv and its col2im backward, in plain numpy.
+
+    Returns the forward output and the x, weight and bias gradients for the
+    output gradient ``g``.
+    """
+    b, h, wd, cin = x.shape
+    k, _, _, cout = w.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
+    cols = np.empty((b, oh, ow, k, k, cin), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, :, ki, kj, :] = xp[
+                :, ki : ki + stride * (oh - 1) + 1 : stride, kj : kj + stride * (ow - 1) + 1 : stride, :
+            ]
+    cols2 = cols.reshape(b * oh * ow, k * k * cin)
+    w2 = w.reshape(k * k * cin, cout)
+    y = (cols2 @ w2 + bias).reshape(b, oh, ow, cout)
+    g2 = g.reshape(b * oh * ow, cout)
+    gcols = (g2 @ w2.T).reshape(b, oh, ow, k, k, cin)
+    gxp = np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[
+                :, ki : ki + stride * (oh - 1) + 1 : stride, kj : kj + stride * (ow - 1) + 1 : stride, :
+            ] += gcols[:, :, :, ki, kj, :]
+    gx = gxp[:, padding : padding + h, padding : padding + wd, :] if padding else gxp
+    return y, gx, (cols2.T @ g2).reshape(w.shape), g2.sum(axis=0)
+
+
+class TestConv2dMatchesSliceLoop:
+    """The strided-view im2col must give the slice-copy loop's bits exactly."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extent", [(13, 13), (16, 16), (15, 12)])
+    @pytest.mark.parametrize(
+        "kernel,stride,padding",
+        [(7, 4, 3), (3, 2, 1), (3, 1, 0), (1, 1, 0)],
+        ids=["patch-embed", "merge", "k3s1", "k1s1"],
+    )
+    def test_forward_and_gradients_bit_identical(self, kernel, stride, padding, extent, dtype):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + extent[1])
+        h, w = extent
+        x = rng.standard_normal((3, h, w, 5)).astype(dtype)
+        wt = rng.standard_normal((kernel, kernel, 5, 4)).astype(dtype)
+        bias = rng.standard_normal(4).astype(dtype)
+        xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
+        y = T.conv2d(xt, wtt, bt, stride=stride, padding=padding)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        ry, rgx, rgw, rgb = reference_conv2d(x, wt, bias, stride, padding, g)
+        np.testing.assert_array_equal(y.data, ry)
+        np.testing.assert_array_equal(xt.grad, rgx)
+        np.testing.assert_array_equal(wtt.grad, rgw)
+        np.testing.assert_array_equal(bt.grad, rgb)
+
+
 class TestGelu:
     def test_zero(self):
         assert T.gelu(Tensor([0.0])).data[0] == 0.0
@@ -119,6 +179,49 @@ class TestGelu:
 
     def test_negative_asymptote(self):
         assert abs(T.gelu(t64([-10.0], False)).item()) < 1e-6
+
+    def test_float32_matches_float64_form_on_dense_grid(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        x64 = x.astype(np.float64)
+        exact = 0.5 * x64 * (1.0 + scipy_erf(x64 / math.sqrt(2.0)))
+        got = T.gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        assert (np.abs(got - exact) / np.maximum(1.0, np.abs(x64))).max() < 2e-6
+
+    def test_erf32_within_8_ulp(self):
+        z = np.linspace(-6.0, 6.0, 600_001, dtype=np.float32)
+        exact = scipy_erf(z.astype(np.float64))
+        ulp = np.spacing(np.abs(exact).astype(np.float32)).astype(np.float64)
+        assert (np.abs(T.erf32(z) - exact) / ulp).max() <= 8.0
+
+    def test_erf32_independent_of_chunking(self, monkeypatch):
+        z = np.random.default_rng(12).standard_normal(5000).astype(np.float32) * 3
+        whole = T.erf32(z)
+        monkeypatch.setattr(T, "_ERF_CHUNK", 7)
+        np.testing.assert_array_equal(T.erf32(z), whole)
+        np.testing.assert_array_equal(T.erf32(z[::-1])[::-1], whole)
+
+    def test_float32_backward_matches_float64(self):
+        x = np.linspace(-6.0, 6.0, 2001)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            T.tsum(T.gelu(xt)).backward()
+            grads.append(xt.grad.astype(np.float64))
+        assert np.abs(grads[0] - grads[1]).max() < 1e-5
+
+    def test_float64_uses_scipy_erf(self, monkeypatch):
+        calls = []
+
+        def spy(z):
+            calls.append(z.dtype)
+            return scipy_erf(z)
+
+        monkeypatch.setattr(T, "_erf", spy)
+        x = np.random.default_rng(13).standard_normal(1000) * 4
+        got = T.gelu(t64(x, False)).data
+        assert calls == [np.float64]
+        np.testing.assert_array_equal(got, x * (0.5 * (1.0 + scipy_erf(x * (1.0 / math.sqrt(2.0))))))
 
 
 class TestGradCheck:

@@ -39,6 +39,43 @@ class TestSchedule:
             TR.TrainConfig(total_steps=10, warmup_steps=10).validate()
 
 
+class TestValidate:
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("eval_interval", 0, "eval interval"),
+            ("eval_interval", -3, "eval interval"),
+            ("label_smoothing", 1.0, "label smoothing"),
+            ("label_smoothing", 1.5, "label smoothing"),
+            ("label_smoothing", -0.1, "label smoothing"),
+            ("base_lr", -1e-3, "learning rate"),
+            ("base_lr", float("nan"), "learning rate"),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value, named):
+        with pytest.raises(ConfigError, match=named):
+            TR.TrainConfig(**{field: value}).validate()
+
+    def test_boundary_values_accepted(self):
+        TR.TrainConfig(eval_interval=1, label_smoothing=0.0, base_lr=0.0).validate()
+
+    def test_idx_label_at_num_classes_rejected_before_compute(self, tmp_path, monkeypatch):
+        from msgt import data as D
+
+        images = np.zeros((24, 8, 8), dtype=np.uint8)
+        labels = np.arange(24) % 4
+        labels[19] = 4
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        D.save_idx(images, labels, ip, lp)
+        spec = DatasetSpec(
+            source="idx-files", image_size=128, num_classes=4, num_train=16, num_val=8,
+            images_path=ip, labels_path=lp,
+        )
+        monkeypatch.setattr(M, "build_model", None)  # any compute would fail with TypeError
+        with pytest.raises(ConfigError, match="label 4 at index 19"):
+            TR.train(TINY_RUN, spec, str(tmp_path / "run"))
+
+
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
         p = Tensor(np.array([[1.0, -2.0]], dtype=np.float32), requires_grad=True)
