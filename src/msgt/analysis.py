@@ -84,7 +84,7 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     ln_x, ln_g, ln_b = t(2, 3, 4), t(4), t(4)
     conv_x, conv_w, conv_b = t(2, 4, 4, 2), t(3, 3, 2, 3), t(3)
     gather_x = t(6)
-    seg_x = t(2, 4, 3)
+    mean_x = t(2, 4, 3)
     cases = {
         "add": (lambda: T.tsum(T.power(T.add(x34, y4), 2.0)), [x34, y4]),
         "mul": (lambda: T.tsum(T.mul(x34, T.mul(x34, x34))), [x34]),
@@ -103,9 +103,9 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
             lambda: T.tsum(T.power(T.gather_last(gather_x, np.array([0, 2, 2, 5])), 2.0)),
             [gather_x],
         ),
-        "segment_mean": (
-            lambda: T.tsum(T.power(T.segment_mean(seg_x, [np.array([0, 2]), np.array([1, 3])]), 2.0)),
-            [seg_x],
+        "broadcast_mean": (
+            lambda: T.tsum(T.power(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x), 2.0)),
+            [mean_x],
         ),
     }
     return {name: T.grad_check(fn, params) for name, (fn, params) in cases.items()}

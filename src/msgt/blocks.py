@@ -187,9 +187,7 @@ def local_msa(
     ctx = T.matmul(attn, v)  # (B, gh, gw, h, n, d)
     ctx = T.reshape(T.transpose(ctx, (0, 1, 2, 4, 3, 5)), (b, gh, gw, n, c))
     out = T.linear(ctx, params.out_weight, params.out_bias)
-    result = WindowedTokens(
-        windows=out, window_size=wt.window_size, with_msg=wt.with_msg, region_size=wt.region_size
-    )
+    result = WindowedTokens(windows=out, window_size=wt.window_size, with_msg=wt.with_msg)
     return (result, attn) if return_attn else result
 
 
@@ -210,7 +208,6 @@ def attach_msg(wt: WindowedTokens, msg: MsgTokens) -> WindowedTokens:
         windows=T.concat([lead, wt.windows], axis=3),
         window_size=wt.window_size,
         with_msg=True,
-        region_size=wt.region_size,
     )
 
 
@@ -224,7 +221,6 @@ def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, MsgTokens]:
         windows=wt.windows[:, :, :, 1:, :],
         window_size=wt.window_size,
         with_msg=False,
-        region_size=wt.region_size,
     )
     return patches, msg
 
@@ -232,76 +228,59 @@ def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, MsgTokens]:
 # -- messenger manipulation ---------------------------------------------------------
 
 
-def _shuffle_permutation(view: ShuffleRegionView, channels: int) -> np.ndarray:
-    """Scalar permutation over (window, channel) implementing the group transpose.
+def _exchange_regions(x: Tensor, rh: int, rw: int, mode: str) -> Tensor:
+    """Exchange within every rh x rw region of a block tiled by such regions.
 
-    Within a region of n tokens, channels split into n groups of C/n;
-    output token a's group b is input token b's group a.
+    The block (B, nr*rh, nc*rw, C) is viewed as (B, nr, nc, n, C) with the
+    n = rh*rw region tokens in row-major order; the mode acts on that axis.
     """
-    n_windows = view.num_windows
-    perm = np.arange(n_windows * channels, dtype=np.int64)
-    for idx in view.regions:
-        n = len(idx)
-        if n == 1:
-            continue
-        if channels % n:
-            raise ConfigError(
-                f"channels {channels} not divisible by region token count {n}"
-            )
-        g = channels // n
-        for a in range(n):
-            for bi in range(n):
-                dst = idx[a] * channels + bi * g
-                src = idx[bi] * channels + a * g
-                perm[dst : dst + g] = np.arange(src, src + g)
-    return perm
+    b, bh, bw, c = x.shape
+    n, nr, nc = rh * rw, bh // rh, bw // rw
+    if n == 1:
+        return x
+    if mode == "shuffle" and c % n:
+        raise ConfigError(f"channels {c} not divisible by region token count {n}")
+    x = T.reshape(x, (b, nr, rh, nc, rw, c))
+    x = T.reshape(T.transpose(x, (0, 1, 3, 2, 4, 5)), (b, nr, nc, n, c))
+    if mode == "shuffle":  # token a's group g <- token g's group a
+        x = T.reshape(x, (b, nr, nc, n, n, c // n))
+        x = T.reshape(T.transpose(x, (0, 1, 2, 4, 3, 5)), (b, nr, nc, n, c))
+    elif mode == "shift":  # token k <- token k-1, cyclically
+        x = T.concat([x[:, :, :, n - 1 :], x[:, :, :, : n - 1]], axis=3)
+    else:  # every token <- the region mean
+        x = T.broadcast_mean(x, axis=3)
+    x = T.reshape(x, (b, nr, nc, rh, rw, c))
+    return T.reshape(T.transpose(x, (0, 1, 3, 2, 4, 5)), (b, bh, bw, c))
 
 
-def _shift_permutation(view: ShuffleRegionView, channels: int) -> np.ndarray:
-    """Cyclic +1 shift of whole tokens, row-major within each region."""
-    n_windows = view.num_windows
-    perm = np.arange(n_windows * channels, dtype=np.int64)
-    for idx in view.regions:
-        n = len(idx)
-        for k in range(n):
-            src = idx[(k - 1) % n]
-            dst = idx[k]
-            perm[dst * channels : (dst + 1) * channels] = np.arange(
-                src * channels, (src + 1) * channels
-            )
-    return perm
+def _exchange(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
+    """Run ``mode`` over each of the at most 2x2 blocks and reassemble the grid."""
+    if view.grid_shape != msg.grid_shape:
+        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.grid_shape}")
+    blocks = view.blocks
+    rows: dict[int, list[Tensor]] = {}
+    for r, c, rh, rw in blocks:
+        part = msg.grid if len(blocks) == 1 else msg.grid[:, r, c]
+        rows.setdefault(r.start, []).append(_exchange_regions(part, rh, rw, mode))
 
+    def join(parts, axis):
+        return T.concat(parts, axis=axis) if len(parts) > 1 else parts[0]
 
-def _apply_flat_permutation(msg: MsgTokens, perm: np.ndarray) -> MsgTokens:
-    b, gh, gw, c = msg.grid.shape
-    flat = T.reshape(msg.grid, (b, gh * gw * c))
-    out = T.gather_last(flat, perm)
-    return MsgTokens(grid=T.reshape(out, (b, gh, gw, c)))
+    return MsgTokens(grid=join([join(parts, 2) for parts in rows.values()], 1))
 
 
 def shuffle_msg(msg: MsgTokens, view: ShuffleRegionView) -> MsgTokens:
     """Exchange channel groups between all messenger tokens of each region."""
-    if view.grid_shape != msg.grid_shape:
-        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.grid_shape}")
-    return _apply_flat_permutation(msg, _shuffle_permutation(view, msg.channels))
+    return _exchange(msg, view, "shuffle")
 
 
 def manipulate_msg(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
     """Apply the configured cross-window exchange to messenger tokens."""
     if mode == "none":
         return msg
-    if mode == "shuffle":
-        return shuffle_msg(msg, view)
-    if view.grid_shape != msg.grid_shape:
-        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.grid_shape}")
-    if mode == "shift":
-        return _apply_flat_permutation(msg, _shift_permutation(view, msg.channels))
-    if mode == "average":
-        b, gh, gw, c = msg.grid.shape
-        flat = T.reshape(msg.grid, (b, gh * gw, c))
-        out = T.segment_mean(flat, view.regions)
-        return MsgTokens(grid=T.reshape(out, (b, gh, gw, c)))
-    raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
+    if mode not in MODES:
+        raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
+    return _exchange(msg, view, mode)
 
 
 # -- the block ------------------------------------------------------------------------
@@ -365,15 +344,12 @@ def block_forward(
         windows=T.layer_norm(x.windows, params.norm1_gamma, params.norm1_beta),
         window_size=x.window_size,
         with_msg=x.with_msg,
-        region_size=x.region_size,
     )
     attn_out = local_msa(normed, params.attn, params.bias)
     tokens = T.add(x.windows, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
 
     if use_msg:
-        combined = WindowedTokens(
-            windows=tokens, window_size=x.window_size, with_msg=True, region_size=x.region_size
-        )
+        combined = WindowedTokens(windows=tokens, window_size=x.window_size, with_msg=True)
         patches, mid_msg = detach_msg(combined)
         mid_msg = manipulate_msg(mid_msg, view, params.mode)
         tokens = attach_msg(patches, mid_msg).windows
@@ -381,9 +357,7 @@ def block_forward(
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     tokens = T.add(tokens, T.drop_path(_mlp(normed2, params), params.drop_path_rate, rng, training))
 
-    result = WindowedTokens(
-        windows=tokens, window_size=x.window_size, with_msg=use_msg, region_size=x.region_size
-    )
+    result = WindowedTokens(windows=tokens, window_size=x.window_size, with_msg=use_msg)
     if use_msg:
         return detach_msg(result)
     return result, None

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 USAGE_EXIT, RUNTIME_EXIT = 1, 2
@@ -126,6 +127,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None):
         )
     else:
         arch = raw.get("arch", "micro")
+        if "task" in raw or "input_size" in raw:
+            preset = M.preset_config(arch, num_classes, raw.get("task", "cls"))
+            arch = replace(preset, input_size=int(raw.get("input_size", preset.input_size)))
 
     optimizer = raw.get("optimizer", {})
     schedule = raw.get("schedule", {})
@@ -179,11 +183,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
-    from .train import evaluate, load_data
+    from .train import check_task_data, evaluate, load_data
 
     cfg, data_spec = parse_config(load_config(args.config), args.seed)
+    arch = cfg.arch_config()
+    check_task_data(arch, data_spec)
     _, val_ds = load_data(data_spec)
-    model = load_checkpoint(args.checkpoint, cfg.arch_config())
+    model = load_checkpoint(args.checkpoint, arch)
     loss, top1 = evaluate(model, val_ds, cfg.batch_size)
     print(f"val loss {loss:.6f}  top1 {top1:.4f}")
     return 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError
-from .model import MERGE_KERNEL, PATCH_KERNEL, PATCH_PAD, PATCH_STRIDE, ArchConfig
+from .model import MERGE_KERNEL, PATCH_KERNEL, ArchConfig, stage_geometry
 
 SWIN_SHIFT = "swin_shift"
 MSG_SHUFFLE = "msg_shuffle"
@@ -100,10 +100,6 @@ def receptive_field(scheme: str, window_size: int, shuffle_size: Optional[int] =
     raise ConfigError(f"unknown scheme {scheme!r}; expected {SWIN_SHIFT} or {MSG_SHUFFLE}")
 
 
-def _conv_output(extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - kernel) // stride + 1
-
-
 def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     """Cost breakdown for a full forward pass at ``input_size``.
 
@@ -113,29 +109,25 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     at 2 FLOPs per MAC (``total_flops_conv2x``).
     """
     cfg.validate()
-    size = cfg.input_size if input_size is None else input_size
-    h = w = _conv_output(size, PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD)
+    geometry = stage_geometry(cfg, input_size)
+    h, w = geometry[0][0]
     embed_macs = h * w * PATCH_KERNEL**2 * 3 * cfg.stages[0].dim
 
     stage_macs: list[int] = []
     merge_macs: list[int] = []
-    msg_grid = None
-    for i, s in enumerate(cfg.stages):
+    for i, (s, (_, (gh, gw))) in enumerate(zip(cfg.stages, geometry)):
         ws = s.window_size
-        gh, gw = -(-h // ws), -(-w // ws)  # padded window grid
         spec = ComplexitySpec(
             grid_h=gh * ws, grid_w=gw * ws, window_size=ws, channels=s.dim, with_msg=cfg.use_msg
         )
         stage_macs.append(s.num_blocks * flops_block(spec))
-        msg_grid = (gh, gw)
         if i < len(cfg.stages) - 1:
-            nh, nw = _conv_output(h, MERGE_KERNEL, 2, 1), _conv_output(w, MERGE_KERNEL, 2, 1)
+            (nh, nw), _ = geometry[i + 1]
             macs = nh * nw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
             if cfg.use_msg:
                 mh, mw = -(-gh // 2), -(-gw // 2)
                 macs += mh * mw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
             merge_macs.append(macs)
-            h, w = nh, nw
     head_macs = cfg.stages[-1].dim * cfg.num_classes
     conv_macs = embed_macs + sum(merge_macs)
     attention_mlp = sum(stage_macs)
@@ -148,5 +140,5 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
         "conv_macs": conv_macs,
         "total_macs": attention_mlp + conv_macs + head_macs,
         "total_flops_conv2x": attention_mlp + 2 * conv_macs + head_macs,
-        "final_msg_grid": msg_grid,
+        "final_msg_grid": geometry[-1][1],
     }

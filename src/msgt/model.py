@@ -70,6 +70,41 @@ class ArchConfig:
                 )
         if self.input_size < PATCH_KERNEL:
             raise ConfigError(f"input size {self.input_size} smaller than patch kernel {PATCH_KERNEL}")
+        if not self.use_msg or self.manipulation != "shuffle":
+            return
+        # every region must split the stage channels into equal groups
+        for i, (s, (_, grid)) in enumerate(zip(self.stages, stage_geometry(self)), start=1):
+            for anchor in sorted({_block_anchor(self.task, bi) for bi in range(s.num_blocks)}):
+                for _, _, rh, rw in W.ShuffleRegionView(grid, s.shuffle_size, anchor).blocks:
+                    if s.dim % (rh * rw):
+                        raise ConfigError(
+                            f"stage {i}: at input size {self.input_size} the {grid[0]}x{grid[1]} "
+                            f"window grid has {rh}x{rw} shuffle regions, whose {rh * rw} tokens "
+                            f"do not divide {s.dim} channels"
+                        )
+
+
+def _conv_output(extent: int, kernel: int, stride: int, padding: int) -> int:
+    return (extent + 2 * padding - kernel) // stride + 1
+
+
+def stage_geometry(
+    cfg: ArchConfig, input_size: Optional[int] = None
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Per stage, the token-map extents and the padded window grid for a square input."""
+    size = cfg.input_size if input_size is None else input_size
+    h = w = _conv_output(size, PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD)
+    out = []
+    for s in cfg.stages:
+        out.append(((h, w), (-(-h // s.window_size), -(-w // s.window_size))))
+        h = _conv_output(h, MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD)
+        w = _conv_output(w, MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD)
+    return out
+
+
+def _block_anchor(task: str, block_index: int) -> str:
+    """Detection backbones alternate the region anchor from block to block."""
+    return W.BOTTOM_RIGHT if task == "det-backbone" and block_index % 2 else W.TOP_LEFT
 
 
 def _stages(dims, heads, depths, shuffles, window) -> tuple[StageConfig, ...]:
@@ -79,34 +114,24 @@ def _stages(dims, heads, depths, shuffles, window) -> tuple[StageConfig, ...]:
     )
 
 
-def tiny_config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
-    shuffles = (4, 4, 2, 1) if task == "cls" else (4, 4, 8, 4)
-    return ArchConfig(
-        stages=_stages((64, 128, 256, 512), (2, 4, 8, 16), (2, 4, 12, 4), shuffles, 7),
-        input_size=224,
-        num_classes=num_classes,
-        task=task,
-    )
+def _preset(dims, heads, depths):
+    """A 224-px, window-7 preset; detection backbones shuffle over larger late regions."""
+
+    def config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
+        shuffles = (4, 4, 2, 1) if task == "cls" else (4, 4, 8, 4)
+        return ArchConfig(
+            stages=_stages(dims, heads, depths, shuffles, 7),
+            input_size=224,
+            num_classes=num_classes,
+            task=task,
+        )
+
+    return config
 
 
-def small_config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
-    shuffles = (4, 4, 2, 1) if task == "cls" else (4, 4, 8, 4)
-    return ArchConfig(
-        stages=_stages((96, 192, 384, 768), (3, 6, 12, 24), (2, 4, 12, 4), shuffles, 7),
-        input_size=224,
-        num_classes=num_classes,
-        task=task,
-    )
-
-
-def base_config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
-    shuffles = (4, 4, 2, 1) if task == "cls" else (4, 4, 8, 4)
-    return ArchConfig(
-        stages=_stages((96, 192, 384, 768), (3, 6, 12, 24), (2, 4, 28, 4), shuffles, 7),
-        input_size=224,
-        num_classes=num_classes,
-        task=task,
-    )
+tiny_config = _preset((64, 128, 256, 512), (2, 4, 8, 16), (2, 4, 12, 4))
+small_config = _preset((96, 192, 384, 768), (3, 6, 12, 24), (2, 4, 12, 4))
+base_config = _preset((96, 192, 384, 768), (3, 6, 12, 24), (2, 4, 28, 4))
 
 
 def micro_config(num_classes: int = 4, task: str = "cls", **overrides) -> ArchConfig:
@@ -123,6 +148,12 @@ def micro_config(num_classes: int = 4, task: str = "cls", **overrides) -> ArchCo
 PRESETS = {"tiny": tiny_config, "small": small_config, "base": base_config, "micro": micro_config}
 
 
+def preset_config(name: str, num_classes: int, task: str = "cls") -> ArchConfig:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown arch preset {name!r}; expected one of {sorted(PRESETS)}")
+    return PRESETS[name](num_classes=num_classes, task=task)
+
+
 # -- initialization -------------------------------------------------------------
 
 
@@ -134,6 +165,21 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
         out[bad] = rng.standard_normal(int(bad.sum())) * std
         bad = np.abs(out) > 2 * std
     return out.astype(dtype)
+
+
+def _param_makers(rng: np.random.Generator, dtype, std: float = 0.02):
+    """Trainable-tensor factories: trunc-normal ``proj``, ``zeros`` and ``ones``."""
+
+    def proj(*shape):
+        return Tensor(trunc_normal(rng, shape, std, dtype), requires_grad=True)
+
+    def zeros(*shape):
+        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+    def ones(*shape):
+        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+
+    return proj, zeros, ones
 
 
 def make_block_params(
@@ -148,16 +194,7 @@ def make_block_params(
     use_msg: bool = True,
 ) -> B.BlockParams:
     """Fresh block parameters: trunc-normal projections, zero biases and bias tables."""
-
-    def proj(*shape):
-        return Tensor(trunc_normal(rng, shape, std, dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
+    proj, zeros, ones = _param_makers(rng, dtype, std)
     span = 2 * window_size - 1
     return B.BlockParams(
         norm1_gamma=ones(channels),
@@ -272,16 +309,7 @@ def build_model(
     if msg_policy not in ("learnable", "frozen-random"):
         raise ConfigError(f"unknown msg_policy {msg_policy!r}")
     rng = np.random.default_rng(seed)
-
-    def proj(*shape):
-        return Tensor(trunc_normal(rng, shape, 0.02, dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
+    proj, zeros, ones = _param_makers(rng, dtype)
     c1 = cfg.stages[0].dim
     embed_weight = proj(PATCH_KERNEL, PATCH_KERNEL, 3, c1)
     embed_bias = zeros(c1)
@@ -353,7 +381,7 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
     if images.shape[1] < PATCH_KERNEL or images.shape[2] < PATCH_KERNEL:
         raise ConfigError(f"input {images.shape[1]}x{images.shape[2]} smaller than patch kernel")
     tokens = T.conv2d(images, model.embed_weight, model.embed_bias, PATCH_STRIDE, PATCH_PAD)
-    return W.FeatureMap(tokens=tokens, stage_index=1)
+    return W.FeatureMap(tokens=tokens)
 
 
 @lru_cache(maxsize=None)
@@ -383,14 +411,12 @@ def forward(
     images: Tensor,
     mode: str = "eval",
     rng: Optional[np.random.Generator] = None,
-    stage_trace: Optional[list] = None,
 ):
     """Run the full hierarchy.
 
     Classification returns (B, num_classes) logits from the pooled final
     messenger tokens; det-backbone mode returns the four per-stage patch
-    feature maps at strides 4/8/16/32 instead. ``stage_trace``, when given,
-    collects one (window_grid, msg_grid) pair per stage.
+    feature maps at strides 4/8/16/32 instead.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -402,7 +428,6 @@ def forward(
     msg: Optional[W.MsgTokens] = None
     stage_outputs: list[W.FeatureMap] = []
     for si, scfg in enumerate(cfg.stages):
-        fm.stage_index = si + 1
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
         wt = W.partition_windows(padded, scfg.window_size)
         grid = wt.grid_shape
@@ -414,13 +439,9 @@ def forward(
                     f"stage {si + 1}: messenger grid {msg.grid_shape} != window grid {grid}"
                 )
         for bi, blk in enumerate(model.stages[si]):
-            anchor = W.TOP_LEFT
-            if cfg.task == "det-backbone" and bi % 2 == 1:
-                anchor = W.BOTTOM_RIGHT
-            view = W.build_region_view(grid, scfg.shuffle_size, anchor, strict=False)
+            view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi), strict=False)
             wt, msg = B.block_forward(wt, msg, blk, view, training=training, rng=rng)
         fm = W.crop_to(W.reverse_windows(wt), extents)
-        fm.stage_index = si + 1
         stage_outputs.append(fm)
         if si < NUM_STAGES - 1:
             fm, msg = W.merge_tokens(fm, msg, model.merge_weights[si], model.merge_biases[si])

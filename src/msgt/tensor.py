@@ -443,23 +443,16 @@ def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
     return out
 
 
-def segment_mean(a: Tensor, segments: Sequence[np.ndarray]) -> Tensor:
-    """Replace each row group of the second-to-last axis by its group mean.
-
-    ``segments`` partitions the row index range; within each segment every
-    row of the output equals the mean of the segment's input rows.
-    """
-    if a.data.ndim < 2:
-        raise ShapeError(f"segment_mean requires >= 2 dimensions, got shape {a.data.shape}")
+def broadcast_mean(a: Tensor, axis: int) -> Tensor:
+    """Replace every entry along ``axis`` by the mean over that axis."""
+    axis = _check_axis(axis, a.data.ndim)
     y = np.empty_like(a.data)
-    for idx in segments:
-        y[..., idx, :] = a.data[..., idx, :].mean(axis=-2, keepdims=True)
+    y[...] = a.data.mean(axis=axis, keepdims=True)
     out = _make(y, (a,))
     if out.requires_grad:
         def backward(g):
             buf = np.empty_like(g)
-            for idx in segments:
-                buf[..., idx, :] = g[..., idx, :].mean(axis=-2, keepdims=True)
+            buf[...] = g.mean(axis=axis, keepdims=True)
             _accum(a, buf)
         out._backward = backward
     return out
@@ -469,8 +462,8 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """Select ``index`` positions along the last axis: ``out[..., k] = a[..., index[k]]``.
 
     The index array is a constant; gradients scatter-add back, so repeated
-    indices are handled (used for both bias-table lookup and the pure
-    channel permutations of the shuffle op).
+    indices are handled (used for the bias-table lookup and the tiling of
+    the input messenger tokens).
     """
     index = np.asarray(index)
     if index.ndim != 1:

@@ -71,9 +71,7 @@ class TrainConfig:
         if isinstance(self.arch, ArchConfig):
             cfg = self.arch
         else:
-            if self.arch not in M.PRESETS:
-                raise ConfigError(f"unknown arch preset {self.arch!r}; expected one of {sorted(M.PRESETS)}")
-            cfg = M.PRESETS[self.arch](num_classes=self.num_classes)
+            cfg = M.preset_config(self.arch, self.num_classes)
         cfg = replace(cfg, use_msg=self.use_msg, manipulation=self.manipulation)
         if self.shuffle_sizes is not None:
             stages = tuple(
@@ -206,6 +204,16 @@ class TrainResult:
     rows: list[MetricsRow] = field(repr=False, default_factory=list)
 
 
+def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
+    """Reject runs the classification loop cannot score, before any compute."""
+    if arch.task != "cls":
+        raise ConfigError(f"task {arch.task!r} has no training or eval loop; use 'cls'")
+    if spec.num_classes > arch.num_classes:
+        raise ConfigError(
+            f"dataset has {spec.num_classes} classes but the model head has {arch.num_classes}"
+        )
+
+
 def load_data(spec: D.DatasetSpec) -> tuple[D.Dataset, D.Dataset]:
     spec.validate()
     if spec.source == "synthetic-textures":
@@ -226,6 +234,7 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     arch = cfg.arch_config()
+    check_task_data(arch, data_spec)
     if data_spec.image_size != arch.input_size:
         raise ConfigError(
             f"dataset image size {data_spec.image_size} != model input {arch.input_size}"

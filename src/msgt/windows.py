@@ -8,7 +8,7 @@ here are differentiable and value-preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class FeatureMap:
     """Patch tokens on their 2-d grid: ``tokens`` is (B, H, W, C)."""
 
     tokens: Tensor
-    stage_index: int = 1
 
     @property
     def extents(self) -> tuple[int, int]:
@@ -76,7 +75,6 @@ class WindowedTokens:
     windows: Tensor
     window_size: int
     with_msg: bool = False
-    region_size: Optional[int] = None
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -87,32 +85,56 @@ class WindowedTokens:
         return self.windows.shape[4]
 
 
-@dataclass
-class ShuffleRegionView:
-    """Grouping of the window grid into region tiles for token exchange.
+def _segments(extent: int, region: int, anchor: str) -> list[tuple[int, int, int]]:
+    """Split one grid axis into at most two (start, stop, band) segments.
 
-    ``regions`` lists, per region, the flat (row-major) window indices it
-    covers. Complete tiles are aligned to ``anchor``; leftover windows form
-    partial regions at the opposite corner.
+    The full ``region``-wide bands form one segment and the leftover
+    partial band the other; the partial band sits at the end opposite
+    ``anchor``.
+    """
+    partial = extent % region
+    if anchor == TOP_LEFT:
+        segs = [(0, extent - partial, region), (extent - partial, extent, partial)]
+    else:
+        segs = [(0, partial, partial), (partial, extent, region)]
+    return [seg for seg in segs if seg[0] < seg[1]]
+
+
+@dataclass(frozen=True)
+class ShuffleRegionView:
+    """Grouping of the window grid into SxS region tiles for token exchange.
+
+    Complete tiles are aligned to ``anchor``; leftover windows form partial
+    regions at the opposite corner. Along each axis the regions fall into
+    at most two segments, so the grid splits into at most 2x2 rectangular
+    ``blocks``, each tiled by regions of one shape.
     """
 
     grid_shape: tuple[int, int]
     region_size: int
     anchor: str
-    regions: list[np.ndarray] = field(repr=False)
 
     @property
-    def num_windows(self) -> int:
-        return self.grid_shape[0] * self.grid_shape[1]
+    def blocks(self) -> list[tuple[slice, slice, int, int]]:
+        """(rows, cols, rh, rw) per block: its grid slices and its region shape."""
+        (gh, gw), s = self.grid_shape, self.region_size
+        return [
+            (slice(r0, r1), slice(c0, c1), rh, rw)
+            for r0, r1, rh in _segments(gh, s, self.anchor)
+            for c0, c1, rw in _segments(gw, s, self.anchor)
+        ]
 
+    @property
+    def regions(self) -> list[np.ndarray]:
+        """Per region, the flat (row-major) window indices it covers."""
+        (gh, gw), s = self.grid_shape, self.region_size
 
-def _bands(extent: int, region: int, anchor: str) -> list[tuple[int, int]]:
-    if anchor == TOP_LEFT:
-        return [(s, min(s + region, extent)) for s in range(0, extent, region)]
-    offset = extent % region
-    bands = [(0, offset)] if offset else []
-    bands.extend((s, s + region) for s in range(offset, extent, region))
-    return bands
+        def bands(extent):
+            segs = _segments(extent, s, self.anchor)
+            return [(a, a + n) for a0, a1, n in segs for a in range(a0, a1, n)]
+
+        flat = np.arange(gh * gw).reshape(gh, gw)
+        return [flat[r0:r1, c0:c1].reshape(-1) for r0, r1 in bands(gh) for c0, c1 in bands(gw)]
 
 
 def build_region_view(
@@ -131,23 +153,7 @@ def build_region_view(
         raise ConfigError(
             f"region size {region_size} exceeds both window-grid extents {gh}x{gw}"
         )
-    regions = []
-    for r0, r1 in _bands(gh, region_size, anchor):
-        for c0, c1 in _bands(gw, region_size, anchor):
-            rows = np.arange(r0, r1)
-            cols = np.arange(c0, c1)
-            idx = (rows[:, None] * gw + cols[None, :]).reshape(-1)
-            regions.append(idx)
-    return ShuffleRegionView(grid_shape=(gh, gw), region_size=region_size, anchor=anchor, regions=regions)
-
-
-def group_regions(
-    wt: WindowedTokens,
-    region_size: int,
-    anchor: str = TOP_LEFT,
-    strict: bool = True,
-) -> ShuffleRegionView:
-    return build_region_view(wt.grid_shape, region_size, anchor, strict)
+    return ShuffleRegionView(grid_shape=(gh, gw), region_size=region_size, anchor=anchor)
 
 
 def partition_windows(fm: FeatureMap, window_size: int) -> WindowedTokens:
@@ -187,7 +193,7 @@ def pad_to_window_multiple(fm: FeatureMap, window_size: int) -> tuple[FeatureMap
     if ph == 0 and pw == 0:
         return fm, (h, w)
     padded = T.pad(fm.tokens, [(0, 0), (0, ph), (0, pw), (0, 0)])
-    return FeatureMap(tokens=padded, stage_index=fm.stage_index), (h, w)
+    return FeatureMap(tokens=padded), (h, w)
 
 
 def crop_to(fm: FeatureMap, extents: tuple[int, int]) -> FeatureMap:
@@ -195,7 +201,7 @@ def crop_to(fm: FeatureMap, extents: tuple[int, int]) -> FeatureMap:
     h, w = extents
     if fm.tokens.shape[1] == h and fm.tokens.shape[2] == w:
         return fm
-    return FeatureMap(tokens=fm.tokens[:, :h, :w, :], stage_index=fm.stage_index)
+    return FeatureMap(tokens=fm.tokens[:, :h, :w, :])
 
 
 def merge_tokens(
@@ -215,10 +221,7 @@ def merge_tokens(
         raise ShapeError(f"merge weight {weight.shape} does not match 3x3 kernel over {c} channels")
     if msg is not None and msg.channels != c:
         raise ShapeError(f"messenger channels {msg.channels} != patch channels {c}")
-    merged = FeatureMap(
-        tokens=T.conv2d(fm.tokens, weight, bias, stride=2, padding=1),
-        stage_index=fm.stage_index + 1,
-    )
+    merged = FeatureMap(tokens=T.conv2d(fm.tokens, weight, bias, stride=2, padding=1))
     merged_msg = None
     if msg is not None:
         merged_msg = MsgTokens(grid=T.conv2d(msg.grid, weight, bias, stride=2, padding=1))

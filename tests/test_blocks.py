@@ -1,8 +1,12 @@
 """Messenger-token block tests: attachment, bias indexing, local attention,
 shuffle/average/shift manipulation, and the composed block."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgt import blocks as B
 from msgt import tensor as T
@@ -10,7 +14,69 @@ from msgt import windows as W
 from msgt.analysis import information_reach
 from msgt.errors import ConfigError, ShapeError
 from msgt.model import make_block_params
-from msgt.tensor import Tensor
+from msgt.tensor import Tensor, _accum, _make
+
+
+# -- reference exchange: flat permutations and segment means over view.regions --
+
+
+def reference_shuffle_permutation(view, channels):
+    """Scalar permutation over (window, channel) implementing the group transpose.
+
+    Within a region of n tokens, channels split into n groups of C/n;
+    output token a's group b is input token b's group a.
+    """
+    gh, gw = view.grid_shape
+    perm = np.arange(gh * gw * channels, dtype=np.int64)
+    for idx in view.regions:
+        n = len(idx)
+        if n == 1:
+            continue
+        g = channels // n
+        for a in range(n):
+            for bi in range(n):
+                dst = idx[a] * channels + bi * g
+                src = idx[bi] * channels + a * g
+                perm[dst : dst + g] = np.arange(src, src + g)
+    return perm
+
+
+def reference_shift_permutation(view, channels):
+    """Cyclic +1 shift of whole tokens, row-major within each region."""
+    gh, gw = view.grid_shape
+    perm = np.arange(gh * gw * channels, dtype=np.int64)
+    for idx in view.regions:
+        n = len(idx)
+        for k in range(n):
+            src, dst = idx[(k - 1) % n], idx[k]
+            perm[dst * channels : (dst + 1) * channels] = np.arange(src * channels, (src + 1) * channels)
+    return perm
+
+
+def reference_segment_mean(a, segments):
+    """Replace each row group of the second-to-last axis by its group mean."""
+    y = np.empty_like(a.data)
+    for idx in segments:
+        y[..., idx, :] = a.data[..., idx, :].mean(axis=-2, keepdims=True)
+    out = _make(y, (a,))
+    if out.requires_grad:
+        def backward(g):
+            buf = np.empty_like(g)
+            for idx in segments:
+                buf[..., idx, :] = g[..., idx, :].mean(axis=-2, keepdims=True)
+            _accum(a, buf)
+        out._backward = backward
+    return out
+
+
+def reference_manipulate(grid, view, mode):
+    b, gh, gw, c = grid.shape
+    if mode == "average":
+        flat = T.reshape(grid, (b, gh * gw, c))
+        return T.reshape(reference_segment_mean(flat, view.regions), (b, gh, gw, c))
+    make = reference_shuffle_permutation if mode == "shuffle" else reference_shift_permutation
+    out = T.gather_last(T.reshape(grid, (b, gh * gw * c)), make(view, c))
+    return T.reshape(out, (b, gh, gw, c))
 
 
 def make_windows(b, gh, gw, window_size, c, seed=0, dtype=np.float32):
@@ -206,6 +272,49 @@ class TestShuffle:
         a, b = msg.grid.data[0, 1, 0], msg.grid.data[0, 2, 0]
         np.testing.assert_array_equal(out.grid.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
         np.testing.assert_array_equal(out.grid.data[0, 2, 0], [a[2], a[3], b[2], b[3]])
+
+
+class TestExchangeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gh=st.integers(1, 10),
+        gw=st.integers(1, 10),
+        region=st.integers(1, 4),
+        anchor=st.sampled_from([W.TOP_LEFT, W.BOTTOM_RIGHT]),
+        mode=st.sampled_from(["shuffle", "shift", "average"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        batch=st.integers(2, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_forward_and_backward(self, gh, gw, region, anchor, mode, dtype, batch, seed):
+        view = W.build_region_view((gh, gw), region, anchor, strict=False)
+        channels = math.lcm(*(len(r) for r in view.regions)) * 2
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((batch, gh, gw, channels)).astype(dtype)
+        upstream = rng.standard_normal(data.shape).astype(dtype)
+
+        def run(fn):
+            x = Tensor(data, requires_grad=True)
+            out = fn(x)
+            T.tsum(T.mul(out, Tensor(upstream))).backward()
+            return out.data, x.grad
+
+        out, grad = run(lambda x: B.manipulate_msg(W.MsgTokens(grid=x), view, mode).grid)
+        ref_out, ref_grad = run(lambda x: reference_manipulate(x, view, mode))
+        assert out.dtype == ref_out.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_exchange_uses_no_gather(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("gather_last called")
+
+        monkeypatch.setattr(T, "gather_last", fail)
+        msg = make_msg(2, 5, 7, 48, seed=24)
+        for anchor in (W.TOP_LEFT, W.BOTTOM_RIGHT):
+            view = W.build_region_view((5, 7), 4, anchor)
+            for mode in ("shuffle", "shift", "average"):
+                assert B.manipulate_msg(msg, view, mode).grid.shape == msg.grid.shape
 
 
 class TestManipulate:

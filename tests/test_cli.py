@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from msgt import cli
+from msgt import model as M
 from msgt.data import load_idx
+from msgt.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +194,63 @@ class TestDataAndTraining:
         assert arch.stages[0].window_size == 4
         assert [s.shuffle_size for s in arch.stages] == [2, 2, 2, 1]
         assert data.seed == 5
+
+    def test_unrunnable_custom_stages_exit_1(self, capsys, tmp_path, config_file):
+        raw = json.loads(open(config_file).read())
+        raw.pop("arch")
+        raw.update(
+            stages=[
+                {"dim": 64, "heads": 2, "blocks": 1},
+                {"dim": 128, "heads": 4, "blocks": 1},
+                {"dim": 256, "heads": 8, "blocks": 1},
+                {"dim": 512, "heads": 16, "blocks": 1},
+            ],
+            input_size=160,
+        )
+        raw["data"]["image_size"] = 160
+        path = tmp_path / "stages.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "error: stage 2: at input size 160 the 3x3 window grid" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_preset_keeps_task_and_input_size(self):
+        cfg, _ = cli.parse_config({"arch": "micro", "task": "det-backbone", "input_size": 96})
+        arch = cfg.arch_config()
+        assert (arch.task, arch.input_size) == ("det-backbone", 96)
+        assert arch.stages == M.micro_config().stages
+        with pytest.raises(ConfigError, match="unknown arch preset"):
+            cli.parse_config({"arch": "huge", "task": "cls"})
+
+    def test_train_rejects_det_backbone_exit_1(self, capsys, tmp_path, config_file):
+        raw = json.loads(open(config_file).read())
+        raw["task"] = "det-backbone"
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "det-backbone" in err and "runtime error" not in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_data_classes_beyond_head_exit_1(self, capsys, tmp_path, config_file):
+        from msgt.data import save_idx
+
+        images = np.zeros((24, 8, 8), dtype=np.uint8)
+        labels = np.arange(24) % 10
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        save_idx(images, labels, ip, lp)
+        raw = json.loads(open(config_file).read())
+        raw["data"] = {
+            "source": "idx-files", "image_size": 128, "num_classes": 10, "num_train": 16,
+            "num_val": 8, "images_path": ip, "labels_path": lp,
+        }
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["train"], ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]):
+            code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+            assert code == 1
+            assert "dataset has 10 classes but the model head has 4" in err
 
     def test_seed_flag_overrides_config(self, config_file):
         cfg, _ = cli.parse_config(json.loads(open(config_file).read()), seed_override=99)

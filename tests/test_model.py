@@ -1,8 +1,11 @@
 """Model assembly tests: configs, initialization, forward geometry, counting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from msgt import blocks as B
 from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
@@ -52,6 +55,69 @@ class TestConfigs:
         cfg = M.micro_config()
         # 128 -> 32 -> 16 -> 8 -> 4 tokens; stage-4 grid is a single window
         assert cfg.input_size // 32 == cfg.stages[-1].window_size
+
+
+def hand_stage_grids(cfg: M.ArchConfig, size: int) -> list[tuple[int, int]]:
+    """Padded window grids, from ceil(size/4) tokens halved (ceil) by each merge."""
+    h = -(-size // 4)
+    grids = []
+    for s in cfg.stages:
+        grids.append((-(-h // s.window_size),) * 2)
+        h = -(-h // 2)
+    return grids
+
+
+def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
+    """Whether the shuffle runs on every stage grid at ``size``, on zero tokens."""
+    for s, grid in zip(cfg.stages, hand_stage_grids(cfg, size)):
+        msg = W.MsgTokens(grid=Tensor(np.zeros((1, *grid, s.dim), dtype=np.float32)))
+        for bi in range(min(2, s.num_blocks)):
+            anchor = W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT
+            try:
+                B.shuffle_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor, strict=False))
+            except ConfigError:
+                return False
+    return True
+
+
+class TestInputSizeCheck:
+    @pytest.mark.parametrize("task,size", [("cls", 160), ("det-backbone", 256)])
+    def test_unrunnable_tiny_size_rejected_by_build_model(self, task, size):
+        cfg = replace(M.tiny_config(task=task), input_size=size)
+        with pytest.raises(ConfigError, match=r"stage \d: .* \dx\d window grid .* \dx\d shuffle regions.* channels"):
+            M.build_model(cfg, seed=0)
+
+    def test_presets_and_micro_accepted(self):
+        for make in M.PRESETS.values():
+            for task in ("cls", "det-backbone"):
+                make(task=task).validate()
+        for mode in B.MODES:
+            M.micro_config(manipulation=mode).validate()
+        M.micro_config(use_msg=False, manipulation="none").validate()
+
+    def test_only_shuffle_needs_dividing_regions(self):
+        cfg = replace(M.tiny_config(), input_size=160)
+        for mode in ("average", "shift", "none"):
+            replace(cfg, manipulation=mode).validate()
+        replace(cfg, use_msg=False).validate()
+
+    @pytest.mark.parametrize(
+        "preset,task,rejected",
+        [("tiny", "cls", 38), ("tiny", "det-backbone", 63), ("small", "cls", 38), ("small", "det-backbone", 63)],
+    )
+    def test_validate_accepts_exactly_the_sizes_the_exchange_runs(self, preset, task, rejected):
+        base = M.PRESETS[preset](task=task)
+        failures = 0
+        for size in range(160, 1400, 16):
+            cfg = replace(base, input_size=size)
+            try:
+                cfg.validate()
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == exchange_runs(cfg, size), f"input size {size}"
+            failures += not accepted
+        assert failures == rejected
 
 
 class TestBuild:

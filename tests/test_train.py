@@ -76,6 +76,21 @@ class TestValidate:
             TR.train(TINY_RUN, spec, str(tmp_path / "run"))
 
 
+    def test_data_classes_beyond_head_rejected_before_compute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TR, "load_data", None)  # any data loading would fail with TypeError
+        spec = DatasetSpec(num_classes=10, num_train=32, num_val=16, image_size=128, seed=3)
+        with pytest.raises(ConfigError, match="dataset has 10 classes but the model head has 4"):
+            TR.train(TINY_RUN, spec, str(tmp_path / "run"))
+
+    def test_det_backbone_task_rejected_before_compute(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        monkeypatch.setattr(TR, "load_data", None)
+        run = replace(TINY_RUN, arch=M.micro_config(task="det-backbone"))
+        with pytest.raises(ConfigError, match="det-backbone"):
+            TR.train(run, TINY_DATA, str(tmp_path / "run"))
+
+
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
         p = Tensor(np.array([[1.0, -2.0]], dtype=np.float32), requires_grad=True)

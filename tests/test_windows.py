@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgt import windows as W
 from msgt.errors import ConfigError, ContractError, PartitionError, ShapeError
@@ -127,6 +129,30 @@ class TestRegions:
             view = W.build_region_view((gh, gw), rs, anchor, strict=False)
             combined = np.concatenate(view.regions)
             np.testing.assert_array_equal(np.sort(combined), np.arange(gh * gw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gh=st.integers(1, 12),
+        gw=st.integers(1, 12),
+        region=st.integers(1, 5),
+        anchor=st.sampled_from([W.TOP_LEFT, W.BOTTOM_RIGHT]),
+    )
+    def test_blocks_tile_grid_with_one_region_shape_each(self, gh, gw, region, anchor):
+        view = W.build_region_view((gh, gw), region, anchor, strict=False)
+        assert len(view.blocks) <= 4
+        cover = np.zeros((gh, gw), dtype=int)
+        for rows, cols, rh, rw in view.blocks:
+            assert (rows.stop - rows.start) % rh == 0 and (cols.stop - cols.start) % rw == 0
+            cover[rows, cols] += 1
+        assert (cover == 1).all()
+        for idx in view.regions:
+            r, c = np.divmod(idx, gw)
+            home = [
+                (rh, rw)
+                for rows, cols, rh, rw in view.blocks
+                if rows.start <= r.min() and r.max() < rows.stop and cols.start <= c.min() and c.max() < cols.stop
+            ]
+            assert len(home) == 1 and (np.ptp(r) + 1, np.ptp(c) + 1) == home[0]
 
     def test_strict_rejects_oversized_region(self):
         with pytest.raises(ConfigError):
