@@ -53,7 +53,7 @@ def _read(f, n: int, what: str) -> bytes:
     return buf
 
 
-def load_checkpoint(path: str, cfg: ArchConfig, msg_policy: str = "learnable") -> Model:
+def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
     """Rebuild a model for ``cfg`` and fill it from the checkpoint at ``path``."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
@@ -74,7 +74,7 @@ def load_checkpoint(path: str, cfg: ArchConfig, msg_policy: str = "learnable") -
                 raise FormatError(f"{path}: checkpoint tensor {name!r} holds NaN or Inf")
             entries[name] = values
 
-    model = build_model(cfg, seed=0, msg_policy=msg_policy)
+    model = build_model(cfg, seed=0)
     for name, tensor in model.named_parameters():
         if name not in entries:
             raise FormatError(f"checkpoint missing tensor {name!r}")

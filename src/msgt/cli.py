@@ -11,11 +11,14 @@ thread pools before numpy is loaded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
+
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 USAGE_EXIT, RUNTIME_EXIT = 1, 2
 
@@ -92,80 +95,83 @@ def load_config(path: Optional[str]) -> dict:
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
 
 
+# JSON key -> TrainConfig field, per config section ("" is the top level); the
+# "data" section holds DatasetSpec fields under their own names
+_TRAIN_KEYS = {
+    "": {k: k for k in ("msg_input_policy", "batch_size", "label_smoothing", "eval_interval", "seed")},
+    "optimizer": {"lr": "base_lr", "weight_decay": "weight_decay", "betas": "betas", "eps": "eps"},
+    "schedule": {k: k for k in ("total_steps", "warmup_steps", "min_lr")},
+}
+_ARCH_OVERRIDES = ("num_classes", "task", "input_size", "use_msg", "manipulation")  # ArchConfig fields
+_STAGE_KEYS = ("dim", "heads", "blocks")  # StageConfig.dim, num_heads, num_blocks
+
+
+def _object(value, prefix: str, known) -> dict:
+    """``value`` as a JSON object whose keys are all ``known``."""
+    unknown = set(_coerce(value, {}, prefix.rstrip(".") or "config")) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix + min(unknown)!r}; expected one of {sorted(known)}")
+    return value
+
+
+def _coerce(value, like, key: str):
+    """``value`` as the type of ``like``: numbers convert only without loss, a tuple takes a list."""
+    if isinstance(like, tuple) and isinstance(value, list) and len(value) == len(like):
+        return tuple(_coerce(v, d, key) for v, d in zip(value, like))
+    if type(value) is type(like) or {type(value), type(like)} <= {int, float}:
+        with contextlib.suppress(ValueError, OverflowError):
+            if type(like)(value) == value:
+                return type(like)(value)
+    expected = f"a list of {len(like)} values" if isinstance(like, tuple) else type(like).__name__
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def parse_config(raw: dict, seed_override: Optional[int] = None):
     """Build (TrainConfig, DatasetSpec) from the JSON schema.
 
     Top-level keys: arch, stages[], window_size, shuffle_sizes[], input_size,
     num_classes, task, use_msg, manipulation, msg_input_policy, optimizer{},
     schedule{}, batch_size, label_smoothing, eval_interval, data{}, seed.
+    Omitted keys take the TrainConfig, DatasetSpec or preset defaults, with data.image_size,
+    data.num_classes and data.seed following the run; unknown or mistyped keys raise ConfigError.
     """
     from . import model as M
     from .data import DatasetSpec
     from .train import TrainConfig
 
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
-    num_classes = int(raw.get("num_classes", 4))
+    arch_keys = ("arch", "stages", "window_size", "shuffle_sizes", *_ARCH_OVERRIDES)
+    top = _object(raw, "", (*arch_keys, *_TRAIN_KEYS[""], "optimizer", "schedule", "data"))
+    default = TrainConfig()
 
-    if "stages" in raw:
-        window = int(raw.get("window_size", 7))
-        shuffles = raw.get("shuffle_sizes") or [4, 4, 2, 1]
-        stages = tuple(
-            M.StageConfig(
-                dim=int(s["dim"]),
-                num_heads=int(s["heads"]),
-                num_blocks=int(s["blocks"]),
-                shuffle_size=int(r),
-                window_size=window,
-            )
-            for s, r in zip(raw["stages"], shuffles)
-        )
-        arch = M.ArchConfig(
-            stages=stages,
-            input_size=int(raw.get("input_size", 224)),
-            num_classes=num_classes,
-            task=raw.get("task", "cls"),
-        )
-    else:
-        arch = raw.get("arch", "micro")
-        if "task" in raw or "input_size" in raw:
-            preset = M.preset_config(arch, num_classes, raw.get("task", "cls"))
-            arch = replace(preset, input_size=int(raw.get("input_size", preset.input_size)))
+    def get(key, like):
+        return _coerce(top[key], like, key) if key in top else like
 
-    optimizer = raw.get("optimizer", {})
-    schedule = raw.get("schedule", {})
-    train_cfg = TrainConfig(
-        arch=arch,
-        num_classes=num_classes,
-        use_msg=bool(raw.get("use_msg", True)),
-        manipulation=raw.get("manipulation", "shuffle"),
-        msg_input_policy=raw.get("msg_input_policy", "learnable"),
-        shuffle_sizes=tuple(raw["shuffle_sizes"]) if "shuffle_sizes" in raw and "stages" not in raw else None,
-        base_lr=float(optimizer.get("lr", 3e-3)),
-        weight_decay=float(optimizer.get("weight_decay", 0.05)),
-        betas=tuple(optimizer.get("betas", (0.9, 0.999))),
-        eps=float(optimizer.get("eps", 1e-8)),
-        total_steps=int(schedule.get("total_steps", 600)),
-        warmup_steps=int(schedule.get("warmup_steps", 50)),
-        min_lr=float(schedule.get("min_lr", 0.0)),
-        batch_size=int(raw.get("batch_size", 16)),
-        label_smoothing=float(raw.get("label_smoothing", 0.1)),
-        eval_interval=int(raw.get("eval_interval", 100)),
-        seed=seed,
-    )
+    num_classes, task = get("num_classes", default.arch.num_classes), get("task", default.arch.task)
+    arch = default.arch
+    if "stages" in top:
+        entries, window = get("stages", ({},) * M.NUM_STAGES), get("window_size", M.PRESET_WINDOW)
+        stages = []
+        for i, (entry, shuffle) in enumerate(zip(entries, M.CLS_SHUFFLES)):
+            entry = _object(entry, f"stages[{i}].", _STAGE_KEYS)
+            dim, heads, blocks = (_coerce(entry.get(k), 0, f"stages[{i}].{k}") for k in _STAGE_KEYS)
+            stages.append(M.StageConfig(dim, heads, blocks, shuffle, window))
+        arch = M.ArchConfig(tuple(stages), M.PRESET_INPUT_SIZE, num_classes, task)
+    elif "arch" in top:
+        arch = M.preset_config(get("arch", ""), num_classes=num_classes, task=task)
+    arch = replace(arch, **{k: get(k, getattr(arch, k)) for k in _ARCH_OVERRIDES})
+    arch = M.with_shuffle_sizes(arch, get("shuffle_sizes", tuple(s.shuffle_size for s in arch.stages)))
 
-    data_raw = raw.get("data", {})
-    data_spec = DatasetSpec(
-        source=data_raw.get("source", "synthetic-textures"),
-        image_size=int(data_raw.get("image_size", 128)),
-        num_classes=int(data_raw.get("num_classes", num_classes)),
-        num_train=int(data_raw.get("num_train", 512)),
-        num_val=int(data_raw.get("num_val", 128)),
-        seed=int(data_raw.get("seed", seed)),
-        noise_sigma=float(data_raw.get("noise_sigma", 0.1)),
-        images_path=data_raw.get("images_path", ""),
-        labels_path=data_raw.get("labels_path", ""),
-    )
-    return train_cfg, data_spec
+    values = {} if seed_override is None else {"seed": seed_override}
+    for name, keys in _TRAIN_KEYS.items():
+        section = _object(raw.get(name, {}), f"{name}.", keys) if name else top
+        for key in keys.keys() & section.keys():
+            value = _coerce(section[key], getattr(default, keys[key]), f"{name}.{key}".lstrip("."))
+            values.setdefault(keys[key], value)
+    train_cfg = TrainConfig(arch=arch, **values)
+
+    data = _object(raw.get("data", {}), "data.", [f.name for f in fields(DatasetSpec)])
+    spec = replace(DatasetSpec(), image_size=arch.input_size, num_classes=num_classes, seed=train_cfg.seed)
+    return train_cfg, replace(spec, **{k: _coerce(v, getattr(spec, k), f"data.{k}") for k, v in data.items()})
 
 
 # -- commands -----------------------------------------------------------------------
@@ -190,7 +196,7 @@ def _cmd_eval(args) -> int:
     check_task_data(arch, data_spec)
     _, val_ds = load_data(data_spec)
     model = load_checkpoint(args.checkpoint, arch)
-    loss, top1 = evaluate(model, val_ds, cfg.batch_size)
+    loss, top1 = evaluate(model, val_ds, cfg.batch_size, cfg.label_smoothing)
     print(f"val loss {loss:.6f}  top1 {top1:.4f}")
     return 0
 
@@ -221,9 +227,7 @@ def _cmd_flops(args) -> int:
     print(f"  increase ratio: {ratio.numerator}/{ratio.denominator} ≈ {float(ratio) * 100:.4f}%")
     print(f"  exact increase ratio: {float(C.flops_ratio_exact(w, ch)) * 100:.4f}%")
     if args.arch:
-        if args.arch not in M.PRESETS:
-            raise _UsageError(f"unknown arch preset {args.arch!r}")
-        report = C.model_flops(M.PRESETS[args.arch]())
+        report = C.model_flops(M.preset_config(args.arch))
         print(f"model totals for {args.arch}:")
         print(f"  attention+mlp: {report['attention_mlp']}")
         print(f"  convs (macs):  {report['conv_macs']}")
@@ -328,8 +332,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_usage()
             return USAGE_EXIT
-        from .errors import ConfigError, ContractError, FormatError, ShapeError
-
         try:
             return _COMMANDS[args.command](args)
         except (ConfigError, ContractError, FormatError, ShapeError) as exc:

@@ -51,8 +51,8 @@ class ArchConfig:
         if self.manipulation not in B.MODES:
             raise ConfigError(f"unknown manipulation mode {self.manipulation!r}")
         for i, s in enumerate(self.stages, start=1):
-            if s.dim % s.num_heads:
-                raise ConfigError(f"stage {i}: dim {s.dim} not divisible by {s.num_heads} heads")
+            if not 1 <= s.num_heads <= s.dim or s.dim % s.num_heads:
+                raise ConfigError(f"stage {i}: dim {s.dim} not a positive multiple of {s.num_heads} heads")
             if s.shuffle_size < 1:
                 raise ConfigError(f"stage {i}: shuffle size must be >= 1, got {s.shuffle_size}")
             if s.dim % (s.shuffle_size**2):
@@ -70,13 +70,18 @@ class ArchConfig:
                 )
         if self.input_size < PATCH_KERNEL:
             raise ConfigError(f"input size {self.input_size} smaller than patch kernel {PATCH_KERNEL}")
-        if not self.use_msg or self.manipulation != "shuffle":
+        if not self.use_msg:
             return
-        # every region must split the stage channels into equal groups
-        for i, (s, (_, grid)) in enumerate(zip(self.stages, stage_geometry(self)), start=1):
-            for anchor in sorted({_block_anchor(self.task, bi) for bi in range(s.num_blocks)}):
+        grids = [grid for _, grid in stage_geometry(self)]
+        for i, (s, grid) in enumerate(zip(self.stages, grids), start=1):
+            # each merge halves the messenger grid, which must meet the next window grid
+            msg_grid = tuple(-(-g // 2) for g in grids[i - 2]) if i > 1 else grid
+            if grid != msg_grid:
+                raise ConfigError(f"stage {i}: window grid {grid} != messenger grid {msg_grid} from stage {i - 1}")
+            # with shuffling, every region of either anchor (blocks alternate) must split the channels
+            for anchor in sorted({_block_anchor(self.task, bi) for bi in range(min(s.num_blocks, 2))}):
                 for _, _, rh, rw in W.ShuffleRegionView(grid, s.shuffle_size, anchor).blocks:
-                    if s.dim % (rh * rw):
+                    if self.manipulation == "shuffle" and s.dim % (rh * rw):
                         raise ConfigError(
                             f"stage {i}: at input size {self.input_size} the {grid[0]}x{grid[1]} "
                             f"window grid has {rh}x{rw} shuffle regions, whose {rh * rw} tokens "
@@ -114,14 +119,19 @@ def _stages(dims, heads, depths, shuffles, window) -> tuple[StageConfig, ...]:
     )
 
 
+# the preset geometry, also the defaults of a custom ``stages`` config
+PRESET_WINDOW, PRESET_INPUT_SIZE = 7, 224
+CLS_SHUFFLES = (4, 4, 2, 1)
+
+
 def _preset(dims, heads, depths):
     """A 224-px, window-7 preset; detection backbones shuffle over larger late regions."""
 
     def config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
-        shuffles = (4, 4, 2, 1) if task == "cls" else (4, 4, 8, 4)
+        shuffles = CLS_SHUFFLES if task == "cls" else (4, 4, 8, 4)
         return ArchConfig(
-            stages=_stages(dims, heads, depths, shuffles, 7),
-            input_size=224,
+            stages=_stages(dims, heads, depths, shuffles, PRESET_WINDOW),
+            input_size=PRESET_INPUT_SIZE,
             num_classes=num_classes,
             task=task,
         )
@@ -148,10 +158,17 @@ def micro_config(num_classes: int = 4, task: str = "cls", **overrides) -> ArchCo
 PRESETS = {"tiny": tiny_config, "small": small_config, "base": base_config, "micro": micro_config}
 
 
-def preset_config(name: str, num_classes: int, task: str = "cls") -> ArchConfig:
+def preset_config(name: str, **kwargs) -> ArchConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown arch preset {name!r}; expected one of {sorted(PRESETS)}")
-    return PRESETS[name](num_classes=num_classes, task=task)
+    return PRESETS[name](**kwargs)
+
+
+def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
+    """``cfg`` with stage ``i`` shuffling over ``sizes[i]`` x ``sizes[i]`` regions."""
+    if len(sizes) != NUM_STAGES:
+        raise ConfigError(f"expected {NUM_STAGES} shuffle sizes, got {len(sizes)}: {sizes}")
+    return replace(cfg, stages=tuple(replace(s, shuffle_size=r) for s, r in zip(cfg.stages, sizes)))
 
 
 # -- initialization -------------------------------------------------------------

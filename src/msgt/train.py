@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +31,8 @@ MSG_POLICIES = ("learnable", "frozen-random", "rerandomize-at-eval")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    arch: Union[str, ArchConfig] = "micro"
-    num_classes: int = 4
-    use_msg: bool = True
-    manipulation: str = "shuffle"
+    arch: ArchConfig = field(default_factory=M.micro_config)
     msg_input_policy: str = "learnable"
-    shuffle_sizes: Optional[tuple[int, int, int, int]] = None
     base_lr: float = 3e-3
     weight_decay: float = 0.05
     betas: tuple[float, float] = (0.9, 0.999)
@@ -66,20 +62,12 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown msg_input_policy {self.msg_input_policy!r}; expected one of {MSG_POLICIES}"
             )
+        if self.msg_input_policy == "rerandomize-at-eval" and not self.arch.use_msg:
+            raise ConfigError("msg_input_policy 'rerandomize-at-eval' needs a model with messengers")
 
     def arch_config(self) -> ArchConfig:
-        if isinstance(self.arch, ArchConfig):
-            cfg = self.arch
-        else:
-            cfg = M.preset_config(self.arch, self.num_classes)
-        cfg = replace(cfg, use_msg=self.use_msg, manipulation=self.manipulation)
-        if self.shuffle_sizes is not None:
-            stages = tuple(
-                replace(s, shuffle_size=r) for s, r in zip(cfg.stages, self.shuffle_sizes)
-            )
-            cfg = replace(cfg, stages=stages)
-        cfg.validate()
-        return cfg
+        self.arch.validate()
+        return self.arch
 
 
 @dataclass
@@ -242,7 +230,7 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     train_ds, val_ds = load_data(data_spec)
 
     policy = "frozen-random" if cfg.msg_input_policy == "frozen-random" else "learnable"
-    model = M.build_model(arch, seed=cfg.seed, msg_policy=policy if arch.use_msg else "learnable")
+    model = M.build_model(arch, seed=cfg.seed, msg_policy=policy)
     optimizer = AdamW(
         model.named_parameters(), weight_decay=cfg.weight_decay, betas=cfg.betas, eps=cfg.eps
     )
@@ -305,9 +293,12 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     if final_row is None:
         final_row = record(cfg.total_steps, cosine_warmup_lr(cfg.total_steps - 1, cfg))
 
-    if cfg.msg_input_policy == "rerandomize-at-eval" and arch.use_msg:
+    if cfg.msg_input_policy == "rerandomize-at-eval":
+        # evaluate with re-sampled input messengers, then restore the trained ones
+        trained = model.msg_input.data
         M.rerandomize_msg_input(model, seed=cfg.seed + 1)
         vloss, vtop1 = evaluate(model, val_ds, batch_size=cfg.batch_size, smoothing=cfg.label_smoothing)
+        model.msg_input.data = trained
         final_row = MetricsRow(
             epoch, cfg.total_steps, "val-rerandomized", vloss, vtop1,
             final_row.lr, time.perf_counter() - start_time,
@@ -352,24 +343,28 @@ REPORT_NOTE = (
 
 
 def _variant_rows(mode: str, cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
-    baseline = replace(cfg, use_msg=True, manipulation="shuffle", msg_input_policy="learnable")
+    arch = replace(cfg.arch, use_msg=True, manipulation="shuffle")
+    baseline = replace(cfg, arch=arch, msg_input_policy="learnable")
+
+    def variant(**changes) -> TrainConfig:
+        return replace(baseline, arch=replace(arch, **changes))
+
     if mode == "no-msg":
-        return [
-            ("msg-shuffle", baseline),
-            ("no-msg", replace(baseline, use_msg=False, manipulation="none")),
-        ]
+        return [("msg-shuffle", baseline), ("no-msg", variant(use_msg=False, manipulation="none"))]
     if mode == "msg-noshuffle":
-        return [("msg-shuffle", baseline), ("msg-noshuffle", replace(baseline, manipulation="none"))]
+        return [("msg-shuffle", baseline), ("msg-noshuffle", variant(manipulation="none"))]
     if mode == "msg-shuffle":
         return [("msg-shuffle", baseline)]
+    if mode == "rerandomize-input-msg":  # one run, evaluated before and after re-sampling
+        return [("rerandomize-base", replace(cfg, msg_input_policy="rerandomize-at-eval"))]
     if mode == "msg-average":
-        return [("msg-shuffle", baseline), ("msg-average", replace(baseline, manipulation="average"))]
+        return [("msg-shuffle", baseline), ("msg-average", variant(manipulation="average"))]
     if mode == "msg-shift":
-        return [("msg-shuffle", baseline), ("msg-shift", replace(baseline, manipulation="shift"))]
+        return [("msg-shuffle", baseline), ("msg-shift", variant(manipulation="shift"))]
     if mode == "shuffle-size-sweep":
         return [
-            ("shuffle-" + "".join(map(str, sizes)), replace(baseline, shuffle_sizes=sizes))
-            for sizes in SHUFFLE_SIZE_SWEEP
+            ("shuffle-" + "".join(map(str, r)), replace(baseline, arch=M.with_shuffle_sizes(arch, r)))
+            for r in SHUFFLE_SIZE_SWEEP
         ]
     raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
 
@@ -383,29 +378,15 @@ def ablate(mode: str, cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) 
     """
     os.makedirs(out_dir, exist_ok=True)
     results: list[dict] = []
-
-    if mode == "rerandomize-input-msg":
-        # one trained model, evaluated before and after re-sampling the
-        # input messenger tokens; no retraining
-        run = train(cfg, data_spec, os.path.join(out_dir, "rerandomize-base"))
-        _, val_ds = load_data(data_spec)
-        loss_learned, top1_learned = evaluate(run.model, val_ds, cfg.batch_size)
+    for name, variant_cfg in _variant_rows(mode, cfg):
+        run = train(variant_cfg, data_spec, os.path.join(out_dir, name))
         counts = M.count_params(run.model)
-        results.append(
-            {"variant": "learned-input-msg", "loss": loss_learned, "top1": top1_learned, **counts}
-        )
-        M.rerandomize_msg_input(run.model, seed=cfg.seed + 1)
-        loss_rr, top1_rr = evaluate(run.model, val_ds, cfg.batch_size)
-        results.append({"variant": "rerandomized-input-msg", "loss": loss_rr, "top1": top1_rr, **counts})
-    else:
-        for name, variant_cfg in _variant_rows(mode, cfg):
-            run = train(variant_cfg, data_spec, os.path.join(out_dir, name))
-            counts = M.count_params(run.model)
-            if name == "no-msg":
-                assert counts["msg_related"] == 0, "messenger-free variant must carry no msg params"
-            results.append(
-                {"variant": name, "loss": run.final.loss, "top1": run.final.top1, **counts}
-            )
+        if name == "no-msg":
+            assert counts["msg_related"] == 0, "messenger-free variant must carry no msg params"
+        named = [(name, run.final)]
+        if variant_cfg.msg_input_policy == "rerandomize-at-eval":  # trained, then re-sampled
+            named = zip(("learned-input-msg", "rerandomized-input-msg"), run.rows[-2:])
+        results += [{"variant": v, "loss": row.loss, "top1": row.top1, **counts} for v, row in named]
 
     path = os.path.join(out_dir, f"ablation_{mode}.csv")
     with open(path, "w") as f:

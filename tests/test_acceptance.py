@@ -139,7 +139,6 @@ def test_criterion_8_closed_form_vs_instrumented():
 
 
 ACCEPT_TRAIN = TrainConfig(
-    arch="micro",
     total_steps=400,
     warmup_steps=50,
     base_lr=3e-3,

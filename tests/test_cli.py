@@ -1,15 +1,19 @@
 """CLI dispatch tests: exit codes, printed values, and end-to-end command flows."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgt import cli
 from msgt import model as M
 from msgt.data import load_idx
 from msgt.errors import ConfigError
+from msgt.train import check_task_data
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +89,80 @@ class TestGradcheck:
         assert "all gradient checks passed" in out
 
 
+FUZZ_PRESET = {
+    "arch": "micro", "num_classes": 4, "task": "cls", "input_size": 128, "use_msg": True,
+    "manipulation": "shuffle", "shuffle_sizes": [2, 2, 2, 1], "msg_input_policy": "learnable",
+    "optimizer": {"lr": 1e-3, "weight_decay": 0.05, "betas": [0.9, 0.999], "eps": 1e-8},
+    "schedule": {"total_steps": 6, "warmup_steps": 2, "min_lr": 0.0},
+    "batch_size": 8, "label_smoothing": 0.1, "eval_interval": 3, "seed": 13,
+    "data": {
+        "source": "synthetic-textures", "image_size": 128, "num_classes": 4, "num_train": 16,
+        "num_val": 8, "seed": 13, "noise_sigma": 0.1, "images_path": "", "labels_path": "",
+    },
+}
+FUZZ_STAGES = {
+    **{k: v for k, v in FUZZ_PRESET.items() if k != "arch"},
+    "stages": [
+        {"dim": 16, "heads": 1, "blocks": 1},
+        {"dim": 32, "heads": 2, "blocks": 1},
+        {"dim": 64, "heads": 4, "blocks": 2},
+        {"dim": 128, "heads": 8, "blocks": 1},
+    ],
+    "window_size": 4,
+}
+DROP, UNKNOWN_KEY = object(), object()
+# what a mutation puts at a key: nothing, a sibling unknown key, a wrong type or a bad value
+FUZZ_EDITS = [DROP, UNKNOWN_KEY, "abc", None, True, [], {}, [2, 2, 2, 1, 1], 0, -1, 1.5, 10**6, 1e300,
+              float("nan")]
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, containers included."""
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, prefix + (k,))
+
+
+def _apply(base, edits):
+    raw = copy.deepcopy(base)
+    for path, edit in edits:
+        parent = raw
+        for k in path[:-1]:  # skip a path that an earlier edit cut
+            if isinstance(parent, dict) and k in parent or isinstance(parent, list) and k < len(parent):
+                parent = parent[k]
+            else:
+                break
+        else:
+            if edit is UNKNOWN_KEY and isinstance(parent, dict):
+                parent["bogus_key"] = 1
+            elif edit is DROP and isinstance(parent, dict):
+                parent.pop(path[-1], None)
+            elif edit not in (DROP, UNKNOWN_KEY) and isinstance(parent, (dict, list)):
+                parent[path[-1]] = copy.deepcopy(edit)
+    return raw
+
+
+def _mutated(base):
+    """Configs made from ``base`` by one or two edits."""
+    edit = st.tuples(st.sampled_from(list(_paths(base))), st.sampled_from(FUZZ_EDITS))
+    return st.lists(edit, min_size=1, max_size=2).map(lambda edits: _apply(base, edits))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(raw=st.sampled_from([FUZZ_PRESET, FUZZ_STAGES]).flatmap(_mutated))
+    def test_mutated_config_is_rejected_or_valid(self, raw):
+        """parse_config plus the checks that run before compute raise only ConfigError."""
+        try:
+            cfg, data = cli.parse_config(raw)
+            cfg.validate()
+            check_task_data(cfg.arch_config(), data)
+            data.validate()
+        except ConfigError:
+            pass
+
+
 class TestDataAndTraining:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -131,6 +209,9 @@ class TestDataAndTraining:
         )
         assert code == 0
         assert "top1" in out
+        # eval reports the smoothed val loss of the run's last val row
+        last_val = [r for r in open(f"{out_dir}/metrics.csv").read().splitlines() if ",val," in r][-1]
+        assert f"val loss {last_val.split(',')[3]} " in out
 
     def test_eval_rejects_wrong_checkpoint_shape(self, capsys, tmp_path, config_file):
         bogus = tmp_path / "bogus.ckpt"
@@ -154,6 +235,29 @@ class TestDataAndTraining:
         assert code == 1
         assert "error:" in err and "runtime error" not in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("stages", [{"dim": 16, "blocks": 1}] + FUZZ_STAGES["stages"][1:], "'stages[0].heads' must be int"),
+            ("batch_size", "abc", "'batch_size' must be int, got 'abc'"),
+            ("shuffle_sizes", [2, 2, 2, 1, 1], "'shuffle_sizes' must be a list of 4 values"),
+            ("optimizer", {"learning_rate": 5.0}, "unknown config key 'optimizer.learning_rate'"),
+            ("schedule", {"steps": 5}, "unknown config key 'schedule.steps'"),
+            ("data", {"size": 128}, "unknown config key 'data.size'"),
+            ("stages", [{**s, "mlp": 4} for s in FUZZ_STAGES["stages"]], "unknown config key 'stages[0].mlp'"),
+            ("windows", 4, "unknown config key 'windows'"),
+        ],
+    )
+    def test_malformed_config_exit_1_naming_key(self, capsys, tmp_path, config_file, key, value, message):
+        raw = json.loads(open(config_file).read())
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert message in err and "runtime error" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_idx_label_out_of_range_exit_1(self, capsys, tmp_path, config_file):
         from msgt.data import save_idx

@@ -101,6 +101,25 @@ class TestInputSizeCheck:
             replace(cfg, manipulation=mode).validate()
         replace(cfg, use_msg=False).validate()
 
+    def test_mixed_window_sizes_rejected_with_messengers(self):
+        cfg = M.micro_config()
+        mixed = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], window_size=2),))
+        with pytest.raises(ConfigError, match=r"stage 4: window grid \(2, 2\) != messenger grid \(1, 1\)"):
+            M.build_model(mixed, seed=0)
+
+    def test_mixed_window_sizes_run_without_messengers(self):
+        cfg = M.micro_config(use_msg=False, manipulation="none")
+        mixed = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], window_size=2),))
+        logits = M.forward(M.build_model(mixed, seed=0), Tensor(np.zeros((1, 128, 128, 3), np.float32)))
+        assert logits.shape == (1, 4)
+
+    def test_with_shuffle_sizes_needs_one_per_stage(self):
+        cfg = M.with_shuffle_sizes(M.tiny_config(), (2, 2, 2, 1))
+        assert [s.shuffle_size for s in cfg.stages] == [2, 2, 2, 1]
+        for sizes in ((2, 2, 2), (2, 2, 2, 1, 1)):
+            with pytest.raises(ConfigError, match="expected 4 shuffle sizes"):
+                M.with_shuffle_sizes(cfg, sizes)
+
     @pytest.mark.parametrize(
         "preset,task,rejected",
         [("tiny", "cls", 38), ("tiny", "det-backbone", 63), ("small", "cls", 38), ("small", "det-backbone", 63)],

@@ -1,5 +1,7 @@
 """Training harness tests: optimizer, schedule, loss, loop determinism, ablation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,27 @@ class TestTrainLoop:
         splits = [r.split for r in res.rows]
         assert "val" in splits and splits[-1] == "val-rerandomized"
 
+    def test_rerandomize_at_eval_saves_the_trained_model(self, tmp_path):
+        cfg = TR.TrainConfig(
+            total_steps=4, warmup_steps=1, eval_interval=10, batch_size=8, base_lr=1e-3, seed=9,
+        )
+        data = DatasetSpec(num_train=16, num_val=8, image_size=128, seed=9)
+        learned = TR.train(cfg, data, str(tmp_path / "learnable"))
+        rerandomized = replace(cfg, msg_input_policy="rerandomize-at-eval")
+        res = TR.train(rerandomized, data, str(tmp_path / "rerandomize"))
+        with open(learned.checkpoint_path, "rb") as a, open(res.checkpoint_path, "rb") as b:
+            assert a.read() == b.read()
+        np.testing.assert_array_equal(res.model.msg_input.data, learned.model.msg_input.data)
+
+    def test_rerandomize_without_messengers_rejected_before_training(self, tmp_path):
+        arch = M.micro_config(use_msg=False, manipulation="none")
+        cfg = replace(TINY_RUN, arch=arch, msg_input_policy="rerandomize-at-eval")
+        with pytest.raises(ConfigError, match="needs a model with messengers"):
+            TR.train(cfg, TINY_DATA, str(tmp_path / "run"))
+        with pytest.raises(ConfigError, match="needs a model with messengers"):
+            TR.ablate("rerandomize-input-msg", replace(TINY_RUN, arch=arch), TINY_DATA, str(tmp_path))
+        assert not list(tmp_path.rglob("metrics.csv"))
+
     def test_frozen_msg_policy_keeps_input_tokens_fixed(self, tmp_path):
         cfg = TR.TrainConfig(
             total_steps=4, warmup_steps=1, eval_interval=10, batch_size=8,
@@ -262,7 +285,7 @@ class TestAblate:
         assert [name for name, _ in rows] == expected
         for name, cfg in rows:
             if name.startswith("msg-") and name != "msg-shuffle":
-                assert cfg.manipulation == name.removeprefix("msg-").replace("noshuffle", "none")
+                assert cfg.arch.manipulation == name.removeprefix("msg-").replace("noshuffle", "none")
 
     def test_rerandomize_mode_reports_two_rows_without_retraining(self, tmp_path):
         results = TR.ablate("rerandomize-input-msg", TINY_RUN, TINY_DATA, str(tmp_path))
@@ -271,3 +294,9 @@ class TestAblate:
             "rerandomized-input-msg",
         ]
         assert results[0]["total"] == results[1]["total"]
+        # the losses are the run's smoothed val rows, as in its metrics.csv
+        rows = open(tmp_path / "rerandomize-base" / "metrics.csv").read().splitlines()[-2:]
+        assert [row.split(",")[2:5] for row in rows] == [
+            [split, f"{r['loss']:.6f}", f"{r['top1']:.4f}"]
+            for split, r in zip(("val", "val-rerandomized"), results)
+        ]
