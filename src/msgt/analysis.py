@@ -85,6 +85,8 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     conv_x, conv_w, conv_b = t(2, 4, 4, 2), t(3, 3, 2, 3), t(3)
     gather_x = t(6)
     mean_x = t(2, 4, 3)
+    split_x = t(3, 5)
+    mb_a, mb_b, mb_bias = t(2, 2, 3), t(3, 4), t(4)
     cases = {
         "add": (lambda: T.tsum(T.power(T.add(x34, y4), 2.0)), [x34, y4]),
         "mul": (lambda: T.tsum(T.mul(x34, T.mul(x34, x34))), [x34]),
@@ -107,8 +109,16 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
             lambda: T.tsum(T.power(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x), 2.0)),
             [mean_x],
         ),
+        "split": (lambda: _split_objective(split_x), [split_x]),
+        "matmul_bias": (lambda: T.tsum(T.power(T.matmul(mb_a, mb_b, mb_bias), 2.0)), [mb_a, mb_b, mb_bias]),
     }
     return {name: T.grad_check(fn, params) for name, (fn, params) in cases.items()}
+
+
+def _split_objective(x: Tensor) -> Tensor:
+    """Uses the first and last pieces only, so the middle slice's gradient is zero."""
+    first, _, last = T.split(x, (1, 2, 2), axis=1)
+    return T.add(T.tsum(T.power(first, 2.0)), T.tsum(T.power(last, 3.0)))
 
 
 def block_grad_check(seed: int = 0) -> float:

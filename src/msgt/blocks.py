@@ -176,9 +176,7 @@ def local_msa(
         x = T.reshape(x, (b, gh, gw, n, h, d))
         return T.transpose(x, (0, 1, 2, 4, 3, 5))  # (B, gh, gw, h, n, d)
 
-    q = heads_first(qkv[..., :c])
-    k = heads_first(qkv[..., c : 2 * c])
-    v = heads_first(qkv[..., 2 * c :])
+    q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
 
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 3, 5, 4))), scale)
     scores = T.add(scores, bias_matrix(bias, with_msg=wt.with_msg))
@@ -215,10 +213,11 @@ def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, MsgTokens]:
     """Split slot 0 back out; exact inverse of :func:`attach_msg`."""
     if not wt.with_msg:
         raise ConfigError("no messenger tokens attached")
-    b, gh, gw, _, c = wt.windows.shape
-    msg = MsgTokens(grid=T.reshape(wt.windows[:, :, :, 0, :], (b, gh, gw, c)))
+    b, gh, gw, n, c = wt.windows.shape
+    lead, rest = T.split(wt.windows, (1, n - 1), axis=3)
+    msg = MsgTokens(grid=T.reshape(lead, (b, gh, gw, c)))
     patches = WindowedTokens(
-        windows=wt.windows[:, :, :, 1:, :],
+        windows=rest,
         window_size=wt.window_size,
         with_msg=False,
     )

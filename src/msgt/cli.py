@@ -4,8 +4,8 @@ Subcommands: train, eval, ablate, flops, analyze-comm, gradcheck, gen-data.
 All commands accept --config (JSON), --seed, and --out; exit code 0 on
 success, 1 on validation failure, 2 on runtime error.
 
-Heavy imports happen inside ``main`` so that MSGT_THREADS can cap the BLAS
-thread pools before numpy is loaded.
+MSGT_THREADS caps the BLAS thread pools; the package applies it on import,
+before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MSGT_THREADS")
-    if not cap:
-        return
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser() -> _Parser:
@@ -321,7 +313,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     if not argv:

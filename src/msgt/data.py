@@ -33,6 +33,10 @@ class DatasetSpec:
     labels_path: str = ""
 
     def validate(self) -> None:
+        bounds = (("seed", self.seed, 0), ("num_train", self.num_train, 1), ("num_val", self.num_val, 0))
+        for key, value, least in bounds:
+            if value < least:
+                raise ConfigError(f"data.{key} must be >= {least}, got {value}")
         if self.source not in ("synthetic-textures", "idx-files"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "synthetic-textures":

@@ -3,9 +3,14 @@
 Tensors wrap a numpy array (float32 for training, float64 for gradient
 checking) plus an optional gradient accumulator. Every differentiable
 operation records its parents and a backward closure; ``Tensor.backward``
-replays the recorded graph once in reverse topological order and
-accumulates gradients out-of-place, so buffers shared through views are
-never mutated.
+replays the recorded graph once in reverse topological order and sums
+gradients into each tensor out of place.
+
+One in-place rule: an op may write in place only into an array that it
+allocated itself and has not yet returned. Buffers shared through views,
+such as the pieces of ``split``, are therefore never mutated; the zero
+buffer the pieces of one ``split`` write their gradients into belongs to
+that split's hidden node.
 
 All kernels are deterministic: identical inputs produce bit-identical
 outputs. A multiply-accumulate counter can be enabled around a region of
@@ -427,6 +432,49 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
+def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
+    """Cut ``a`` along ``axis`` into consecutive pieces of the given sizes.
+
+    The pieces are views of ``a``. They share one hidden node whose
+    gradient is a single zero buffer: each piece's backward writes its
+    gradient into its own slice, and the node hands the buffer to ``a``
+    once. A piece that gets no gradient leaves zeros in its slice.
+    """
+    axis = _check_axis(axis, a.data.ndim)
+    sizes = [int(s) for s in sizes]
+    extent = a.data.shape[axis]
+    if any(s < 0 for s in sizes) or sum(sizes) != extent:
+        raise ShapeError(f"split sizes {sizes} do not add up to extent {extent} of axis {axis}")
+    whole = _make(a.data, (a,))
+    # The buffer of the backward pass in progress. No closure refers to
+    # ``whole`` from ``whole`` itself, so the graph holds no reference cycle
+    # and is freed as soon as it is dropped.
+    buffer: list[Optional[np.ndarray]] = [None]
+
+    def write(key):
+        def backward(g):
+            if buffer[0] is None:
+                buffer[0] = whole.grad = np.zeros(a.data.shape, dtype=g.dtype)
+            buffer[0][key] = g
+        return backward
+
+    pieces = []
+    start = 0
+    for size in sizes:
+        key = (slice(None),) * axis + (slice(start, start + size),)
+        piece = _make(a.data[key], (whole,))
+        if piece.requires_grad:
+            piece._backward = write(key)
+        pieces.append(piece)
+        start += size
+    if whole.requires_grad:
+        def backward(g):
+            buffer[0] = None  # the buffer now belongs to ``a``
+            _accum(a, g)
+        whole._backward = backward
+    return pieces
+
+
 def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
     """Zero-pad each axis by (before, after)."""
     pads = tuple((int(lo), int(hi)) for lo, hi in pads)
@@ -486,8 +534,12 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
 # -- linear algebra -------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with numpy broadcasting over leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Batched matrix product with numpy broadcasting over leading axes.
+
+    ``bias`` is added in place into the product; it must broadcast to the
+    product's shape without enlarging it.
+    """
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     if a.data.dtype != b.data.dtype:
@@ -502,9 +554,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"batch extents incompatible: {a.data.shape} @ {b.data.shape}") from exc
     m, k, n = a.data.shape[-2], a.data.shape[-1], b.data.shape[-1]
     _count("matmul", int(np.prod(y.shape[:-2], dtype=np.int64)) * m * k * n)
-    out = _make(y, (a, b))
+    parents = (a, b)
+    if bias is not None:
+        bias = _coerce(bias, a)
+        try:
+            y += bias.data
+        except ValueError as exc:
+            raise ShapeError(f"bias {bias.data.shape} does not broadcast to product {y.shape}") from exc
+        _count("other", y.size)
+        parents = (a, b, bias)
+    out = _make(y, parents)
     if out.requires_grad:
         def backward(g):
+            if bias is not None and bias.requires_grad:
+                _accum(bias, _unbroadcast(g, bias.data.shape))
             if a.requires_grad:
                 ga = np.matmul(g, b.data.swapaxes(-1, -2))
                 _accum(a, _unbroadcast(ga, a.data.shape))
@@ -522,27 +585,48 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     a large batched product.
     """
     lead = x.data.shape[:-1]
-    y = matmul(reshape(x, (-1, x.data.shape[-1])), weight)
-    if bias is not None:
-        y = add(y, bias)
+    y = matmul(reshape(x, (-1, x.data.shape[-1])), weight, bias)
     return reshape(y, (*lead, weight.data.shape[-1]))
 
 
 # -- neural-net kernels ----------------------------------------------------------
 
 
+# Rows up to this long take their max by a column scan: about 3x faster
+# than the reduction for 17-slot rows, slower from about 32 slots on.
+_SCAN_MAX = 24
+
+
+def _axis_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis, keepdims=True)``; a short last axis is scanned column by column.
+
+    The scan gives the same maxima (NaN propagates the same way) and, for
+    short rows, avoids the per-row overhead of the reduction.
+    """
+    n = x.shape[axis]
+    if axis != x.ndim - 1 or not 1 < n <= _SCAN_MAX:
+        return x.max(axis=axis, keepdims=True)
+    m = np.maximum(x[..., :1], x[..., 1:2])
+    for j in range(2, n):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Normalized exponentials along ``axis``; subtracts the axis max first."""
     axis = _check_axis(axis, x.data.ndim)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - _axis_max(x.data, axis)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = _make(y, (x,))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(x, y * (g - dot))
+            gx = g * y
+            dot = gx.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=gx)
+            gx *= y
+            _accum(x, gx)
         out._backward = backward
     return out
 
@@ -569,23 +653,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _make(xhat * gamma.data + beta.data, (x, gamma, beta))
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = _make(y, (x, gamma, beta))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
+            s = g * xhat
             if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0))
+                _accum(gamma, s.reshape(-1, c).sum(axis=0))
             if beta.requires_grad:
                 _accum(beta, g.reshape(-1, c).sum(axis=0))
             if x.requires_grad:
+                # ((gh - mean(gh)) - xhat * mean(gh * xhat)) * inv, in this order
                 gh = g * gamma.data
-                term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-                _accum(x, term * inv)
+                m1 = gh.mean(axis=-1, keepdims=True)
+                np.multiply(gh, xhat, out=s)
+                m2 = s.mean(axis=-1, keepdims=True)
+                gh -= m1
+                np.multiply(xhat, m2, out=s)
+                gh -= s
+                gh *= inv
+                _accum(x, gh)
         out._backward = backward
     return out
 
@@ -654,8 +747,15 @@ def gelu(x: Tensor) -> Tensor:
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accum(x, g * (cdf + x.data * pdf))
+            # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+            gx = np.multiply(x.data, -0.5)
+            gx *= x.data
+            np.exp(gx, out=gx)
+            gx *= _INV_SQRT_2PI
+            gx *= x.data
+            gx += cdf
+            gx *= g
+            _accum(x, gx)
         out._backward = backward
     return out
 
@@ -702,7 +802,7 @@ def conv2d(
     y = cols2 @ w2
     _count("conv", cols2.shape[0] * cols2.shape[1] * cout)
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(y.reshape(b, oh, ow, cout), parents)
     if out.requires_grad:

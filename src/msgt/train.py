@@ -52,6 +52,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_interval < 1:
             raise ConfigError(f"eval interval must be >= 1, got {self.eval_interval}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -200,6 +202,8 @@ def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
         raise ConfigError(
             f"dataset has {spec.num_classes} classes but the model head has {arch.num_classes}"
         )
+    if spec.num_val < 1:
+        raise ConfigError(f"data.num_val must be >= 1 to score the run, got {spec.num_val}")
 
 
 def load_data(spec: D.DatasetSpec) -> tuple[D.Dataset, D.Dataset]:

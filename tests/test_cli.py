@@ -3,17 +3,24 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msgt
 from msgt import cli
 from msgt import model as M
+from msgt.checkpoint import save_checkpoint
 from msgt.data import load_idx
 from msgt.errors import ConfigError
 from msgt.train import check_task_data
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(capsys, *argv):
@@ -48,15 +55,31 @@ class TestThreadCap:
         monkeypatch.setenv("MSGT_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        cli._apply_thread_cap()
+        msgt._apply_thread_cap()
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_existing_caps_not_overwritten(self, monkeypatch):
         monkeypatch.setenv("MSGT_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
-        cli._apply_thread_cap()
+        msgt._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "4"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+    def test_cap_holds_for_the_cli_module(self):
+        """Importing msgt.cli, as the entry point does, leaves one thread after a GEMM."""
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env["MSGT_THREADS"] = "1"
+        src = os.path.dirname(os.path.dirname(msgt.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import os, msgt.cli, numpy as np; a = np.ones((400, 400)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert done.stdout.strip() == "1"
 
 
 class TestFlops:
@@ -116,6 +139,14 @@ FUZZ_EDITS = [DROP, UNKNOWN_KEY, "abc", None, True, [], {}, [2, 2, 2, 1, 1], 0, 
               float("nan")]
 
 
+# values no run can use, with the key each sits at: parse_config plus the
+# pre-compute checks must reject every one of them
+FUZZ_REJECT = [
+    (("seed",), -1), (("data", "seed"), -1), (("data", "num_train"), 0), (("data", "num_train"), -4),
+    (("data", "num_val"), 0), (("eval_interval",), 0), (("label_smoothing",), 1.5), (("optimizer", "lr"), -1e-3),
+]
+
+
 def _paths(obj, prefix=()):
     """Every key path into a JSON value, containers included."""
     for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
@@ -161,6 +192,23 @@ class TestConfigFuzz:
             data.validate()
         except ConfigError:
             pass
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        base=st.sampled_from([FUZZ_PRESET, FUZZ_STAGES]),
+        bad=st.sampled_from(FUZZ_REJECT),
+        extra=st.lists(st.tuples(st.sampled_from(list(_paths(FUZZ_PRESET))), st.sampled_from(FUZZ_EDITS)), max_size=1),
+    )
+    def test_bad_value_is_rejected(self, base, bad, extra):
+        """A bad value stays rejected whatever other key an edit changes."""
+        path, value = bad
+        extra = [(p, e) for p, e in extra if p != path[: len(p)]]  # never cut or replace the bad key
+        raw = _apply(base, extra + [bad])
+        with pytest.raises(ConfigError):
+            cfg, data = cli.parse_config(raw)
+            cfg.validate()
+            check_task_data(cfg.arch_config(), data)
+            data.validate()
 
 
 class TestDataAndTraining:
@@ -235,6 +283,38 @@ class TestDataAndTraining:
         assert code == 1
         assert "error:" in err and "runtime error" not in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key_path,value,message",
+        [
+            (("seed",), -1, "error: seed must be >= 0, got -1"),
+            (("data", "seed"), -1, "error: data.seed must be >= 0, got -1"),
+            (("data", "num_train"), -4, "error: data.num_train must be >= 1, got -4"),
+            (("data", "num_train"), 0, "error: data.num_train must be >= 1, got 0"),
+            (("data", "num_val"), 0, "error: data.num_val must be >= 1"),
+        ],
+    )
+    def test_train_rejects_negative_seed_or_empty_split_exit_1(
+        self, capsys, tmp_path, config_file, key_path, value, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_apply(json.loads(open(config_file).read()), [(key_path, value)])))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert message in err and "runtime error" not in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_eval_rejects_empty_val_split_exit_1(self, capsys, tmp_path, config_file):
+        raw = json.loads(open(config_file).read())
+        cfg, _ = cli.parse_config(raw)
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(M.build_model(cfg.arch_config(), seed=0), ckpt)
+        raw["data"]["num_val"] = 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "eval", "--config", str(path), "--checkpoint", ckpt)
+        assert code == 1
+        assert "error: data.num_val must be >= 1" in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
         "key,value,message",

@@ -1,5 +1,6 @@
 """Model assembly tests: configs, initialization, forward geometry, counting."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestForward:
         with T.no_grad():
             logits = M.forward(model, rand_images(1, 224))
         assert logits.shape == (1, 1000)
+
+    def test_training_graph_holds_no_reference_cycle(self):
+        """A dropped graph is freed by reference counting, not left to the cycle collector."""
+        model = M.build_model(M.micro_config(), seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            logits = M.forward(model, rand_images(1, 128), mode="train", rng=np.random.default_rng(0))
+            T.tsum(T.mul(logits, logits)).backward()
+            del logits
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_partition_runs_once_per_stage(self):
         model = M.build_model(M.micro_config(), seed=0)

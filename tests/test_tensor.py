@@ -1,9 +1,12 @@
 """Tensor engine tests: forward kernels, autodiff, and gradient checking."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf
 
 from msgt import tensor as T
@@ -37,6 +40,17 @@ class TestMatmul:
         b = Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             T.matmul(a, b)
+
+    def test_bias_added_in_place_to_product(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = Tensor(np.eye(2, dtype=np.float32))
+        np.testing.assert_array_equal(T.matmul(a, b, Tensor([10.0, 20.0])).data, [[11.0, 22.0], [13.0, 24.0]])
+
+    def test_bias_may_not_enlarge_product(self):
+        a = Tensor(np.zeros((2, 3), dtype=np.float32))
+        b = Tensor(np.zeros((3, 4), dtype=np.float32))
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(a, b, Tensor(np.zeros((5, 1, 4), dtype=np.float32)))
 
 
 class TestSoftmax:
@@ -168,6 +182,255 @@ class TestConv2dMatchesSliceLoop:
         np.testing.assert_array_equal(xt.grad, rgx)
         np.testing.assert_array_equal(wtt.grad, rgw)
         np.testing.assert_array_equal(bt.grad, rgb)
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def reference_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """Layer norm with a fresh array per step; returns y and the x, gamma, beta gradients."""
+    c = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    gh = g * gamma
+    term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    return y, term * inv, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+
+
+def reference_softmax(x, g, axis):
+    """Softmax through ``x.max``, ``exp`` and a divide; returns y and the x gradient."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y, y * (g - dot)
+
+
+def reference_gelu(x, g):
+    """gelu's forward and its backward with a fresh array per step."""
+    if x.dtype == np.float32:
+        cdf = T.erf32(x, _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+    else:
+        cdf = 0.5 * (1.0 + scipy_erf(x * _INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def reference_qkv_split(qkv, c):
+    """q, k and v cut out of ``qkv`` by three getitems, each backed by a zero buffer."""
+    return [qkv[..., :c], qkv[..., c : 2 * c], qkv[..., 2 * c :]]
+
+
+def _heads_first(x, heads):
+    *lead, n, c = x.shape
+    return T.transpose(T.reshape(x, (*lead, n, heads, c // heads)), (0, 2, 1, 3))
+
+
+class TestKernelsMatchReferences:
+    """The in-place kernels must give the fresh-array references' bits exactly."""
+
+    dims = pytest.mark.parametrize("c", [16, 48, 512])
+    slots = pytest.mark.parametrize("n", [17, 50])
+    dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+    @dims
+    @slots
+    @dtypes
+    def test_layer_norm(self, c, n, dtype):
+        rng = np.random.default_rng(c + n)
+        x, gamma, beta = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, n, c), (c,), (c,)))
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        y = T.layer_norm(xt, gt, bt)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        for got, want in zip((y.data, xt.grad, gt.grad, bt.grad), reference_layer_norm(x, gamma, beta, g)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @dims
+    @slots
+    @dtypes
+    def test_softmax(self, c, n, dtype):
+        rng = np.random.default_rng(c * n)
+        x = (rng.standard_normal((2, 3, c // 16, n, n)) * 3).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = T.softmax(xt, axis=-1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        ry, rgx = reference_softmax(x, g, -1)
+        np.testing.assert_array_equal(y.data, ry)
+        np.testing.assert_array_equal(xt.grad, rgx)
+
+    @pytest.mark.parametrize("n", [2, T._SCAN_MAX, T._SCAN_MAX + 1])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @dtypes
+    def test_softmax_either_side_of_scan_cutoff(self, n, axis, dtype):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((5, n, n)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = T.softmax(xt, axis=axis)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        ry, rgx = reference_softmax(x, g, axis)
+        np.testing.assert_array_equal(y.data, ry)
+        np.testing.assert_array_equal(xt.grad, rgx)
+
+    @pytest.mark.parametrize("n", [3, 17, T._SCAN_MAX + 1])
+    @dtypes
+    def test_row_max_with_nan_and_inf(self, n, dtype):
+        x = np.random.default_rng(n).standard_normal((6, n)).astype(dtype)
+        x[0, 1] = np.nan
+        x[1, -1] = np.inf
+        x[2, 0] = -np.inf
+        x[3, :] = -np.inf
+        x[4, 0], x[4, -1] = np.inf, np.nan
+        np.testing.assert_array_equal(T._axis_max(x, 1), x.max(axis=1, keepdims=True))
+        g = np.ones_like(x)
+        with np.errstate(invalid="ignore"):
+            ry, _ = reference_softmax(x, g, -1)
+            np.testing.assert_array_equal(T.softmax(Tensor(x), axis=-1).data, ry)
+
+    @dims
+    @slots
+    @dtypes
+    def test_gelu(self, c, n, dtype):
+        rng = np.random.default_rng(3 * c + n)
+        x = (rng.standard_normal((2, n, 4 * c)) * 3).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = T.gelu(xt)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        ry, rgx = reference_gelu(x, g)
+        np.testing.assert_array_equal(y.data, ry)
+        np.testing.assert_array_equal(xt.grad, rgx)
+
+    @dims
+    @slots
+    @dtypes
+    def test_qkv_split(self, c, n, dtype):
+        rng = np.random.default_rng(5 * c + n)
+        heads = max(1, c // 16)
+        qkv = rng.standard_normal((2, n, 3 * c)).astype(dtype)
+        weights = [Tensor(rng.standard_normal((2, heads, n, c // heads)).astype(dtype)) for _ in range(3)]
+
+        def run(cut):
+            x = Tensor(qkv, requires_grad=True)
+            parts = [_heads_first(p, heads) for p in cut(x)]
+            loss = T.tsum(T.mul(parts[0], weights[0]))
+            for p, w in zip(parts[1:], weights[1:]):
+                loss = T.add(loss, T.tsum(T.mul(p, w)))
+            loss.backward()
+            return [p.data for p in parts], x.grad
+
+        parts, grad = run(lambda x: T.split(x, (c, c, c), axis=-1))
+        ref_parts, ref_grad = run(lambda x: reference_qkv_split(x, c))
+        for got, want in zip(parts, ref_parts):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @dtypes
+    def test_linear_bias_in_matmul(self, dtype):
+        rng = np.random.default_rng(6)
+        x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 5, 8), (8, 6), (6,)))
+        g = rng.standard_normal((2, 5, 6)).astype(dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = T.linear(xt, wt, bt)
+        y.backward(g)
+        x2, g2 = x.reshape(-1, 8), g.reshape(-1, 6)
+        np.testing.assert_array_equal(y.data, (x2 @ w + b).reshape(2, 5, 6))
+        np.testing.assert_array_equal(xt.grad, (g2 @ w.T).reshape(x.shape))
+        np.testing.assert_array_equal(wt.grad, x2.T @ g2)
+        np.testing.assert_array_equal(bt.grad, g2.sum(axis=0))
+
+
+def _split_case(draw):
+    shape = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    extent = shape[axis]
+    cuts = sorted(draw(st.lists(st.integers(0, extent), max_size=4)))
+    bounds = [0, *cuts, extent]
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    used = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    return shape, axis, sizes, used
+
+
+class TestSplit:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=st.composite(_split_case)(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_gradient_matches_getitem(self, case, dtype):
+        shape, axis, sizes, used = case
+        rng = np.random.default_rng(len(shape) * 7 + sum(sizes))
+        data = rng.standard_normal(shape).astype(dtype)
+        ax = axis % len(shape)
+        starts = np.cumsum([0] + sizes[:-1])
+        keys = [(slice(None),) * ax + (slice(lo, lo + n),) for lo, n in zip(starts, sizes)]
+        weights = [rng.standard_normal(data[k].shape).astype(dtype) for k in keys]
+
+        def run(pieces_of):
+            a = Tensor(data, requires_grad=True)
+            # one extra consumer of ``a``, so the split buffer is summed with another gradient
+            loss = T.tsum(T.mul(a, 0.5))
+            for piece, w, use in zip(pieces_of(a), weights, used):
+                if use:
+                    loss = T.add(loss, T.tsum(T.mul(piece, Tensor(w))))
+            loss.backward()
+            return a.grad
+
+        pieces = T.split(Tensor(data), sizes, axis)
+        for piece, key in zip(pieces, keys):
+            np.testing.assert_array_equal(piece.data, data[key])
+            assert piece.data.size == 0 or np.shares_memory(piece.data, data)
+        grad = run(lambda a: T.split(a, sizes, axis))
+        np.testing.assert_array_equal(grad, run(lambda a: [a[k] for k in keys]))
+        assert grad.dtype == dtype
+
+    def test_unused_pieces_get_exact_zeros(self):
+        a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        first, _, last = T.split(a, (1, 2, 1), axis=1)
+        T.add(T.tsum(T.mul(first, 2.0)), T.tsum(T.mul(last, 3.0))).backward()
+        np.testing.assert_array_equal(a.grad, np.tile([2.0, 0.0, 0.0, 3.0], (3, 1)))
+        assert not np.signbit(a.grad).any()
+
+    def test_gradient_reaches_input_once(self):
+        a = Tensor(np.ones((2, 6)), requires_grad=True)
+        seen = []
+        q, k, v = T.split(a, (2, 2, 2), axis=-1)
+        hidden = q._parents[0]
+        real = hidden._backward
+        hidden._backward = lambda g: (seen.append(g), real(g))
+        T.add(T.add(T.tsum(q), T.tsum(k)), T.tsum(v)).backward()
+        assert len(seen) == 1 and seen[0].shape == (2, 6)
+        np.testing.assert_array_equal(a.grad, np.ones((2, 6)))
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2, 1, 1), (-1, 7), ()])
+    def test_sizes_must_add_up_to_extent(self, sizes):
+        with pytest.raises(ShapeError, match="extent 6"):
+            T.split(Tensor(np.zeros((2, 6))), sizes, axis=1)
+
+    def test_graph_holds_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            a = Tensor(np.ones((2, 6)), requires_grad=True)
+            q, k, v = T.split(a, (2, 2, 2), axis=-1)
+            T.tsum(T.mul(q, k)).backward()
+            del a, q, k, v
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_grad_pieces_record_nothing(self):
+        a = Tensor(np.zeros((2, 6)), requires_grad=True)
+        with T.no_grad():
+            pieces = T.split(a, (3, 3), axis=1)
+        assert not any(p.requires_grad or p._parents for p in pieces)
 
 
 class TestGelu:
@@ -316,6 +579,10 @@ class TestPerOpGradients:
     def test_linear(self):
         x, w, b = self.rand(2, 2, 3), self.rand(3, 4), self.rand(4)
         _fd_check(lambda: T.tsum(T.power(T.linear(x, w, b), 2.0)), [x, w, b])
+
+    def test_matmul_with_broadcast_bias(self):
+        a, b, bias = self.rand(2, 2, 3), self.rand(3, 4), self.rand(2, 1, 4)
+        _fd_check(lambda: T.tsum(T.power(T.matmul(a, b, bias), 2.0)), [a, b, bias])
 
     def test_softmax(self):
         a = self.rand(2, 4)
