@@ -48,7 +48,7 @@ def information_reach(
     h, w = gh * window_size, gw * window_size
 
     params = [_generic_block(rng, channels, num_heads, window_size, mode) for _ in range(num_blocks)]
-    view = W.build_region_view((gh, gw), region_size, W.TOP_LEFT, strict=False)
+    view = W.build_region_view((gh, gw), region_size, W.TOP_LEFT)
     base_tokens = rng.standard_normal((1, h, w, channels))
     base_msg = rng.standard_normal((1, gh, gw, channels))
 

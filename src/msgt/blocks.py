@@ -58,12 +58,6 @@ class RelPosBias:
     def num_heads(self) -> int:
         return self.table.shape[0]
 
-    def parameters(self) -> list[Tensor]:
-        out = [self.table]
-        if self.msg_query_bias is not None:
-            out += [self.msg_query_bias, self.msg_key_bias]
-        return out
-
 
 class BiasSource(NamedTuple):
     """Where one attention-bias entry comes from: a table cell or a scalar."""
@@ -151,9 +145,6 @@ class AttentionParams:
     out_weight: Tensor   # (C, C)
     out_bias: Tensor     # (C,)
     num_heads: int
-
-    def parameters(self) -> list[Tensor]:
-        return [self.qkv_weight, self.qkv_bias, self.out_weight, self.out_bias]
 
 
 def local_msa(
@@ -309,13 +300,21 @@ class BlockParams:
         if self.mode not in MODES:
             raise ConfigError(f"unknown manipulation mode {self.mode!r}; expected one of {MODES}")
 
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """The block's tensors under their checkpoint names, in checkpoint order."""
+        attn, bias = self.attn, self.bias
+        items = [("norm1.gamma", self.norm1_gamma), ("norm1.beta", self.norm1_beta)]
+        items += [("attn.qkv_weight", attn.qkv_weight), ("attn.qkv_bias", attn.qkv_bias)]
+        items += [("attn.out_weight", attn.out_weight), ("attn.out_bias", attn.out_bias)]
+        items.append(("bias.table", bias.table))
+        if bias.msg_query_bias is not None:
+            items += [("bias.msg_query", bias.msg_query_bias), ("bias.msg_key", bias.msg_key_bias)]
+        items += [("norm2.gamma", self.norm2_gamma), ("norm2.beta", self.norm2_beta)]
+        items += [("mlp.w1", self.mlp_w1), ("mlp.b1", self.mlp_b1)]
+        return items + [("mlp.w2", self.mlp_w2), ("mlp.b2", self.mlp_b2)]
+
     def parameters(self) -> list[Tensor]:
-        return (
-            [self.norm1_gamma, self.norm1_beta]
-            + self.attn.parameters()
-            + self.bias.parameters()
-            + [self.norm2_gamma, self.norm2_beta, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2]
-        )
+        return [t for _, t in self.named_parameters()]
 
 
 def _mlp(x: Tensor, params: BlockParams) -> Tensor:

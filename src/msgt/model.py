@@ -5,8 +5,7 @@ stages, and the classification head over messenger tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,6 +19,7 @@ from .tensor import Tensor
 NUM_STAGES = 4
 PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD = 7, 4, 3
 MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD = 3, 2, 1
+INIT_STD = 0.02  # deviation of every trunc-normal draw, input messengers included
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class ArchConfig:
     def validate(self) -> None:
         if len(self.stages) != NUM_STAGES:
             raise ConfigError(f"expected {NUM_STAGES} stages, got {len(self.stages)}")
+        if not 0.0 <= self.drop_path_rate < 1.0:  # a rate of 1 drops every sample: 0/0 in the rescale
+            raise ConfigError(f"drop_path_rate must lie in [0, 1), got {self.drop_path_rate}")
         if self.task not in ("cls", "det-backbone"):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.num_classes < 1:
@@ -174,7 +176,7 @@ def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
 # -- initialization -------------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=np.float32) -> np.ndarray:
     """Normal(0, std) resampled until all draws fall within two deviations."""
     out = rng.standard_normal(shape) * std
     bad = np.abs(out) > 2 * std
@@ -184,11 +186,11 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return out.astype(dtype)
 
 
-def _param_makers(rng: np.random.Generator, dtype, std: float = 0.02):
+def _param_makers(rng: np.random.Generator, dtype):
     """Trainable-tensor factories: trunc-normal ``proj``, ``zeros`` and ``ones``."""
 
     def proj(*shape):
-        return Tensor(trunc_normal(rng, shape, std, dtype), requires_grad=True)
+        return Tensor(trunc_normal(rng, shape, INIT_STD, dtype), requires_grad=True)
 
     def zeros(*shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -207,11 +209,10 @@ def make_block_params(
     mode: str = "shuffle",
     drop_path_rate: float = 0.0,
     dtype=np.float32,
-    std: float = 0.02,
     use_msg: bool = True,
 ) -> B.BlockParams:
     """Fresh block parameters: trunc-normal projections, zero biases and bias tables."""
-    proj, zeros, ones = _param_makers(rng, dtype, std)
+    proj, zeros, ones = _param_makers(rng, dtype)
     span = 2 * window_size - 1
     return B.BlockParams(
         norm1_gamma=ones(channels),
@@ -256,51 +257,19 @@ class Model:
     head_norm_beta: Tensor
     head_weight: Tensor
     head_bias: Tensor
-    _names: list[tuple[str, Tensor]] = field(default_factory=list, repr=False)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        if not self._names:
-            items: list[tuple[str, Tensor]] = [
-                ("embed.weight", self.embed_weight),
-                ("embed.bias", self.embed_bias),
-            ]
-            if self.msg_input is not None:
-                items.append(("msg_input", self.msg_input))
-            for si, stage in enumerate(self.stages, start=1):
-                for bi, blk in enumerate(stage):
-                    prefix = f"stage{si}.block{bi}"
-                    items += [
-                        (f"{prefix}.norm1.gamma", blk.norm1_gamma),
-                        (f"{prefix}.norm1.beta", blk.norm1_beta),
-                        (f"{prefix}.attn.qkv_weight", blk.attn.qkv_weight),
-                        (f"{prefix}.attn.qkv_bias", blk.attn.qkv_bias),
-                        (f"{prefix}.attn.out_weight", blk.attn.out_weight),
-                        (f"{prefix}.attn.out_bias", blk.attn.out_bias),
-                        (f"{prefix}.bias.table", blk.bias.table),
-                    ]
-                    if blk.bias.msg_query_bias is not None:
-                        items += [
-                            (f"{prefix}.bias.msg_query", blk.bias.msg_query_bias),
-                            (f"{prefix}.bias.msg_key", blk.bias.msg_key_bias),
-                        ]
-                    items += [
-                        (f"{prefix}.norm2.gamma", blk.norm2_gamma),
-                        (f"{prefix}.norm2.beta", blk.norm2_beta),
-                        (f"{prefix}.mlp.w1", blk.mlp_w1),
-                        (f"{prefix}.mlp.b1", blk.mlp_b1),
-                        (f"{prefix}.mlp.w2", blk.mlp_w2),
-                        (f"{prefix}.mlp.b2", blk.mlp_b2),
-                    ]
-            for mi, (w, b) in enumerate(zip(self.merge_weights, self.merge_biases), start=1):
-                items += [(f"merge{mi}.weight", w), (f"merge{mi}.bias", b)]
-            items += [
-                ("head.norm.gamma", self.head_norm_gamma),
-                ("head.norm.beta", self.head_norm_beta),
-                ("head.weight", self.head_weight),
-                ("head.bias", self.head_bias),
-            ]
-            self._names = items
-        return self._names
+        """Every learnable tensor under its checkpoint name, in checkpoint order."""
+        items = [("embed.weight", self.embed_weight), ("embed.bias", self.embed_bias)]
+        if self.msg_input is not None:
+            items.append(("msg_input", self.msg_input))
+        for si, stage in enumerate(self.stages, start=1):
+            for bi, blk in enumerate(stage):
+                items += [(f"stage{si}.block{bi}.{name}", t) for name, t in blk.named_parameters()]
+        for mi, (w, b) in enumerate(zip(self.merge_weights, self.merge_biases), start=1):
+            items += [(f"merge{mi}.weight", w), (f"merge{mi}.bias", b)]
+        items += [("head.norm.gamma", self.head_norm_gamma), ("head.norm.beta", self.head_norm_beta)]
+        return items + [("head.weight", self.head_weight), ("head.bias", self.head_bias)]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -335,7 +304,7 @@ def build_model(
     if cfg.use_msg:
         r1 = cfg.stages[0].shuffle_size
         msg_input = Tensor(
-            trunc_normal(rng, (r1, r1, c1), 0.02, dtype),
+            trunc_normal(rng, (r1, r1, c1), INIT_STD, dtype),
             requires_grad=(msg_policy == "learnable"),
         )
 
@@ -385,7 +354,7 @@ def rerandomize_msg_input(model: Model, seed: int) -> None:
     if model.msg_input is None:
         raise ConfigError("model was built without messenger tokens")
     rng = np.random.default_rng(seed)
-    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, 0.02, model.dtype)
+    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, INIT_STD, model.dtype)
 
 
 # -- forward --------------------------------------------------------------------
@@ -401,26 +370,16 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
     return W.FeatureMap(tokens=tokens)
 
 
-@lru_cache(maxsize=None)
-def _msg_tile_index(grid_h: int, grid_w: int, tile: int, channels: int) -> np.ndarray:
-    rows = np.arange(grid_h) % tile
-    cols = np.arange(grid_w) % tile
-    idx = (
-        (rows[:, None, None] * tile + cols[None, :, None]) * channels
-        + np.arange(channels)[None, None, :]
-    )
-    return idx.reshape(-1)
-
-
-def _initial_msg(model: Model, grid: tuple[int, int], batch: int) -> W.MsgTokens:
+def _initial_msg(msg_input: Tensor, grid: tuple[int, int], batch: int) -> W.MsgTokens:
+    """Tile the (S, S, C) input messengers over each image's window grid, cropped to it."""
     gh, gw = grid
-    r1 = model.config.stages[0].shuffle_size
-    c1 = model.config.stages[0].dim
-    flat = T.reshape(model.msg_input, (r1 * r1 * c1,))
-    tiled = T.reshape(T.gather_last(flat, _msg_tile_index(gh, gw, r1, c1)), (1, gh, gw, c1))
-    if batch > 1:
-        tiled = T.add(tiled, Tensor(np.zeros((batch, 1, 1, 1), dtype=model.dtype)))
-    return W.MsgTokens(grid=tiled)
+    s, _, c = msg_input.shape
+    nh, nw = -(-gh // s), -(-gw // s)  # whole tiles covering the grid
+    copies = Tensor(np.zeros((batch, nh * nw, 1, 1, 1), dtype=msg_input.data.dtype))
+    tiles = T.add(T.reshape(msg_input, (1, 1, s, s, c)), copies)
+    tiles = T.transpose(T.reshape(tiles, (batch, nh, nw, s, s, c)), (0, 1, 3, 2, 4, 5))
+    tiled = T.reshape(tiles, (batch, nh * s, nw * s, c))
+    return W.MsgTokens(grid=tiled if (nh * s, nw * s) == (gh, gw) else tiled[:, :gh, :gw])
 
 
 def forward(
@@ -450,13 +409,13 @@ def forward(
         grid = wt.grid_shape
         if cfg.use_msg:
             if si == 0:
-                msg = _initial_msg(model, grid, batch)
+                msg = _initial_msg(model.msg_input, grid, batch)
             elif msg.grid_shape != grid:
                 raise ShapeError(
                     f"stage {si + 1}: messenger grid {msg.grid_shape} != window grid {grid}"
                 )
         for bi, blk in enumerate(model.stages[si]):
-            view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi), strict=False)
+            view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
             wt, msg = B.block_forward(wt, msg, blk, view, training=training, rng=rng)
         fm = W.crop_to(W.reverse_windows(wt), extents)
         stage_outputs.append(fm)

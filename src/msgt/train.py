@@ -60,6 +60,10 @@ class TrainConfig:
             raise ConfigError(f"label smoothing must lie in [0, 1), got {self.label_smoothing}")
         if not self.base_lr >= 0.0:  # 0 is allowed: it freezes the weights
             raise ConfigError(f"base learning rate must be >= 0, got {self.base_lr}")
+        if not all(0.0 <= b < 1.0 for b in self.betas):  # beta = 1 divides by 1 - beta**t = 0
+            raise ConfigError(f"optimizer.betas must each lie in [0, 1), got {list(self.betas)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"optimizer.eps must be > 0, got {self.eps}")
         if self.msg_input_policy not in MSG_POLICIES:
             raise ConfigError(
                 f"unknown msg_input_policy {self.msg_input_policy!r}; expected one of {MSG_POLICIES}"
@@ -162,10 +166,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
     target[np.arange(n), labels] += 1.0 - smoothing
     logp = T.log_softmax(logits, axis=1)
     return T.mul(T.tsum(T.mul(logp, Tensor(target))), -1.0 / n)
-
-
-def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def evaluate(model: Model, ds: D.Dataset, batch_size: int = 32, smoothing: float = 0.0) -> tuple[float, float]:

@@ -141,18 +141,16 @@ def build_region_view(
     grid_shape: tuple[int, int],
     region_size: int,
     anchor: str = TOP_LEFT,
-    strict: bool = True,
 ) -> ShuffleRegionView:
-    """Tile a window grid into shuffle regions without touching any tensor."""
+    """Tile a window grid into shuffle regions without touching any tensor.
+
+    A region larger than the grid is valid: the whole grid is then one region.
+    """
     gh, gw = grid_shape
     if region_size < 1:
         raise ConfigError(f"region size must be >= 1, got {region_size}")
     if anchor not in (TOP_LEFT, BOTTOM_RIGHT):
         raise ConfigError(f"unknown anchor {anchor!r}")
-    if strict and region_size > gh and region_size > gw:
-        raise ConfigError(
-            f"region size {region_size} exceeds both window-grid extents {gh}x{gw}"
-        )
     return ShuffleRegionView(grid_shape=(gh, gw), region_size=region_size, anchor=anchor)
 
 

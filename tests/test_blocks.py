@@ -266,7 +266,7 @@ class TestShuffle:
     def test_partial_region_shuffles_over_actual_count(self):
         # 3x1 grid with region 2 via bottom-right anchor: regions of 1 and 2 windows
         msg = make_msg(1, 3, 1, 4, seed=21)
-        view = W.build_region_view((3, 1), 2, W.BOTTOM_RIGHT, strict=False)
+        view = W.build_region_view((3, 1), 2, W.BOTTOM_RIGHT)
         out = B.shuffle_msg(msg, view)
         np.testing.assert_array_equal(out.grid.data[0, 0, 0], msg.grid.data[0, 0, 0])
         a, b = msg.grid.data[0, 1, 0], msg.grid.data[0, 2, 0]
@@ -287,7 +287,7 @@ class TestExchangeMatchesReference:
         seed=st.integers(0, 2**16),
     )
     def test_bit_identical_forward_and_backward(self, gh, gw, region, anchor, mode, dtype, batch, seed):
-        view = W.build_region_view((gh, gw), region, anchor, strict=False)
+        view = W.build_region_view((gh, gw), region, anchor)
         channels = math.lcm(*(len(r) for r in view.regions)) * 2
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((batch, gh, gw, channels)).astype(dtype)
@@ -321,7 +321,7 @@ class TestManipulate:
     def test_average_replaces_with_region_mean(self):
         grid = np.array([[1.0, 1.0], [3.0, 3.0]], dtype=np.float32).reshape(1, 1, 2, 2)
         msg = W.MsgTokens(grid=Tensor(grid))
-        view = W.build_region_view((1, 2), 2, W.TOP_LEFT, strict=False)
+        view = W.build_region_view((1, 2), 2, W.TOP_LEFT)
         out = B.manipulate_msg(msg, view, "average")
         np.testing.assert_allclose(out.grid.data.reshape(2, 2), [[2.0, 2.0], [2.0, 2.0]])
 

@@ -144,6 +144,7 @@ FUZZ_EDITS = [DROP, UNKNOWN_KEY, "abc", None, True, [], {}, [2, 2, 2, 1, 1], 0, 
 FUZZ_REJECT = [
     (("seed",), -1), (("data", "seed"), -1), (("data", "num_train"), 0), (("data", "num_train"), -4),
     (("data", "num_val"), 0), (("eval_interval",), 0), (("label_smoothing",), 1.5), (("optimizer", "lr"), -1e-3),
+    (("optimizer", "betas"), [1.0, 0.999]), (("optimizer", "betas"), [0.9, 1.0]), (("optimizer", "eps"), 0),
 ]
 
 
@@ -292,9 +293,12 @@ class TestDataAndTraining:
             (("data", "num_train"), -4, "error: data.num_train must be >= 1, got -4"),
             (("data", "num_train"), 0, "error: data.num_train must be >= 1, got 0"),
             (("data", "num_val"), 0, "error: data.num_val must be >= 1"),
+            (("optimizer", "betas"), [1.0, 0.999], "error: optimizer.betas must each lie in [0, 1)"),
+            (("optimizer", "betas"), [0.9, 1.0], "error: optimizer.betas must each lie in [0, 1)"),
+            (("optimizer", "eps"), 0, "error: optimizer.eps must be > 0, got 0.0"),
         ],
     )
-    def test_train_rejects_negative_seed_or_empty_split_exit_1(
+    def test_train_rejects_unrunnable_value_exit_1(
         self, capsys, tmp_path, config_file, key_path, value, message
     ):
         path = tmp_path / "bad.json"

@@ -1,17 +1,29 @@
 """Model assembly tests: configs, initialization, forward geometry, counting."""
 
 import gc
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msgt
 from msgt import blocks as B
 from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
 from msgt.errors import ConfigError
 from msgt.tensor import Tensor
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    """The seed-0 tiny model, shared by the tests that only read it."""
+    return M.build_model(M.tiny_config(), seed=0)
 
 
 def rand_images(b, size, seed=0):
@@ -52,6 +64,12 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="shuffle"):
             bad.validate()
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_drop_path_rate_outside_unit_interval_rejected(self, rate):
+        """A rate of 1 or NaN gives non-finite logits; the key is named before compute."""
+        with pytest.raises(ConfigError, match="drop_path_rate"):
+            M.build_model(M.micro_config(drop_path_rate=rate), seed=0)
+
     def test_micro_stage4_resolution_equals_window(self):
         cfg = M.micro_config()
         # 128 -> 32 -> 16 -> 8 -> 4 tokens; stage-4 grid is a single window
@@ -75,7 +93,7 @@ def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
         for bi in range(min(2, s.num_blocks)):
             anchor = W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT
             try:
-                B.shuffle_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor, strict=False))
+                B.shuffle_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor))
             except ConfigError:
                 return False
     return True
@@ -182,10 +200,123 @@ class TestBuild:
         assert M.count_params(model)["msg_input"] == 0
 
 
+def reference_named_parameters(model: M.Model) -> list[tuple[str, Tensor]]:
+    """The hand-listed checkpoint names and order that ``Model.named_parameters`` must keep."""
+    items = [("embed.weight", model.embed_weight), ("embed.bias", model.embed_bias)]
+    if model.msg_input is not None:
+        items.append(("msg_input", model.msg_input))
+    for si, stage in enumerate(model.stages, start=1):
+        for bi, blk in enumerate(stage):
+            prefix = f"stage{si}.block{bi}"
+            items += [
+                (f"{prefix}.norm1.gamma", blk.norm1_gamma),
+                (f"{prefix}.norm1.beta", blk.norm1_beta),
+                (f"{prefix}.attn.qkv_weight", blk.attn.qkv_weight),
+                (f"{prefix}.attn.qkv_bias", blk.attn.qkv_bias),
+                (f"{prefix}.attn.out_weight", blk.attn.out_weight),
+                (f"{prefix}.attn.out_bias", blk.attn.out_bias),
+                (f"{prefix}.bias.table", blk.bias.table),
+            ]
+            if blk.bias.msg_query_bias is not None:
+                items += [
+                    (f"{prefix}.bias.msg_query", blk.bias.msg_query_bias),
+                    (f"{prefix}.bias.msg_key", blk.bias.msg_key_bias),
+                ]
+            items += [
+                (f"{prefix}.norm2.gamma", blk.norm2_gamma),
+                (f"{prefix}.norm2.beta", blk.norm2_beta),
+                (f"{prefix}.mlp.w1", blk.mlp_w1),
+                (f"{prefix}.mlp.b1", blk.mlp_b1),
+                (f"{prefix}.mlp.w2", blk.mlp_w2),
+                (f"{prefix}.mlp.b2", blk.mlp_b2),
+            ]
+    for mi, (w, b) in enumerate(zip(model.merge_weights, model.merge_biases), start=1):
+        items += [(f"merge{mi}.weight", w), (f"merge{mi}.bias", b)]
+    return items + [
+        ("head.norm.gamma", model.head_norm_gamma),
+        ("head.norm.beta", model.head_norm_beta),
+        ("head.weight", model.head_weight),
+        ("head.bias", model.head_bias),
+    ]
+
+
+class TestNamedParameters:
+    @staticmethod
+    def check(model: M.Model) -> None:
+        got, ref = model.named_parameters(), reference_named_parameters(model)
+        assert [n for n, _ in got] == [n for n, _ in ref]
+        assert all(a is b for (_, a), (_, b) in zip(got, ref))
+        blk = model.stages[0][0]
+        assert blk.parameters() == [t for _, t in blk.named_parameters()]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [M.micro_config(), M.micro_config(use_msg=False), M.tiny_config(task="det-backbone")],
+        ids=["micro", "micro-no-msg", "tiny-det"],
+    )
+    def test_names_order_and_tensors_match_reference(self, cfg):
+        self.check(M.build_model(cfg, seed=0))
+
+    def test_tiny_names_order_and_tensors_match_reference(self, tiny_model):
+        self.check(tiny_model)
+
+
+class TestInitialMsg:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        gh=st.integers(1, 12),
+        gw=st.integers(1, 12),
+        s=st.integers(1, 4),
+        batch=st.integers(1, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_tile_and_gradient_match_numpy(self, gh, gw, s, batch, dtype):
+        """The grid is the cropped np.tile of the input; its gradient is np.add.at's, bit for bit."""
+        rng = np.random.default_rng(gh * 1000 + gw * 10 + s)
+        msg = Tensor(rng.standard_normal((s, s, 3)).astype(dtype), requires_grad=True)
+        grid = M._initial_msg(msg, (gh, gw), batch).grid
+        tile = np.tile(msg.data, (-(-gh // s), -(-gw // s), 1))[:gh, :gw]
+        assert grid.shape == (batch, gh, gw, 3)
+        assert grid.data.tobytes() == np.broadcast_to(tile, grid.shape).tobytes()
+
+        g = rng.standard_normal(grid.shape).astype(dtype)
+        T.tsum(T.mul(grid, Tensor(g))).backward()
+        ref = np.zeros((s, s, 3), dtype=dtype)
+        np.add.at(ref, (np.arange(gh)[:, None] % s, np.arange(gw)[None, :] % s), g.sum(axis=0))
+        assert msg.grad.tobytes() == ref.tobytes()
+
+
+NUMPY_ONLY_SCRIPT = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import msgt
+for info in pkgutil.iter_modules(msgt.__path__):
+    importlib.import_module("msgt." + info.name)
+from msgt import model as M, tensor as T
+model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+images = T.Tensor(np.random.default_rng(0).standard_normal((1, 128, 128, 3)))
+T.tsum(M.forward(model, images, mode="train")).backward()
+print(sum(p.grad is not None for p in model.parameters()), len(model.parameters()))
+"""
+
+
+def test_runs_without_scipy():
+    """Every module imports, and a float64 forward and backward run, with scipy unavailable."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(msgt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    with_grad, total = map(int, done.stdout.split())
+    assert with_grad == total > 0
+
+
 class TestPatchEmbed:
-    def test_tiny_geometry(self):
-        model = M.build_model(M.tiny_config(), seed=0)
-        fm = M.patch_embed(model, rand_images(1, 224))
+    def test_tiny_geometry(self, tiny_model):
+        fm = M.patch_embed(tiny_model, rand_images(1, 224))
         assert fm.tokens.shape == (1, 56, 56, 64)
 
     def test_micro_geometry(self):
@@ -207,10 +338,10 @@ class TestForward:
         assert logits.shape == (2, 4)
 
     @pytest.mark.slow
-    def test_tiny_imagenet_shape(self):
-        model = M.build_model(M.tiny_config(num_classes=1000), seed=0)
+    def test_tiny_imagenet_shape(self, tiny_model):
+        assert tiny_model.config.num_classes == 1000
         with T.no_grad():
-            logits = M.forward(model, rand_images(1, 224))
+            logits = M.forward(tiny_model, rand_images(1, 224))
         assert logits.shape == (1, 1000)
 
     def test_training_graph_holds_no_reference_cycle(self):
@@ -327,8 +458,6 @@ class TestCountParams:
         total = self.hand_count(cfg)
         assert abs(total - 25e6) / 25e6 < 0.10
 
-    def test_hand_sum_matches_build_for_tiny(self):
+    def test_hand_sum_matches_build_for_tiny(self, tiny_model):
         # Arithmetic cross-check without allocating the full model.
-        cfg = M.tiny_config()
-        model = M.build_model(cfg, seed=0)
-        assert M.count_params(model)["total"] == self.hand_count(cfg)
+        assert M.count_params(tiny_model)["total"] == self.hand_count(tiny_model.config)

@@ -52,6 +52,13 @@ class TestValidate:
             ("label_smoothing", -0.1, "label smoothing"),
             ("base_lr", -1e-3, "learning rate"),
             ("base_lr", float("nan"), "learning rate"),
+            ("betas", (1.0, 0.999), "optimizer.betas"),
+            ("betas", (0.9, 1.0), "optimizer.betas"),
+            ("betas", (-0.1, 0.999), "optimizer.betas"),
+            ("betas", (0.9, float("nan")), "optimizer.betas"),
+            ("eps", 0.0, "optimizer.eps"),
+            ("eps", -1e-8, "optimizer.eps"),
+            ("eps", float("nan"), "optimizer.eps"),
         ],
     )
     def test_rejects_bad_value(self, field, value, named):
@@ -59,7 +66,7 @@ class TestValidate:
             TR.TrainConfig(**{field: value}).validate()
 
     def test_boundary_values_accepted(self):
-        TR.TrainConfig(eval_interval=1, label_smoothing=0.0, base_lr=0.0).validate()
+        TR.TrainConfig(eval_interval=1, label_smoothing=0.0, base_lr=0.0, betas=(0.0, 0.0), eps=1e-30).validate()
 
     def test_idx_label_at_num_classes_rejected_before_compute(self, tmp_path, monkeypatch):
         from msgt import data as D

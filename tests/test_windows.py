@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msgt import windows as W
-from msgt.errors import ConfigError, ContractError, PartitionError, ShapeError
+from msgt.errors import ContractError, PartitionError, ShapeError
 from msgt.tensor import Tensor
 
 
@@ -126,7 +126,7 @@ class TestRegions:
             gh, gw = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             rs = int(rng.integers(1, 5))
             anchor = W.TOP_LEFT if rng.integers(2) else W.BOTTOM_RIGHT
-            view = W.build_region_view((gh, gw), rs, anchor, strict=False)
+            view = W.build_region_view((gh, gw), rs, anchor)
             combined = np.concatenate(view.regions)
             np.testing.assert_array_equal(np.sort(combined), np.arange(gh * gw))
 
@@ -138,7 +138,7 @@ class TestRegions:
         anchor=st.sampled_from([W.TOP_LEFT, W.BOTTOM_RIGHT]),
     )
     def test_blocks_tile_grid_with_one_region_shape_each(self, gh, gw, region, anchor):
-        view = W.build_region_view((gh, gw), region, anchor, strict=False)
+        view = W.build_region_view((gh, gw), region, anchor)
         assert len(view.blocks) <= 4
         cover = np.zeros((gh, gw), dtype=int)
         for rows, cols, rh, rw in view.blocks:
@@ -154,10 +154,8 @@ class TestRegions:
             ]
             assert len(home) == 1 and (np.ptp(r) + 1, np.ptp(c) + 1) == home[0]
 
-    def test_strict_rejects_oversized_region(self):
-        with pytest.raises(ConfigError):
-            W.build_region_view((2, 2), 4, W.TOP_LEFT, strict=True)
-        view = W.build_region_view((2, 2), 4, W.TOP_LEFT, strict=False)
+    def test_oversized_region_is_one_region(self):
+        view = W.build_region_view((2, 2), 4, W.TOP_LEFT)
         assert len(view.regions) == 1 and len(view.regions[0]) == 4
 
 
