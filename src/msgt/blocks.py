@@ -13,7 +13,6 @@ messenger manipulation, layer norm, two-layer MLP, residual add.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -153,31 +152,11 @@ def local_msa(
     bias: RelPosBias,
     return_attn: bool = False,
 ):
-    """Multi-head self-attention computed independently inside each window."""
-    b, gh, gw, n, c = wt.windows.shape
-    h = params.num_heads
-    if c % h:
-        raise ConfigError(f"channels {c} not divisible by {h} heads")
-    d = c // h
-    scale = 1.0 / math.sqrt(d)
-
-    qkv = T.linear(wt.windows, params.qkv_weight, params.qkv_bias)  # (B, gh, gw, n, 3C)
-
-    def heads_first(x):
-        x = T.reshape(x, (b, gh, gw, n, h, d))
-        return T.transpose(x, (0, 1, 2, 4, 3, 5))  # (B, gh, gw, h, n, d)
-
-    q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
-
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 3, 5, 4))), scale)
-    scores = T.add(scores, bias_matrix(bias, with_msg=wt.with_msg))
-    attn = T.softmax(scores, axis=-1)  # rows sum to 1 per head
-
-    ctx = T.matmul(attn, v)  # (B, gh, gw, h, n, d)
-    ctx = T.reshape(T.transpose(ctx, (0, 1, 2, 4, 3, 5)), (b, gh, gw, n, c))
-    out = T.linear(ctx, params.out_weight, params.out_bias)
-    result = WindowedTokens(windows=out, window_size=wt.window_size, with_msg=wt.with_msg)
-    return (result, attn) if return_attn else result
+    """Multi-head self-attention inside each window; ``return_attn`` adds the probabilities."""
+    bias_mat = bias_matrix(bias, with_msg=wt.with_msg)
+    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, params.num_heads)
+    out = WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
+    return (out, Tensor(attn)) if return_attn else out
 
 
 # -- messenger attachment ---------------------------------------------------------
@@ -317,11 +296,6 @@ class BlockParams:
         return [t for _, t in self.named_parameters()]
 
 
-def _mlp(x: Tensor, params: BlockParams) -> Tensor:
-    hidden = T.gelu(T.linear(x, params.mlp_w1, params.mlp_b1))
-    return T.linear(hidden, params.mlp_w2, params.mlp_b2)
-
-
 def block_forward(
     wt: WindowedTokens,
     msg: Optional[MsgTokens],
@@ -353,7 +327,8 @@ def block_forward(
         tokens = attach_msg(patches, mid_msg).windows
 
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
-    tokens = T.add(tokens, T.drop_path(_mlp(normed2, params), params.drop_path_rate, rng, training))
+    hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
+    tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
 
     result = WindowedTokens(windows=tokens, window_size=x.window_size, with_msg=use_msg)
     if use_msg:

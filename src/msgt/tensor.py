@@ -10,7 +10,9 @@ One in-place rule: an op may write in place only into an array that it
 allocated itself and has not yet returned. Buffers shared through views,
 such as the pieces of ``split``, are therefore never mutated; the zero
 buffer the pieces of one ``split`` write their gradients into belongs to
-that split's hidden node.
+that split's hidden node. A node may reuse a buffer it saved for its own
+backward once that pass has read it (``mlp``'s activation), never one it
+returned (``attention``'s probabilities).
 
 All kernels are deterministic: identical inputs produce bit-identical
 outputs. A multiply-accumulate counter can be enabled around a region of
@@ -61,9 +63,6 @@ class MacCounter:
 
     def add(self, bucket: str, n: int) -> None:
         self.buckets[bucket] = self.buckets.get(bucket, 0) + int(n)
-
-    def total(self) -> int:
-        return sum(self.buckets.values())
 
     def __getitem__(self, bucket: str) -> int:
         return self.buckets.get(bucket, 0)
@@ -139,14 +138,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def astype(self, dtype) -> "Tensor":
         out = _make(self.data.astype(dtype), (self,))
@@ -302,8 +295,10 @@ def add(a: Tensor, b) -> Tensor:
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g, b.data.shape))
         out._backward = backward
     return out
 
@@ -314,8 +309,10 @@ def mul(a: Tensor, b) -> Tensor:
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g * a.data, b.data.shape))
         out._backward = backward
     return out
 
@@ -736,29 +733,124 @@ def gelu(x: Tensor) -> Tensor:
     standard library's ``math.erf`` per element, so gradient checks see
     the reference erf.
     """
-    if x.data.dtype == np.float32:
-        cdf = erf32(x.data, _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
-    else:
-        z = x.data * _INV_SQRT2
-        erf = np.fromiter(map(math.erf, z.ravel().tolist()), np.float64, z.size).reshape(z.shape)
-        cdf = 0.5 * (1.0 + erf)
+    cdf = _gelu_cdf(x.data)
     out = _make(x.data * cdf, (x,))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
-            gx = np.multiply(x.data, -0.5)
-            gx *= x.data
-            np.exp(gx, out=gx)
-            gx *= _INV_SQRT_2PI
-            gx *= x.data
-            gx += cdf
-            gx *= g
-            _accum(x, gx)
+            _accum(x, _gelu_backward(x.data, cdf, g, np.empty_like(x.data)))
         out._backward = backward
     return out
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    if x.dtype == np.float32:
+        cdf = erf32(x, _INV_SQRT2)
+    else:
+        cdf = np.fromiter(map(math.erf, (x * _INV_SQRT2).ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``g * (cdf + x * pdf)``, pdf = exp(-0.5 * x * x) / sqrt(2 pi), into ``out``."""
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += cdf
+    out *= g
+    return out
+
+
+def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """``softmax(q k^T / sqrt(d) + bias) v`` per head over each (..., n, C) sequence, as one node.
+
+    q, k and v are the heads-first thirds of ``x @ w_qkv + b_qkv``; ``bias``
+    is (heads, n, n). Returns the context (..., n, C) and the probabilities
+    (..., heads, n, n). The backward pass writes dq, dk and dv into one
+    (..., n, 3C) buffer, so one GEMM pair gives the gradients of ``w_qkv``
+    and ``b_qkv``.
+    """
+    *lead, n, c = x.data.shape
+    if c % heads:
+        raise ConfigError(f"channels {c} not divisible by {heads} heads")
+    d = c // heads
+    x2 = x.data.reshape(-1, c)
+    qkv = np.matmul(x2, w_qkv.data)
+    qkv += b_qkv.data
+    qkv = qkv.reshape(*lead, n, 3, heads, d)
+    q, v = (np.ascontiguousarray(qkv[..., i, :, :].swapaxes(-3, -2)) for i in (0, 2))  # (..., heads, n, d)
+    kt = np.ascontiguousarray(np.moveaxis(qkv[..., 1, :, :], -3, -1))  # (..., heads, d, n)
+    del qkv  # not saved for backward; freed before the scores are allocated
+    scale = x.data.dtype.type(1.0 / math.sqrt(d))
+    p = np.matmul(q, kt)
+    p *= scale
+    p += bias.data
+    p -= _axis_max(p, -1)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, n, c)
+    _count("matmul", x2.shape[0] * c * 3 * c + 2 * p.size * d)
+    _count("other", x2.shape[0] * 3 * c + 3 * p.size)
+    out = _make(ctx, (x, w_qkv, b_qkv, bias))
+    if out.requires_grad:
+        def backward(g):
+            gctx = g.reshape(*lead, n, heads, d).swapaxes(-3, -2)
+            gs = np.matmul(gctx, v.swapaxes(-1, -2))
+            gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
+            gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)  # softmax backward, in softmax's order
+            gs *= p
+            if bias.requires_grad:  # copied: gs is scaled in place next
+                _accum(bias, _unbroadcast(gs, bias.data.shape).copy())
+            gs *= scale
+            gqkv[..., 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
+            gqkv[..., 1, :, :] = np.moveaxis(np.matmul(q.swapaxes(-1, -2), gs), -1, -3)
+            _linear_backward(x, w_qkv, b_qkv, x2, gqkv.reshape(-1, 3 * c))
+        out._backward = backward
+    return out, p
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis, as one node.
+
+    Keeps the pre-activation, the gelu cdf and the activation. The backward
+    pass, which runs once per graph, writes the gelu derivative into the
+    activation once ``w2``'s gradient is taken.
+    """
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    pre = np.matmul(x2, w1.data)
+    pre += b1.data
+    cdf = _gelu_cdf(pre)
+    act = pre * cdf
+    if not _grad_enabled:  # no backward will read them: free them before the second GEMM
+        del pre, cdf
+    y = np.matmul(act, w2.data)
+    y += b2.data
+    _count("matmul", (x2.size + y.size) * act.shape[1])
+    _count("other", 2 * act.size + y.size)
+    out = _make(y.reshape(*x.data.shape[:-1], y.shape[1]), (x, w1, b1, w2, b2))
+    if out.requires_grad:
+        def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            gact = np.matmul(g2, w2.data.swapaxes(-1, -2))
+            _linear_backward(None, w2, b2, act, g2)
+            _linear_backward(x, w1, b1, x2, _gelu_backward(pre, cdf, gact, act))
+        out._backward = backward
+    return out
+
+
+def _linear_backward(x: Optional[Tensor], w: Tensor, b: Tensor, x2: np.ndarray, g2: np.ndarray) -> None:
+    """Gradients of ``x2 @ w + b``, ``x2`` being ``x``'s data as (M, in), from the (M, out) ``g2``."""
+    if b.requires_grad:
+        _accum(b, g2.sum(axis=0))
+    if x is not None and x.requires_grad:
+        _accum(x, np.matmul(g2, w.data.swapaxes(-1, -2)).reshape(x.data.shape))
+    if w.requires_grad:
+        _accum(w, np.matmul(x2.swapaxes(-1, -2), g2))
 
 
 def conv2d(

@@ -110,6 +110,8 @@ class TestGradcheck:
         code, out, _ = run_cli(capsys, "gradcheck")
         assert code == 0
         assert "all gradient checks passed" in out
+        listed = {line.split()[0] for line in out.splitlines() if "max rel err" in line}
+        assert {"attention", "mlp", "softmax", "gelu"} <= listed
 
 
 FUZZ_PRESET = {

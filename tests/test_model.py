@@ -18,6 +18,8 @@ from msgt import tensor as T
 from msgt import windows as W
 from msgt.errors import ConfigError
 from msgt.tensor import Tensor
+from msgt.train import cross_entropy
+from test_tensor import reference_attention, reference_mlp
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +425,41 @@ class TestForward:
             (1, 9, 13, 64),
             (1, 5, 7, 128),
         ]
+
+
+class TestFusedNodesInModel:
+    """With the composed graphs patched back in, a model gives the same bits and MAC buckets."""
+
+    @staticmethod
+    def _composed(monkeypatch):
+        monkeypatch.setattr(T, "attention", reference_attention)
+        monkeypatch.setattr(T, "mlp", reference_mlp)
+
+    def test_micro_train_step(self, monkeypatch):
+        def step():
+            model = M.build_model(M.micro_config(drop_path_rate=0.1), seed=0)
+            with T.count_macs() as c:
+                logits = M.forward(model, rand_images(2, 128), mode="train", rng=np.random.default_rng(0))
+                cross_entropy(logits, np.array([0, 3])).backward()
+            return c.buckets, [logits.data] + [p.grad for p in model.parameters()]
+
+        fused = step()
+        self._composed(monkeypatch)
+        composed = step()
+        assert fused[0] == composed[0]
+        for got, want in zip(fused[1], composed[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tiny_forward(self, tiny_model, monkeypatch):
+        def forward():
+            with T.no_grad(), T.count_macs() as c:
+                return c.buckets, M.forward(tiny_model, rand_images(1, 224)).data
+
+        fused = forward()
+        self._composed(monkeypatch)
+        composed = forward()
+        assert fused[0] == composed[0]
+        np.testing.assert_array_equal(fused[1], composed[1])
 
 
 class TestCountParams:

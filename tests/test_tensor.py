@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf
 
+from msgt import blocks as B
 from msgt import tensor as T
 from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.tensor import Tensor
@@ -431,6 +432,131 @@ class TestSplit:
         with T.no_grad():
             pieces = T.split(a, (3, 3), axis=1)
         assert not any(p.requires_grad or p._parents for p in pieces)
+
+
+def reference_attention(x, w_qkv, b_qkv, bias, heads):
+    """The composed graph ``blocks.local_msa`` ran before ``T.attention``, for any leading axes."""
+    *lead, n, c = x.shape
+    d = c // heads
+    a = len(lead)
+    swap = (*range(a), a + 1, a, a + 2)  # (..., n, heads, d) <-> (..., heads, n, d)
+    qkv = T.linear(x, w_qkv, b_qkv)
+
+    def heads_first(part):
+        return T.transpose(T.reshape(part, (*lead, n, heads, d)), swap)
+
+    q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
+    scores = T.mul(T.matmul(q, T.transpose(k, (*range(a + 1), a + 2, a + 1))), 1.0 / math.sqrt(d))
+    attn = T.softmax(T.add(scores, bias), axis=-1)
+    ctx = T.matmul(attn, v)
+    return T.reshape(T.transpose(ctx, swap), (*lead, n, c)), attn.data
+
+
+def reference_mlp(x, w1, b1, w2, b2):
+    """The composed graph ``blocks._mlp`` ran before ``T.mlp``."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+@st.composite
+def _node_case(draw):
+    heads = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 16))
+    window = draw(st.integers(2, 7))
+    with_msg = draw(st.booleans())
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return heads, d, window, with_msg, lead, dtype
+
+
+class TestFusedNodes:
+    """``attention`` and ``mlp`` give the composed graphs' bits, forward and backward."""
+
+    @staticmethod
+    def _leaves(rng, dtype, *shapes):
+        return [Tensor((rng.standard_normal(s) * 0.5).astype(dtype), requires_grad=True) for s in shapes]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=_node_case())
+    @example(case=(2, 16, 4, True, (3,), np.float32))  # micro stage 2: 2 heads of 16, n = 17
+    @example(case=(4, 16, 7, True, (1, 2), np.float64))  # tiny's window: n = 50
+    def test_matches_composed_graph(self, case):
+        heads, d, window, with_msg, lead, dtype = case
+        c, n, span = heads * d, window * window + with_msg, 2 * window - 1
+        rng = np.random.default_rng(heads * 1000 + d * 10 + window)
+        shapes = [(*lead, n, c), (c, 3 * c), (3 * c,), (heads, span, span), (heads,), (heads,)]
+        shapes += [(*lead, n, c), (c, 4 * c), (4 * c,), (4 * c, c), (c,)]
+        data = [(rng.standard_normal(s) * 0.5).astype(dtype) for s in shapes]
+        g_attn, g_mlp = (rng.standard_normal((*lead, n, c)).astype(dtype) for _ in range(2))
+
+        def run(attention, mlp):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
+            x, w_qkv, b_qkv, table, msg_q, msg_k = leaves[:6]
+            rel = B.RelPosBias(window, table, msg_q if with_msg else None, msg_k if with_msg else None)
+            ctx, probs = attention(x, w_qkv, b_qkv, B.bias_matrix(rel, with_msg=with_msg), heads)
+            ctx.backward(g_attn)
+            y = mlp(*leaves[6:])
+            y.backward(g_mlp)
+            used = leaves if with_msg else leaves[:4] + leaves[6:]
+            return [ctx.data, probs, y.data] + [t.grad for t in used]
+
+        got, want = run(T.attention, T.mlp), run(reference_attention, reference_mlp)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_graph_holds_no_reference_cycle(self):
+        rng = np.random.default_rng(0)
+        gc.collect()
+        gc.disable()
+        try:
+            x, w_qkv, b_qkv, bias = self._leaves(rng, np.float32, (2, 5, 4), (4, 12), (12,), (2, 5, 5))
+            ctx, _ = T.attention(x, w_qkv, b_qkv, bias, 2)
+            y = T.mlp(ctx, *self._leaves(rng, np.float32, (4, 16), (16,), (16, 4), (4,)))
+            T.tsum(T.mul(y, y)).backward()
+            del x, w_qkv, b_qkv, bias, ctx, y
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_probabilities_are_not_written_by_backward(self):
+        rng = np.random.default_rng(1)
+        x, w_qkv, b_qkv, bias = self._leaves(rng, np.float64, (3, 6, 4), (4, 12), (12,), (2, 6, 6))
+        ctx, probs = T.attention(x, w_qkv, b_qkv, bias, 2)
+        kept = probs.copy()
+        T.tsum(T.mul(ctx, ctx)).backward()
+        np.testing.assert_array_equal(probs, kept)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
+
+    def test_counts_the_composed_graphs_macs(self):
+        rng = np.random.default_rng(2)
+        x, w_qkv, b_qkv, bias, w1, b1, w2, b2 = self._leaves(
+            rng, np.float32, (2, 3, 5, 8), (8, 24), (24,), (2, 5, 5), (8, 32), (32,), (32, 8), (8,)
+        )
+        counts = []
+        for attention, mlp in ((T.attention, T.mlp), (reference_attention, reference_mlp)):
+            with T.count_macs() as c:
+                mlp(attention(x, w_qkv, b_qkv, bias, 2)[0], w1, b1, w2, b2)
+            counts.append(c.buckets)
+        assert counts[0] == counts[1]
+
+
+class TestConstantOperands:
+    def test_add_and_mul_skip_constant_operand_gradients(self, monkeypatch):
+        """A constant operand's gradient is never formed, so never reduced to its shape."""
+        shapes = []
+        real = T._unbroadcast
+
+        def record(g, shape):
+            shapes.append(shape)
+            return real(g, shape)
+
+        monkeypatch.setattr(T, "_unbroadcast", record)
+        x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        scale = Tensor(np.full((1, 3), 2.0))
+        shift = Tensor(np.ones((2, 1, 1)))
+        T.tsum(T.add(shift, T.mul(scale, x))).backward()
+        assert shapes and set(shapes) == {(4, 3)}
+        np.testing.assert_array_equal(x.grad, np.full((4, 3), 4.0))
 
 
 class TestGelu:
