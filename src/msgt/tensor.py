@@ -15,8 +15,9 @@ backward once that pass has read it (``mlp``'s activation), never one it
 returned (``attention``'s probabilities).
 
 All kernels are deterministic: identical inputs produce bit-identical
-outputs. A multiply-accumulate counter can be enabled around a region of
-code to instrument matmul/conv work (see ``count_macs``).
+outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
+which give a row the same bits wherever it sits in the array; a GEMV
+against ones does not. ``count_macs`` instruments matmul/conv work.
 """
 
 from __future__ import annotations
@@ -260,12 +261,24 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _row_sum(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+    """Last-axis sum of ``x``, or of ``x * y`` without forming it, with keepdims."""
+    x2 = x.reshape(-1, x.shape[-1])
+    s = np.einsum("ij->i", x2) if y is None else np.einsum("ij,ij->i", x2, y.reshape(x2.shape))
+    return s.reshape(*x.shape[:-1], 1)
+
+
+def _col_sum(x2: np.ndarray, y2: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-axis sum of a 2-d ``x2``, or of ``x2 * y2`` without forming it."""
+    return np.einsum("ij->j", x2) if y2 is None else np.einsum("ij,ij->j", x2, y2)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    if lead := g.ndim - len(shape):
+        g = _col_sum(g.reshape(math.prod(g.shape[:lead]), math.prod(g.shape[lead:]))).reshape(g.shape[lead:])
     for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -490,14 +503,10 @@ def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
 def broadcast_mean(a: Tensor, axis: int) -> Tensor:
     """Replace every entry along ``axis`` by the mean over that axis."""
     axis = _check_axis(axis, a.data.ndim)
-    y = np.empty_like(a.data)
-    y[...] = a.data.mean(axis=axis, keepdims=True)
-    out = _make(y, (a,))
+    out = _make(np.broadcast_to(a.data.mean(axis=axis, keepdims=True), a.data.shape).copy(), (a,))
     if out.requires_grad:
         def backward(g):
-            buf = np.empty_like(g)
-            buf[...] = g.mean(axis=axis, keepdims=True)
-            _accum(a, buf)
+            _accum(a, np.broadcast_to(g.mean(axis=axis, keepdims=True), g.shape).copy())
         out._backward = backward
     return out
 
@@ -592,36 +601,44 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 _SCAN_MAX = 24
 
 
-def _axis_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.max(axis, keepdims=True)``; a short last axis is scanned column by column.
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(-1, keepdims=True)``; a short last axis is scanned column by column.
 
     The scan gives the same maxima (NaN propagates the same way) and, for
     short rows, avoids the per-row overhead of the reduction.
     """
-    n = x.shape[axis]
-    if axis != x.ndim - 1 or not 1 < n <= _SCAN_MAX:
-        return x.max(axis=axis, keepdims=True)
+    n = x.shape[-1]
+    if not 1 < n <= _SCAN_MAX:
+        return x.max(axis=-1, keepdims=True)
     m = np.maximum(x[..., :1], x[..., 1:2])
     for j in range(2, n):
         np.maximum(m, x[..., j : j + 1], out=m)
     return m
 
 
+def _softmax_(p: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``p``, in place; subtracts the row max first."""
+    p -= _row_max(p)
+    np.exp(p, out=p)
+    p /= _row_sum(p)
+    return p
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(g - rowsum(g * p)) * p``, the gradient through softmax output ``p``; ``out`` may be ``g``."""
+    out = np.subtract(g, _row_sum(g, p), out=out)
+    return np.multiply(out, p, out=out)
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Normalized exponentials along ``axis``; subtracts the axis max first."""
     axis = _check_axis(axis, x.data.ndim)
-    y = x.data - _axis_max(x.data, axis)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-    out = _make(y, (x,))
+    y = _softmax_(np.moveaxis(x.data, axis, -1).copy())  # the softmax axis last
+    out = _make(np.moveaxis(y, -1, axis), (x,))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            gx = g * y
-            dot = gx.sum(axis=axis, keepdims=True)
-            np.subtract(g, dot, out=gx)
-            gx *= y
-            _accum(x, gx)
+            _accum(x, np.moveaxis(_softmax_grad(np.ascontiguousarray(np.moveaxis(g, axis, -1)), y), -1, axis))
         out._backward = backward
     return out
 
@@ -648,30 +665,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat = x.data - _row_sum(x.data) / c
+    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) / c + eps)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=y)
+    y = xhat * gamma.data
     y += beta.data
     out = _make(y, (x, gamma, beta))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            s = g * xhat
+            g2 = g.reshape(-1, c)
             if gamma.requires_grad:
-                _accum(gamma, s.reshape(-1, c).sum(axis=0))
+                _accum(gamma, _col_sum(g2, xhat.reshape(-1, c)))
             if beta.requires_grad:
-                _accum(beta, g.reshape(-1, c).sum(axis=0))
+                _accum(beta, _col_sum(g2))
             if x.requires_grad:
                 # ((gh - mean(gh)) - xhat * mean(gh * xhat)) * inv, in this order
                 gh = g * gamma.data
-                m1 = gh.mean(axis=-1, keepdims=True)
-                np.multiply(gh, xhat, out=s)
-                m2 = s.mean(axis=-1, keepdims=True)
-                gh -= m1
-                np.multiply(xhat, m2, out=s)
-                gh -= s
+                m2 = _row_sum(gh, xhat) / c
+                gh -= _row_sum(gh) / c
+                gh -= xhat * m2
                 gh *= inv
                 _accum(x, gh)
         out._backward = backward
@@ -789,9 +802,7 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
     p = np.matmul(q, kt)
     p *= scale
     p += bias.data
-    p -= _axis_max(p, -1)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    _softmax_(p)
     ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, n, c)
     _count("matmul", x2.shape[0] * c * 3 * c + 2 * p.size * d)
     _count("other", x2.shape[0] * 3 * c + 3 * p.size)
@@ -802,8 +813,7 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
             gs = np.matmul(gctx, v.swapaxes(-1, -2))
             gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
             gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)  # softmax backward, in softmax's order
-            gs *= p
+            _softmax_grad(gs, p, out=gs)
             if bias.requires_grad:  # copied: gs is scaled in place next
                 _accum(bias, _unbroadcast(gs, bias.data.shape).copy())
             gs *= scale
@@ -846,7 +856,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def _linear_backward(x: Optional[Tensor], w: Tensor, b: Tensor, x2: np.ndarray, g2: np.ndarray) -> None:
     """Gradients of ``x2 @ w + b``, ``x2`` being ``x``'s data as (M, in), from the (M, out) ``g2``."""
     if b.requires_grad:
-        _accum(b, g2.sum(axis=0))
+        _accum(b, _col_sum(g2))
     if x is not None and x.requires_grad:
         _accum(x, np.matmul(g2, w.data.swapaxes(-1, -2)).reshape(x.data.shape))
     if w.requires_grad:
@@ -902,7 +912,7 @@ def conv2d(
         def backward(g):
             g2 = g.reshape(b * oh * ow, cout)
             if bias is not None and bias.requires_grad:
-                _accum(bias, g2.sum(axis=0))
+                _accum(bias, _col_sum(g2))
             if weight.requires_grad:
                 _accum(weight, (cols2.T @ g2).reshape(kh, kw, cin, cout))
             if x.requires_grad:

@@ -401,6 +401,29 @@ class TestForward:
             b = M.forward(model, x).data
         np.testing.assert_array_equal(a, b)
 
+    def test_messenger_query_bias_does_not_reach_the_logits(self):
+        """``bias.msg_query`` fills the messenger's whole score row with one constant, which softmax drops.
+
+        The same noise on ``bias.msg_key`` (one column of every row) does move the logits.
+        """
+        model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+        images = Tensor(np.random.default_rng(8).standard_normal((2, 128, 128, 3)))
+        with T.no_grad():
+            base = M.forward(model, images).data
+        rng = np.random.default_rng(9)
+        moved = {}
+        for kind in ("msg_query", "msg_key"):
+            scalars = [p for name, p in model.named_parameters() if name.endswith(f".bias.{kind}")]
+            kept = [p.data for p in scalars]
+            for p in scalars:
+                p.data = p.data + rng.normal(0.0, 3.0, p.shape)
+            with T.no_grad():
+                moved[kind] = np.abs(M.forward(model, images).data - base).max()
+            for p, data in zip(scalars, kept):
+                p.data = data
+        assert moved["msg_query"] <= 1e-12 * max(1.0, np.abs(base).max())
+        assert moved["msg_key"] > 1e-6
+
     def test_final_stage_is_single_window_for_micro(self):
         # stage-4 resolution 4x4 equals the window size: one messenger left
         model = M.build_model(M.micro_config(), seed=0)

@@ -155,7 +155,7 @@ def reference_conv2d(x, w, bias, stride, padding, g):
                 :, ki : ki + stride * (oh - 1) + 1 : stride, kj : kj + stride * (ow - 1) + 1 : stride, :
             ] += gcols[:, :, :, ki, kj, :]
     gx = gxp[:, padding : padding + h, padding : padding + wd, :] if padding else gxp
-    return y, gx, (cols2.T @ g2).reshape(w.shape), g2.sum(axis=0)
+    return y, gx, (cols2.T @ g2).reshape(w.shape), np.einsum("ij->j", g2)
 
 
 class TestConv2dMatchesSliceLoop:
@@ -189,27 +189,34 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def row_sum(x, y=None):
+    """Last-axis sum of ``x`` (or ``x * y``) through the engine's einsum subscripts, keepdims."""
+    x2 = x.reshape(-1, x.shape[-1])
+    s = np.einsum("ij->i", x2) if y is None else np.einsum("ij,ij->i", x2, y.reshape(x2.shape))
+    return s.reshape(*x.shape[:-1], 1)
+
+
 def reference_layer_norm(x, gamma, beta, g, eps=1e-5):
     """Layer norm with a fresh array per step; returns y and the x, gamma, beta gradients."""
     c = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = x - row_sum(x) / c
+    inv = 1.0 / np.sqrt(row_sum(xc, xc) / c + eps)
     xhat = xc * inv
     y = xhat * gamma + beta
     gh = g * gamma
-    term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-    return y, term * inv, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+    term = gh - row_sum(gh) / c - xhat * (row_sum(gh, xhat) / c)
+    g2, xhat2 = g.reshape(-1, c), xhat.reshape(-1, c)
+    return y, term * inv, np.einsum("ij,ij->j", g2, xhat2), np.einsum("ij->j", g2)
 
 
 def reference_softmax(x, g, axis):
     """Softmax through ``x.max``, ``exp`` and a divide; returns y and the x gradient."""
-    shifted = x - x.max(axis=axis, keepdims=True)
+    x, g = (np.ascontiguousarray(np.moveaxis(a, axis, -1)) for a in (x, g))
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    dot = (g * y).sum(axis=axis, keepdims=True)
-    return y, y * (g - dot)
+    y = e / row_sum(e)
+    dot = row_sum(g, y)
+    return np.moveaxis(y, -1, axis), np.moveaxis(y * (g - dot), -1, axis)
 
 
 def reference_gelu(x, g):
@@ -292,7 +299,7 @@ class TestKernelsMatchReferences:
         x[2, 0] = -np.inf
         x[3, :] = -np.inf
         x[4, 0], x[4, -1] = np.inf, np.nan
-        np.testing.assert_array_equal(T._axis_max(x, 1), x.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(T._row_max(x), x.max(axis=1, keepdims=True))
         g = np.ones_like(x)
         with np.errstate(invalid="ignore"):
             ry, _ = reference_softmax(x, g, -1)
@@ -348,7 +355,7 @@ class TestKernelsMatchReferences:
         np.testing.assert_array_equal(y.data, (x2 @ w + b).reshape(2, 5, 6))
         np.testing.assert_array_equal(xt.grad, (g2 @ w.T).reshape(x.shape))
         np.testing.assert_array_equal(wt.grad, x2.T @ g2)
-        np.testing.assert_array_equal(bt.grad, g2.sum(axis=0))
+        np.testing.assert_array_equal(bt.grad, np.einsum("ij->j", g2))
 
 
 def _split_case(draw):
@@ -557,6 +564,78 @@ class TestConstantOperands:
         T.tsum(T.add(shift, T.mul(scale, x))).backward()
         assert shapes and set(shapes) == {(4, 3)}
         np.testing.assert_array_equal(x.grad, np.full((4, 3), 4.0))
+
+
+# every width from 1 to 70, then the model widths (channels, 3C and 4C MLP widths) up to 1024
+_REDUCTION_WIDTHS = list(range(1, 71)) + [96, 128, 192, 256, 384, 512, 1024]
+_ROWS = 37  # odd, so a blocked kernel leaves tail rows; the offsets below include them
+_OFFSETS = (0, 1, 2, 3, _ROWS // 2, _ROWS - 2, _ROWS - 1)
+
+
+@st.composite
+def _reduction_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rows, c = draw(st.integers(1, 40)), draw(st.sampled_from(_REDUCTION_WIDTHS))
+    return dtype, rows, c, draw(st.integers(-20, 20)), draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+class TestReductions:
+    """``_row_sum`` and ``_col_sum``: a row's (column's) bits do not depend on its position.
+
+    This is what keeps batch order and duplicated samples bit-identical in
+    the model. A GEMV against a ones vector breaks it: OpenBLAS rounds a
+    matrix's tail rows differently from the same rows elsewhere.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_sum_bits_independent_of_position(self, dtype):
+        rng = np.random.default_rng(0)
+        for c in _REDUCTION_WIDTHS:
+            row, other = rng.standard_normal((2, 1, c)).astype(dtype)
+            want, want_dot = T._row_sum(row), T._row_sum(row, other)
+            for offset in _OFFSETS:
+                x, y = rng.standard_normal((2, _ROWS, c)).astype(dtype)
+                x[offset], y[offset] = row[0], other[0]
+                assert T._row_sum(x)[offset].tobytes() == want.tobytes(), (c, offset)
+                assert T._row_sum(x, y)[offset].tobytes() == want_dot.tobytes(), (c, offset)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_col_sum_bits_independent_of_column(self, dtype):
+        """Within one width; a lone column (c = 1) is summed by the row kernel instead."""
+        rng = np.random.default_rng(1)
+        for c in _REDUCTION_WIDTHS[1:]:
+            col, other = rng.standard_normal((2, _ROWS)).astype(dtype)
+            sums = set()
+            for offset in (0, 1, c // 2, c - 2, c - 1):
+                x, y = rng.standard_normal((2, _ROWS, c)).astype(dtype)
+                x[:, offset], y[:, offset] = col, other
+                sums.add((T._col_sum(x)[offset].tobytes(), T._col_sum(x, y)[offset].tobytes()))
+            assert len(sums) == 1, c
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_shaped_input_matches_its_flattening(self, dtype):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((2, 2, 4, 4, 17, 16)).astype(dtype)  # (B, gh, gw, n, C) windows
+        flat_x, flat_y = x.reshape(-1, 16), y.reshape(-1, 16)
+        np.testing.assert_array_equal(T._row_sum(x), T._row_sum(flat_x).reshape(2, 4, 4, 17, 1))
+        np.testing.assert_array_equal(T._row_sum(x, y), T._row_sum(flat_x, flat_y).reshape(2, 4, 4, 17, 1))
+        np.testing.assert_array_equal(T._unbroadcast(x, (17, 16)), T._col_sum(x.reshape(-1, 17 * 16)).reshape(17, 16))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=_reduction_case())
+    def test_within_summation_bound_of_fsum(self, case):
+        """Within ``n u sum|t|`` of the exact sum (u = 2**-24 or 2**-53); a dot gets one more ``u``."""
+        dtype, rows, c, exponent, dot, seed = case
+        rng = np.random.default_rng(seed)
+        x, y = (rng.standard_normal((2, rows, c)) * 2.0**exponent).astype(dtype)
+        u = 2.0 ** -(np.finfo(dtype).nmant + 1)
+        terms = (x.astype(np.float64) * y) if dot else x.astype(np.float64)  # exact for float32
+        got_rows, got_cols = (T._row_sum(x, y), T._col_sum(x, y)) if dot else (T._row_sum(x), T._col_sum(x))
+        for got, along in ((got_rows[:, 0], terms), (got_cols, terms.T)):
+            for value, t in zip(got, along):
+                exact = math.fsum(t.tolist())
+                assert value.dtype == dtype
+                assert abs(float(value) - exact) <= (t.size + dot) * u * float(np.abs(t).sum())
 
 
 class TestGelu:
