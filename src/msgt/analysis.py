@@ -55,10 +55,11 @@ def information_reach(
     def run(tokens: np.ndarray) -> np.ndarray:
         with T.no_grad():
             wt = W.partition_windows(W.FeatureMap(tokens=Tensor(tokens)), window_size)
-            msg = W.MsgTokens(grid=Tensor(base_msg.copy())) if use_msg else None
+            if use_msg:
+                wt = B.attach_msg(wt, W.MsgTokens(grid=Tensor(base_msg.copy())))
             for p in params:
-                wt, msg = B.block_forward(wt, msg, p, view)
-            return wt.windows.data
+                wt = B.block_forward(wt, p, view)
+            return wt.windows.data[..., int(use_msg) :, :]
 
     # Bump a single channel: a uniform all-channel shift would be erased by
     # the layer norms and never enter the attention path.
@@ -135,9 +136,9 @@ def block_grad_check(seed: int = 0) -> float:
     view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
     def loss():
-        wt = W.WindowedTokens(windows=wt_data, window_size=2)
-        out_wt, out_msg = B.block_forward(wt, W.MsgTokens(grid=msg_data), params, view)
-        return (out_wt.windows * out_wt.windows).sum() + (out_msg.grid * out_msg.grid).sum()
+        wt = B.attach_msg(W.WindowedTokens(windows=wt_data, window_size=2), W.MsgTokens(grid=msg_data))
+        out = B.block_forward(wt, params, view).windows
+        return (out * out).sum()
 
     return T.grad_check(loss, params.parameters() + [wt_data, msg_data])
 

@@ -6,8 +6,10 @@ halves of a block, messenger tokens belonging to the same shuffle region
 exchange channel groups (or are averaged / cyclically shifted, for the
 ablation modes), which is the only cross-window communication channel.
 
-Block procedure, in order: concat messenger with patch tokens, layer norm,
-local multi-head self-attention with relative position bias, residual add,
+The messenger sits at slot 0 of its window's token sequence for a whole
+stage: the model attaches it once after partitioning and detaches it once
+before reversing the windows. Block procedure, in order: layer norm, local
+multi-head self-attention with relative position bias, residual add,
 messenger manipulation, layer norm, two-layer MLP, residual add.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,80 +60,37 @@ class RelPosBias:
         return self.table.shape[0]
 
 
-class BiasSource(NamedTuple):
-    """Where one attention-bias entry comes from: a table cell or a scalar."""
-
-    kind: str  # "table" | "msg-query" | "msg-key"
-    row: Optional[int] = None
-    col: Optional[int] = None
-
-
-def bias_index(i: int, j: int, window_size: int) -> BiasSource:
-    """Resolve the bias source for query slot ``i`` and key slot ``j``.
-
-    Slots are sequence positions in 0..w**2 where slot 0 is the messenger
-    token and slots 1.. are patch positions in row-major order. The offset
-    arithmetic applies to 0-based patch positions (slot - 1).
-    """
-    w = window_size
-    n = w * w
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise IndexError(f"slots ({i}, {j}) out of range 0..{n}")
-    if i == 0:
-        return BiasSource("msg-query")
-    if j == 0:
-        return BiasSource("msg-key")
-    pi, pj = i - 1, j - 1
-    row = pi % w - pj % w + w - 1
-    col = pi // w - pj // w + w - 1
-    return BiasSource("table", row, col)
-
-
 @lru_cache(maxsize=None)
 def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
-    """Flat per-head gather index assembling the (T, T) bias matrix.
+    """Flat (T*T,) index into one head's bias row that assembles its (T, T) matrix.
 
-    Positions 0..(2w-1)**2-1 address the flattened table, the next two the
-    messenger scalars.
+    Patch slots hold their positions in row-major order. Query i and key j
+    address table cell (col_i - col_j + w-1, row_i - row_j + w-1) of the
+    flattened (2w-1)x(2w-1) table. With messengers, slot 0 is prepended:
+    its query row reads position (2w-1)**2 (the messenger-query scalar) and
+    its key column position (2w-1)**2 + 1 (the messenger-key scalar).
     """
     w = window_size
     span = 2 * w - 1
-    table_len = span * span
-    n = w * w + 1 if with_msg else w * w
-    first = 0 if with_msg else 1
-    idx = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            src = bias_index(a + first, b + first, w)
-            if src.kind == "msg-query":
-                idx[a, b] = table_len
-            elif src.kind == "msg-key":
-                idx[a, b] = table_len + 1
-            else:
-                idx[a, b] = src.row * span + src.col
-    return idx
+    row, col = np.divmod(np.arange(w * w), w)
+    idx = (col[:, None] - col + w - 1) * span + (row[:, None] - row + w - 1)
+    if with_msg:
+        idx = np.pad(idx, ((1, 0), (1, 0)), constant_values=span * span + 1)
+        idx[0] = span * span
+    return idx.reshape(-1)
 
 
 def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
     """Assemble the additive attention bias, shape (heads, T, T)."""
     heads = bias.num_heads
-    span = 2 * bias.window_size - 1
-    parts = [T.reshape(bias.table, (heads, span * span))]
-    per_head = span * span
+    flat = T.reshape(bias.table, (heads, -1))
     if with_msg:
         if bias.msg_query_bias is None or bias.msg_key_bias is None:
             raise ConfigError("messenger bias scalars are absent in this block")
-        parts += [
-            T.reshape(bias.msg_query_bias, (heads, 1)),
-            T.reshape(bias.msg_key_bias, (heads, 1)),
-        ]
-        per_head += 2
-    flat = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    base = _bias_gather_index(bias.window_size, with_msg)
-    offsets = np.arange(heads, dtype=np.int64) * per_head
-    full = (offsets[:, None, None] + base[None, :, :]).reshape(-1)
-    out = T.gather_last(T.reshape(flat, (-1,)), full)
-    return T.reshape(out, (heads, base.shape[0], base.shape[1]))
+        scalars = [T.reshape(s, (heads, 1)) for s in (bias.msg_query_bias, bias.msg_key_bias)]
+        flat = T.concat([flat, *scalars], axis=1)
+    n = bias.window_size**2 + with_msg
+    return T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)), (heads, n, n))
 
 
 # -- attention ------------------------------------------------------------------
@@ -143,7 +102,6 @@ class AttentionParams:
     qkv_bias: Tensor     # (3C,)
     out_weight: Tensor   # (C, C)
     out_bias: Tensor     # (C,)
-    num_heads: int
 
 
 def local_msa(
@@ -154,7 +112,7 @@ def local_msa(
 ):
     """Multi-head self-attention inside each window; ``return_attn`` adds the probabilities."""
     bias_mat = bias_matrix(bias, with_msg=wt.with_msg)
-    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, params.num_heads)
+    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads)
     out = WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
     return (out, Tensor(attn)) if return_attn else out
 
@@ -238,11 +196,6 @@ def _exchange(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
     return MsgTokens(grid=join([join(parts, 2) for parts in rows.values()], 1))
 
 
-def shuffle_msg(msg: MsgTokens, view: ShuffleRegionView) -> MsgTokens:
-    """Exchange channel groups between all messenger tokens of each region."""
-    return _exchange(msg, view, "shuffle")
-
-
 def manipulate_msg(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
     """Apply the configured cross-window exchange to messenger tokens."""
     if mode == "none":
@@ -298,30 +251,28 @@ class BlockParams:
 
 def block_forward(
     wt: WindowedTokens,
-    msg: Optional[MsgTokens],
     params: BlockParams,
     view: Optional[ShuffleRegionView],
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[WindowedTokens, Optional[MsgTokens]]:
+) -> WindowedTokens:
     """Run one transformer block over windowed tokens.
 
-    ``msg is None`` runs the messenger-free ablation: plain local attention
+    With ``wt.with_msg`` slot 0 of each window is its messenger token, and
+    the messengers exchange between the attention and MLP halves. Without
+    it the block runs the messenger-free ablation: plain local attention
     over ``w**2`` tokens with no cross-window exchange.
     """
-    use_msg = msg is not None
-    x = attach_msg(wt, msg) if use_msg else wt
-
     normed = WindowedTokens(
-        windows=T.layer_norm(x.windows, params.norm1_gamma, params.norm1_beta),
-        window_size=x.window_size,
-        with_msg=x.with_msg,
+        windows=T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta),
+        window_size=wt.window_size,
+        with_msg=wt.with_msg,
     )
     attn_out = local_msa(normed, params.attn, params.bias)
-    tokens = T.add(x.windows, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
+    tokens = T.add(wt.windows, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
 
-    if use_msg:
-        combined = WindowedTokens(windows=tokens, window_size=x.window_size, with_msg=True)
+    if wt.with_msg:
+        combined = WindowedTokens(windows=tokens, window_size=wt.window_size, with_msg=True)
         patches, mid_msg = detach_msg(combined)
         mid_msg = manipulate_msg(mid_msg, view, params.mode)
         tokens = attach_msg(patches, mid_msg).windows
@@ -329,8 +280,4 @@ def block_forward(
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
-
-    result = WindowedTokens(windows=tokens, window_size=x.window_size, with_msg=use_msg)
-    if use_msg:
-        return detach_msg(result)
-    return result, None
+    return WindowedTokens(windows=tokens, window_size=wt.window_size, with_msg=wt.with_msg)

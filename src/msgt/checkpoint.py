@@ -72,7 +72,11 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
             values = np.frombuffer(raw, dtype="<f4").reshape(shape)
             if not np.isfinite(values).all():
                 raise FormatError(f"{path}: checkpoint tensor {name!r} holds NaN or Inf")
+            if name in entries:
+                raise FormatError(f"{path}: checkpoint tensor {name!r} appears twice")
             entries[name] = values
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last checkpoint tensor")
 
     model = build_model(cfg, seed=0)
     for name, tensor in model.named_parameters():

@@ -222,7 +222,6 @@ def make_block_params(
             qkv_bias=zeros(3 * channels),
             out_weight=proj(channels, channels),
             out_bias=zeros(channels),
-            num_heads=num_heads,
         ),
         bias=B.RelPosBias(
             window_size=window_size,
@@ -410,13 +409,12 @@ def forward(
         if cfg.use_msg:
             if si == 0:
                 msg = _initial_msg(model.msg_input, grid, batch)
-            elif msg.grid_shape != grid:
-                raise ShapeError(
-                    f"stage {si + 1}: messenger grid {msg.grid_shape} != window grid {grid}"
-                )
+            wt = B.attach_msg(wt, msg)  # slot 0 of every window until the stage ends
         for bi, blk in enumerate(model.stages[si]):
             view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
-            wt, msg = B.block_forward(wt, msg, blk, view, training=training, rng=rng)
+            wt = B.block_forward(wt, blk, view, training=training, rng=rng)
+        if cfg.use_msg:
+            wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)
         stage_outputs.append(fm)
         if si < NUM_STAGES - 1:

@@ -113,7 +113,7 @@ def _decays(name: str, tensor: Tensor) -> bool:
 class AdamW:
     """Adam with decoupled weight decay over named parameters."""
 
-    def __init__(self, named_params, weight_decay=0.05, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, named_params, weight_decay, betas, eps):
         self.params = [(n, p) for n, p in named_params if p.requires_grad]
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas

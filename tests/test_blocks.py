@@ -114,63 +114,96 @@ class TestAttachDetach:
             B.attach_msg(make_windows(1, 2, 2, 2, 4), make_msg(1, 2, 3, 4))
 
 
+def reference_bias_source(i, j, w):
+    """Per-slot spec of the bias lookup for query slot ``i`` and key slot ``j``.
+
+    Slot 0 is the messenger token and slots 1.. are patch positions in
+    row-major order; the offset arithmetic applies to 0-based patch
+    positions (slot - 1). Returns ("msg-query",), ("msg-key",) or
+    ("table", row, col).
+    """
+    if i == 0:
+        return ("msg-query",)
+    if j == 0:
+        return ("msg-key",)
+    pi, pj = i - 1, j - 1
+    return ("table", pi % w - pj % w + w - 1, pi // w - pj // w + w - 1)
+
+
+def reference_bias_matrix(bias, with_msg):
+    """(heads, T, T) bias assembled entry by entry from :func:`reference_bias_source`."""
+    w, first = bias.window_size, 0 if with_msg else 1
+    n = w * w + 1 - first
+    out = np.empty((bias.num_heads, n, n), dtype=bias.table.data.dtype)
+    for a in range(n):
+        for b in range(n):
+            src = reference_bias_source(a + first, b + first, w)
+            if src[0] == "msg-query":
+                out[:, a, b] = bias.msg_query_bias.data
+            elif src[0] == "msg-key":
+                out[:, a, b] = bias.msg_key_bias.data
+            else:
+                out[:, a, b] = bias.table.data[:, src[1], src[2]]
+    return out
+
+
+def distinct_bias(w, heads=2, seed=5):
+    """A bias whose table cells and messenger scalars all hold different values."""
+    rng = np.random.default_rng(seed)
+    span = 2 * w - 1
+    values = rng.permutation(heads * (span * span + 2)).astype(np.float32)
+    return B.RelPosBias(
+        window_size=w,
+        table=Tensor(values[: heads * span * span].reshape(heads, span, span)),
+        msg_query_bias=Tensor(values[-2 * heads : -heads]),
+        msg_key_bias=Tensor(values[-heads:]),
+    )
+
+
 class TestBiasIndex:
     def test_msg_query_row(self):
-        for j in range(0, 5):
-            assert B.bias_index(0, j, 2) == B.BiasSource("msg-query")
+        bias = distinct_bias(2)
+        mat = B.bias_matrix(bias, with_msg=True).data
+        assert all(reference_bias_source(0, j, 2) == ("msg-query",) for j in range(5))
+        assert (mat[:, 0, :] == bias.msg_query_bias.data[:, None]).all()
 
     def test_msg_key_column(self):
-        for i in range(1, 5):
-            assert B.bias_index(i, 0, 2) == B.BiasSource("msg-key")
+        bias = distinct_bias(2)
+        mat = B.bias_matrix(bias, with_msg=True).data
+        assert all(reference_bias_source(i, 0, 2) == ("msg-key",) for i in range(1, 5))
+        assert (mat[:, 1:, 0] == bias.msg_key_bias.data[:, None]).all()
 
     def test_zero_offset_hits_table_center(self):
         for w in (2, 3, 7):
+            bias = distinct_bias(w)
+            table, mat = bias.table.data, B.bias_matrix(bias, with_msg=True).data
             for slot in (1, w * w):
-                src = B.bias_index(slot, slot, w)
-                assert src == B.BiasSource("table", w - 1, w - 1)
+                assert reference_bias_source(slot, slot, w) == ("table", w - 1, w - 1)
+                np.testing.assert_array_equal(mat[:, slot, slot], table[:, w - 1, w - 1])
 
     def test_hand_worked_offset(self):
         # window 2x2: query patch position 0, key patch position 3
-        src = B.bias_index(1, 4, 2)
-        assert src == B.BiasSource("table", 0, 0)
+        bias = distinct_bias(2)
+        assert reference_bias_source(1, 4, 2) == ("table", 0, 0)
+        np.testing.assert_array_equal(B.bias_matrix(bias, with_msg=True).data[:, 1, 4], bias.table.data[:, 0, 0])
+        np.testing.assert_array_equal(B.bias_matrix(bias, with_msg=False).data[:, 0, 3], bias.table.data[:, 0, 0])
 
     def test_swap_reflects_through_center(self):
         w = 3
         span = 2 * w - 1
+        idx = B._bias_gather_index(w, True).reshape(w * w + 1, w * w + 1)
         for i in range(1, w * w + 1):
             for j in range(1, w * w + 1):
-                a = B.bias_index(i, j, w)
-                b = B.bias_index(j, i, w)
-                assert (a.row, a.col) == (span - 1 - b.row, span - 1 - b.col)
+                a, b = divmod(int(idx[i, j]), span), divmod(int(idx[j, i]), span)
+                assert a == (span - 1 - b[0], span - 1 - b[1])
+                assert ("table", *a) == reference_bias_source(i, j, w)
 
-    def test_out_of_range_slot(self):
-        with pytest.raises(IndexError):
-            B.bias_index(0, 5, 2)
-
-    def test_bias_matrix_matches_index_oracle(self):
-        rng = np.random.default_rng(5)
-        w, heads = 3, 2
-        span = 2 * w - 1
-        bias = B.RelPosBias(
-            window_size=w,
-            table=Tensor(rng.standard_normal((heads, span, span)).astype(np.float32)),
-            msg_query_bias=Tensor(rng.standard_normal(heads).astype(np.float32)),
-            msg_key_bias=Tensor(rng.standard_normal(heads).astype(np.float32)),
-        )
-        mat = B.bias_matrix(bias, with_msg=True).data
-        n = w * w + 1
-        assert mat.shape == (heads, n, n)
-        for h in range(heads):
-            for i in range(n):
-                for j in range(n):
-                    src = B.bias_index(i, j, w)
-                    if src.kind == "msg-query":
-                        expected = bias.msg_query_bias.data[h]
-                    elif src.kind == "msg-key":
-                        expected = bias.msg_key_bias.data[h]
-                    else:
-                        expected = bias.table.data[h, src.row, src.col]
-                    assert mat[h, i, j] == expected
+    @pytest.mark.parametrize("with_msg", [False, True])
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_bias_matrix_matches_index_oracle(self, w, with_msg):
+        bias = distinct_bias(w, heads=3, seed=w)
+        mat = B.bias_matrix(bias, with_msg=with_msg).data
+        np.testing.assert_array_equal(mat, reference_bias_matrix(bias, with_msg))
 
 
 class TestLocalMsa:
@@ -217,16 +250,16 @@ class TestLocalMsa:
 
     def test_heads_must_divide_channels(self):
         params = self._params(8, 2, 2)
-        params.attn.num_heads = 3
+        three_heads = B.RelPosBias(2, Tensor(np.zeros((3, 3, 3), dtype=np.float32)), None, None)
         with pytest.raises(ConfigError):
-            B.local_msa(make_windows(1, 1, 1, 2, 8), params.attn, params.bias)
+            B.local_msa(make_windows(1, 1, 1, 2, 8), params.attn, three_heads)
 
 
 class TestShuffle:
     def test_region_of_one_is_identity(self):
         msg = make_msg(1, 3, 3, 4, seed=20)
         view = W.build_region_view((3, 3), 1, W.TOP_LEFT)
-        out = B.shuffle_msg(msg, view)
+        out = B.manipulate_msg(msg, view, "shuffle")
         np.testing.assert_array_equal(out.grid.data, msg.grid.data)
 
     def test_hand_derived_group_transpose(self):
@@ -235,7 +268,7 @@ class TestShuffle:
         ).reshape(1, 2, 2, 4)
         msg = W.MsgTokens(grid=Tensor(tokens))
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.shuffle_msg(msg, view).grid.data.reshape(4, 4)
+        out = B.manipulate_msg(msg, view, "shuffle").grid.data.reshape(4, 4)
         expected = np.array(
             [[0.0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]], dtype=np.float32
         )
@@ -250,24 +283,24 @@ class TestShuffle:
                 grid=Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
             )
             view = W.build_region_view((region, region), region, W.TOP_LEFT)
-            once = B.shuffle_msg(msg, view)
+            once = B.manipulate_msg(msg, view, "shuffle")
             np.testing.assert_array_equal(
                 np.sort(once.grid.data.ravel()), np.sort(msg.grid.data.ravel())
             )
-            twice = B.shuffle_msg(once, view)
+            twice = B.manipulate_msg(once, view, "shuffle")
             np.testing.assert_array_equal(twice.grid.data, msg.grid.data)
 
     def test_indivisible_channels_named_in_error(self):
         msg = make_msg(1, 2, 2, 6)
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
         with pytest.raises(ConfigError, match="6.*4"):
-            B.shuffle_msg(msg, view)
+            B.manipulate_msg(msg, view, "shuffle")
 
     def test_partial_region_shuffles_over_actual_count(self):
         # 3x1 grid with region 2 via bottom-right anchor: regions of 1 and 2 windows
         msg = make_msg(1, 3, 1, 4, seed=21)
         view = W.build_region_view((3, 1), 2, W.BOTTOM_RIGHT)
-        out = B.shuffle_msg(msg, view)
+        out = B.manipulate_msg(msg, view, "shuffle")
         np.testing.assert_array_equal(out.grid.data[0, 0, 0], msg.grid.data[0, 0, 0])
         a, b = msg.grid.data[0, 1, 0], msg.grid.data[0, 2, 0]
         np.testing.assert_array_equal(out.grid.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
@@ -364,9 +397,9 @@ class TestBlockForward:
         wt = make_windows(1, 2, 2, w, c, seed=31)
         msg = make_msg(1, 2, 2, c, seed=32)
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out_wt, out_msg = B.block_forward(wt, msg, params, view)
+        out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
         np.testing.assert_array_equal(out_wt.windows.data, wt.windows.data)
-        expected_msg = B.shuffle_msg(msg, view).grid.data
+        expected_msg = B.manipulate_msg(msg, view, "shuffle").grid.data
         np.testing.assert_array_equal(out_msg.grid.data, expected_msg)
 
     def test_mode_none_keeps_windows_isolated(self):
@@ -395,7 +428,7 @@ class TestBlockForward:
         def loss():
             wt = W.WindowedTokens(windows=wt_data, window_size=w)
             msg = W.MsgTokens(grid=msg_data)
-            out_wt, out_msg = B.block_forward(wt, msg, params, view)
+            out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
             return (out_wt.windows * out_wt.windows).sum() + (out_msg.grid * out_msg.grid).sum()
 
         err = T.grad_check(loss, params.parameters() + [wt_data, msg_data])

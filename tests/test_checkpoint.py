@@ -112,3 +112,27 @@ def test_non_finite_value_names_first_bad_tensor(micro_model, tmp_path, bad):
     with pytest.raises(FormatError, match=re.escape(repr(names[2])) + ".*NaN or Inf"):
         load_checkpoint(str(path), M.micro_config())
     assert path.read_bytes() == bytes(blob)
+
+
+def test_duplicated_tensor_rejected(micro_model, tmp_path):
+    path = tmp_path / "dup.msgt"
+    save_checkpoint(micro_model, str(path))
+    blob = bytearray(path.read_bytes())
+    name, tensor = micro_model.named_parameters()[0]
+    # repeat the first tensor record right after it, filled with 7.0
+    head = struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", tensor.data.ndim)
+    head += struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape)
+    copy = head + np.full(tensor.data.size, 7.0, dtype="<f4").tobytes()
+    end = 12 + len(copy)
+    blob[8:12] = struct.pack("<I", len(micro_model.named_parameters()) + 1)
+    path.write_bytes(bytes(blob[:end] + copy + blob[end:]))
+    with pytest.raises(FormatError, match=re.escape(repr(name)) + ".*twice"):
+        load_checkpoint(str(path), M.micro_config())
+
+
+def test_trailing_bytes_rejected(micro_model, tmp_path):
+    path = tmp_path / "tail.msgt"
+    save_checkpoint(micro_model, str(path))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(FormatError, match="trailing bytes"):
+        load_checkpoint(str(path), M.micro_config())

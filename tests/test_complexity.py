@@ -112,7 +112,7 @@ class TestModelFlops:
         msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32)))
         view = W.build_region_view((gh, gw), 2, W.TOP_LEFT)
         with T.count_macs() as counter:
-            B.block_forward(wt, msg, params, view)
+            B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
         spec = C.ComplexitySpec(gh * ws, gw * ws, ws, ch, with_msg=True)
         assert counter["matmul"] == C.flops_block(spec)
         assert counter["conv"] == 0

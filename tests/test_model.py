@@ -95,7 +95,7 @@ def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
         for bi in range(min(2, s.num_blocks)):
             anchor = W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT
             try:
-                B.shuffle_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor))
+                B.manipulate_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor), "shuffle")
             except ConfigError:
                 return False
     return True

@@ -138,7 +138,7 @@ class TestAdamW:
 
     def test_frozen_params_not_updated(self):
         frozen = Tensor(np.ones(3, dtype=np.float32), requires_grad=False)
-        opt = TR.AdamW([("frozen", frozen)])
+        opt = TR.AdamW([("frozen", frozen)], weight_decay=0.05, betas=(0.9, 0.999), eps=1e-8)
         assert opt.params == []
 
 
