@@ -89,6 +89,7 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     split_x = t(3, 5)
     mb_a, mb_b, mb_bias = t(2, 2, 3), t(3, 4), t(4)
     attn_params, mlp_params = [t(2, 5, 4), t(4, 12), t(12), t(2, 5, 5)], [t(2, 3, 4), t(4, 8), t(8), t(8, 4), t(4)]
+    getitem_x = t(3, 4)
     cases = {
         "add": (lambda: T.tsum(T.power(T.add(x34, y4), 2.0)), [x34, y4]),
         "mul": (lambda: T.tsum(T.mul(x34, T.mul(x34, x34))), [x34]),
@@ -115,6 +116,10 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
         "matmul_bias": (lambda: T.tsum(T.power(T.matmul(mb_a, mb_b, mb_bias), 2.0)), [mb_a, mb_b, mb_bias]),
         "attention": (lambda: T.tsum(T.power(T.attention(*attn_params, 2)[0], 2.0)), attn_params),
         "mlp": (lambda: T.tsum(T.power(T.mlp(*mlp_params), 2.0)), mlp_params),
+        "getitem_repeats": (
+            lambda: T.tsum(T.power(T.getitem(getitem_x, (slice(None), np.array([0, 3, 0]))), 2.0)),
+            [getitem_x],
+        ),
     }
     return {name: T.grad_check(fn, params) for name, (fn, params) in cases.items()}
 

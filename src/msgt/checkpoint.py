@@ -10,6 +10,7 @@ name, shape and value (NaN and Inf are rejected) before accepting them.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -61,14 +62,20 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
         version, count = struct.unpack("<II", _read(f, 8, "header"))
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        file_size = os.fstat(f.fileno()).st_size
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
             name = _read(f, name_len, "name").decode("utf-8")
             (rank,) = struct.unpack("<B", _read(f, 1, f"rank of {name}"))
             shape = struct.unpack(f"<{rank}I", _read(f, 4 * rank, f"extents of {name}"))
-            size = int(np.prod(shape)) if rank else 1
-            raw = _read(f, 4 * size, f"values of {name}")
+            nbytes, left = 4 * math.prod(shape), file_size - f.tell()
+            if nbytes > left:
+                raise FormatError(
+                    f"{path}: truncated checkpoint: tensor {name!r} with extents {shape} "
+                    f"needs {nbytes} bytes, {left} remain"
+                )
+            raw = _read(f, nbytes, f"values of {name}")
             values = np.frombuffer(raw, dtype="<f4").reshape(shape)
             if not np.isfinite(values).all():
                 raise FormatError(f"{path}: checkpoint tensor {name!r} holds NaN or Inf")

@@ -413,10 +413,17 @@ def getitem(a: Tensor, key) -> Tensor:
     out = _make(picked, (a,))
     if out.requires_grad:
         src_shape = a.data.shape
+        # An index array may repeat an entry; np.add.at sums the repeats,
+        # where assignment would keep only one of them.
+        parts = key if isinstance(key, tuple) else (key,)
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
         def backward(g):
             buf = np.zeros(src_shape, dtype=g.dtype)
-            buf[key] = g
+            if fancy:
+                np.add.at(buf, key, g)
+            else:
+                buf[key] = g
             _accum(a, buf)
 
         out._backward = backward

@@ -20,7 +20,7 @@ from . import data as D
 from . import model as M
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import ArchConfig, Model
 from .tensor import Tensor
 
@@ -385,8 +385,8 @@ def ablate(mode: str, cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) 
     for name, variant_cfg in _variant_rows(mode, cfg):
         run = train(variant_cfg, data_spec, os.path.join(out_dir, name))
         counts = M.count_params(run.model)
-        if name == "no-msg":
-            assert counts["msg_related"] == 0, "messenger-free variant must carry no msg params"
+        if name == "no-msg" and counts["msg_related"]:
+            raise ContractError(f"messenger-free variant carries {counts['msg_related']} msg params")
         named = [(name, run.final)]
         if variant_cfg.msg_input_policy == "rerandomize-at-eval":  # trained, then re-sampled
             named = zip(("learned-input-msg", "rerandomized-input-msg"), run.rows[-2:])

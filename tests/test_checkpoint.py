@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from msgt import checkpoint as CK
 from msgt import model as M
 from msgt import tensor as T
 from msgt.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -69,6 +70,50 @@ def test_truncated_file_rejected(micro_model, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(str(path), M.micro_config())
+
+
+def _one_tensor_file(path, extents):
+    """A checkpoint with one tensor record whose values are cut to 16 bytes."""
+    name = b"embed.weight"
+    blob = MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+    blob += struct.pack("<B", len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
+    path.write_bytes(blob + bytes(16))
+
+
+def test_extents_whose_size_wraps_int64_rejected(tmp_path):
+    # 4e9 ** 3 elements wrap a 64-bit product to a negative read length
+    path = tmp_path / "wrap.msgt"
+    _one_tensor_file(path, (4_000_000_000,) * 3)
+    with pytest.raises(FormatError, match="'embed.weight'.*needs"):
+        load_checkpoint(str(path), M.micro_config())
+
+
+def test_extents_beyond_file_rejected_before_reading(tmp_path, monkeypatch):
+    # 65536 x 65536 floats is 16 GiB: the loader must refuse without asking for it
+    path = tmp_path / "huge.msgt"
+    _one_tensor_file(path, (65536, 65536, 1))
+    size = path.stat().st_size
+
+    class Guarded:
+        def __init__(self, f):
+            self.f = f
+
+        def read(self, n=-1):
+            assert n <= size, f"loader asked for {n} bytes of a {size}-byte file"
+            return self.f.read(n)
+
+        def __getattr__(self, attr):
+            return getattr(self.f, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(CK, "open", lambda p, mode: Guarded(open(p, mode)), raising=False)
+    with pytest.raises(FormatError, match="'embed.weight'.*needs 17179869184 bytes"):
         load_checkpoint(str(path), M.micro_config())
 
 

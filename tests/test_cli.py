@@ -82,6 +82,56 @@ class TestThreadCap:
         assert done.stdout.strip() == "1"
 
 
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestMallocPolicy:
+    @pytest.mark.skipif(not _on_glibc(), reason="the malloc policy applies on glibc only")
+    def test_warm_no_grad_forwards_fault_in_no_pages(self):
+        """After two warm-up micro forwards at batch 16, three more take under 100 minor faults."""
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env["MSGT_THREADS"] = "1"
+        src = os.path.dirname(os.path.dirname(msgt.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import resource, numpy as np\n"
+            "from msgt import model as M, tensor as T\n"
+            "model = M.build_model(M.micro_config(), seed=0)\n"
+            "x = T.Tensor(np.random.default_rng(0).standard_normal((16, 128, 128, 3)).astype(np.float32))\n"
+            "def forward():\n"
+            "    with T.no_grad():\n"
+            "        M.forward(model, x, mode='eval')\n"
+            "forward(); forward()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "forward(); forward(); forward()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert int(done.stdout.strip()) < 100
+
+    def test_no_op_without_mallopt_or_glibc(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
+        assert msgt._apply_malloc_policy() is False
+
+        def no_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        def must_not_load(name):
+            raise AssertionError("loaded the C library off glibc")
+
+        monkeypatch.setattr(os, "confstr", no_glibc)
+        monkeypatch.setattr(ctypes, "CDLL", must_not_load)
+        assert msgt._apply_malloc_policy() is False
+
+
 class TestFlops:
     def test_reference_ratio_printed(self, capsys):
         code, out, _ = run_cli(capsys, "flops", "--window", "7", "--dim", "384")

@@ -756,6 +756,14 @@ class TestPerOpGradients:
         _fd_check(lambda: T.tsum(T.power(T.transpose(a, (1, 0)), 2.0)), [a])
         _fd_check(lambda: T.tsum(T.power(a[1:, :2], 2.0)), [a])
 
+    def test_getitem_with_repeated_index(self):
+        """Each repeat of an index-array entry adds its own gradient."""
+        a = t64(np.arange(4.0))
+        T.tsum(T.getitem(a, np.array([0, 0, 2]))).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0, 0.0])
+        b = t64(np.random.default_rng(3).standard_normal((3, 4)))
+        _fd_check(lambda: T.tsum(T.power(b[:, [0, 3, 0]], 2.0)), [b])
+
     def test_concat_pad(self):
         a, b = self.rand(2, 2), self.rand(1, 2)
         _fd_check(lambda: T.tsum(T.power(T.concat([a, b], axis=0), 2.0)), [a, b])

@@ -1,6 +1,7 @@
 """Training harness tests: optimizer, schedule, loss, loop determinism, ablation."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from msgt import model as M
 from msgt import tensor as T
 from msgt import train as TR
 from msgt.data import DatasetSpec
-from msgt.errors import ConfigError, TrainingDiverged
+from msgt.errors import ConfigError, ContractError, TrainingDiverged
 from msgt.tensor import Tensor
 
 TINY_RUN = TR.TrainConfig(
@@ -271,6 +272,15 @@ class TestAblate:
         assert by_name["msg-shuffle"]["msg_related"] > 0
         csv = open(str(tmp_path / "ablation_no-msg.csv")).read()
         assert csv.startswith("#") and "desk-scale" in csv
+
+    def test_no_msg_variant_with_msg_params_raises(self, tmp_path, monkeypatch):
+        """The guard holds under ``python -O``: it raises, it does not assert."""
+        row = SimpleNamespace(loss=1.0, top1=0.5)
+        monkeypatch.setattr(TR, "train", lambda cfg, spec, out: SimpleNamespace(model=None, final=row, rows=[row]))
+        monkeypatch.setattr(M, "count_params", lambda model: {"total": 9, "msg_input": 0, "msg_related": 3})
+        with pytest.raises(ContractError, match="messenger-free variant carries 3 msg params"):
+            TR.ablate("no-msg", TINY_RUN, TINY_DATA, str(tmp_path))
+        assert not (tmp_path / "ablation_no-msg.csv").exists()
 
     def test_shuffle_size_sweep_emits_three_rows(self, tmp_path):
         results = TR.ablate("shuffle-size-sweep", TINY_RUN, TINY_DATA, str(tmp_path))

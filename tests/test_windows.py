@@ -38,16 +38,19 @@ class TestPartition:
         back = W.reverse_windows(W.partition_windows(fm, 4))
         np.testing.assert_array_equal(back.tokens.data, fm.tokens.data)
 
-    def test_randomized_round_trips(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            ws = int(rng.integers(1, 5))
-            gh, gw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            fm = W.FeatureMap(
-                tokens=Tensor(rng.standard_normal((1, gh * ws, gw * ws, int(rng.integers(1, 4)))).astype(np.float32))
-            )
-            back = W.reverse_windows(W.partition_windows(fm, ws))
-            np.testing.assert_array_equal(back.tokens.data, fm.tokens.data)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        b=st.integers(1, 2),
+        gh=st.integers(1, 4),
+        gw=st.integers(1, 4),
+        ws=st.integers(1, 7),
+        c=st.integers(1, 3),
+    )
+    def test_randomized_round_trips(self, b, gh, gw, ws, c):
+        """reverse_windows inverts partition_windows bit for bit."""
+        fm = fmap(b, gh * ws, gw * ws, c, seed=gh * 7 + gw)
+        back = W.reverse_windows(W.partition_windows(fm, ws))
+        np.testing.assert_array_equal(back.tokens.data, fm.tokens.data)
 
     def test_indivisible_extents_rejected(self):
         with pytest.raises(PartitionError, match="pad"):
@@ -89,14 +92,22 @@ class TestPadding:
         back = W.crop_to(padded, extents)
         np.testing.assert_array_equal(back.tokens.data, fm.tokens.data)
 
-    def test_padded_extents_divisible(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            h, w, ws = int(rng.integers(1, 30)), int(rng.integers(1, 30)), int(rng.integers(1, 8))
-            fm = W.FeatureMap(tokens=Tensor(rng.standard_normal((1, h, w, 1)).astype(np.float32)))
-            padded, _ = W.pad_to_window_multiple(fm, ws)
-            assert padded.tokens.shape[1] % ws == 0
-            assert padded.tokens.shape[2] % ws == 0
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        b=st.integers(1, 2),
+        h=st.integers(1, 29),
+        w=st.integers(1, 29),
+        ws=st.integers(1, 7),
+        c=st.integers(1, 3),
+    )
+    def test_padded_extents_divisible(self, b, h, w, ws, c):
+        """Padding reaches a window multiple, and crop_to undoes it bit for bit."""
+        fm = fmap(b, h, w, c, seed=h * 31 + w)
+        padded, extents = W.pad_to_window_multiple(fm, ws)
+        assert extents == (h, w)
+        assert padded.tokens.shape[1] % ws == 0
+        assert padded.tokens.shape[2] % ws == 0
+        np.testing.assert_array_equal(W.crop_to(padded, extents).tokens.data, fm.tokens.data)
 
 
 class TestRegions:
