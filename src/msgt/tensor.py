@@ -10,9 +10,9 @@ One in-place rule: an op may write in place only into an array that it
 allocated itself and has not yet returned. Buffers shared through views,
 such as the pieces of ``split``, are therefore never mutated; the zero
 buffer the pieces of one ``split`` write their gradients into belongs to
-that split's hidden node. A node may reuse a buffer it saved for its own
-backward once that pass has read it (``mlp``'s activation), never one it
-returned (``attention``'s probabilities).
+that split's hidden node. A node may overwrite a buffer it allocated and
+has not returned (``mlp``'s pre-activation becomes its activation), never
+one it returned (``attention``'s probabilities).
 
 All kernels are deterministic: identical inputs produce bit-identical
 outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
@@ -583,8 +583,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 ga = np.matmul(g, b.data.swapaxes(-1, -2))
                 _accum(a, _unbroadcast(ga, a.data.shape))
             if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), g)
-                _accum(b, _unbroadcast(gb, b.data.shape))
+                _accum(b, _unbroadcast(_weight_grad(a.data, g), b.data.shape))
         out._backward = backward
     return out
 
@@ -735,14 +734,17 @@ def erf32(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
     s, p, q = (np.empty(min(n, _ERF_CHUNK), dtype=np.float32) for _ in range(3))
     for lo in range(0, n, _ERF_CHUNK):
         hi = min(lo + _ERF_CHUNK, n)
-        m = hi - lo
-        c = dst[lo:hi]
-        np.multiply(src[lo:hi], scale, out=c)
-        np.clip(c, -4.0, 4.0, out=c)
-        np.multiply(c, c, out=s[:m])
-        c *= _horner(s[:m], _ERF_P, p[:m])
-        c /= _horner(s[:m], _ERF_Q, q[:m])
+        _erf32_chunk(src[lo:hi], dst[lo:hi], scale, s, p, q)
     return out
+
+
+def _erf32_chunk(z: np.ndarray, c: np.ndarray, scale: float, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    m = c.size
+    np.multiply(z, scale, out=c)
+    np.clip(c, -4.0, 4.0, out=c)
+    np.multiply(c, c, out=s[:m])
+    c *= _horner(s[:m], _ERF_P, p[:m])
+    c /= _horner(s[:m], _ERF_Q, q[:m])
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -753,36 +755,50 @@ def gelu(x: Tensor) -> Tensor:
     standard library's ``math.erf`` per element, so gradient checks see
     the reference erf.
     """
-    cdf = _gelu_cdf(x.data)
-    out = _make(x.data * cdf, (x,))
+    act = np.empty(x.data.shape, dtype=x.data.dtype)
+    d = _gelu_(x.data, act, _grad_enabled and x.requires_grad)
+    out = _make(act, (x,))
     _count("other", out.data.size)
     if out.requires_grad:
         def backward(g):
-            _accum(x, _gelu_backward(x.data, cdf, g, np.empty_like(x.data)))
+            _accum(x, g * d)
         out._backward = backward
     return out
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+def _gelu_cdf(x: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     if x.dtype == np.float32:
-        cdf = erf32(x, _INV_SQRT2)
+        _erf32_chunk(x, out, _INV_SQRT2, s, p, q)
     else:
-        cdf = np.fromiter(map(math.erf, (x * _INV_SQRT2).ravel().tolist()), np.float64, x.size).reshape(x.shape)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
+        out[:] = np.fromiter(map(math.erf, (x * _INV_SQRT2).tolist()), np.float64, x.size)
+    out += 1.0
+    out *= 0.5
 
 
-def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``g * (cdf + x * pdf)``, pdf = exp(-0.5 * x * x) / sqrt(2 pi), into ``out``."""
-    np.multiply(x, -0.5, out=out)
-    out *= x
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= x
-    out += cdf
-    out *= g
-    return out
+def _gelu_(x: np.ndarray, act: np.ndarray, grad: bool) -> Optional[np.ndarray]:
+    """Write gelu(x) into the C-contiguous ``act``, which may be ``x``, one chunk at a time.
+
+    Returns the derivative ``cdf + x * pdf``, pdf = exp(-0.5 * x * x) / sqrt(2 pi),
+    if ``grad``, else None. Only one chunk of the cdf exists at a time.
+    """
+    src, dst = x.reshape(-1), act.reshape(-1)
+    n = src.size
+    d = np.empty_like(src) if grad else None
+    cdf, s, p, q = (np.empty(min(n, _ERF_CHUNK), dtype=x.dtype) for _ in range(4))
+    for lo in range(0, n, _ERF_CHUNK):
+        hi = min(lo + _ERF_CHUNK, n)
+        xc, c = src[lo:hi], cdf[: hi - lo]
+        _gelu_cdf(xc, c, s, p, q)
+        if d is not None:
+            t = d[lo:hi]
+            np.multiply(xc, -0.5, out=t)
+            t *= xc
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= xc
+            t += c
+        np.multiply(xc, c, out=dst[lo:hi])
+    return None if d is None else d.reshape(x.shape)
 
 
 def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -834,28 +850,27 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis, as one node.
 
-    Keeps the pre-activation, the gelu cdf and the activation. The backward
-    pass, which runs once per graph, writes the gelu derivative into the
-    activation once ``w2``'s gradient is taken.
+    The gelu overwrites the pre-activation chunk by chunk and, only when a
+    backward will run, writes its derivative in the same pass; the node
+    keeps the activation and that derivative.
     """
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    pre = np.matmul(x2, w1.data)
-    pre += b1.data
-    cdf = _gelu_cdf(pre)
-    act = pre * cdf
-    if not _grad_enabled:  # no backward will read them: free them before the second GEMM
-        del pre, cdf
+    act = np.matmul(x2, w1.data)
+    act += b1.data
+    parents = (x, w1, b1, w2, b2)
+    d = _gelu_(act, act, _grad_enabled and any(p.requires_grad for p in parents))
     y = np.matmul(act, w2.data)
     y += b2.data
     _count("matmul", (x2.size + y.size) * act.shape[1])
     _count("other", 2 * act.size + y.size)
-    out = _make(y.reshape(*x.data.shape[:-1], y.shape[1]), (x, w1, b1, w2, b2))
+    out = _make(y.reshape(*x.data.shape[:-1], y.shape[1]), parents)
     if out.requires_grad:
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
             gact = np.matmul(g2, w2.data.swapaxes(-1, -2))
             _linear_backward(None, w2, b2, act, g2)
-            _linear_backward(x, w1, b1, x2, _gelu_backward(pre, cdf, gact, act))
+            gact *= d
+            _linear_backward(x, w1, b1, x2, gact)
         out._backward = backward
     return out
 
@@ -867,7 +882,17 @@ def _linear_backward(x: Optional[Tensor], w: Tensor, b: Tensor, x2: np.ndarray, 
     if x is not None and x.requires_grad:
         _accum(x, np.matmul(g2, w.data.swapaxes(-1, -2)).reshape(x.data.shape))
     if w.requires_grad:
-        _accum(w, np.matmul(x2.swapaxes(-1, -2), g2))
+        _accum(w, _weight_grad(x2, g2))
+
+
+def _weight_grad(x2: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """``x2^T @ g2`` over the last two axes, with the longer of (in, out) as the GEMM's row side.
+
+    OpenBLAS runs the long-row form about twice as fast and gives the same bits.
+    """
+    if x2.shape[-1] < g2.shape[-1]:
+        return np.matmul(g2.swapaxes(-1, -2), x2).swapaxes(-1, -2)
+    return np.matmul(x2.swapaxes(-1, -2), g2)
 
 
 def conv2d(
@@ -921,7 +946,7 @@ def conv2d(
             if bias is not None and bias.requires_grad:
                 _accum(bias, _col_sum(g2))
             if weight.requires_grad:
-                _accum(weight, (cols2.T @ g2).reshape(kh, kw, cin, cout))
+                _accum(weight, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
             if x.requires_grad:
                 gcols = (g2 @ w2.T).reshape(b, oh, ow, kh, kw, cin)
                 gxp = np.zeros_like(xp)
