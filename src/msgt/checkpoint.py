@@ -66,7 +66,10 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
-            name = _read(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: checkpoint tensor name is not UTF-8 ({exc.reason})") from None
             (rank,) = struct.unpack("<B", _read(f, 1, f"rank of {name}"))
             shape = struct.unpack(f"<{rank}I", _read(f, 4 * rank, f"extents of {name}"))
             nbytes, left = 4 * math.prod(shape), file_size - f.tell()

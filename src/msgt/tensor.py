@@ -711,52 +711,65 @@ _ERF_Q = (
 _ERF_CHUNK = 1 << 16  # elements per pass; the scratch buffers stay in L2
 
 
-def _horner(s: np.ndarray, coeffs: Sequence[float], out: np.ndarray) -> np.ndarray:
-    np.multiply(s, coeffs[0], out=out)
-    out += coeffs[1]
-    for c in coeffs[2:]:
-        out *= s
-        out += c
-    return out
+def _fold(a: float, k: float, offset: float) -> tuple:
+    """Refit ``offset + k erf(a x)`` as ``offset + u P(u^2) / Q(u^2)``, P and Q monic, u = lam x.
 
-
-def erf32(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """``erf(scale * z)`` for a float32 array, within 8 ulp of the exact erf on [-6, 6].
-
-    Uses only clip, add, multiply and divide, each correctly rounded and
-    applied elementwise, so the result of an element does not depend on
-    its neighbours or on the chunking. Chunks of ``_ERF_CHUNK`` elements
-    are evaluated in place.
+    lam^5 = a^5 k P0 / Q0 makes the factor in front 1; u is clipped where a x reaches 4.
     """
-    out = np.empty(z.shape, dtype=np.float32)
-    src, dst = z.reshape(-1), out.reshape(-1)
-    n = dst.size
-    s, p, q = (np.empty(min(n, _ERF_CHUNK), dtype=np.float32) for _ in range(3))
-    for lo in range(0, n, _ERF_CHUNK):
-        hi = min(lo + _ERF_CHUNK, n)
-        _erf32_chunk(src[lo:hi], dst[lo:hi], scale, s, p, q)
+    lam = a * (k * _ERF_P[0] / _ERF_Q[0]) ** 0.2
+    r = (a / lam) ** 2
+    p, q = ([c / cs[0] * r**-j for j, c in enumerate(cs)] for cs in (_ERF_P, _ERF_Q))
+    return lam, 4.0 * lam / a, p, q, offset
+
+
+_ERF_FIT = _fold(1.0, 1.0, 0.0)
+_PHI_FIT = _fold(_INV_SQRT2, 0.5, 0.5)  # the standard normal cdf, 0.5 (1 + erf(x / sqrt(2)))
+
+
+def _chunked(x: np.ndarray, fit: tuple) -> np.ndarray:
+    """Evaluate a ``_fold`` fit at the float32 ``x``, one L2-sized chunk at a time."""
+    lam, bound, p, q, offset = fit
+    out = np.empty(x.shape, dtype=np.float32)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, dst.size, _ERF_CHUNK):
+        c = dst[lo : lo + _ERF_CHUNK]
+        np.multiply(src[lo : lo + _ERF_CHUNK], lam, out=c)
+        np.clip(c, -bound, bound, out=c)
+        s = c * c
+        for coeffs, apply in ((p, np.multiply), (q, np.divide)):
+            h = s + coeffs[1]  # monic: coeffs[0] is 1
+            for co in coeffs[2:]:
+                h *= s
+                h += co
+            apply(c, h, out=c)
+        if offset:
+            c += offset
     return out
 
 
-def _erf32_chunk(z: np.ndarray, c: np.ndarray, scale: float, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    m = c.size
-    np.multiply(z, scale, out=c)
-    np.clip(c, -4.0, 4.0, out=c)
-    np.multiply(c, c, out=s[:m])
-    c *= _horner(s[:m], _ERF_P, p[:m])
-    c /= _horner(s[:m], _ERF_Q, q[:m])
+def erf32(z: np.ndarray) -> np.ndarray:
+    """``erf(z)`` for a float32 array, within 8 ulp of the exact erf on [-6, 6].
+
+    Uses only clip, add, multiply and divide, each correctly rounded and applied
+    elementwise, so an element's bits depend neither on its neighbours nor on ``_ERF_CHUNK``.
+    """
+    return _chunked(z, _ERF_FIT)
+
+
+def phi32(x: np.ndarray) -> np.ndarray:
+    """The standard normal cdf of a float32 array, within 4e-7 of the exact one: gelu's cdf."""
+    return _chunked(x, _PHI_FIT)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: ``0.5 x (1 + erf(x/sqrt(2)))``.
 
-    float32 inputs use ``erf32``, which keeps the output within
-    ``2e-6 * max(1, |x|)`` of the float64 form; float64 inputs use the
-    standard library's ``math.erf`` per element, so gradient checks see
-    the reference erf.
+    float32 inputs take the cdf from ``phi32``, which keeps the output within
+    ``2e-6 * max(1, |x|)`` of the float64 form; float64 inputs use the standard
+    library's ``math.erf`` per element, so gradient checks see the reference erf.
     """
-    act = np.empty(x.data.shape, dtype=x.data.dtype)
-    d = _gelu_(x.data, act, _grad_enabled and x.requires_grad)
+    act = x.data.copy()
+    d = _gelu_(act, _grad_enabled and x.requires_grad)
     out = _make(act, (x,))
     _count("other", out.data.size)
     if out.requires_grad:
@@ -766,38 +779,25 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def _gelu_cdf(x: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    if x.dtype == np.float32:
-        _erf32_chunk(x, out, _INV_SQRT2, s, p, q)
-    else:
-        out[:] = np.fromiter(map(math.erf, (x * _INV_SQRT2).tolist()), np.float64, x.size)
-    out += 1.0
-    out *= 0.5
+def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
+    """Overwrite the C-contiguous ``x`` with gelu(x) one chunk at a time; only a chunk of the cdf exists.
 
-
-def _gelu_(x: np.ndarray, act: np.ndarray, grad: bool) -> Optional[np.ndarray]:
-    """Write gelu(x) into the C-contiguous ``act``, which may be ``x``, one chunk at a time.
-
-    Returns the derivative ``cdf + x * pdf``, pdf = exp(-0.5 * x * x) / sqrt(2 pi),
-    if ``grad``, else None. Only one chunk of the cdf exists at a time.
+    Returns the derivative ``cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)`` if ``grad``, else None.
     """
-    src, dst = x.reshape(-1), act.reshape(-1)
-    n = src.size
+    src = x.reshape(-1)
     d = np.empty_like(src) if grad else None
-    cdf, s, p, q = (np.empty(min(n, _ERF_CHUNK), dtype=x.dtype) for _ in range(4))
-    for lo in range(0, n, _ERF_CHUNK):
-        hi = min(lo + _ERF_CHUNK, n)
-        xc, c = src[lo:hi], cdf[: hi - lo]
-        _gelu_cdf(xc, c, s, p, q)
+    for lo in range(0, src.size, _ERF_CHUNK):
+        xc = src[lo : lo + _ERF_CHUNK]
+        c = phi32(xc) if x.dtype == np.float32 else (
+            0.5 * (1.0 + np.fromiter(map(math.erf, (xc * _INV_SQRT2).tolist()), np.float64, xc.size)))
         if d is not None:
-            t = d[lo:hi]
-            np.multiply(xc, -0.5, out=t)
+            t = np.multiply(xc, -0.5, out=d[lo : lo + _ERF_CHUNK])
             t *= xc
             np.exp(t, out=t)
             t *= _INV_SQRT_2PI
             t *= xc
             t += c
-        np.multiply(xc, c, out=dst[lo:hi])
+        xc *= c
     return None if d is None else d.reshape(x.shape)
 
 
@@ -850,15 +850,14 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis, as one node.
 
-    The gelu overwrites the pre-activation chunk by chunk and, only when a
-    backward will run, writes its derivative in the same pass; the node
-    keeps the activation and that derivative.
+    Keeps the activation, written over the pre-activation, and the gelu
+    derivative, which is computed in the same pass only if a backward will run.
     """
     x2 = x.data.reshape(-1, x.data.shape[-1])
     act = np.matmul(x2, w1.data)
     act += b1.data
     parents = (x, w1, b1, w2, b2)
-    d = _gelu_(act, act, _grad_enabled and any(p.requires_grad for p in parents))
+    d = _gelu_(act, _grad_enabled and any(p.requires_grad for p in parents))
     y = np.matmul(act, w2.data)
     y += b2.data
     _count("matmul", (x2.size + y.size) * act.shape[1])
@@ -886,10 +885,7 @@ def _linear_backward(x: Optional[Tensor], w: Tensor, b: Tensor, x2: np.ndarray, 
 
 
 def _weight_grad(x2: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """``x2^T @ g2`` over the last two axes, with the longer of (in, out) as the GEMM's row side.
-
-    OpenBLAS runs the long-row form about twice as fast and gives the same bits.
-    """
+    """``x2^T @ g2`` with the longer of (in, out) as the GEMM's row side: faster, same bits."""
     if x2.shape[-1] < g2.shape[-1]:
         return np.matmul(g2.swapaxes(-1, -2), x2).swapaxes(-1, -2)
     return np.matmul(x2.swapaxes(-1, -2), g2)

@@ -73,9 +73,8 @@ def test_truncated_file_rejected(micro_model, tmp_path):
         load_checkpoint(str(path), M.micro_config())
 
 
-def _one_tensor_file(path, extents):
+def _one_tensor_file(path, extents, name=b"embed.weight"):
     """A checkpoint with one tensor record whose values are cut to 16 bytes."""
-    name = b"embed.weight"
     blob = MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
     blob += struct.pack("<B", len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
     path.write_bytes(blob + bytes(16))
@@ -86,6 +85,13 @@ def test_extents_whose_size_wraps_int64_rejected(tmp_path):
     path = tmp_path / "wrap.msgt"
     _one_tensor_file(path, (4_000_000_000,) * 3)
     with pytest.raises(FormatError, match="'embed.weight'.*needs"):
+        load_checkpoint(str(path), M.micro_config())
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "name.msgt"
+    _one_tensor_file(path, (2, 2), name=b"\xff\xfe")
+    with pytest.raises(FormatError, match="not UTF-8"):
         load_checkpoint(str(path), M.micro_config())
 
 

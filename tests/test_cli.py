@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -322,6 +323,16 @@ class TestDataAndTraining:
         )
         assert code == 1
         assert "error" in err
+
+    def test_eval_rejects_non_utf8_tensor_name_exit_1(self, capsys, tmp_path, config_file):
+        bogus = tmp_path / "name.ckpt"
+        name = b"\xff\xfe"
+        # one 1-element tensor whose 2-byte name is not UTF-8
+        header = b"MSGT" + struct.pack("<IIH", 1, 1, len(name)) + name
+        bogus.write_bytes(header + struct.pack("<BI", 1, 1) + bytes(4))
+        code, _, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", str(bogus))
+        assert code == 1
+        assert "not UTF-8" in err
 
     @pytest.mark.parametrize(
         "key,value",

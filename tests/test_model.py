@@ -88,6 +88,33 @@ def hand_stage_grids(cfg: M.ArchConfig, size: int) -> list[tuple[int, int]]:
     return grids
 
 
+@st.composite
+def _geometry_case(draw):
+    """A det-backbone config of 16-96 px with per-stage windows 1-5; messengers where they fit."""
+    windows = [draw(st.integers(1, 5)) for _ in range(M.NUM_STAGES)]
+    stages = tuple(M.StageConfig(4 << i, 1, 1, 1, ws) for i, ws in enumerate(windows))
+    cfg = M.ArchConfig(stages, draw(st.integers(16, 96)), 2, task="det-backbone", use_msg=draw(st.booleans()))
+    try:
+        cfg.validate()
+    except ConfigError:
+        cfg = replace(cfg, use_msg=False)
+    return cfg
+
+
+class TestStageGeometry:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cfg=_geometry_case())
+    def test_extents_are_the_det_backbone_maps(self, cfg):
+        geometry = M.stage_geometry(cfg)
+        assert [grid for _, grid in geometry] == hand_stage_grids(cfg, cfg.input_size)
+        for (extents, grid), s in zip(geometry, cfg.stages):
+            assert grid == tuple(-(-e // s.window_size) for e in extents)
+        model = M.build_model(cfg, seed=0)
+        with T.no_grad():
+            maps = M.forward(model, rand_images(1, cfg.input_size))
+        assert [fm.tokens.shape for fm in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
+
+
 def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
     """Whether the shuffle runs on every stage grid at ``size``, on zero tokens."""
     for s, grid in zip(cfg.stages, hand_stage_grids(cfg, size)):

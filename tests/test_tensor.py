@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf
 
 from msgt import blocks as B
+from msgt import model as M
 from msgt import tensor as T
 from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.tensor import Tensor
@@ -220,11 +221,9 @@ def reference_softmax(x, g, axis):
 
 
 def reference_gelu(x, g):
-    """gelu's forward and its backward with a fresh array per step."""
+    """gelu's forward and its backward with a fresh array per step; float32 takes the engine's cdf kernel."""
     if x.dtype == np.float32:
-        cdf = T.erf32(x, _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
+        cdf = T.phi32(x)
     else:
         cdf = 0.5 * (1.0 + np.vectorize(math.erf, otypes=[np.float64])(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
@@ -534,6 +533,28 @@ class TestFusedNodes:
         np.testing.assert_array_equal(probs, kept)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("case", ["no_grad", "constant inputs", "backward"])
+    def test_mlp_computes_the_gelu_derivative_only_for_a_backward(self, monkeypatch, case):
+        flags = []
+        real = T._gelu_
+
+        def record(x, grad):
+            flags.append(grad)
+            return real(x, grad)
+
+        monkeypatch.setattr(T, "_gelu_", record)
+        rng = np.random.default_rng(3)
+        leaves = self._leaves(rng, np.float32, (2, 5, 4), (4, 16), (16,), (16, 4), (4,))
+        if case == "constant inputs":
+            leaves = [Tensor(t.data) for t in leaves]
+        if case == "no_grad":
+            with T.no_grad():
+                y = T.mlp(*leaves)
+        else:
+            y = T.mlp(*leaves)
+        assert flags == [case == "backward"]
+        assert y.requires_grad == (case == "backward")
+
     def test_counts_the_composed_graphs_macs(self):
         rng = np.random.default_rng(2)
         x, w_qkv, b_qkv, bias, w1, b1, w2, b2 = self._leaves(
@@ -545,6 +566,26 @@ class TestFusedNodes:
                 mlp(attention(x, w_qkv, b_qkv, bias, 2)[0], w1, b1, w2, b2)
             counts.append(c.buckets)
         assert counts[0] == counts[1]
+
+
+def _stage_weight_shapes():
+    """(rows, in, out) of each block weight's gradient GEMM: micro stages at batch 16, tiny at batch 1."""
+    shapes = set()
+    for cfg, batch in ((M.micro_config(), 16), (M.tiny_config(), 1)):
+        for stage, (_, (gh, gw)) in zip(cfg.stages, M.stage_geometry(cfg)):
+            rows, c = batch * gh * gw * (stage.window_size**2 + 1), stage.dim
+            shapes |= {(rows, c, 3 * c), (rows, c, c), (rows, c, 4 * c), (rows, 4 * c, c)}
+    return sorted(shapes)
+
+
+class TestWeightGrad:
+    @pytest.mark.parametrize("rows,n_in,n_out", _stage_weight_shapes())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_long_side_first_matches_plain_product(self, rows, n_in, n_out, dtype):
+        rng = np.random.default_rng(rows + n_in + n_out)
+        x2 = rng.standard_normal((rows, n_in)).astype(dtype)
+        g2 = rng.standard_normal((rows, n_out)).astype(dtype)
+        np.testing.assert_array_equal(T._weight_grad(x2, g2), x2.T @ g2)
 
 
 class TestConstantOperands:
@@ -668,6 +709,20 @@ class TestGelu:
         monkeypatch.setattr(T, "_ERF_CHUNK", 7)
         np.testing.assert_array_equal(T.erf32(z), whole)
         np.testing.assert_array_equal(T.erf32(z[::-1])[::-1], whole)
+
+    def test_phi32_within_4e7_of_exact_cdf(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        exact = 0.5 * (1.0 + scipy_erf(x.astype(np.float64) / math.sqrt(2.0)))
+        got = T.phi32(x)
+        assert got.dtype == np.float32
+        assert np.abs(got - exact).max() <= 4e-7
+
+    def test_phi32_independent_of_chunking(self, monkeypatch):
+        x = np.random.default_rng(13).standard_normal(5000).astype(np.float32) * 4
+        whole = T.phi32(x)
+        monkeypatch.setattr(T, "_ERF_CHUNK", 7)
+        np.testing.assert_array_equal(T.phi32(x), whole)
+        np.testing.assert_array_equal(T.phi32(x[::-1])[::-1], whole)
 
     def test_float32_backward_matches_float64(self):
         x = np.linspace(-6.0, 6.0, 2001)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msgt import tensor as T
 from msgt import windows as W
 from msgt.errors import ContractError, PartitionError, ShapeError
 from msgt.tensor import Tensor
@@ -202,6 +203,52 @@ class TestMergeTokens:
         weight = Tensor(np.zeros((3, 3, 8, 16), dtype=np.float32))
         with pytest.raises(ShapeError):
             W.merge_tokens(fm, None, weight, Tensor(np.zeros(16, dtype=np.float32)))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        b=st.integers(1, 2),
+        h=st.integers(1, 11),
+        w=st.integers(1, 11),
+        mh=st.integers(1, 5),
+        mw=st.integers(1, 5),
+        c=st.integers(1, 3),
+        with_msg=st.booleans(),
+    )
+    def test_both_grids_take_the_same_strided_convolution(self, b, h, w, mh, mw, c, with_msg):
+        """Each grid is the zero-padded stride-2 3x3 convolution of its input, extents halved (ceil),
+        and the shared weight's gradient is the sum of what each grid alone gives it."""
+        rng = np.random.default_rng(h * 100 + w * 10 + mh)
+        x, m = (rng.standard_normal((b, *e, c)) for e in ((h, w), (mh, mw)))
+        weight = rng.standard_normal((3, 3, c, 2 * c))
+        bias = rng.standard_normal(2 * c)
+
+        def reference(a):
+            ap = np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0)))
+            oh, ow = -(-a.shape[1] // 2), -(-a.shape[2] // 2)
+            out = np.broadcast_to(bias, (b, oh, ow, 2 * c)).copy()
+            for ki in range(3):
+                for kj in range(3):
+                    out += ap[:, ki : ki + 2 * oh : 2, kj : kj + 2 * ow : 2] @ weight[ki, kj]
+            return out
+
+        def weight_grad(*grids):
+            wt = Tensor(weight, requires_grad=True)
+            fm = W.FeatureMap(tokens=Tensor(grids[0]))
+            msg = W.MsgTokens(grid=Tensor(grids[1])) if len(grids) > 1 else None
+            merged, merged_msg = W.merge_tokens(fm, msg, wt, Tensor(bias))
+            outs = [merged.tokens] + ([merged_msg.grid] if msg is not None else [])
+            for out, grid in zip(outs, grids):
+                np.testing.assert_allclose(out.data, reference(grid), rtol=1e-12, atol=1e-12)
+            loss = T.tsum(outs[0])
+            for out in outs[1:]:
+                loss = T.add(loss, T.tsum(out))
+            loss.backward()
+            return wt.grad
+
+        if with_msg:
+            np.testing.assert_allclose(weight_grad(x, m), weight_grad(x) + weight_grad(m), rtol=1e-12)
+        else:
+            weight_grad(x)
 
     def test_single_weight_shared_between_grids(self):
         # The interface takes one weight tensor; convolving the messenger grid
