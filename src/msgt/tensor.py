@@ -708,7 +708,7 @@ _ERF_Q = (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02,
 )
-_ERF_CHUNK = 1 << 16  # elements per pass; the scratch buffers stay in L2
+_ERF_CHUNK = 1 << 16  # elements per pass; a chunk and its temporaries stay in L2
 
 
 def _fold(a: float, k: float, offset: float) -> tuple:

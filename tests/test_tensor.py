@@ -555,6 +555,22 @@ class TestFusedNodes:
         assert flags == [case == "backward"]
         assert y.requires_grad == (case == "backward")
 
+    def test_mlp_independent_of_chunking(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        data = [(rng.standard_normal(s) * 2).astype(np.float32) for s in ((3, 5, 4), (4, 16), (16,), (16, 4), (4,))]
+        g = rng.standard_normal((3, 5, 4)).astype(np.float32)
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in data]
+            y = T.mlp(*leaves)
+            y.backward(g)
+            return [y.data] + [t.grad for t in leaves]
+
+        whole = run()
+        monkeypatch.setattr(T, "_ERF_CHUNK", 7)  # 240 hidden values: 34 full chunks and a partial one
+        for a, b in zip(run(), whole):
+            np.testing.assert_array_equal(a, b)
+
     def test_counts_the_composed_graphs_macs(self):
         rng = np.random.default_rng(2)
         x, w_qkv, b_qkv, bias, w1, b1, w2, b2 = self._leaves(
