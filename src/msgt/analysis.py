@@ -90,6 +90,7 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     mb_a, mb_b, mb_bias = t(2, 2, 3), t(3, 4), t(4)
     attn_params, mlp_params = [t(2, 5, 4), t(4, 12), t(12), t(2, 5, 5)], [t(2, 3, 4), t(4, 8), t(8), t(8, 4), t(4)]
     getitem_x = t(3, 4)
+    msg_rows = [t(2, 5, 4), t(4, 12), t(12), t(2, 1, 5)]  # only slot 0 of each sequence queries
     cases = {
         "add": (lambda: T.tsum(T.power(T.add(x34, y4), 2.0)), [x34, y4]),
         "mul": (lambda: T.tsum(T.mul(x34, T.mul(x34, x34))), [x34]),
@@ -120,6 +121,7 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
             lambda: T.tsum(T.power(T.getitem(getitem_x, (slice(None), np.array([0, 3, 0]))), 2.0)),
             [getitem_x],
         ),
+        "attention_msg_rows": (lambda: T.tsum(T.power(T.attention(*msg_rows, 2, 1)[0], 2.0)), msg_rows),
     }
     return {name: T.grad_check(fn, params) for name, (fn, params) in cases.items()}
 

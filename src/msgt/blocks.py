@@ -8,9 +8,10 @@ ablation modes), which is the only cross-window communication channel.
 
 The messenger sits at slot 0 of its window's token sequence for a whole
 stage: the model attaches it once after partitioning and detaches it once
-before reversing the windows. Block procedure, in order: layer norm, local
-multi-head self-attention with relative position bias, residual add,
-messenger manipulation, layer norm, two-layer MLP, residual add.
+before reversing the windows, or a classifier's last block returns it alone.
+Block procedure, in order: layer norm, local multi-head self-attention with
+relative position bias, residual add, messenger manipulation, layer norm,
+two-layer MLP, residual add.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     return idx.reshape(-1)
 
 
-def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
-    """Assemble the additive attention bias, shape (heads, T, T)."""
+def bias_matrix(bias: RelPosBias, with_msg: bool = True, queries: Optional[int] = None) -> Tensor:
+    """Assemble the additive attention bias, shape (heads, T, T), or only its first ``queries`` rows."""
     heads = bias.num_heads
     flat = T.reshape(bias.table, (heads, -1))
     if with_msg:
@@ -90,7 +91,8 @@ def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
         scalars = [T.reshape(s, (heads, 1)) for s in (bias.msg_query_bias, bias.msg_key_bias)]
         flat = T.concat([flat, *scalars], axis=1)
     n = bias.window_size**2 + with_msg
-    return T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)), (heads, n, n))
+    m = queries or n
+    return T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)[: m * n]), (heads, m, n))
 
 
 # -- attention ------------------------------------------------------------------
@@ -109,10 +111,11 @@ def local_msa(
     params: AttentionParams,
     bias: RelPosBias,
     return_attn: bool = False,
+    queries: Optional[int] = None,
 ):
-    """Multi-head self-attention inside each window; ``return_attn`` adds the probabilities."""
-    bias_mat = bias_matrix(bias, with_msg=wt.with_msg)
-    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads)
+    """Multi-head self-attention inside each window, queried by its first ``queries`` slots (default all)."""
+    bias_mat = bias_matrix(bias, with_msg=wt.with_msg, queries=queries)
+    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
     out = WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
     return (out, Tensor(attn)) if return_attn else out
 
@@ -255,23 +258,32 @@ def block_forward(
     view: Optional[ShuffleRegionView],
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> WindowedTokens:
+    msg_only: bool = False,
+) -> WindowedTokens | MsgTokens:
     """Run one transformer block over windowed tokens.
 
     With ``wt.with_msg`` slot 0 of each window is its messenger token, and
     the messengers exchange between the attention and MLP halves. Without
     it the block runs the messenger-free ablation: plain local attention
     over ``w**2`` tokens with no cross-window exchange.
+
+    ``msg_only`` is a classifier's last block: every slot gives keys and values,
+    only slot 0 queries and goes on, and the block returns the messenger grid.
     """
+    if msg_only and not wt.with_msg:
+        raise ConfigError("a messenger-only block needs messenger tokens attached")
     normed = WindowedTokens(
         windows=T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta),
         window_size=wt.window_size,
         with_msg=wt.with_msg,
     )
-    attn_out = local_msa(normed, params.attn, params.bias)
-    tokens = T.add(wt.windows, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
+    attn_out = local_msa(normed, params.attn, params.bias, queries=1 if msg_only else None)
+    tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
+    tokens = T.add(tokens, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
 
-    if wt.with_msg:
+    if msg_only:
+        tokens = manipulate_msg(MsgTokens(grid=T.reshape(tokens, tokens.shape[:3] + (-1,))), view, params.mode).grid
+    elif wt.with_msg:
         combined = WindowedTokens(windows=tokens, window_size=wt.window_size, with_msg=True)
         patches, mid_msg = detach_msg(combined)
         mid_msg = manipulate_msg(mid_msg, view, params.mode)
@@ -280,4 +292,4 @@ def block_forward(
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
-    return WindowedTokens(windows=tokens, window_size=wt.window_size, with_msg=wt.with_msg)
+    return MsgTokens(tokens) if msg_only else WindowedTokens(tokens, wt.window_size, wt.with_msg)

@@ -222,6 +222,7 @@ def _cmd_flops(args) -> int:
         report = C.model_flops(M.preset_config(args.arch))
         print(f"model totals for {args.arch}:")
         print(f"  attention+mlp: {report['attention_mlp']}")
+        print(f"    of which the messenger-only final block: {report['final_block']}")
         print(f"  convs (macs):  {report['conv_macs']}")
         print(f"  head:          {report['head']}")
         print(f"  total (macs):  {report['total_macs']}")

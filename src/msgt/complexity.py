@@ -2,7 +2,10 @@
 
 Attention/MLP block costs follow the multiply-accumulate convention of the
 instrumented engine (one unit per multiply-add): the block total for a
-window of n tokens is ``windows * (4nC^2 + 2n^2C + 8nC^2)``. Convolution
+window of n tokens is ``windows * (4nC^2 + 2n^2C + 8nC^2)``. A classifier
+with messengers runs its last block for the messenger rows only: every
+slot still gives keys and values, one query per window goes on, so that
+block costs ``windows * (3nC^2 + 2nC + 9C^2)``. Convolution
 costs are additionally reported at 2 FLOPs per multiply-add, since the two
 conventions are commonly mixed; both totals are exposed side by side.
 
@@ -58,6 +61,13 @@ def flops_block(spec: ComplexitySpec) -> int:
     return msa + mlp
 
 
+def flops_msg_block(spec: ComplexitySpec) -> int:
+    """Exact cost of a block in which only the messenger rows go past the keys and values (module docstring)."""
+    spec.validate()
+    n, c = spec.window_size**2 + 1, spec.channels
+    return (spec.grid_h * spec.grid_w) // (spec.window_size**2) * (3 * n * c * c + 2 * n * c + 9 * c * c)
+
+
 def flops_ratio(window_size: int, channels: int) -> Fraction:
     """Relative cost increase from attaching one messenger token per window.
 
@@ -104,6 +114,7 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     """Cost breakdown for a full forward pass at ``input_size``.
 
     Returns multiply-accumulate counts: per-stage attention+MLP totals, the
+    messenger-only last block of a classifier (``final_block``, 0 if none), the
     patch-embed / merge / head projection terms, and grand totals under
     both the MAC convention (``total_macs``) and with convolutions counted
     at 2 FLOPs per MAC (``total_flops_conv2x``).
@@ -120,7 +131,9 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
         spec = ComplexitySpec(
             grid_h=gh * ws, grid_w=gw * ws, window_size=ws, channels=s.dim, with_msg=cfg.use_msg
         )
-        stage_macs.append(s.num_blocks * flops_block(spec))
+        last = i == len(cfg.stages) - 1 and cfg.task == "cls" and cfg.use_msg and s.num_blocks > 0
+        final_macs = flops_msg_block(spec) if last else 0
+        stage_macs.append((s.num_blocks - last) * flops_block(spec) + final_macs)
         if i < len(cfg.stages) - 1:
             (nh, nw), _ = geometry[i + 1]
             macs = nh * nw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
@@ -133,6 +146,7 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     attention_mlp = sum(stage_macs)
     return {
         "stages": stage_macs,
+        "final_block": final_macs,
         "embed": embed_macs,
         "merges": merge_macs,
         "head": head_macs,

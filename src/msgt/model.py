@@ -412,7 +412,11 @@ def forward(
             wt = B.attach_msg(wt, msg)  # slot 0 of every window until the stage ends
         for bi, blk in enumerate(model.stages[si]):
             view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
-            wt = B.block_forward(wt, blk, view, training=training, rng=rng)
+            msg_only = cfg.task == "cls" and cfg.use_msg and (si, bi) == (NUM_STAGES - 1, len(model.stages[si]) - 1)
+            wt = B.block_forward(wt, blk, view, training=training, rng=rng, msg_only=msg_only)
+        if isinstance(wt, W.MsgTokens):  # a classifier's last block: the head reads only the messengers
+            msg = wt
+            break
         if cfg.use_msg:
             wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)

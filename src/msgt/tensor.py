@@ -726,18 +726,20 @@ _ERF_FIT = _fold(1.0, 1.0, 0.0)
 _PHI_FIT = _fold(_INV_SQRT2, 0.5, 0.5)  # the standard normal cdf, 0.5 (1 + erf(x / sqrt(2)))
 
 
-def _chunked(x: np.ndarray, fit: tuple) -> np.ndarray:
-    """Evaluate a ``_fold`` fit at the float32 ``x``, one L2-sized chunk at a time."""
+def _chunked(x: np.ndarray, fit: tuple, out: Optional[np.ndarray] = None, scratch=None) -> np.ndarray:
+    """Evaluate a ``_fold`` fit at the float32 ``x`` into ``out`` by chunks; ``scratch`` holds u^2 and P, then Q."""
     lam, bound, p, q, offset = fit
-    out = np.empty(x.shape, dtype=np.float32)
+    out = np.empty(x.shape, dtype=np.float32) if out is None else out
     src, dst = x.reshape(-1), out.reshape(-1)
+    sq, hq = np.empty((2, min(dst.size, _ERF_CHUNK)), np.float32) if scratch is None else scratch
     for lo in range(0, dst.size, _ERF_CHUNK):
         c = dst[lo : lo + _ERF_CHUNK]
+        s, h = sq[: c.size], hq[: c.size]
         np.multiply(src[lo : lo + _ERF_CHUNK], lam, out=c)
         np.clip(c, -bound, bound, out=c)
-        s = c * c
+        np.multiply(c, c, out=s)
         for coeffs, apply in ((p, np.multiply), (q, np.divide)):
-            h = s + coeffs[1]  # monic: coeffs[0] is 1
+            np.add(s, coeffs[1], out=h)  # monic: coeffs[0] is 1
             for co in coeffs[2:]:
                 h *= s
                 h += co
@@ -786,9 +788,10 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
     """
     src = x.reshape(-1)
     d = np.empty_like(src) if grad else None
+    buf = np.empty((3, min(src.size, _ERF_CHUNK)), np.float32)  # the cdf, u^2 and the polynomials
     for lo in range(0, src.size, _ERF_CHUNK):
         xc = src[lo : lo + _ERF_CHUNK]
-        c = phi32(xc) if x.dtype == np.float32 else (
+        c = _chunked(xc, _PHI_FIT, buf[0, : xc.size], buf[1:]) if x.dtype == np.float32 else (
             0.5 * (1.0 + np.fromiter(map(math.erf, (xc * _INV_SQRT2).tolist()), np.float64, xc.size)))
         if d is not None:
             t = np.multiply(xc, -0.5, out=d[lo : lo + _ERF_CHUNK])
@@ -801,24 +804,26 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
     return None if d is None else d.reshape(x.shape)
 
 
-def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def attention(
+    x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int, queries: Optional[int] = None
+) -> tuple[Tensor, np.ndarray]:
     """``softmax(q k^T / sqrt(d) + bias) v`` per head over each (..., n, C) sequence, as one node.
 
-    q, k and v are the heads-first thirds of ``x @ w_qkv + b_qkv``; ``bias``
-    is (heads, n, n). Returns the context (..., n, C) and the probabilities
-    (..., heads, n, n). The backward pass writes dq, dk and dv into one
-    (..., n, 3C) buffer, so one GEMM pair gives the gradients of ``w_qkv``
-    and ``b_qkv``.
+    q, k and v are the heads-first thirds of ``x @ w_qkv + b_qkv``; only the first m = ``queries``
+    slots (default all n) query. ``bias`` is (heads, m, n). Returns the context (..., m, C) and the
+    probabilities (..., heads, m, n). The backward pass writes dq (zero past slot m), dk and dv into
+    one (..., n, 3C) buffer, so one GEMM pair gives the gradients of ``w_qkv`` and ``b_qkv``.
     """
     *lead, n, c = x.data.shape
     if c % heads:
         raise ConfigError(f"channels {c} not divisible by {heads} heads")
-    d = c // heads
+    d, m = c // heads, queries or n
     x2 = x.data.reshape(-1, c)
     qkv = np.matmul(x2, w_qkv.data)
     qkv += b_qkv.data
     qkv = qkv.reshape(*lead, n, 3, heads, d)
-    q, v = (np.ascontiguousarray(qkv[..., i, :, :].swapaxes(-3, -2)) for i in (0, 2))  # (..., heads, n, d)
+    q = np.ascontiguousarray(qkv[..., :m, 0, :, :].swapaxes(-3, -2))  # (..., heads, m, d)
+    v = np.ascontiguousarray(qkv[..., 2, :, :].swapaxes(-3, -2))  # (..., heads, n, d)
     kt = np.ascontiguousarray(np.moveaxis(qkv[..., 1, :, :], -3, -1))  # (..., heads, d, n)
     del qkv  # not saved for backward; freed before the scores are allocated
     scale = x.data.dtype.type(1.0 / math.sqrt(d))
@@ -826,13 +831,13 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
     p *= scale
     p += bias.data
     _softmax_(p)
-    ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, n, c)
+    ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, m, c)
     _count("matmul", x2.shape[0] * c * 3 * c + 2 * p.size * d)
     _count("other", x2.shape[0] * 3 * c + 3 * p.size)
     out = _make(ctx, (x, w_qkv, b_qkv, bias))
     if out.requires_grad:
         def backward(g):
-            gctx = g.reshape(*lead, n, heads, d).swapaxes(-3, -2)
+            gctx = g.reshape(*lead, m, heads, d).swapaxes(-3, -2)
             gs = np.matmul(gctx, v.swapaxes(-1, -2))
             gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
             gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
@@ -840,7 +845,8 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int)
             if bias.requires_grad:  # copied: gs is scaled in place next
                 _accum(bias, _unbroadcast(gs, bias.data.shape).copy())
             gs *= scale
-            gqkv[..., 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
+            gqkv[..., :m, 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
+            gqkv[..., m:, 0, :, :] = 0
             gqkv[..., 1, :, :] = np.moveaxis(np.matmul(q.swapaxes(-1, -2), gs), -1, -3)
             _linear_backward(x, w_qkv, b_qkv, x2, gqkv.reshape(-1, 3 * c))
         out._backward = backward

@@ -434,6 +434,22 @@ class TestBlockForward:
         err = T.grad_check(loss, params.parameters() + [wt_data, msg_data])
         assert err < 1e-4, f"block gradient mismatch: {err}"
 
+    def test_messenger_only_block_is_the_full_blocks_messenger_grid(self):
+        rng = np.random.default_rng(35)
+        c, w = 8, 2
+        params = make_block_params(rng, c, 2, w, mode="shuffle", dtype=np.float64)
+        for t in params.parameters():
+            t.data = rng.standard_normal(t.shape) * 0.3
+        f64 = np.float64
+        wt = B.attach_msg(make_windows(1, 2, 3, w, c, seed=36, dtype=f64), make_msg(1, 2, 3, c, seed=37, dtype=f64))
+        view = W.build_region_view((2, 3), 2, W.TOP_LEFT)  # a 2x2 and a 2x1 region
+        full = B.detach_msg(B.block_forward(wt, params, view))[1].grid.data
+        alone = B.block_forward(wt, params, view, msg_only=True)
+        assert isinstance(alone, W.MsgTokens)
+        np.testing.assert_allclose(alone.grid.data, full, rtol=0, atol=1e-13)
+        with pytest.raises(ConfigError, match="messenger tokens attached"):
+            B.block_forward(make_windows(1, 2, 3, w, c), params, view, msg_only=True)
+
     def test_mlp_must_be_four_x(self):
         rng = np.random.default_rng(34)
         params = make_block_params(rng, 4, 1, 2)

@@ -145,6 +145,7 @@ class TestFlops:
         assert code == 0
         total = int(out.split("total (convs at 2 flops/mac):")[1].strip().splitlines()[0])
         assert abs(total - 3.8e9) / 3.8e9 < 0.10
+        assert "of which the messenger-only final block: 41732096" in out
 
 
 class TestAnalyzeComm:
@@ -162,7 +163,7 @@ class TestGradcheck:
         assert code == 0
         assert "all gradient checks passed" in out
         listed = {line.split()[0] for line in out.splitlines() if "max rel err" in line}
-        assert {"attention", "mlp", "softmax", "gelu"} <= listed
+        assert {"attention", "attention_msg_rows", "mlp", "softmax", "gelu"} <= listed
 
 
 FUZZ_PRESET = {

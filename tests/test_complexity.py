@@ -127,3 +127,40 @@ class TestModelFlops:
         assert counter["matmul"] == report["attention_mlp"] + report["head"]
         assert counter["conv"] == report["conv_macs"]
         assert counter["other"] > 0  # unmodeled ops are bucketed, not dropped
+
+    @pytest.mark.parametrize(
+        "cfg,size,final",
+        [
+            (M.micro_config(task="det-backbone"), 128, 0),
+            (M.micro_config(use_msg=False), 128, 0),
+            (M.tiny_config(), 224, 41_732_096),
+            (M.tiny_config(), 256, 166_928_384),
+        ],
+        ids=["micro-det-backbone", "micro-no-msg", "tiny-224", "tiny-256"],
+    )
+    def test_counted_macs_equal_model_flops(self, cfg, size, final):
+        """The branches besides micro ``cls`` (the test above); only a classifier with messengers has the
+        messenger-only last block. A detection backbone runs no head, so its count leaves out the head term.
+        """
+        model = M.build_model(cfg, seed=0)
+        x = Tensor(np.random.default_rng(1).standard_normal((1, size, size, 3)).astype(np.float32))
+        with T.no_grad(), T.count_macs() as counter:
+            M.forward(model, x)
+        report = C.model_flops(cfg, size)
+        unrun_head = report["head"] if cfg.task == "det-backbone" else 0
+        assert counter["matmul"] + counter["conv"] == report["total_macs"] - unrun_head
+        assert report["final_block"] == final
+
+    def test_messenger_only_block_formula(self):
+        """``windows * (3nC^2 + 2nC + 9C^2)``; the per-image totals these terms give."""
+        spec = C.ComplexitySpec(grid_h=14, grid_w=14, window_size=7, channels=512)
+        assert C.flops_msg_block(spec) == 4 * (3 * 50 * 512**2 + 2 * 50 * 512 + 9 * 512**2)
+        totals = {
+            (M.micro_config(), None): 21_709_568,
+            (M.micro_config(task="det-backbone"), None): 24_138_496,
+            (M.micro_config(use_msg=False), None): 22_790_656,
+            (M.tiny_config(), 224): 3_702_749_184,
+            (M.tiny_config(), 256): 8_347_373_568,
+        }
+        for (cfg, size), total in totals.items():
+            assert C.model_flops(cfg, size)["total_macs"] == total

@@ -512,6 +512,96 @@ class TestFusedNodesInModel:
         np.testing.assert_array_equal(fused[1], composed[1])
 
 
+def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=None) -> Tensor:
+    """The classifier forward before its last block ran only the messenger rows.
+
+    Every block runs over all tokens, and every stage ends with
+    ``detach_msg``, ``reverse_windows`` and ``crop_to``.
+    """
+    cfg = model.config
+    fm, msg = M.patch_embed(model, images), None
+    for si, scfg in enumerate(cfg.stages):
+        padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
+        wt = W.partition_windows(padded, scfg.window_size)
+        if si == 0:
+            msg = M._initial_msg(model.msg_input, wt.grid_shape, images.shape[0])
+        wt = B.attach_msg(wt, msg)
+        for bi, blk in enumerate(model.stages[si]):
+            view = W.build_region_view(wt.grid_shape, scfg.shuffle_size, M._block_anchor(cfg.task, bi))
+            wt = B.block_forward(wt, blk, view, training=mode == "train", rng=rng)
+        wt, msg = B.detach_msg(wt)
+        fm = W.crop_to(W.reverse_windows(wt), extents)
+        if si < M.NUM_STAGES - 1:
+            fm, msg = W.merge_tokens(fm, msg, model.merge_weights[si], model.merge_biases[si])
+    pooled = T.layer_norm(T.tmean(msg.grid, axis=(1, 2)), model.head_norm_gamma, model.head_norm_beta)
+    return T.linear(pooled, model.head_weight, model.head_bias)
+
+
+def _window2_config(input_size=128, mode="shuffle", depths=(1, 1, 1, 1), drop_path_rate=0.0):
+    """Window 2 and shuffle 2 in every stage, so the last block exchanges across a 2x2 or 3x3 grid.
+
+    At 128 px the stage-4 map is 4x4 (one full region); at 136 px it is 5x5,
+    padded to 6x6, and its 3x3 window grid has partial regions.
+    """
+    stages = tuple(
+        M.StageConfig(dim=d, num_heads=h, num_blocks=n, shuffle_size=2, window_size=2)
+        for d, h, n in zip((8, 16, 32, 64), (1, 2, 2, 4), depths)
+    )
+    return M.ArchConfig(stages, input_size, num_classes=3, manipulation=mode, drop_path_rate=drop_path_rate)
+
+
+class TestMessengerOnlyFinalBlock:
+    """A classifier's last block runs only the messenger rows; float64 logits and gradients match the full block."""
+
+    @staticmethod
+    def _run(forward, cfg, mode, batch=2):
+        model = M.build_model(cfg, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        for p in model.parameters():  # generic values, so every path carries signal
+            p.data = rng.standard_normal(p.shape) * 0.3
+        images = Tensor(rng.standard_normal((batch, cfg.input_size, cfg.input_size, 3)))
+        weights = Tensor(rng.standard_normal((batch, cfg.num_classes)))
+        drops = np.random.default_rng(2)
+        logits = forward(model, images, mode=mode, rng=drops)
+        T.tsum(T.mul(logits, weights)).backward()
+        grads = {name: p.grad for name, p in model.named_parameters()}
+        return logits.data, grads, drops.random()
+
+    @pytest.mark.parametrize(
+        "cfg,mode",
+        [(_window2_config(mode=m), "eval") for m in B.MODES]
+        + [
+            (M.micro_config(), "eval"),
+            (_window2_config(input_size=136), "eval"),
+            (_window2_config(input_size=136, mode="average", depths=(1, 1, 2, 2), drop_path_rate=0.3), "train"),
+            (_window2_config(depths=(1, 1, 2, 0)), "eval"),
+        ],
+        ids=[*B.MODES, "micro", "padded-partial", "train-drop-path", "empty-last-stage"],
+    )
+    def test_matches_full_block_oracle(self, cfg, mode):
+        got_logits, got_grads, got_next = self._run(M.forward, cfg, mode)
+        want_logits, want_grads, want_next = self._run(reference_forward, cfg, mode)
+        assert np.all(np.abs(got_logits - want_logits) <= 1e-12 * np.maximum(1.0, np.abs(want_logits)))
+        assert got_grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            got = got_grads[name]
+            if want is None or got is None:
+                assert got is want is None or not np.any(want if got is None else got), name
+                continue
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), name
+        assert got_next == want_next  # the drop-path masks took the same draws
+
+    def test_stage4_patch_tokens_are_not_reversed(self, monkeypatch):
+        calls = []
+        real = W.reverse_windows
+        monkeypatch.setattr(W, "reverse_windows", lambda wt: calls.append(wt.channels) or real(wt))
+        for cfg, want in ((M.micro_config(), [16, 32, 64]), (M.micro_config(task="det-backbone"), [16, 32, 64, 128])):
+            calls.clear()
+            with T.no_grad():
+                M.forward(M.build_model(cfg, seed=0), rand_images(1, 128))
+            assert calls == want
+
+
 class TestCountParams:
     @staticmethod
     def hand_count(cfg: M.ArchConfig) -> int:

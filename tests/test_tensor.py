@@ -440,9 +440,13 @@ class TestSplit:
         assert not any(p.requires_grad or p._parents for p in pieces)
 
 
-def reference_attention(x, w_qkv, b_qkv, bias, heads):
-    """The composed graph ``blocks.local_msa`` ran before ``T.attention``, for any leading axes."""
+def reference_attention(x, w_qkv, b_qkv, bias, heads, queries=None):
+    """The composed graph ``blocks.local_msa`` ran before ``T.attention``, for any leading axes.
+
+    With ``queries`` only the first that many slots query, as in ``T.attention``.
+    """
     *lead, n, c = x.shape
+    m = queries or n
     d = c // heads
     a = len(lead)
     swap = (*range(a), a + 1, a, a + 2)  # (..., n, heads, d) <-> (..., heads, n, d)
@@ -452,10 +456,11 @@ def reference_attention(x, w_qkv, b_qkv, bias, heads):
         return T.transpose(T.reshape(part, (*lead, n, heads, d)), swap)
 
     q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
+    q = q if m == n else q[(slice(None),) * (a + 1) + (slice(0, m),)]
     scores = T.mul(T.matmul(q, T.transpose(k, (*range(a + 1), a + 2, a + 1))), 1.0 / math.sqrt(d))
     attn = T.softmax(T.add(scores, bias), axis=-1)
     ctx = T.matmul(attn, v)
-    return T.reshape(T.transpose(ctx, swap), (*lead, n, c)), attn.data
+    return T.reshape(T.transpose(ctx, swap), (*lead, m, c)), attn.data
 
 
 def reference_mlp(x, w1, b1, w2, b2):
@@ -471,7 +476,8 @@ def _node_case(draw):
     with_msg = draw(st.booleans())
     lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    return heads, d, window, with_msg, lead, dtype
+    queries = draw(st.sampled_from([None, 1]))
+    return heads, d, window, with_msg, lead, dtype, queries
 
 
 class TestFusedNodes:
@@ -483,22 +489,24 @@ class TestFusedNodes:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(case=_node_case())
-    @example(case=(2, 16, 4, True, (3,), np.float32))  # micro stage 2: 2 heads of 16, n = 17
-    @example(case=(4, 16, 7, True, (1, 2), np.float64))  # tiny's window: n = 50
+    @example(case=(2, 16, 4, True, (3,), np.float32, None))  # micro stage 2: 2 heads of 16, n = 17
+    @example(case=(4, 16, 7, True, (1, 2), np.float64, None))  # tiny's window: n = 50
+    @example(case=(8, 16, 4, True, (16, 1, 1), np.float32, 1))  # micro's last block, messenger rows only
     def test_matches_composed_graph(self, case):
-        heads, d, window, with_msg, lead, dtype = case
+        heads, d, window, with_msg, lead, dtype, queries = case
         c, n, span = heads * d, window * window + with_msg, 2 * window - 1
         rng = np.random.default_rng(heads * 1000 + d * 10 + window)
         shapes = [(*lead, n, c), (c, 3 * c), (3 * c,), (heads, span, span), (heads,), (heads,)]
         shapes += [(*lead, n, c), (c, 4 * c), (4 * c,), (4 * c, c), (c,)]
         data = [(rng.standard_normal(s) * 0.5).astype(dtype) for s in shapes]
-        g_attn, g_mlp = (rng.standard_normal((*lead, n, c)).astype(dtype) for _ in range(2))
+        g_attn = rng.standard_normal((*lead, queries or n, c)).astype(dtype)
+        g_mlp = rng.standard_normal((*lead, n, c)).astype(dtype)
 
         def run(attention, mlp):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
             x, w_qkv, b_qkv, table, msg_q, msg_k = leaves[:6]
             rel = B.RelPosBias(window, table, msg_q if with_msg else None, msg_k if with_msg else None)
-            ctx, probs = attention(x, w_qkv, b_qkv, B.bias_matrix(rel, with_msg=with_msg), heads)
+            ctx, probs = attention(x, w_qkv, b_qkv, B.bias_matrix(rel, with_msg, queries), heads, queries)
             ctx.backward(g_attn)
             y = mlp(*leaves[6:])
             y.backward(g_mlp)
