@@ -80,7 +80,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
         return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     x34, y4 = t(3, 4), t(4)
-    pos = Tensor(np.abs(rng.standard_normal(5)) + 0.5, requires_grad=True)
     a23, b32 = t(2, 3), t(3, 2)
     ln_x, ln_g, ln_b = t(2, 3, 4), t(4), t(4)
     conv_x, conv_w, conv_b = t(2, 4, 4, 2), t(3, 3, 2, 3), t(3)
@@ -91,45 +90,38 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     attn_params, mlp_params = [t(2, 5, 4), t(4, 12), t(12), t(2, 5, 5)], [t(2, 3, 4), t(4, 8), t(8), t(8, 4), t(4)]
     getitem_x = t(3, 4)
     msg_rows = [t(2, 5, 4), t(4, 12), t(12), t(2, 1, 5)]  # only slot 0 of each sequence queries
+    cat_a, cat_b, pad_x, tr_x = t(2, 3), t(1, 3), t(2, 3), t(2, 3, 4)
     cases = {
-        "add": (lambda: T.tsum(T.power(T.add(x34, y4), 2.0)), [x34, y4]),
+        "add": (lambda: _sq(T.add(x34, y4)), [x34, y4]),
         "mul": (lambda: T.tsum(T.mul(x34, T.mul(x34, x34))), [x34]),
-        "exp": (lambda: T.tsum(T.texp(pos)), [pos]),
-        "log": (lambda: T.tsum(T.tlog(pos)), [pos]),
-        "matmul": (lambda: T.tsum(T.power(T.matmul(a23, b32), 2.0)), [a23, b32]),
-        "softmax": (lambda: T.tsum(T.power(T.softmax(x34, axis=1), 2.0)), [x34]),
-        "log_softmax": (lambda: T.tsum(T.power(T.log_softmax(x34, axis=1), 2.0)), [x34]),
-        "layer_norm": (lambda: T.tsum(T.power(T.layer_norm(ln_x, ln_g, ln_b), 2.0)), [ln_x, ln_g, ln_b]),
-        "gelu": (lambda: T.tsum(T.power(T.gelu(x34), 2.0)), [x34]),
-        "conv2d": (
-            lambda: T.tsum(T.power(T.conv2d(conv_x, conv_w, conv_b, stride=2, padding=1), 2.0)),
-            [conv_x, conv_w, conv_b],
-        ),
-        "gather_last": (
-            lambda: T.tsum(T.power(T.gather_last(gather_x, np.array([0, 2, 2, 5])), 2.0)),
-            [gather_x],
-        ),
-        "broadcast_mean": (
-            lambda: T.tsum(T.power(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x), 2.0)),
-            [mean_x],
-        ),
+        "matmul": (lambda: _sq(T.matmul(a23, b32)), [a23, b32]),
+        "log_softmax": (lambda: _sq(T.log_softmax(x34, axis=1)), [x34]),
+        "layer_norm": (lambda: _sq(T.layer_norm(ln_x, ln_g, ln_b)), [ln_x, ln_g, ln_b]),
+        "conv2d": (lambda: _sq(T.conv2d(conv_x, conv_w, conv_b, stride=2, padding=1)), [conv_x, conv_w, conv_b]),
+        "gather_last": (lambda: _sq(T.gather_last(gather_x, np.array([0, 2, 2, 5]))), [gather_x]),
+        "broadcast_mean": (lambda: _sq(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x)), [mean_x]),
         "split": (lambda: _split_objective(split_x), [split_x]),
-        "matmul_bias": (lambda: T.tsum(T.power(T.matmul(mb_a, mb_b, mb_bias), 2.0)), [mb_a, mb_b, mb_bias]),
-        "attention": (lambda: T.tsum(T.power(T.attention(*attn_params, 2)[0], 2.0)), attn_params),
-        "mlp": (lambda: T.tsum(T.power(T.mlp(*mlp_params), 2.0)), mlp_params),
-        "getitem_repeats": (
-            lambda: T.tsum(T.power(T.getitem(getitem_x, (slice(None), np.array([0, 3, 0]))), 2.0)),
-            [getitem_x],
-        ),
-        "attention_msg_rows": (lambda: T.tsum(T.power(T.attention(*msg_rows, 2, 1)[0], 2.0)), msg_rows),
+        "matmul_bias": (lambda: _sq(T.matmul(mb_a, mb_b, mb_bias)), [mb_a, mb_b, mb_bias]),
+        "attention": (lambda: _sq(T.attention(*attn_params, 2)[0]), attn_params),
+        "mlp": (lambda: _sq(T.mlp(*mlp_params)), mlp_params),
+        "getitem_repeats": (lambda: _sq(T.getitem(getitem_x, (slice(None), np.array([0, 3, 0])))), [getitem_x]),
+        "attention_msg_rows": (lambda: _sq(T.attention(*msg_rows, 2, 1)[0]), msg_rows),
+        "concat": (lambda: _sq(T.concat([cat_a, cat_b], axis=0)), [cat_a, cat_b]),
+        "pad": (lambda: _sq(T.pad(pad_x, [(1, 0), (0, 2)])), [pad_x]),
+        "transpose": (lambda: _sq(T.transpose(tr_x, (2, 0, 1))), [tr_x]),
     }
     return {name: T.grad_check(fn, params) for name, (fn, params) in cases.items()}
+
+
+def _sq(y: Tensor) -> Tensor:
+    """The sum of squares: each entry's gradient is twice its own value, so a misplaced one shows."""
+    return T.tsum(T.mul(y, y))
 
 
 def _split_objective(x: Tensor) -> Tensor:
     """Uses the first and last pieces only, so the middle slice's gradient is zero."""
     first, _, last = T.split(x, (1, 2, 2), axis=1)
-    return T.add(T.tsum(T.power(first, 2.0)), T.tsum(T.power(last, 3.0)))
+    return T.add(_sq(first), T.tsum(T.mul(last, T.mul(last, last))))
 
 
 def block_grad_check(seed: int = 0) -> float:

@@ -110,14 +110,12 @@ def local_msa(
     wt: WindowedTokens,
     params: AttentionParams,
     bias: RelPosBias,
-    return_attn: bool = False,
     queries: Optional[int] = None,
-):
+) -> WindowedTokens:
     """Multi-head self-attention inside each window, queried by its first ``queries`` slots (default all)."""
     bias_mat = bias_matrix(bias, with_msg=wt.with_msg, queries=queries)
-    ctx, attn = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
-    out = WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
-    return (out, Tensor(attn)) if return_attn else out
+    ctx, _ = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
+    return WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
 
 
 # -- messenger attachment ---------------------------------------------------------

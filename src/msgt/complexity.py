@@ -115,7 +115,8 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
 
     Returns multiply-accumulate counts: per-stage attention+MLP totals, the
     messenger-only last block of a classifier (``final_block``, 0 if none), the
-    patch-embed / merge / head projection terms, and grand totals under
+    patch-embed / merge / head projection terms (``head`` 0 for a
+    det-backbone, which runs no head), and grand totals under
     both the MAC convention (``total_macs``) and with convolutions counted
     at 2 FLOPs per MAC (``total_flops_conv2x``).
     """
@@ -141,7 +142,7 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
                 mh, mw = -(-gh // 2), -(-gw // 2)
                 macs += mh * mw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
             merge_macs.append(macs)
-    head_macs = cfg.stages[-1].dim * cfg.num_classes
+    head_macs = cfg.stages[-1].dim * cfg.num_classes if cfg.task == "cls" else 0
     conv_macs = embed_macs + sum(merge_macs)
     attention_mlp = sum(stage_macs)
     return {

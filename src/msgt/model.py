@@ -64,6 +64,8 @@ class ArchConfig:
                 )
             if s.window_size < 1:
                 raise ConfigError(f"stage {i}: window size must be >= 1")
+            if s.num_blocks < 0:  # 0 blocks is a stage of partition, reverse and merge only
+                raise ConfigError(f"stage {i}: number of blocks must be >= 0, got {s.num_blocks}")
         for i in range(1, NUM_STAGES):
             if self.stages[i].dim != 2 * self.stages[i - 1].dim:
                 raise ConfigError(

@@ -14,10 +14,15 @@ that split's hidden node. A node may overwrite a buffer it allocated and
 has not returned (``mlp``'s pre-activation becomes its activation), never
 one it returned (``attention``'s probabilities).
 
+The ops are the ones the model runs. Softmax and gelu are not graph ops:
+they are in-place array kernels (``_softmax_``, ``_gelu_``) inside the
+fused ``attention`` and ``mlp`` nodes.
+
 All kernels are deterministic: identical inputs produce bit-identical
 outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
 which give a row the same bits wherever it sits in the array; a GEMV
-against ones does not. ``count_macs`` instruments matmul/conv work.
+against ones does not. ``count_macs`` instruments the GEMM work of every
+op, the fused nodes' included.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ class MacCounter:
 
     ``matmul`` and ``conv`` buckets count one unit per multiply-add pair.
     ``other`` tallies output element counts of arithmetic the closed-form
-    cost model does not cover (elementwise add/mul, softmax, layer norm,
-    gelu); pure data movement is free.
+    cost model does not cover (elementwise add/mul, layer norm, and the
+    bias adds, softmax and gelu inside the ``attention`` and ``mlp``
+    nodes); pure data movement is free.
     """
 
     def __init__(self):
@@ -220,9 +226,6 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return mul(self, 1.0 / other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -326,36 +329,6 @@ def mul(a: Tensor, b) -> Tensor:
                 _accum(a, _unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = backward
-    return out
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    if isinstance(exponent, Tensor):
-        raise TypeError("tensor exponents are not supported")
-    out = _make(a.data ** exponent, (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accum(a, g * exponent * a.data ** (exponent - 1))
-        out._backward = backward
-    return out
-
-
-def texp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accum(a, g * y)
-        out._backward = backward
-    return out
-
-
-def tlog(a: Tensor) -> Tensor:
-    out = _make(np.log(a.data), (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accum(a, g / a.data)
         out._backward = backward
     return out
 
@@ -630,23 +603,10 @@ def _softmax_(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _softmax_grad(g: np.ndarray, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``(g - rowsum(g * p)) * p``, the gradient through softmax output ``p``; ``out`` may be ``g``."""
     out = np.subtract(g, _row_sum(g, p), out=out)
     return np.multiply(out, p, out=out)
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Normalized exponentials along ``axis``; subtracts the axis max first."""
-    axis = _check_axis(axis, x.data.ndim)
-    y = _softmax_(np.moveaxis(x.data, axis, -1).copy())  # the softmax axis last
-    out = _make(np.moveaxis(y, -1, axis), (x,))
-    _count("other", out.data.size)
-    if out.requires_grad:
-        def backward(g):
-            _accum(x, np.moveaxis(_softmax_grad(np.ascontiguousarray(np.moveaxis(g, axis, -1)), y), -1, axis))
-        out._backward = backward
-    return out
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
@@ -722,13 +682,16 @@ def _fold(a: float, k: float, offset: float) -> tuple:
     return lam, 4.0 * lam / a, p, q, offset
 
 
-_ERF_FIT = _fold(1.0, 1.0, 0.0)
 _PHI_FIT = _fold(_INV_SQRT2, 0.5, 0.5)  # the standard normal cdf, 0.5 (1 + erf(x / sqrt(2)))
 
 
-def _chunked(x: np.ndarray, fit: tuple, out: Optional[np.ndarray] = None, scratch=None) -> np.ndarray:
-    """Evaluate a ``_fold`` fit at the float32 ``x`` into ``out`` by chunks; ``scratch`` holds u^2 and P, then Q."""
-    lam, bound, p, q, offset = fit
+def _chunked(x: np.ndarray, out: Optional[np.ndarray] = None, scratch=None) -> np.ndarray:
+    """The cdf fit at the float32 ``x``, into ``out`` by chunks; ``scratch`` holds u^2 and P, then Q.
+
+    Only clip, add, multiply and divide, each correctly rounded and elementwise,
+    so an element's bits depend neither on its neighbours nor on ``_ERF_CHUNK``.
+    """
+    lam, bound, p, q, offset = _PHI_FIT
     out = np.empty(x.shape, dtype=np.float32) if out is None else out
     src, dst = x.reshape(-1), out.reshape(-1)
     sq, hq = np.empty((2, min(dst.size, _ERF_CHUNK)), np.float32) if scratch is None else scratch
@@ -744,46 +707,20 @@ def _chunked(x: np.ndarray, fit: tuple, out: Optional[np.ndarray] = None, scratc
                 h *= s
                 h += co
             apply(c, h, out=c)
-        if offset:
-            c += offset
+        c += offset
     return out
-
-
-def erf32(z: np.ndarray) -> np.ndarray:
-    """``erf(z)`` for a float32 array, within 8 ulp of the exact erf on [-6, 6].
-
-    Uses only clip, add, multiply and divide, each correctly rounded and applied
-    elementwise, so an element's bits depend neither on its neighbours nor on ``_ERF_CHUNK``.
-    """
-    return _chunked(z, _ERF_FIT)
 
 
 def phi32(x: np.ndarray) -> np.ndarray:
     """The standard normal cdf of a float32 array, within 4e-7 of the exact one: gelu's cdf."""
-    return _chunked(x, _PHI_FIT)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact erf form: ``0.5 x (1 + erf(x/sqrt(2)))``.
-
-    float32 inputs take the cdf from ``phi32``, which keeps the output within
-    ``2e-6 * max(1, |x|)`` of the float64 form; float64 inputs use the standard
-    library's ``math.erf`` per element, so gradient checks see the reference erf.
-    """
-    act = x.data.copy()
-    d = _gelu_(act, _grad_enabled and x.requires_grad)
-    out = _make(act, (x,))
-    _count("other", out.data.size)
-    if out.requires_grad:
-        def backward(g):
-            _accum(x, g * d)
-        out._backward = backward
-    return out
+    return _chunked(x)
 
 
 def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
-    """Overwrite the C-contiguous ``x`` with gelu(x) one chunk at a time; only a chunk of the cdf exists.
+    """Overwrite the C-contiguous ``x`` with gelu(x) = x cdf(x) one chunk at a time; only a chunk of the cdf exists.
 
+    float32 takes the cdf from ``phi32``'s fit, within ``2e-6 * max(1, |x|)`` of the float64
+    form; float64 takes ``math.erf`` per element, so gradient checks see the reference erf.
     Returns the derivative ``cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)`` if ``grad``, else None.
     """
     src = x.reshape(-1)
@@ -791,7 +728,7 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
     buf = np.empty((3, min(src.size, _ERF_CHUNK)), np.float32)  # the cdf, u^2 and the polynomials
     for lo in range(0, src.size, _ERF_CHUNK):
         xc = src[lo : lo + _ERF_CHUNK]
-        c = _chunked(xc, _PHI_FIT, buf[0, : xc.size], buf[1:]) if x.dtype == np.float32 else (
+        c = _chunked(xc, buf[0, : xc.size], buf[1:]) if x.dtype == np.float32 else (
             0.5 * (1.0 + np.fromiter(map(math.erf, (xc * _INV_SQRT2).tolist()), np.float64, xc.size)))
         if d is not None:
             t = np.multiply(xc, -0.5, out=d[lo : lo + _ERF_CHUNK])

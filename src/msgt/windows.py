@@ -25,12 +25,8 @@ _partition_calls = 0
 
 
 def partition_call_count() -> int:
+    """Partitions run since import; a run's count is the difference of two reads."""
     return _partition_calls
-
-
-def reset_partition_call_count() -> None:
-    global _partition_calls
-    _partition_calls = 0
 
 
 @dataclass

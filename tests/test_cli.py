@@ -163,7 +163,8 @@ class TestGradcheck:
         assert code == 0
         assert "all gradient checks passed" in out
         listed = {line.split()[0] for line in out.splitlines() if "max rel err" in line}
-        assert {"attention", "attention_msg_rows", "mlp", "softmax", "gelu"} <= listed
+        assert {"attention", "attention_msg_rows", "mlp", "concat", "pad", "transpose"} <= listed
+        assert not {"softmax", "gelu", "exp", "log"} & listed  # run only inside the attention and mlp nodes
 
 
 FUZZ_PRESET = {
@@ -193,12 +194,14 @@ FUZZ_EDITS = [DROP, UNKNOWN_KEY, "abc", None, True, [], {}, [2, 2, 2, 1, 1], 0, 
               float("nan")]
 
 
+NEGATIVE_BLOCKS = [{**s, "blocks": -2} if i == 1 else s for i, s in enumerate(FUZZ_STAGES["stages"])]
 # values no run can use, with the key each sits at: parse_config plus the
 # pre-compute checks must reject every one of them
 FUZZ_REJECT = [
     (("seed",), -1), (("data", "seed"), -1), (("data", "num_train"), 0), (("data", "num_train"), -4),
     (("data", "num_val"), 0), (("eval_interval",), 0), (("label_smoothing",), 1.5), (("optimizer", "lr"), -1e-3),
     (("optimizer", "betas"), [1.0, 0.999]), (("optimizer", "betas"), [0.9, 1.0]), (("optimizer", "eps"), 0),
+    (("stages",), NEGATIVE_BLOCKS),
 ]
 
 
@@ -465,6 +468,17 @@ class TestDataAndTraining:
         code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
         assert code == 1
         assert "error: stage 2: at input size 160 the 3x3 window grid" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_negative_block_count_exit_1(self, capsys, tmp_path, config_file):
+        raw = json.loads(open(config_file).read())
+        raw.pop("arch")
+        raw.update(stages=NEGATIVE_BLOCKS, window_size=4, input_size=128)
+        path = tmp_path / "stages.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "error: stage 2: number of blocks must be >= 0, got -2" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_preset_keeps_task_and_input_size(self):

@@ -1,6 +1,7 @@
 """Model assembly tests: configs, initialization, forward geometry, counting."""
 
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import msgt
 from msgt import blocks as B
+from msgt import complexity as C
 from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
@@ -71,6 +73,27 @@ class TestConfigs:
         """A rate of 1 or NaN gives non-finite logits; the key is named before compute."""
         with pytest.raises(ConfigError, match="drop_path_rate"):
             M.build_model(M.micro_config(drop_path_rate=rate), seed=0)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_negative_block_count_rejected(self, stage):
+        depths = tuple(-2 if i == stage else 1 for i in range(1, 5))
+        stages = M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1), 4)
+        with pytest.raises(ConfigError, match=f"stage {stage}: number of blocks must be >= 0, got -2"):
+            M.ArchConfig(stages, 128, 4).validate()
+
+    @pytest.mark.parametrize(
+        "depths", [(0, 2, 2, 1), (1, 0, 2, 1), (1, 2, 0, 1), (1, 1, 2, 0)],
+        ids=["stage-1", "stage-2", "stage-3", "stage-4"],
+    )
+    def test_stage_without_blocks_is_valid_and_runs(self, depths):
+        cfg = M.ArchConfig(M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1), 4), 128, 4)
+        model = M.build_model(cfg, seed=0)
+        with T.no_grad(), T.count_macs() as counter:
+            logits = M.forward(model, rand_images(1, 128))
+        assert logits.shape == (1, 4)
+        report = C.model_flops(cfg)
+        assert report["stages"][depths.index(0)] == 0
+        assert counter["matmul"] + counter["conv"] == report["total_macs"]
 
     def test_micro_stage4_resolution_equals_window(self):
         cfg = M.micro_config()
@@ -388,10 +411,10 @@ class TestForward:
 
     def test_partition_runs_once_per_stage(self):
         model = M.build_model(M.micro_config(), seed=0)
-        W.reset_partition_call_count()
+        calls = W.partition_call_count()
         with T.no_grad():
             M.forward(model, rand_images(1, 128))
-        assert W.partition_call_count() == 4
+        assert W.partition_call_count() - calls == 4
 
     def test_duplicated_sample_in_batch_is_bit_identical(self):
         model = M.build_model(M.micro_config(), seed=0)
@@ -475,6 +498,38 @@ class TestForward:
             (1, 9, 13, 64),
             (1, 5, 7, 128),
         ]
+
+
+class TestNoDeadOps:
+    def test_model_reaches_every_public_tensor_function(self, monkeypatch):
+        """An op that no forward or backward of the model calls is dead code.
+
+        Exempt are the checking tools ``grad_check`` and ``phi32`` (the whole-array form of
+        the cdf fit the mlp node runs chunk by chunk); ``no_grad`` and ``count_macs`` are classes.
+        """
+        public = [
+            name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+        ]
+        reached = set()
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                reached.add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in public:
+            monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
+        for mode in B.MODES:  # 136 px pads every stage and crops the tiled input messengers
+            model = M.build_model(M.micro_config(manipulation=mode, drop_path_rate=0.1), seed=0)
+            logits = M.forward(model, rand_images(2, 136), mode="train", rng=np.random.default_rng(0))
+            cross_entropy(logits, np.array([0, 3])).backward()
+        M.forward(M.build_model(M.micro_config(task="det-backbone"), seed=0), rand_images(1, 160))
+        with T.no_grad():
+            wide = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+            M.forward(wide, Tensor(rand_images(1, 128).data.astype(np.float64)))
+        assert sorted(set(public) - reached - {"grad_check", "phi32"}) == []
 
 
 class TestFusedNodesInModel:
