@@ -137,7 +137,7 @@ def block_grad_check(seed: int = 0) -> float:
     def loss():
         wt = B.attach_msg(W.WindowedTokens(windows=wt_data, window_size=2), W.MsgTokens(grid=msg_data))
         out = B.block_forward(wt, params, view).windows
-        return (out * out).sum()
+        return T.tsum(T.mul(out, out))
 
     return T.grad_check(loss, params.parameters() + [wt_data, msg_data])
 

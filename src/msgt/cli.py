@@ -262,22 +262,21 @@ def _cmd_analyze_comm(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .analysis import block_grad_check, model_grad_check, single_op_grad_checks
 
-    failures = []
     op_errors = single_op_grad_checks()
-    for name, err in sorted(op_errors.items()):
-        status = "ok" if err < 1e-6 else "FAIL"
-        if err >= 1e-6:
+    width = max(map(len, [*op_errors, "micro model"]))
+    failures = []
+
+    def report(name: str, err: float, bound: float) -> None:
+        ok = err < bound
+        if not ok:
             failures.append(name)
-        print(f"  {name:<14} max rel err {err:.3e}  {status}")
-    block_err = block_grad_check()
-    print(f"  {'block':<14} max rel err {block_err:.3e}  {'ok' if block_err < 1e-4 else 'FAIL'}")
-    if block_err >= 1e-4:
-        failures.append("block")
+        print(f"  {name:<{width}} max rel err {err:.3e}  {'ok' if ok else 'FAIL'}")
+
+    for name, err in sorted(op_errors.items()):
+        report(name, err, 1e-6)
+    report("block", block_grad_check(), 1e-4)
     if args.full_model:
-        model_err = model_grad_check(max_entries_per_param=3)
-        print(f"  {'micro model':<14} max rel err {model_err:.3e}  {'ok' if model_err < 1e-3 else 'FAIL'}")
-        if model_err >= 1e-3:
-            failures.append("micro model")
+        report("micro model", model_grad_check(max_entries_per_param=3), 1e-3)
     if failures:
         print(f"gradient check FAILED: {', '.join(failures)}")
         return USAGE_EXIT

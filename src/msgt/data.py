@@ -55,7 +55,14 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, S, S, 3) float32 in [0, 1]
+    """Gray images as a read-only RGB view, and their labels.
+
+    ``images`` is (N, S, S, 3) float32 in [0, 1]; both sources store one
+    channel (``images.base``, (N, S, S, 1)) and broadcast it to three, so
+    the bytes read as three equal channels while memory holds one.
+    """
+
+    images: np.ndarray
     labels: np.ndarray  # (N,) int64
 
     def __len__(self) -> int:
@@ -78,7 +85,7 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
     rng.shuffle(labels)
 
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
-    images = np.empty((n, size, size, 3), dtype=np.float32)
+    gray = np.empty((n, size, size, 1), dtype=np.float32)
     for i, label in enumerate(labels):
         theta = np.deg2rad(ORIENTATIONS_DEG[label]).astype(np.float32)
         freq = rng.uniform(3.0, 8.0)
@@ -89,20 +96,31 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
         img = 0.5 + 0.35 * wave
         if spec.noise_sigma > 0:
             img = img + spec.noise_sigma * rng.standard_normal((size, size))
-        img = np.clip(img, 0.0, 1.0).astype(np.float32)
-        images[i] = img[:, :, None]
-    return Dataset(images=images, labels=labels)
+        gray[i, :, :, 0] = np.clip(img, 0.0, 1.0)
+    return Dataset(images=_rgb(gray), labels=labels)
+
+
+def _rgb(gray: np.ndarray) -> np.ndarray:
+    """A read-only (N, S, S, 3) view of one stored (N, S, S, 1) channel."""
+    return np.broadcast_to(gray, gray.shape[:3] + (3,))
 
 
 def split_train_val(ds: Dataset, spec: DatasetSpec) -> tuple[Dataset, Dataset]:
+    """The first ``num_train`` rows as a view, and a copy of the next ``num_val``.
+
+    The val split owns its rows (one channel when ``ds`` stores one), so a
+    caller that keeps only val frees the full array.
+    """
     if len(ds) < spec.num_train + spec.num_val:
         raise ConfigError(
             f"dataset has {len(ds)} samples, need {spec.num_train + spec.num_val}"
         )
     t, v = spec.num_train, spec.num_val
+    val = ds.images[t : t + v]
+    val = _rgb(val[..., :1].copy()) if val.strides[-1] == 0 else val.copy()
     return (
         Dataset(images=ds.images[:t], labels=ds.labels[:t]),
-        Dataset(images=ds.images[t : t + v], labels=ds.labels[t : t + v]),
+        Dataset(images=val, labels=ds.labels[t : t + v].copy()),
     )
 
 
@@ -177,12 +195,11 @@ def load_idx(images_path: str, labels_path: str, image_size: int) -> Dataset:
     n, h, w = images.shape
     if h > image_size or w > image_size:
         raise ConfigError(f"IDX images {h}x{w} exceed configured input size {image_size}")
-    scaled = images.astype(np.float32) / 255.0
     top = (image_size - h) // 2
     left = (image_size - w) // 2
-    out = np.zeros((n, image_size, image_size, 3), dtype=np.float32)
-    out[:, top : top + h, left : left + w, :] = scaled[:, :, :, None]
-    return Dataset(images=out, labels=labels.astype(np.int64))
+    gray = np.zeros((n, image_size, image_size, 1), dtype=np.float32)
+    gray[:, top : top + h, left : left + w, 0] = images.astype(np.float32) / 255.0
+    return Dataset(images=_rgb(gray), labels=labels.astype(np.int64))
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

@@ -148,17 +148,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        out = _make(self.data.astype(dtype), (self,))
-        if out.requires_grad:
-            src_dtype = self.data.dtype
-
-            def backward(g):
-                _accum(self, g.astype(src_dtype))
-
-            out._backward = backward
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -201,48 +190,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis, keepdims)
 
 
 # -- graph plumbing ----------------------------------------------------------

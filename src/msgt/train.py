@@ -154,7 +154,9 @@ def center_images(images: np.ndarray) -> np.ndarray:
     """Map [0, 1] pixels to [-1, 1] before the model.
 
     The patch-embed conv sees a large common-mode term on uncentered
-    inputs, which empirically stalls learning on the texture task.
+    inputs, which empirically stalls learning on the texture task. The
+    result is a new C-contiguous, writeable array, also for a read-only
+    broadcast slice of ``Dataset.images``.
     """
     return images * 2.0 - 1.0
 

@@ -434,7 +434,7 @@ class TestBlockForward:
             wt = W.WindowedTokens(windows=wt_data, window_size=w)
             msg = W.MsgTokens(grid=msg_data)
             out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
-            return (out_wt.windows * out_wt.windows).sum() + (out_msg.grid * out_msg.grid).sum()
+            return T.add(T.tsum(T.mul(out_wt.windows, out_wt.windows)), T.tsum(T.mul(out_msg.grid, out_msg.grid)))
 
         err = T.grad_check(loss, params.parameters() + [wt_data, msg_data])
         assert err < 1e-4, f"block gradient mismatch: {err}"

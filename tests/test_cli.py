@@ -166,6 +166,12 @@ class TestGradcheck:
         assert {"attention", "attention_msg_rows", "mlp", "concat", "pad", "transpose"} <= listed
         assert not {"softmax", "gelu", "exp", "log"} & listed  # run only inside the attention and mlp nodes
 
+    def test_rows_align_whatever_the_name_length(self, capsys):
+        code, out, _ = run_cli(capsys, "gradcheck")
+        rows = [line for line in out.splitlines() if "max rel err" in line]
+        assert code == 0 and any(len(line.split()[0]) > 14 for line in rows)
+        assert len({line.index("max rel err") for line in rows}) == 1
+
 
 FUZZ_PRESET = {
     "arch": "micro", "num_classes": 4, "task": "cls", "input_size": 128, "use_msg": True,

@@ -1,12 +1,21 @@
 """Dataset tests: synthetic texture generation and the IDX binary format."""
 
+import hashlib
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from msgt import data as D
+from msgt import train as TR
 from msgt.errors import ConfigError, FormatError
+
+# sha256 of images.tobytes(): the (N, S, S, 3) float32 bytes of three equal
+# channels, which the one stored channel must read back as
+SMALL_SPEC = D.DatasetSpec(num_train=12, num_val=4, image_size=16, seed=11)
+SMALL_SPEC_SHA256 = "8eea18ca2504553fd430735f635fffeadb44a20db9246d81531e3dcc8043cc8b"
+HAND_BUILT_IDX_SHA256 = "dad0fcc5138692f3844536fd2a617bed3e1ecc33b790e4e71d2d8ca20adfc788"
 
 
 class TestSynthetic:
@@ -130,3 +139,57 @@ class TestIdx:
             D.save_idx(images, np.array([3, 256]), ip, lp)
         with pytest.raises(ConfigError, match="-1"):
             D.save_idx(images, np.array([-1, 0]), ip, lp)
+
+
+class TestStorage:
+    @staticmethod
+    def both_sources(tmp_path):
+        idx = D.load_idx(*TestIdx.hand_built_fixture(tmp_path), image_size=8)
+        return {"synthetic": D.generate_synthetic(SMALL_SPEC), "idx": idx}
+
+    def test_one_stored_channel_behind_a_read_only_rgb_view(self, tmp_path):
+        for source, ds in self.both_sources(tmp_path).items():
+            n, size = len(ds), ds.images.shape[1]
+            assert ds.images.shape == (n, size, size, 3) and ds.images.dtype == np.float32, source
+            assert ds.images.base.nbytes == n * size * size * 4, source
+            assert not ds.images.flags.writeable, source
+            with pytest.raises(ValueError):
+                ds.images[0, 0, 0, 0] = 0.5
+
+    def test_bytes_equal_the_three_channel_layout(self, tmp_path):
+        digests = {k: hashlib.sha256(ds.images.tobytes()).hexdigest() for k, ds in self.both_sources(tmp_path).items()}
+        assert digests == {"synthetic": SMALL_SPEC_SHA256, "idx": HAND_BUILT_IDX_SHA256}
+
+    def test_val_split_owns_its_rows(self):
+        full = D.generate_synthetic(SMALL_SPEC)
+        stored = weakref.ref(full.images.base)
+        expected = full.images[12:16].tobytes(), full.labels[12:16].tobytes()
+        train, val = D.split_train_val(full, SMALL_SPEC)
+        assert train.images.base is full.images.base  # train stays a view
+        del full, train
+        assert stored() is None
+        assert (val.images.tobytes(), val.labels.tobytes()) == expected
+        assert val.images.base.nbytes == 4 * 16 * 16 * 4 and not val.images.flags.writeable
+
+    def test_val_split_of_dense_images_is_a_copy(self):
+        full = D.generate_synthetic(SMALL_SPEC)
+        dense = D.Dataset(images=np.ascontiguousarray(full.images), labels=full.labels)
+        train, val = D.split_train_val(dense, SMALL_SPEC)
+        assert np.shares_memory(train.images, dense.images)
+        assert not np.shares_memory(val.images, dense.images)
+        assert val.images.tobytes() == full.images[12:16].tobytes()
+
+    def test_center_images_gives_the_dense_bits(self):
+        ds = D.generate_synthetic(SMALL_SPEC)
+        dense = np.ascontiguousarray(ds.images)
+        gather = np.array([5, 0, 9, 3])
+        cases = {
+            "broadcast slice": (ds.images[2:6], dense[2:6]),
+            "fancy-index gather": (ds.images[gather], dense[gather]),
+            "dense": (dense[2:6], dense[2:6]),
+        }
+        for case, (images, reference) in cases.items():
+            out = TR.center_images(images)
+            assert out.tobytes() == (reference * 2.0 - 1.0).tobytes(), case
+            assert out.dtype == np.float32 and out.shape == reference.shape, case
+            assert out.flags.c_contiguous and out.flags.writeable, case

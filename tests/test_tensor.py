@@ -801,7 +801,7 @@ class TestGradCheck:
         target = 1
 
         def loss():
-            return -T.log_softmax(logits, axis=0)[target]
+            return T.mul(T.log_softmax(logits, axis=0)[target], -1.0)
 
         logits.zero_grad()
         loss().backward()
