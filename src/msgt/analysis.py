@@ -56,7 +56,7 @@ def information_reach(
         with T.no_grad():
             wt = W.partition_windows(W.FeatureMap(tokens=Tensor(tokens)), window_size)
             if use_msg:
-                wt = B.attach_msg(wt, W.MsgTokens(grid=Tensor(base_msg.copy())))
+                wt = B.attach_msg(wt, Tensor(base_msg.copy()))
             for p in params:
                 wt = B.block_forward(wt, p, view)
             return wt.windows.data[..., int(use_msg) :, :]
@@ -135,7 +135,7 @@ def block_grad_check(seed: int = 0) -> float:
     view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
     def loss():
-        wt = B.attach_msg(W.WindowedTokens(windows=wt_data, window_size=2), W.MsgTokens(grid=msg_data))
+        wt = B.attach_msg(W.WindowedTokens(windows=wt_data, window_size=2), msg_data)
         out = B.block_forward(wt, params, view).windows
         return T.tsum(T.mul(out, out))
 

@@ -6,9 +6,11 @@ halves of a block, messenger tokens belonging to the same shuffle region
 exchange channel groups (or are averaged / cyclically shifted, for the
 ablation modes), which is the only cross-window communication channel.
 
-The messenger sits at slot 0 of its window's token sequence for a whole
-stage: the model attaches it once after partitioning and detaches it once
-before reversing the windows, or a classifier's last block returns it alone.
+A stage's messengers are one plain (B, Gh, Gw, C) tensor, one token per
+window. Each sits at slot 0 of its window's token sequence for a whole
+stage: the model attaches them once after partitioning and detaches them
+once before reversing the windows, or a classifier's last block returns
+the grid alone.
 Block procedure, in order: layer norm, local multi-head self-attention with
 relative position bias, residual add, messenger manipulation, layer norm,
 two-layer MLP, residual add.
@@ -16,7 +18,7 @@ two-layer MLP, residual add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-from .windows import MsgTokens, ShuffleRegionView, WindowedTokens
+from .windows import ShuffleRegionView, WindowedTokens
 
 MODES = ("shuffle", "average", "shift", "none")
 
@@ -107,50 +109,42 @@ class AttentionParams:
 
 
 def local_msa(
-    wt: WindowedTokens,
+    x: Tensor,
     params: AttentionParams,
     bias: RelPosBias,
     queries: Optional[int] = None,
-) -> WindowedTokens:
-    """Multi-head self-attention inside each window, queried by its first ``queries`` slots (default all)."""
-    bias_mat = bias_matrix(bias, with_msg=wt.with_msg, queries=queries)
-    ctx, _ = T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
-    return WindowedTokens(T.linear(ctx, params.out_weight, params.out_bias), wt.window_size, wt.with_msg)
+) -> Tensor:
+    """Multi-head self-attention inside each window of ``x`` (..., tokens, C).
+
+    Each window is queried by its first ``queries`` slots (default all). A
+    window of ``w**2 + 1`` tokens carries its messenger at slot 0.
+    """
+    bias_mat = bias_matrix(bias, with_msg=x.shape[-2] > bias.window_size**2, queries=queries)
+    ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
+    return T.linear(ctx, params.out_weight, params.out_bias)
 
 
 # -- messenger attachment ---------------------------------------------------------
 
 
-def attach_msg(wt: WindowedTokens, msg: MsgTokens) -> WindowedTokens:
-    """Prepend each window's messenger token at slot 0."""
+def attach_msg(wt: WindowedTokens, msg: Tensor) -> WindowedTokens:
+    """Prepend each window's messenger token, from the (B, Gh, Gw, C) grid ``msg``, at slot 0."""
     if wt.with_msg:
         raise ConfigError("messenger tokens already attached")
     b, gh, gw, n, c = wt.windows.shape
-    if msg.grid.shape != (b, gh, gw, c):
-        raise ShapeError(
-            f"messenger grid {msg.grid.shape} does not match window grid ({b}, {gh}, {gw}, {c})"
-        )
-    lead = T.reshape(msg.grid, (b, gh, gw, 1, c))
-    return WindowedTokens(
-        windows=T.concat([lead, wt.windows], axis=3),
-        window_size=wt.window_size,
-        with_msg=True,
-    )
+    if msg.shape != (b, gh, gw, c):
+        raise ShapeError(f"messenger grid {msg.shape} does not match window grid ({b}, {gh}, {gw}, {c})")
+    lead = T.reshape(msg, (b, gh, gw, 1, c))
+    return replace(wt, windows=T.concat([lead, wt.windows], axis=3), with_msg=True)
 
 
-def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, MsgTokens]:
-    """Split slot 0 back out; exact inverse of :func:`attach_msg`."""
+def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, Tensor]:
+    """Split slot 0 back out as the messenger grid; exact inverse of :func:`attach_msg`."""
     if not wt.with_msg:
         raise ConfigError("no messenger tokens attached")
     b, gh, gw, n, c = wt.windows.shape
     lead, rest = T.split(wt.windows, (1, n - 1), axis=3)
-    msg = MsgTokens(grid=T.reshape(lead, (b, gh, gw, c)))
-    patches = WindowedTokens(
-        windows=rest,
-        window_size=wt.window_size,
-        with_msg=False,
-    )
-    return patches, msg
+    return replace(wt, windows=rest, with_msg=False), T.reshape(lead, (b, gh, gw, c))
 
 
 # -- messenger manipulation ---------------------------------------------------------
@@ -181,29 +175,27 @@ def _exchange_regions(x: Tensor, rh: int, rw: int, mode: str) -> Tensor:
     return T.reshape(T.transpose(x, (0, 1, 3, 2, 4, 5)), (b, bh, bw, c))
 
 
-def _exchange(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
-    """Run ``mode`` over each of the at most 2x2 blocks and reassemble the grid."""
-    if view.grid_shape != msg.grid_shape:
-        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.grid_shape}")
+def manipulate_msg(msg: Tensor, view: ShuffleRegionView, mode: str) -> Tensor:
+    """Apply the configured cross-window exchange to the (B, Gh, Gw, C) messenger grid.
+
+    ``mode`` runs over each of the view's at most 2x2 blocks, and the grid is reassembled.
+    """
+    if mode == "none":
+        return msg
+    if mode not in MODES:
+        raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
+    if view.grid_shape != msg.shape[1:3]:
+        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.shape[1:3]}")
     blocks = view.blocks
     rows: dict[int, list[Tensor]] = {}
     for r, c, rh, rw in blocks:
-        part = msg.grid if len(blocks) == 1 else msg.grid[:, r, c]
+        part = msg if len(blocks) == 1 else msg[:, r, c]
         rows.setdefault(r.start, []).append(_exchange_regions(part, rh, rw, mode))
 
     def join(parts, axis):
         return T.concat(parts, axis=axis) if len(parts) > 1 else parts[0]
 
-    return MsgTokens(grid=join([join(parts, 2) for parts in rows.values()], 1))
-
-
-def manipulate_msg(msg: MsgTokens, view: ShuffleRegionView, mode: str) -> MsgTokens:
-    """Apply the configured cross-window exchange to messenger tokens."""
-    if mode == "none":
-        return msg
-    if mode not in MODES:
-        raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
-    return _exchange(msg, view, mode)
+    return join([join(parts, 2) for parts in rows.values()], 1)
 
 
 # -- the block ------------------------------------------------------------------------
@@ -257,7 +249,7 @@ def block_forward(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     msg_only: bool = False,
-) -> WindowedTokens | MsgTokens:
+) -> WindowedTokens | Tensor:
     """Run one transformer block over windowed tokens.
 
     With ``wt.with_msg`` slot 0 of each window is its messenger token, and
@@ -270,24 +262,18 @@ def block_forward(
     """
     if msg_only and not wt.with_msg:
         raise ConfigError("a messenger-only block needs messenger tokens attached")
-    normed = WindowedTokens(
-        windows=T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta),
-        window_size=wt.window_size,
-        with_msg=wt.with_msg,
-    )
+    normed = T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta)
     attn_out = local_msa(normed, params.attn, params.bias, queries=1 if msg_only else None)
     tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
-    tokens = T.add(tokens, T.drop_path(attn_out.windows, params.drop_path_rate, rng, training))
+    tokens = T.add(tokens, T.drop_path(attn_out, params.drop_path_rate, rng, training))
 
     if msg_only:
-        tokens = manipulate_msg(MsgTokens(grid=T.reshape(tokens, tokens.shape[:3] + (-1,))), view, params.mode).grid
+        tokens = manipulate_msg(T.reshape(tokens, tokens.shape[:3] + (-1,)), view, params.mode)
     elif wt.with_msg:
-        combined = WindowedTokens(windows=tokens, window_size=wt.window_size, with_msg=True)
-        patches, mid_msg = detach_msg(combined)
-        mid_msg = manipulate_msg(mid_msg, view, params.mode)
-        tokens = attach_msg(patches, mid_msg).windows
+        patches, mid_msg = detach_msg(replace(wt, windows=tokens))
+        tokens = attach_msg(patches, manipulate_msg(mid_msg, view, params.mode)).windows
 
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
-    return MsgTokens(tokens) if msg_only else WindowedTokens(tokens, wt.window_size, wt.with_msg)
+    return tokens if msg_only else replace(wt, windows=tokens)

@@ -292,7 +292,7 @@ def _cmd_gen_data(args) -> int:
     _, data_spec = parse_config(load_config(args.config), args.seed)
     ds = generate_synthetic(data_spec)
     os.makedirs(args.out, exist_ok=True)
-    images_u8 = np.round(ds.images[..., 0] * 255.0).astype(np.uint8)
+    images_u8 = np.round(ds.gray[..., 0] * 255.0).astype(np.uint8)
     images_path = os.path.join(args.out, "textures-images.idx3-ubyte")
     labels_path = os.path.join(args.out, "textures-labels.idx1-ubyte")
     save_idx(images_u8, ds.labels, images_path, labels_path)

@@ -39,10 +39,10 @@ class ComplexitySpec:
     def validate(self) -> None:
         if min(self.grid_h, self.grid_w, self.window_size, self.channels) < 1:
             raise ConfigError("all complexity extents must be positive")
-        if (self.grid_h * self.grid_w) % (self.window_size**2):
+        if self.grid_h % self.window_size or self.grid_w % self.window_size:
             raise ConfigError(
-                f"token count {self.grid_h}x{self.grid_w} is not divisible by "
-                f"window area {self.window_size**2}"
+                f"token grid {self.grid_h}x{self.grid_w} is not tiled by "
+                f"{self.window_size}x{self.window_size} windows"
             )
 
 

@@ -55,15 +55,19 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """Gray images as a read-only RGB view, and their labels.
+    """Gray images and their labels.
 
-    ``images`` is (N, S, S, 3) float32 in [0, 1]; both sources store one
-    channel (``images.base``, (N, S, S, 1)) and broadcast it to three, so
-    the bytes read as three equal channels while memory holds one.
+    Both sources store one channel, ``gray`` (N, S, S, 1) float32 in [0, 1].
+    ``images`` broadcasts it to a read-only (N, S, S, 3) RGB view, so the
+    bytes read as three equal channels while memory holds one.
     """
 
-    images: np.ndarray
+    gray: np.ndarray
     labels: np.ndarray  # (N,) int64
+
+    @property
+    def images(self) -> np.ndarray:
+        return np.broadcast_to(self.gray, self.gray.shape[:3] + (3,))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -97,30 +101,23 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
         if spec.noise_sigma > 0:
             img = img + spec.noise_sigma * rng.standard_normal((size, size))
         gray[i, :, :, 0] = np.clip(img, 0.0, 1.0)
-    return Dataset(images=_rgb(gray), labels=labels)
-
-
-def _rgb(gray: np.ndarray) -> np.ndarray:
-    """A read-only (N, S, S, 3) view of one stored (N, S, S, 1) channel."""
-    return np.broadcast_to(gray, gray.shape[:3] + (3,))
+    return Dataset(gray=gray, labels=labels)
 
 
 def split_train_val(ds: Dataset, spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     """The first ``num_train`` rows as a view, and a copy of the next ``num_val``.
 
-    The val split owns its rows (one channel when ``ds`` stores one), so a
-    caller that keeps only val frees the full array.
+    The val split owns its rows, so a caller that keeps only val frees the
+    full array.
     """
     if len(ds) < spec.num_train + spec.num_val:
         raise ConfigError(
             f"dataset has {len(ds)} samples, need {spec.num_train + spec.num_val}"
         )
     t, v = spec.num_train, spec.num_val
-    val = ds.images[t : t + v]
-    val = _rgb(val[..., :1].copy()) if val.strides[-1] == 0 else val.copy()
     return (
-        Dataset(images=ds.images[:t], labels=ds.labels[:t]),
-        Dataset(images=val, labels=ds.labels[t : t + v].copy()),
+        Dataset(gray=ds.gray[:t], labels=ds.labels[:t]),
+        Dataset(gray=ds.gray[t : t + v].copy(), labels=ds.labels[t : t + v].copy()),
     )
 
 
@@ -199,7 +196,7 @@ def load_idx(images_path: str, labels_path: str, image_size: int) -> Dataset:
     left = (image_size - w) // 2
     gray = np.zeros((n, image_size, image_size, 1), dtype=np.float32)
     gray[:, top : top + h, left : left + w, 0] = images.astype(np.float32) / 255.0
-    return Dataset(images=_rgb(gray), labels=labels.astype(np.int64))
+    return Dataset(gray=gray, labels=labels.astype(np.int64))
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

@@ -371,7 +371,7 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
     return W.FeatureMap(tokens=tokens)
 
 
-def _initial_msg(msg_input: Tensor, grid: tuple[int, int], batch: int) -> W.MsgTokens:
+def _initial_msg(msg_input: Tensor, grid: tuple[int, int], batch: int) -> Tensor:
     """Tile the (S, S, C) input messengers over each image's window grid, cropped to it."""
     gh, gw = grid
     s, _, c = msg_input.shape
@@ -380,7 +380,7 @@ def _initial_msg(msg_input: Tensor, grid: tuple[int, int], batch: int) -> W.MsgT
     tiles = T.add(T.reshape(msg_input, (1, 1, s, s, c)), copies)
     tiles = T.transpose(T.reshape(tiles, (batch, nh, nw, s, s, c)), (0, 1, 3, 2, 4, 5))
     tiled = T.reshape(tiles, (batch, nh * s, nw * s, c))
-    return W.MsgTokens(grid=tiled if (nh * s, nw * s) == (gh, gw) else tiled[:, :gh, :gw])
+    return tiled if (nh * s, nw * s) == (gh, gw) else tiled[:, :gh, :gw]
 
 
 def forward(
@@ -402,7 +402,7 @@ def forward(
     fm = patch_embed(model, images)
     batch = images.shape[0]
 
-    msg: Optional[W.MsgTokens] = None
+    msg: Optional[Tensor] = None  # the (B, Gh, Gw, C) messenger grid
     stage_outputs: list[W.FeatureMap] = []
     for si, scfg in enumerate(cfg.stages):
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
@@ -416,7 +416,7 @@ def forward(
             view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
             msg_only = cfg.task == "cls" and cfg.use_msg and (si, bi) == (NUM_STAGES - 1, len(model.stages[si]) - 1)
             wt = B.block_forward(wt, blk, view, training=training, rng=rng, msg_only=msg_only)
-        if isinstance(wt, W.MsgTokens):  # a classifier's last block: the head reads only the messengers
+        if isinstance(wt, Tensor):  # a classifier's last block: the head reads only the messengers
             msg = wt
             break
         if cfg.use_msg:
@@ -430,7 +430,7 @@ def forward(
         return stage_outputs
 
     if cfg.use_msg:
-        pooled = T.tmean(msg.grid, axis=(1, 2))  # (B, C4): mean over remaining messengers
+        pooled = T.tmean(msg, axis=(1, 2))  # (B, C4): mean over remaining messengers
     else:
         pooled = T.tmean(fm.tokens, axis=(1, 2))  # messenger-free ablation pools patches
     pooled = T.layer_norm(pooled, model.head_norm_gamma, model.head_norm_beta)

@@ -21,13 +21,18 @@ fused ``attention`` and ``mlp`` nodes.
 All kernels are deterministic: identical inputs produce bit-identical
 outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
 which give a row the same bits wherever it sits in the array; a GEMV
-against ones does not. ``count_macs`` instruments the GEMM work of every
-op, the fused nodes' included.
+against ones does not.
+
+Every op adds its work to one private table, ``_counts``: MACs by kernel
+family, the fused nodes' included, and window partitions. ``count_macs``
+reads the table's growth over a block and ``windows.partition_call_count``
+its partitions, so nested readers each see all the work inside them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -55,48 +60,35 @@ class no_grad:
         return False
 
 
-class MacCounter:
-    """Multiply-accumulate instrumentation, bucketed by kernel family.
-
-    ``matmul`` and ``conv`` buckets count one unit per multiply-add pair.
-    ``other`` tallies output element counts of arithmetic the closed-form
-    cost model does not cover (elementwise add/mul, layer norm, and the
-    bias adds, softmax and gelu inside the ``attention`` and ``mlp``
-    nodes); pure data movement is free.
-    """
-
-    def __init__(self):
-        self.buckets: dict[str, int] = {"matmul": 0, "conv": 0, "other": 0}
-
-    def add(self, bucket: str, n: int) -> None:
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + int(n)
-
-    def __getitem__(self, bucket: str) -> int:
-        return self.buckets.get(bucket, 0)
+# Work done since import, by kind: "matmul" and "conv" count one unit per
+# multiply-add pair; "other" tallies output element counts of arithmetic the
+# closed-form cost model does not cover (elementwise add/mul, layer norm, and
+# the bias adds, softmax and gelu inside the ``attention`` and ``mlp`` nodes);
+# "partitions" counts window partitions. Pure data movement is free.
+_counts: Counter = Counter()
 
 
-_active_counter: Optional[MacCounter] = None
+def _count(kind: str, n: int) -> None:
+    _counts[kind] += int(n)
 
 
 class count_macs:
-    """``with count_macs() as c:`` records MACs of all ops run in the block."""
+    """``with count_macs() as c:`` counts the MACs of all ops run in the block, nested blocks' too.
 
-    def __enter__(self) -> MacCounter:
-        global _active_counter
-        self._prev = _active_counter
-        self.counter = MacCounter()
-        _active_counter = self.counter
-        return self.counter
+    After the block, ``c.buckets`` and ``c["matmul"|"conv"|"other"]`` hold
+    how much each kind grew in the work table between entry and exit.
+    """
+
+    def __enter__(self) -> count_macs:
+        self._start = _counts.copy()
+        return self
 
     def __exit__(self, *exc):
-        global _active_counter
-        _active_counter = self._prev
+        self.buckets = {k: _counts[k] - self._start[k] for k in ("matmul", "conv", "other")}
         return False
 
-
-def _count(bucket: str, n: int) -> None:
-    if _active_counter is not None:
-        _active_counter.add(bucket, n)
+    def __getitem__(self, bucket: str) -> int:
+        return self.buckets[bucket]
 
 
 def _as_array(data, dtype) -> np.ndarray:

@@ -206,6 +206,8 @@ def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
         )
     if spec.num_val < 1:
         raise ConfigError(f"data.num_val must be >= 1 to score the run, got {spec.num_val}")
+    if spec.image_size != arch.input_size:
+        raise ConfigError(f"dataset image size {spec.image_size} != model input {arch.input_size}")
 
 
 def load_data(spec: D.DatasetSpec) -> tuple[D.Dataset, D.Dataset]:
@@ -229,10 +231,6 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     os.makedirs(out_dir, exist_ok=True)
     arch = cfg.arch_config()
     check_task_data(arch, data_spec)
-    if data_spec.image_size != arch.input_size:
-        raise ConfigError(
-            f"dataset image size {data_spec.image_size} != model input {arch.input_size}"
-        )
     train_ds, val_ds = load_data(data_spec)
 
     policy = "frozen-random" if cfg.msg_input_policy == "frozen-random" else "learnable"

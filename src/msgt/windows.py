@@ -2,8 +2,9 @@
 
 Feature maps are channel-last (B, H, W, C). Partitioning reshapes the map
 into a grid of non-overlapped square windows; regions group windows into
-tiles whose messenger tokens later exchange channels. All transformations
-here are differentiable and value-preserving.
+tiles whose messenger tokens later exchange channels. A stage's messengers
+are one plain (B, Gh, Gw, C) tensor, one token per window of the grid. All
+transformations here are differentiable and value-preserving.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from .tensor import Tensor
 TOP_LEFT = "top-left"
 BOTTOM_RIGHT = "bottom-right"
 
-# Instrumentation for the one-partition-per-stage efficiency property.
-_partition_calls = 0
-
 
 def partition_call_count() -> int:
     """Partitions run since import; a run's count is the difference of two reads."""
-    return _partition_calls
+    return T._counts["partitions"]
 
 
 @dataclass
@@ -36,27 +34,8 @@ class FeatureMap:
     tokens: Tensor
 
     @property
-    def extents(self) -> tuple[int, int]:
-        return self.tokens.shape[1], self.tokens.shape[2]
-
-    @property
     def channels(self) -> int:
         return self.tokens.shape[3]
-
-
-@dataclass
-class MsgTokens:
-    """One messenger token per window, on the window grid: (B, Gh, Gw, C)."""
-
-    grid: Tensor
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.grid.shape[1], self.grid.shape[2]
-
-    @property
-    def channels(self) -> int:
-        return self.grid.shape[3]
 
 
 @dataclass
@@ -152,14 +131,13 @@ def build_region_view(
 
 def partition_windows(fm: FeatureMap, window_size: int) -> WindowedTokens:
     """Split (B, H, W, C) into non-overlapped ``window_size`` square windows."""
-    global _partition_calls
     b, h, w, c = fm.tokens.shape
     if h % window_size or w % window_size:
         raise PartitionError(
             f"extents {h}x{w} are not divisible by window size {window_size}; "
             "call pad_to_window_multiple first"
         )
-    _partition_calls += 1
+    T._count("partitions", 1)
     gh, gw = h // window_size, w // window_size
     x = T.reshape(fm.tokens, (b, gh, window_size, gw, window_size, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
@@ -200,10 +178,10 @@ def crop_to(fm: FeatureMap, extents: tuple[int, int]) -> FeatureMap:
 
 def merge_tokens(
     fm: FeatureMap,
-    msg: Optional[MsgTokens],
+    msg: Optional[Tensor],
     weight: Tensor,
     bias: Tensor,
-) -> tuple[FeatureMap, Optional[MsgTokens]]:
+) -> tuple[FeatureMap, Optional[Tensor]]:
     """Downsample between stages with one shared strided 3x3 convolution.
 
     The patch grid and the messenger grid are convolved with the *same*
@@ -213,10 +191,8 @@ def merge_tokens(
     c = fm.channels
     if weight.shape[:3] != (3, 3, c):
         raise ShapeError(f"merge weight {weight.shape} does not match 3x3 kernel over {c} channels")
-    if msg is not None and msg.channels != c:
-        raise ShapeError(f"messenger channels {msg.channels} != patch channels {c}")
+    if msg is not None and msg.shape[3] != c:
+        raise ShapeError(f"messenger channels {msg.shape[3]} != patch channels {c}")
     merged = FeatureMap(tokens=T.conv2d(fm.tokens, weight, bias, stride=2, padding=1))
-    merged_msg = None
-    if msg is not None:
-        merged_msg = MsgTokens(grid=T.conv2d(msg.grid, weight, bias, stride=2, padding=1))
+    merged_msg = None if msg is None else T.conv2d(msg, weight, bias, stride=2, padding=1)
     return merged, merged_msg

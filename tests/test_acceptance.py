@@ -52,12 +52,12 @@ def test_criterion_3_shuffle_correctness():
         view = W.build_region_view((region, region), region, W.TOP_LEFT)
         for _ in range(100):
             c = region * region * int(rng.integers(1, 4))
-            msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32)))
+            msg = Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
             once = B.manipulate_msg(msg, view, "shuffle")
-            ok &= np.array_equal(np.sort(once.grid.data.ravel()), np.sort(msg.grid.data.ravel()))
-            ok &= np.array_equal(B.manipulate_msg(once, view, "shuffle").grid.data, msg.grid.data)
-    hand = W.MsgTokens(grid=Tensor(np.arange(16, dtype=np.float32).reshape(1, 2, 2, 4)))
-    got = B.manipulate_msg(hand, W.build_region_view((2, 2), 2, W.TOP_LEFT), "shuffle").grid.data.reshape(4, 4)
+            ok &= np.array_equal(np.sort(once.data.ravel()), np.sort(msg.data.ravel()))
+            ok &= np.array_equal(B.manipulate_msg(once, view, "shuffle").data, msg.data)
+    hand = Tensor(np.arange(16, dtype=np.float32).reshape(1, 2, 2, 4))
+    got = B.manipulate_msg(hand, W.build_region_view((2, 2), 2, W.TOP_LEFT), "shuffle").data.reshape(4, 4)
     expected = np.array([[0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]], dtype=np.float32)
     ok &= np.array_equal(got, expected)
     report(3, "shuffle is a value-preserving involutive permutation incl. hand example", ok,
@@ -129,7 +129,7 @@ def test_criterion_8_closed_form_vs_instrumented():
         windows=Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)),
         window_size=ws,
     )
-    msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32)))
+    msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
     with T.count_macs() as counter:
         B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, W.build_region_view((gh, gw), 2, W.TOP_LEFT)))
     spec = C.ComplexitySpec(gh * ws, gw * ws, ws, ch, with_msg=True)

@@ -87,7 +87,7 @@ def make_windows(b, gh, gw, window_size, c, seed=0, dtype=np.float32):
 
 def make_msg(b, gh, gw, c, seed=1, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    return W.MsgTokens(grid=Tensor(rng.standard_normal((b, gh, gw, c)).astype(dtype)))
+    return Tensor(rng.standard_normal((b, gh, gw, c)).astype(dtype))
 
 
 class TestAttachDetach:
@@ -102,7 +102,7 @@ class TestAttachDetach:
         msg = make_msg(2, 3, 2, 5, seed=3)
         back_wt, back_msg = B.detach_msg(B.attach_msg(wt, msg))
         np.testing.assert_array_equal(back_wt.windows.data, wt.windows.data)
-        np.testing.assert_array_equal(back_msg.grid.data, msg.grid.data)
+        np.testing.assert_array_equal(back_msg.data, msg.data)
 
     def test_single_window_sequence_length(self):
         wt = make_windows(1, 1, 1, 3, 2)
@@ -223,13 +223,13 @@ class TestLocalMsa:
         token = np.random.default_rng(8).standard_normal(c).astype(np.float32)
         data = np.broadcast_to(token, (1, 1, 1, w * w + 1, c)).copy()
         wt = W.WindowedTokens(windows=Tensor(data), window_size=w, with_msg=True)
-        out = B.local_msa(wt, params.attn, params.bias)
+        out = B.local_msa(wt.windows, params.attn, params.bias)
         np.testing.assert_allclose(self._probabilities(wt, params), 1.0 / (w * w + 1), atol=1e-7)
         # expected output: out_proj(v) with v identical across tokens
         qkv = token @ params.attn.qkv_weight.data + params.attn.qkv_bias.data
         v = qkv[2 * c :]
         expected = v @ params.attn.out_weight.data + params.attn.out_bias.data
-        np.testing.assert_allclose(out.windows.data[0, 0, 0], np.tile(expected, (w * w + 1, 1)), rtol=1e-5)
+        np.testing.assert_allclose(out.data[0, 0, 0], np.tile(expected, (w * w + 1, 1)), rtol=1e-5)
 
     def test_windows_are_isolated(self):
         c, w = 8, 2
@@ -237,13 +237,9 @@ class TestLocalMsa:
         wt = make_windows(1, 1, 2, w, c, seed=10)
         zeroed = wt.windows.data.copy()
         zeroed[0, 0, 1] = 0.0
-        out_full = B.local_msa(wt, params.attn, params.bias)
-        out_zero = B.local_msa(
-            W.WindowedTokens(windows=Tensor(zeroed), window_size=w), params.attn, params.bias
-        )
-        np.testing.assert_array_equal(
-            out_full.windows.data[0, 0, 0], out_zero.windows.data[0, 0, 0]
-        )
+        out_full = B.local_msa(wt.windows, params.attn, params.bias)
+        out_zero = B.local_msa(Tensor(zeroed), params.attn, params.bias)
+        np.testing.assert_array_equal(out_full.data[0, 0, 0], out_zero.data[0, 0, 0])
 
     def test_attention_rows_sum_to_one(self):
         c, w = 12, 3
@@ -257,7 +253,7 @@ class TestLocalMsa:
         params = self._params(8, 2, 2)
         three_heads = B.RelPosBias(2, Tensor(np.zeros((3, 3, 3), dtype=np.float32)), None, None)
         with pytest.raises(ConfigError):
-            B.local_msa(make_windows(1, 1, 1, 2, 8), params.attn, three_heads)
+            B.local_msa(make_windows(1, 1, 1, 2, 8).windows, params.attn, three_heads)
 
 
 class TestShuffle:
@@ -265,15 +261,15 @@ class TestShuffle:
         msg = make_msg(1, 3, 3, 4, seed=20)
         view = W.build_region_view((3, 3), 1, W.TOP_LEFT)
         out = B.manipulate_msg(msg, view, "shuffle")
-        np.testing.assert_array_equal(out.grid.data, msg.grid.data)
+        np.testing.assert_array_equal(out.data, msg.data)
 
     def test_hand_derived_group_transpose(self):
         tokens = np.array(
             [[0.0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]], dtype=np.float32
         ).reshape(1, 2, 2, 4)
-        msg = W.MsgTokens(grid=Tensor(tokens))
+        msg = Tensor(tokens)
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "shuffle").grid.data.reshape(4, 4)
+        out = B.manipulate_msg(msg, view, "shuffle").data.reshape(4, 4)
         expected = np.array(
             [[0.0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]], dtype=np.float32
         )
@@ -284,16 +280,14 @@ class TestShuffle:
         rng = np.random.default_rng(region)
         for _ in range(100):
             c = region * region * int(rng.integers(1, 4))
-            msg = W.MsgTokens(
-                grid=Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
-            )
+            msg = Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
             view = W.build_region_view((region, region), region, W.TOP_LEFT)
             once = B.manipulate_msg(msg, view, "shuffle")
             np.testing.assert_array_equal(
-                np.sort(once.grid.data.ravel()), np.sort(msg.grid.data.ravel())
+                np.sort(once.data.ravel()), np.sort(msg.data.ravel())
             )
             twice = B.manipulate_msg(once, view, "shuffle")
-            np.testing.assert_array_equal(twice.grid.data, msg.grid.data)
+            np.testing.assert_array_equal(twice.data, msg.data)
 
     def test_indivisible_channels_named_in_error(self):
         msg = make_msg(1, 2, 2, 6)
@@ -306,10 +300,10 @@ class TestShuffle:
         msg = make_msg(1, 3, 1, 4, seed=21)
         view = W.build_region_view((3, 1), 2, W.BOTTOM_RIGHT)
         out = B.manipulate_msg(msg, view, "shuffle")
-        np.testing.assert_array_equal(out.grid.data[0, 0, 0], msg.grid.data[0, 0, 0])
-        a, b = msg.grid.data[0, 1, 0], msg.grid.data[0, 2, 0]
-        np.testing.assert_array_equal(out.grid.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
-        np.testing.assert_array_equal(out.grid.data[0, 2, 0], [a[2], a[3], b[2], b[3]])
+        np.testing.assert_array_equal(out.data[0, 0, 0], msg.data[0, 0, 0])
+        a, b = msg.data[0, 1, 0], msg.data[0, 2, 0]
+        np.testing.assert_array_equal(out.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
+        np.testing.assert_array_equal(out.data[0, 2, 0], [a[2], a[3], b[2], b[3]])
 
 
 class TestExchangeMatchesReference:
@@ -337,7 +331,7 @@ class TestExchangeMatchesReference:
             T.tsum(T.mul(out, Tensor(upstream))).backward()
             return out.data, x.grad
 
-        out, grad = run(lambda x: B.manipulate_msg(W.MsgTokens(grid=x), view, mode).grid)
+        out, grad = run(lambda x: B.manipulate_msg(x, view, mode))
         ref_out, ref_grad = run(lambda x: reference_manipulate(x, view, mode))
         assert out.dtype == ref_out.dtype == grad.dtype == dtype
         np.testing.assert_array_equal(out, ref_out)
@@ -352,22 +346,22 @@ class TestExchangeMatchesReference:
         for anchor in (W.TOP_LEFT, W.BOTTOM_RIGHT):
             view = W.build_region_view((5, 7), 4, anchor)
             for mode in ("shuffle", "shift", "average"):
-                assert B.manipulate_msg(msg, view, mode).grid.shape == msg.grid.shape
+                assert B.manipulate_msg(msg, view, mode).shape == msg.shape
 
 
 class TestManipulate:
     def test_average_replaces_with_region_mean(self):
         grid = np.array([[1.0, 1.0], [3.0, 3.0]], dtype=np.float32).reshape(1, 1, 2, 2)
-        msg = W.MsgTokens(grid=Tensor(grid))
+        msg = Tensor(grid)
         view = W.build_region_view((1, 2), 2, W.TOP_LEFT)
         out = B.manipulate_msg(msg, view, "average")
-        np.testing.assert_allclose(out.grid.data.reshape(2, 2), [[2.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_allclose(out.data.reshape(2, 2), [[2.0, 2.0], [2.0, 2.0]])
 
     def test_shift_is_cyclic_row_major(self):
         tokens = np.arange(4, dtype=np.float32).reshape(1, 2, 2, 1)  # a,b,c,d
-        msg = W.MsgTokens(grid=Tensor(tokens))
+        msg = Tensor(tokens)
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "shift").grid.data.reshape(4)
+        out = B.manipulate_msg(msg, view, "shift").data.reshape(4)
         np.testing.assert_array_equal(out, [3.0, 0.0, 1.0, 2.0])  # d,a,b,c
 
     def test_none_is_identity(self):
@@ -387,7 +381,7 @@ class TestManipulate:
         msg = make_msg(1, 2, 3, 4, seed=23)
         view = W.build_region_view((2, 3), 1, W.TOP_LEFT)
         out = B.manipulate_msg(msg, view, mode)
-        np.testing.assert_array_equal(out.grid.data, msg.grid.data)
+        np.testing.assert_array_equal(out.data, msg.data)
 
 
 class TestBlockForward:
@@ -404,8 +398,8 @@ class TestBlockForward:
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
         out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
         np.testing.assert_array_equal(out_wt.windows.data, wt.windows.data)
-        expected_msg = B.manipulate_msg(msg, view, "shuffle").grid.data
-        np.testing.assert_array_equal(out_msg.grid.data, expected_msg)
+        expected_msg = B.manipulate_msg(msg, view, "shuffle").data
+        np.testing.assert_array_equal(out_msg.data, expected_msg)
 
     def test_mode_none_keeps_windows_isolated(self):
         reached = information_reach(mode="none", use_msg=True, seed=3)
@@ -432,9 +426,9 @@ class TestBlockForward:
 
         def loss():
             wt = W.WindowedTokens(windows=wt_data, window_size=w)
-            msg = W.MsgTokens(grid=msg_data)
+            msg = msg_data
             out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
-            return T.add(T.tsum(T.mul(out_wt.windows, out_wt.windows)), T.tsum(T.mul(out_msg.grid, out_msg.grid)))
+            return T.add(T.tsum(T.mul(out_wt.windows, out_wt.windows)), T.tsum(T.mul(out_msg, out_msg)))
 
         err = T.grad_check(loss, params.parameters() + [wt_data, msg_data])
         assert err < 1e-4, f"block gradient mismatch: {err}"
@@ -448,10 +442,10 @@ class TestBlockForward:
         f64 = np.float64
         wt = B.attach_msg(make_windows(1, 2, 3, w, c, seed=36, dtype=f64), make_msg(1, 2, 3, c, seed=37, dtype=f64))
         view = W.build_region_view((2, 3), 2, W.TOP_LEFT)  # a 2x2 and a 2x1 region
-        full = B.detach_msg(B.block_forward(wt, params, view))[1].grid.data
+        full = B.detach_msg(B.block_forward(wt, params, view))[1].data
         alone = B.block_forward(wt, params, view, msg_only=True)
-        assert isinstance(alone, W.MsgTokens)
-        np.testing.assert_allclose(alone.grid.data, full, rtol=0, atol=1e-13)
+        assert isinstance(alone, Tensor)
+        np.testing.assert_allclose(alone.data, full, rtol=0, atol=1e-13)
         with pytest.raises(ConfigError, match="messenger tokens attached"):
             B.block_forward(make_windows(1, 2, 3, w, c), params, view, msg_only=True)
 

@@ -393,6 +393,18 @@ class TestDataAndTraining:
         assert code == 1
         assert "error: data.num_val must be >= 1" in err and "runtime error" not in err
 
+    def test_eval_rejects_image_size_off_the_model_input_exit_1(self, capsys, tmp_path, config_file):
+        raw = json.loads(open(config_file).read())
+        cfg, _ = cli.parse_config(raw)
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(M.build_model(cfg.arch_config(), seed=0), ckpt)
+        raw["data"]["image_size"] = 60
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "eval", "--config", str(path), "--checkpoint", ckpt)
+        assert code == 1 and "val loss" not in out
+        assert "error: dataset image size 60 != model input 128" in err and "runtime error" not in err
+
     @pytest.mark.parametrize(
         "key,value,message",
         [

@@ -37,9 +37,11 @@ class TestFlopsBlock:
 
         assert projection_term(768) == 4 * projection_term(384)
 
-    def test_indivisible_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            C.flops_block(C.ComplexitySpec(8, 8, 7, 64)).validate()
+    @pytest.mark.parametrize("grid_h,grid_w,window", [(8, 8, 7), (8, 2, 4), (2, 8, 4)])
+    def test_indivisible_grid_rejected(self, grid_h, grid_w, window):
+        """Each axis must be a window multiple, not only the token count (8x2 = 16 = 4x4)."""
+        with pytest.raises(ConfigError, match="not tiled"):
+            C.flops_block(C.ComplexitySpec(grid_h, grid_w, window, 64))
 
 
 class TestFlopsRatio:
@@ -109,7 +111,7 @@ class TestModelFlops:
             windows=Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)),
             window_size=ws,
         )
-        msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32)))
+        msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
         view = W.build_region_view((gh, gw), 2, W.TOP_LEFT)
         with T.count_macs() as counter:
             B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))

@@ -141,7 +141,7 @@ class TestStageGeometry:
 def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
     """Whether the shuffle runs on every stage grid at ``size``, on zero tokens."""
     for s, grid in zip(cfg.stages, hand_stage_grids(cfg, size)):
-        msg = W.MsgTokens(grid=Tensor(np.zeros((1, *grid, s.dim), dtype=np.float32)))
+        msg = Tensor(np.zeros((1, *grid, s.dim), dtype=np.float32))
         for bi in range(min(2, s.num_blocks)):
             anchor = W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT
             try:
@@ -326,7 +326,7 @@ class TestInitialMsg:
         """The grid is the cropped np.tile of the input; its gradient is np.add.at's, bit for bit."""
         rng = np.random.default_rng(gh * 1000 + gw * 10 + s)
         msg = Tensor(rng.standard_normal((s, s, 3)).astype(dtype), requires_grad=True)
-        grid = M._initial_msg(msg, (gh, gw), batch).grid
+        grid = M._initial_msg(msg, (gh, gw), batch)
         tile = np.tile(msg.data, (-(-gh // s), -(-gw // s), 1))[:gh, :gw]
         assert grid.shape == (batch, gh, gw, 3)
         assert grid.data.tobytes() == np.broadcast_to(tile, grid.shape).tobytes()
@@ -558,7 +558,8 @@ class TestFusedNodesInModel:
     def test_tiny_forward(self, tiny_model, monkeypatch):
         def forward():
             with T.no_grad(), T.count_macs() as c:
-                return c.buckets, M.forward(tiny_model, rand_images(1, 224)).data
+                logits = M.forward(tiny_model, rand_images(1, 224)).data
+            return c.buckets, logits
 
         fused = forward()
         self._composed(monkeypatch)
@@ -588,7 +589,7 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
         fm = W.crop_to(W.reverse_windows(wt), extents)
         if si < M.NUM_STAGES - 1:
             fm, msg = W.merge_tokens(fm, msg, model.merge_weights[si], model.merge_biases[si])
-    pooled = T.layer_norm(T.tmean(msg.grid, axis=(1, 2)), model.head_norm_gamma, model.head_norm_beta)
+    pooled = T.layer_norm(T.tmean(msg, axis=(1, 2)), model.head_norm_gamma, model.head_norm_beta)
     return T.linear(pooled, model.head_weight, model.head_bias)
 
 

@@ -12,6 +12,7 @@ from scipy.special import erf as scipy_erf
 from msgt import blocks as B
 from msgt import model as M
 from msgt import tensor as T
+from msgt import windows as W
 from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.tensor import Tensor
 
@@ -1006,3 +1007,21 @@ class TestMacCounter:
         with T.count_macs() as c:
             T.conv2d(x, w, None, stride=2, padding=1)
         assert c["conv"] == 4 * 4 * 9 * 3 * 6
+
+    def test_nested_blocks_each_count_all_their_work(self):
+        """An outer block counts the inner block's MACs too; partitions go to the same table."""
+        a = Tensor(np.zeros((3, 5), dtype=np.float32))
+        b = Tensor(np.zeros((5, 2), dtype=np.float32))
+        model = M.build_model(M.micro_config(), seed=0)
+        images = Tensor(np.zeros((1, 128, 128, 3), dtype=np.float32))
+        with T.count_macs() as outer:
+            T.matmul(a, b)
+            with T.count_macs() as inner:
+                T.matmul(a, b)
+            calls = W.partition_call_count()
+            with T.no_grad(), T.count_macs() as fwd:
+                M.forward(model, images)
+            partitions = W.partition_call_count() - calls
+        assert inner["matmul"] == 30 and fwd["conv"] > 0 and partitions == 4
+        expected = {k: 2 * inner[k] + fwd[k] for k in ("matmul", "conv", "other")}
+        assert outer.buckets == expected

@@ -175,21 +175,21 @@ class TestMergeTokens:
     def test_stage_transition_shapes(self):
         rng = np.random.default_rng(19)
         fm = W.FeatureMap(tokens=Tensor(rng.standard_normal((1, 56, 56, 64)).astype(np.float32)))
-        msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
+        msg = Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32))
         weight = Tensor(rng.standard_normal((3, 3, 64, 128)).astype(np.float32) * 0.02)
         bias = Tensor(np.zeros(128, dtype=np.float32))
         merged, merged_msg = W.merge_tokens(fm, msg, weight, bias)
         assert merged.tokens.shape == (1, 28, 28, 128)
-        assert merged_msg.grid.shape == (1, 4, 4, 128)
+        assert merged_msg.shape == (1, 4, 4, 128)
 
     def test_odd_msg_grid_ceil_halves(self):
         rng = np.random.default_rng(23)
         fm = W.FeatureMap(tokens=Tensor(rng.standard_normal((1, 10, 14, 4)).astype(np.float32)))
-        msg = W.MsgTokens(grid=Tensor(rng.standard_normal((1, 5, 7, 4)).astype(np.float32)))
+        msg = Tensor(rng.standard_normal((1, 5, 7, 4)).astype(np.float32))
         weight = Tensor(rng.standard_normal((3, 3, 4, 8)).astype(np.float32))
         bias = Tensor(np.zeros(8, dtype=np.float32))
         _, merged_msg = W.merge_tokens(fm, msg, weight, bias)
-        assert merged_msg.grid.shape == (1, 3, 4, 8)
+        assert merged_msg.shape == (1, 3, 4, 8)
 
     def test_delta_kernel_preserves_constant(self):
         fm = W.FeatureMap(tokens=Tensor(np.full((1, 8, 8, 1), 2.5, dtype=np.float32)))
@@ -234,9 +234,9 @@ class TestMergeTokens:
         def weight_grad(*grids):
             wt = Tensor(weight, requires_grad=True)
             fm = W.FeatureMap(tokens=Tensor(grids[0]))
-            msg = W.MsgTokens(grid=Tensor(grids[1])) if len(grids) > 1 else None
+            msg = Tensor(grids[1]) if len(grids) > 1 else None
             merged, merged_msg = W.merge_tokens(fm, msg, wt, Tensor(bias))
-            outs = [merged.tokens] + ([merged_msg.grid] if msg is not None else [])
+            outs = [merged.tokens] + ([merged_msg] if msg is not None else [])
             for out, grid in zip(outs, grids):
                 np.testing.assert_allclose(out.data, reference(grid), rtol=1e-12, atol=1e-12)
             loss = T.tsum(outs[0])
