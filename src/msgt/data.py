@@ -121,30 +121,6 @@ def split_train_val(ds: Dataset, spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     )
 
 
-def classify_by_orientation(images: np.ndarray) -> np.ndarray:
-    """Independent oracle: dominant Fourier-peak angle, snapped to the class grid.
-
-    A grating at angle theta concentrates spectral energy at +-freq*(cos,
-    sin)(theta); the argmax bin's angle mod 180 degrees identifies the class.
-    """
-    n = images.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    class_angles = np.deg2rad(np.asarray(ORIENTATIONS_DEG))
-    for i in range(n):
-        gray = images[i].mean(axis=-1)
-        spectrum = np.abs(np.fft.fft2(gray - gray.mean()))
-        spectrum[0, 0] = 0.0
-        ky, kx = np.unravel_index(np.argmax(spectrum), spectrum.shape)
-        size = gray.shape[0]
-        ky = ky - size if ky > size // 2 else ky
-        kx = kx - size if kx > size // 2 else kx
-        angle = np.arctan2(ky, kx) % np.pi
-        diffs = np.abs(angle - class_angles)
-        diffs = np.minimum(diffs, np.pi - diffs)
-        out[i] = int(np.argmin(diffs))
-    return out
-
-
 # -- IDX binary format -----------------------------------------------------------
 
 

@@ -4,7 +4,11 @@ Tensors wrap a numpy array (float32 for training, float64 for gradient
 checking) plus an optional gradient accumulator. Every differentiable
 operation records its parents and a backward closure; ``Tensor.backward``
 replays the recorded graph once in reverse topological order and sums
-gradients into each tensor out of place.
+gradients into each tensor out of place. The backward uses the graph up
+as it runs: once a node's closure has run, the node drops its gradient,
+closure and parents, so each activation is freed as soon as nothing
+upstream needs it. Only leaves keep ``.grad``, and a second backward
+through a used-up graph raises ``ContractError``.
 
 One in-place rule: an op may write in place only into an array that it
 allocated itself and has not yet returned. Buffers shared through views,
@@ -107,7 +111,7 @@ class Tensor:
     stored values.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
@@ -146,7 +150,7 @@ class Tensor:
     # -- autodiff -----------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Accumulate gradients of ``self`` w.r.t. every reachable tensor."""
+        """Accumulate gradients of ``self`` into every reachable leaf, using up the graph."""
         if not self.requires_grad:
             raise ContractError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -178,15 +182,25 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # Popping keeps the list from holding the nodes already run, so each
+        # one's data, gradient and closure are freed as the walk moves on.
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
     def __getitem__(self, key):
         return getitem(self, key)
 
 
 # -- graph plumbing ----------------------------------------------------------
+
+
+def _consumed(g: np.ndarray) -> None:
+    raise ContractError("backward() through a graph that an earlier backward() used up")
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:

@@ -161,6 +161,12 @@ def center_images(images: np.ndarray) -> np.ndarray:
     return images * 2.0 - 1.0
 
 
+def _batch(ds: D.Dataset, idx) -> Tensor:
+    """Model input for rows ``idx``: the stored channel gathered and centered, then viewed as RGB."""
+    gray = center_images(ds.gray[idx])
+    return Tensor(np.broadcast_to(gray, gray.shape[:3] + (3,)))
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
     """Mean smoothed cross-entropy over the batch."""
     n, k = logits.shape
@@ -175,9 +181,8 @@ def evaluate(model: Model, ds: D.Dataset, batch_size: int = 32, smoothing: float
     losses, hits, seen = 0.0, 0.0, 0
     with T.no_grad():
         for start in range(0, len(ds), batch_size):
-            images = Tensor(center_images(ds.images[start : start + batch_size]))
             labels = ds.labels[start : start + batch_size]
-            logits = M.forward(model, images, mode="eval")
+            logits = M.forward(model, _batch(ds, slice(start, start + batch_size)), mode="eval")
             losses += cross_entropy(logits, labels, smoothing).item() * len(labels)
             hits += (logits.data.argmax(axis=1) == labels).sum()
             seen += len(labels)
@@ -275,9 +280,8 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
         batch_idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
-        images = Tensor(center_images(train_ds.images[batch_idx]))
         labels = train_ds.labels[batch_idx]
-        logits = M.forward(model, images, mode="train", rng=rng)
+        logits = M.forward(model, _batch(train_ds, batch_idx), mode="train", rng=rng)
         loss = cross_entropy(logits, labels, cfg.label_smoothing)
         loss_val = loss.item()
         if not np.isfinite(loss_val):

@@ -366,6 +366,44 @@ def test_runs_without_scipy():
     assert with_grad == total > 0
 
 
+THREADS_SCRIPT = """
+import hashlib, numpy as np
+from msgt import model as M, tensor as T
+from msgt.train import cross_entropy
+rng = np.random.default_rng(0)
+micro = M.build_model(M.micro_config(), seed=0)
+images = T.Tensor(rng.standard_normal((16, 128, 128, 3)).astype(np.float32))
+logits = M.forward(micro, images, mode="train", rng=rng)
+cross_entropy(logits, np.arange(16) % 4, 0.1).backward()
+tiny = M.build_model(M.tiny_config(), seed=0)
+with T.no_grad():
+    tiny_images = T.Tensor(rng.standard_normal((1, 224, 224, 3)).astype(np.float32))
+    tiny_logits = M.forward(tiny, tiny_images, mode="eval")
+print(hashlib.sha256(logits.data.tobytes() + tiny_logits.data.tobytes()).hexdigest())
+print(hashlib.sha256(b"".join(p.grad.tobytes() for p in micro.parameters() if p.requires_grad)).hexdigest())
+"""
+
+
+def test_outputs_and_gradients_do_not_depend_on_the_thread_count():
+    """Micro train-mode logits and gradients, and tiny 224-px eval logits, hash the same at 1 and 2 threads.
+
+    The BLAS pool is sized when numpy loads, so each count runs in its own process.
+    """
+    src = os.path.dirname(os.path.dirname(msgt.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["MSGT_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+
+
 class TestPatchEmbed:
     def test_tiny_geometry(self, tiny_model):
         fm = M.patch_embed(tiny_model, rand_images(1, 224))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from msgt import tensor as T
 from msgt import windows as W
 from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.tensor import Tensor
+from msgt.train import cross_entropy
 
 
 def t64(data, requires_grad=True):
@@ -972,6 +974,57 @@ class TestAutogradMechanics:
         b = Tensor(np.ones(2, dtype=np.float64))
         with pytest.raises(TypeError):
             T.add(a, b)
+
+
+class TestBackwardUsesUpTheGraph:
+    @pytest.fixture
+    def micro_step(self):
+        """One micro train-mode step at batch 4, after ``loss.backward()``.
+
+        Also returns a weak reference to a graph node 8 ops below the loss,
+        taken while the node was alive.
+        """
+        model = M.build_model(M.micro_config(), seed=0)
+        rng = np.random.default_rng(0)
+        images = Tensor(rng.standard_normal((4, 128, 128, 3)).astype(np.float32))
+        loss = cross_entropy(M.forward(model, images, mode="train", rng=rng), np.arange(4), 0.1)
+        mid = loss
+        for _ in range(8):
+            mid = next(p for p in mid._parents if p._parents)
+        mid_ref = weakref.ref(mid)
+        del mid
+        assert mid_ref() is not None
+        loss.backward()
+        return model, loss, mid_ref
+
+    def test_interior_nodes_are_freed_while_the_loss_lives(self, micro_step):
+        _, loss, mid_ref = micro_step
+        assert mid_ref() is None  # freed by reference counting alone: the graph holds no cycle
+        assert loss._parents == ()
+
+    def test_only_leaves_keep_gradients(self, micro_step):
+        model, loss, _ = micro_step
+        trained = [p for p in model.parameters() if p.requires_grad]
+        assert trained and all(p.grad is not None and p.grad.shape == p.data.shape for p in trained)
+        assert loss.grad is None
+
+    def test_second_backward_raises(self, micro_step):
+        _, loss, _ = micro_step
+        with pytest.raises(ContractError):
+            loss.backward()
+
+    def test_shared_subgraph_used_up_by_the_first_backward(self):
+        p = t64([1.0, 2.0])
+        h = T.mul(p, 3.0)
+        T.tsum(h).backward()
+        with pytest.raises(ContractError):
+            T.tsum(T.mul(h, 2.0)).backward()
+
+    def test_leaf_root_keeps_its_seed(self):
+        p = t64([1.0, 2.0])
+        p.backward(np.array([3.0, 4.0]))
+        p.backward(np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(p.grad, [4.0, 5.0])
 
 
 class TestDropPath:
