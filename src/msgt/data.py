@@ -59,7 +59,8 @@ class Dataset:
 
     Both sources store one channel, ``gray`` (N, S, S, 1) float32 in [0, 1].
     ``images`` broadcasts it to a read-only (N, S, S, 3) RGB view, so the
-    bytes read as three equal channels while memory holds one.
+    bytes read as three equal channels while memory holds one. The splits
+    that ``load_data`` returns each own exactly their rows.
     """
 
     gray: np.ndarray
@@ -80,6 +81,12 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
     Gaussian pixel noise, clipped to [0, 1]. Identical (spec, seed) pairs
     produce identical bytes.
     """
+    labels, rows = _synthetic(spec)
+    return Dataset(gray=rows(0, len(labels)), labels=labels)
+
+
+def _synthetic(spec: DatasetSpec):
+    """The labels, and ``rows(lo, hi)``: rows lo:hi in a new array, to be called in row order (one rng stream)."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.num_train + spec.num_val
@@ -89,36 +96,43 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
     rng.shuffle(labels)
 
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
-    gray = np.empty((n, size, size, 1), dtype=np.float32)
-    for i, label in enumerate(labels):
-        theta = np.deg2rad(ORIENTATIONS_DEG[label]).astype(np.float32)
-        freq = rng.uniform(3.0, 8.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        wave = np.sin(
-            2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phase
-        )
-        img = 0.5 + 0.35 * wave
-        if spec.noise_sigma > 0:
-            img = img + spec.noise_sigma * rng.standard_normal((size, size))
-        gray[i, :, :, 0] = np.clip(img, 0.0, 1.0)
-    return Dataset(gray=gray, labels=labels)
+    def rows(lo, hi):
+        gray = np.empty((hi - lo, size, size, 1), dtype=np.float32)
+        for i, label in enumerate(labels[lo:hi]):
+            theta = np.deg2rad(ORIENTATIONS_DEG[label]).astype(np.float32)
+            freq = rng.uniform(3.0, 8.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            wave = np.sin(
+                2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phase
+            )
+            img = 0.5 + 0.35 * wave
+            if spec.noise_sigma > 0:
+                img = img + spec.noise_sigma * rng.standard_normal((size, size))
+            gray[i, :, :, 0] = np.clip(img, 0.0, 1.0)
+        return gray
+    return labels, rows
 
 
-def split_train_val(ds: Dataset, spec: DatasetSpec) -> tuple[Dataset, Dataset]:
-    """The first ``num_train`` rows as a view, and a copy of the next ``num_val``.
+def load_data(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
+    """The first ``num_train`` rows of the source as train, the next ``num_val`` as val.
 
-    The val split owns its rows, so a caller that keeps only val frees the
-    full array.
+    Rows are written in load order straight into two arrays, so each split
+    owns exactly its rows and neither keeps the other's bytes alive.
     """
-    if len(ds) < spec.num_train + spec.num_val:
-        raise ConfigError(
-            f"dataset has {len(ds)} samples, need {spec.num_train + spec.num_val}"
-        )
+    spec.validate()
     t, v = spec.num_train, spec.num_val
-    return (
-        Dataset(gray=ds.gray[:t], labels=ds.labels[:t]),
-        Dataset(gray=ds.gray[t : t + v].copy(), labels=ds.labels[t : t + v].copy()),
-    )
+    if spec.source == "synthetic-textures":
+        labels, rows = _synthetic(spec)
+    else:
+        labels, rows = _idx(spec.images_path, spec.labels_path, spec.image_size)
+        bad = np.flatnonzero(labels >= spec.num_classes)
+        if bad.size:
+            raise ConfigError(f"IDX label {labels[bad[0]]} at index {bad[0]} is out of range "
+                              f"for num_classes={spec.num_classes}")
+    if len(labels) < t + v:
+        raise ConfigError(f"dataset has {len(labels)} samples, need {t + v}")
+    train = Dataset(gray=rows(0, t), labels=labels[:t].copy())  # train's rows come first in the rng stream
+    return train, Dataset(gray=rows(t, t + v), labels=labels[t : t + v].copy())
 
 
 # -- IDX binary format -----------------------------------------------------------
@@ -159,20 +173,28 @@ def _load_idx_array(path: str, expected_magic: int, rank: int) -> np.ndarray:
 
 def load_idx(images_path: str, labels_path: str, image_size: int) -> Dataset:
     """Load an IDX image/label pair, rescale to [0, 1], center-pad to size."""
+    labels, rows = _idx(images_path, labels_path, image_size)
+    return Dataset(gray=rows(0, len(labels)), labels=labels)
+
+
+def _idx(images_path: str, labels_path: str, image_size: int):
+    """The labels, and ``rows(lo, hi)``: rows lo:hi in a new array."""
     images = _load_idx_array(images_path, IDX_IMAGES_MAGIC, rank=3)
     labels = _load_idx_array(labels_path, IDX_LABELS_MAGIC, rank=1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"IDX image count {images.shape[0]} != label count {labels.shape[0]}"
         )
-    n, h, w = images.shape
+    _, h, w = images.shape
     if h > image_size or w > image_size:
         raise ConfigError(f"IDX images {h}x{w} exceed configured input size {image_size}")
     top = (image_size - h) // 2
     left = (image_size - w) // 2
-    gray = np.zeros((n, image_size, image_size, 1), dtype=np.float32)
-    gray[:, top : top + h, left : left + w, 0] = images.astype(np.float32) / 255.0
-    return Dataset(gray=gray, labels=labels.astype(np.int64))
+    def rows(lo, hi):
+        gray = np.zeros((hi - lo, image_size, image_size, 1), dtype=np.float32)
+        gray[:, top : top + h, left : left + w, 0] = images[lo:hi].astype(np.float32) / 255.0
+        return gray
+    return labels.astype(np.int64), rows
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

@@ -74,9 +74,14 @@ class ArchConfig:
                 )
         if self.input_size < PATCH_KERNEL:
             raise ConfigError(f"input size {self.input_size} smaller than patch kernel {PATCH_KERNEL}")
+        self._check_exchange(self.input_size, self.input_size)
+
+    def _check_exchange(self, h: int, w: int) -> None:
+        """Reject an (h, w) input whose grids the exchange cannot run; rows follow h alone, columns w alone."""
         if not self.use_msg:
             return
-        grids = [grid for _, grid in stage_geometry(self)]
+        size = h if h == w else f"{h}x{w}"
+        grids = [(gh, gw) for (_, (gh, _)), (_, (_, gw)) in zip(stage_geometry(self, h), stage_geometry(self, w))]
         for i, (s, grid) in enumerate(zip(self.stages, grids), start=1):
             # each merge halves the messenger grid, which must meet the next window grid
             msg_grid = tuple(-(-g // 2) for g in grids[i - 2]) if i > 1 else grid
@@ -87,7 +92,7 @@ class ArchConfig:
                 for _, _, rh, rw in W.ShuffleRegionView(grid, s.shuffle_size, anchor).blocks:
                     if self.manipulation == "shuffle" and s.dim % (rh * rw):
                         raise ConfigError(
-                            f"stage {i}: at input size {self.input_size} the {grid[0]}x{grid[1]} "
+                            f"stage {i}: at input size {size} the {grid[0]}x{grid[1]} "
                             f"window grid has {rh}x{rw} shuffle regions, whose {rh * rw} tokens "
                             f"do not divide {s.dim} channels"
                         )
@@ -367,6 +372,7 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
         raise ShapeError(f"expected (B, H, W, 3) images, got {images.shape}")
     if images.shape[1] < PATCH_KERNEL or images.shape[2] < PATCH_KERNEL:
         raise ConfigError(f"input {images.shape[1]}x{images.shape[2]} smaller than patch kernel")
+    model.config._check_exchange(*images.shape[1:3])  # before any compute
     tokens = T.conv2d(images, model.embed_weight, model.embed_bias, PATCH_STRIDE, PATCH_PAD)
     return W.FeatureMap(tokens=tokens)
 

@@ -843,7 +843,7 @@ def conv2d(
                 _accum(weight, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
             if x.requires_grad:
                 gcols = (g2 @ w2.T).reshape(b, oh, ow, kh, kw, cin)
-                gxp = np.zeros_like(xp)
+                gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin), dtype=cols2.dtype)
                 for ki in range(kh):
                     for kj in range(kw):
                         gxp[

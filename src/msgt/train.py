@@ -20,6 +20,7 @@ from . import data as D
 from . import model as M
 from . import tensor as T
 from .checkpoint import save_checkpoint
+from .data import load_data
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import ArchConfig, Model
 from .tensor import Tensor
@@ -213,21 +214,6 @@ def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
         raise ConfigError(f"data.num_val must be >= 1 to score the run, got {spec.num_val}")
     if spec.image_size != arch.input_size:
         raise ConfigError(f"dataset image size {spec.image_size} != model input {arch.input_size}")
-
-
-def load_data(spec: D.DatasetSpec) -> tuple[D.Dataset, D.Dataset]:
-    spec.validate()
-    if spec.source == "synthetic-textures":
-        full = D.generate_synthetic(spec)
-    else:
-        full = D.load_idx(spec.images_path, spec.labels_path, spec.image_size)
-        bad = np.flatnonzero(full.labels >= spec.num_classes)
-        if bad.size:
-            raise ConfigError(
-                f"IDX label {full.labels[bad[0]]} at index {bad[0]} is out of range "
-                f"for num_classes={spec.num_classes}"
-            )
-    return D.split_train_val(full, spec)
 
 
 def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResult:

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestSynthetic:
 
     def test_split_sizes(self):
         spec = D.DatasetSpec(num_train=48, num_val=16, image_size=32, seed=8)
-        train, val = D.split_train_val(D.generate_synthetic(spec), spec)
+        train, val = D.load_data(spec)
         assert len(train) == 48 and len(val) == 16
 
     def test_uneven_class_split_rejected(self):
@@ -186,14 +187,42 @@ class TestStorage:
 
     def test_val_split_owns_its_rows(self):
         full = D.generate_synthetic(SMALL_SPEC)
-        stored = weakref.ref(full.gray)
         expected = full.images[12:16].tobytes(), full.labels[12:16].tobytes()
-        train, val = D.split_train_val(full, SMALL_SPEC)
-        assert train.gray.base is full.gray  # train stays a view
-        del full, train
+        train, val = D.load_data(SMALL_SPEC)
+        stored = weakref.ref(train.gray)
+        del train
         assert stored() is None
         assert (val.images.tobytes(), val.labels.tobytes()) == expected
         assert val.gray.base is None and val.gray.nbytes == 4 * 16 * 16 * 4 and not val.images.flags.writeable
+
+    @staticmethod
+    def split_specs(tmp_path):
+        images_path, labels_path = TestIdx.hand_built_fixture(tmp_path)
+        idx = D.DatasetSpec(
+            source="idx-files", image_size=8, num_train=2, num_val=1, images_path=images_path, labels_path=labels_path
+        )
+        return {
+            "synthetic": (SMALL_SPEC, D.generate_synthetic(SMALL_SPEC)),
+            "idx": (idx, D.load_idx(images_path, labels_path, image_size=8)),  # 4 rows: the last is in neither split
+        }
+
+    def test_each_split_owns_exactly_its_rows(self, tmp_path):
+        for source, (spec, full) in self.split_specs(tmp_path).items():
+            t, v = spec.num_train, spec.num_val
+            train, val = D.load_data(spec)
+            for split, rows in ((train, slice(0, t)), (val, slice(t, t + v))):
+                assert split.gray.base is None and split.labels.base is None, source
+                assert split.gray.nbytes == full.gray[rows].nbytes, source
+                assert split.gray.tobytes() == full.gray[rows].tobytes(), source
+                assert split.labels.dtype == np.int64 and split.labels.tobytes() == full.labels[rows].tobytes(), source
+            assert not np.shares_memory(train.gray, val.gray), source
+
+    def test_idx_splits_need_enough_rows_and_known_labels(self, tmp_path):
+        spec, _ = self.split_specs(tmp_path)["idx"]
+        with pytest.raises(ConfigError, match="dataset has 4 samples, need 5"):
+            D.load_data(replace(spec, num_train=4))
+        with pytest.raises(ConfigError, match="IDX label 3 at index 3 is out of range for num_classes=3"):
+            D.load_data(replace(spec, num_classes=3))
 
     def test_center_images_gives_the_dense_bits(self):
         ds = D.generate_synthetic(SMALL_SPEC)

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,50 @@ class TestInputSizeCheck:
             assert accepted == exchange_runs(cfg, size), f"input size {size}"
             failures += not accepted
         assert failures == rejected
+
+    def test_unrunnable_input_rejected_before_any_compute(self):
+        model = M.build_model(replace(M.tiny_config(), input_size=256), seed=0)
+        with T.no_grad(), T.count_macs() as counter:
+            with pytest.raises(ConfigError, match=r"stage 2: at input size 160 the 3x3 window grid .* 128 channels"):
+                M.forward(model, rand_images(1, 160))
+        assert counter.buckets == {"matmul": 0, "conv": 0, "other": 0}
+        with pytest.raises(ConfigError, match=r"stage 1: at input size 176x160 the 7x6 window grid"):
+            M.forward(model, Tensor(np.zeros((1, 176, 160, 3), dtype=np.float32)))
+
+    def test_runnable_sizes_off_the_configured_one_still_run(self):
+        cfg = replace(M.tiny_config(), input_size=256)
+        model = M.build_model(cfg, seed=0)
+        for size in (200, 263):
+            with T.no_grad(), T.count_macs() as counter:
+                logits = M.forward(model, rand_images(1, size))
+            assert logits.shape == (1, cfg.num_classes) and np.isfinite(logits.data).all(), size
+            assert counter["matmul"] + counter["conv"] == C.model_flops(cfg, size)["total_macs"], size
+        micro = M.build_model(M.micro_config(), seed=0)
+        for hw in ((128, 96), (96, 160)):
+            images = Tensor(np.zeros((2, *hw, 3), dtype=np.float32))
+            logits = M.forward(micro, images, mode="train", rng=np.random.default_rng(0))
+            assert logits.shape == (2, 4) and np.isfinite(logits.data).all(), hw
+
+
+class TestLiveBytes:
+    # tracemalloc's count of what one micro train-mode forward at batch 4
+    # leaves alive (the graph the backward reads), measured with numpy 2.4
+    LIVE_BYTES = 18_272_211
+
+    def test_train_forward_keeps_no_dead_buffer(self):
+        model = M.build_model(M.micro_config(), seed=0)
+        images = rand_images(4, 128)
+        M.forward(model, images, mode="train", rng=np.random.default_rng(0))  # fill any first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            logits = M.forward(model, images, mode="train", rng=np.random.default_rng(0))
+            gc.collect()
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (4, 4)
+        assert live <= 1.02 * self.LIVE_BYTES, f"{live:,} live bytes after the forward"
 
 
 class TestBuild:

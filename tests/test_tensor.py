@@ -136,6 +136,21 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             T.conv2d(x, w, None, stride=1, padding=0)
 
+    @pytest.mark.parametrize("input_grad", [True, False], ids=["merge", "patch-embed"])
+    def test_backward_keeps_no_padded_input(self, input_grad):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 9, 9, 3)).astype(np.float32), requires_grad=input_grad)
+        w = Tensor(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), requires_grad=True)
+        y = T.conv2d(x, w, None, stride=2, padding=1)
+        shapes = []
+        for cell in y._backward.__closure__:
+            value = cell.cell_contents
+            value = value.data if isinstance(value, Tensor) else value
+            while isinstance(value, np.ndarray):  # an array and every array it views
+                shapes.append(value.shape)
+                value = value.base
+        assert (2, 9, 9, 3) in shapes and (2, 11, 11, 3) not in shapes
+
 
 def reference_conv2d(x, w, bias, stride, padding, g):
     """The kh*kw slice-copy im2col conv and its col2im backward, in plain numpy.
