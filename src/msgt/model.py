@@ -184,12 +184,14 @@ def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) resampled until all draws fall within two deviations."""
-    out = rng.standard_normal(shape) * std
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > 2 * std
+    """Normal(0, std), each round redrawing (in C order) and rechecking only the draws beyond two deviations."""
+    out = rng.standard_normal(shape)
+    out *= std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = redrawn = rng.standard_normal(bad.size) * std
+        bad = bad[np.abs(redrawn) > 2 * std]
     return out.astype(dtype)
 
 

@@ -1,20 +1,20 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap a numpy array (float32 for training, float64 for gradient
-checking) plus an optional gradient accumulator. Every differentiable
-operation records its parents and a backward closure; ``Tensor.backward``
-replays the recorded graph once in reverse topological order and sums
-gradients into each tensor out of place. The backward uses the graph up
-as it runs: once a node's closure has run, the node drops its gradient,
-closure and parents, so each activation is freed as soon as nothing
-upstream needs it. Only leaves keep ``.grad``, and a second backward
+checking); one that requires grad also has a graph node (``_Node``): its
+gradient, backward closure and parents' nodes. A closure holds nodes plus the
+arrays and shapes its backward reads, never a tensor, so an intermediate's
+array dies with the forward's last reference to it. ``Tensor.backward`` runs
+the graph once in reverse topological order, summing gradients out of place,
+and uses it up: once a node's closure has run, the node drops its gradient,
+closure and parents. Only leaves keep ``.grad``, and a second backward
 through a used-up graph raises ``ContractError``.
 
 One in-place rule: an op may write in place only into an array that it
 allocated itself and has not yet returned. Buffers shared through views,
 such as the pieces of ``split``, are therefore never mutated; the zero
 buffer the pieces of one ``split`` write their gradients into belongs to
-that split's hidden node. A node may overwrite a buffer it allocated and
+that split's shared node. A node may overwrite a buffer it allocated and
 has not returned (``mlp``'s pre-activation becomes its activation), never
 one it returned (``attention``'s probabilities).
 
@@ -103,6 +103,17 @@ def _as_array(data, dtype) -> np.ndarray:
     return np.asarray(data, dtype=np.float32 if dtype is None else dtype)
 
 
+class _Node:
+    """A tensor's gradient so far, backward closure and parents' nodes; a leaf's has no closure."""
+
+    __slots__ = ("grad", "backward", "parents", "__weakref__")
+
+    def __init__(self, parents: tuple[_Node, ...] = ()):
+        self.grad: Optional[np.ndarray] = None
+        self.backward: Optional[Callable[[np.ndarray], None]] = None
+        self.parents = parents
+
+
 class Tensor:
     """N-dimensional array with optional gradient tracking.
 
@@ -111,14 +122,11 @@ class Tensor:
     stored values.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node: Optional[_Node] = _Node() if requires_grad else None
 
     # -- basic introspection ------------------------------------------------
 
@@ -138,6 +146,30 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self._node.grad = g
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _backward(self) -> Optional[Callable[[np.ndarray], None]]:
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node.backward = fn
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -145,7 +177,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     # -- autodiff -----------------------------------------------------------
 
@@ -164,12 +197,12 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        _accum(self, grad)
+        _accum(self._node, grad)
         # Iterative topological sort; graphs from deep models exceed the
         # default recursion limit.
-        order: list[Tensor] = []
+        order: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -179,18 +212,18 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         # Popping keeps the list from holding the nodes already run, so each
-        # one's data, gradient and closure are freed as the walk moves on.
+        # one's gradient, closure and saved arrays are freed as the walk moves on.
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, _consumed, ()
+                node.backward(node.grad)
+            node.grad, node.backward, node.parents = None, _consumed, ()
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -206,17 +239,14 @@ def _consumed(g: np.ndarray) -> None:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    out._parents = parents if out.requires_grad else ()
-    out._backward = None
+    nodes = tuple(p._node for p in parents if p._node is not None) if _grad_enabled else ()
+    out._node = _Node(nodes) if nodes else None
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
+def _accum(node: Optional[_Node], g: np.ndarray) -> None:
+    if node is not None:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _row_sum(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
@@ -265,11 +295,12 @@ def add(a: Tensor, b) -> Tensor:
     out = _make(a.data + b.data, (a, b))
     _count("other", out.data.size)
     if out.requires_grad:
+        na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
         def backward(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
+            if na is not None:
+                _accum(na, _unbroadcast(g, a_shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(g, b_shape))
         out._backward = backward
     return out
 
@@ -279,11 +310,13 @@ def mul(a: Tensor, b) -> Tensor:
     out = _make(a.data * b.data, (a, b))
     _count("other", out.data.size)
     if out.requires_grad:
+        na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+        ad, bd = (None if nb is None else a.data), (None if na is None else b.data)  # read by the other's gradient
         def backward(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if na is not None:
+                _accum(na, _unbroadcast(g * bd, a_shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(g * ad, b_shape))
         out._backward = backward
     return out
 
@@ -291,10 +324,11 @@ def mul(a: Tensor, b) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,))
     if out.requires_grad:
+        na, a_shape = a._node, a.data.shape
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape))
+            _accum(na, np.broadcast_to(g, a_shape))
         out._backward = backward
     return out
 
@@ -310,10 +344,10 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = _make(a.data.reshape(shape), (a,))
     if out.requires_grad:
-        src_shape = a.data.shape
+        na, src_shape = a._node, a.data.shape
 
         def backward(g):
-            _accum(a, g.reshape(src_shape))
+            _accum(na, g.reshape(src_shape))
 
         out._backward = backward
     return out
@@ -325,10 +359,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"axes {axes} are not a permutation of 0..{a.data.ndim - 1}")
     out = _make(np.ascontiguousarray(a.data.transpose(axes)), (a,))
     if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
+        na, inverse = a._node, tuple(np.argsort(axes))
 
         def backward(g):
-            _accum(a, g.transpose(inverse))
+            _accum(na, g.transpose(inverse))
 
         out._backward = backward
     return out
@@ -340,7 +374,7 @@ def getitem(a: Tensor, key) -> Tensor:
         picked = np.asarray(picked)
     out = _make(picked, (a,))
     if out.requires_grad:
-        src_shape = a.data.shape
+        na, src_shape = a._node, a.data.shape
         # An index array may repeat an entry; np.add.at sums the repeats,
         # where assignment would keep only one of them.
         parts = key if isinstance(key, tuple) else (key,)
@@ -352,7 +386,7 @@ def getitem(a: Tensor, key) -> Tensor:
                 np.add.at(buf, key, g)
             else:
                 buf[key] = g
-            _accum(a, buf)
+            _accum(na, buf)
 
         out._backward = backward
     return out
@@ -362,14 +396,15 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     axis = _check_axis(axis, tensors[0].data.ndim)
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
+        nodes = [t._node for t in tensors]
         extents = [t.data.shape[axis] for t in tensors]
 
         def backward(g):
             start = 0
-            for t, extent in zip(tensors, extents):
+            for node, extent in zip(nodes, extents):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(start, start + extent)
-                _accum(t, g[tuple(sl)])
+                _accum(node, g[tuple(sl)])
                 start += extent
 
         out._backward = backward
@@ -379,43 +414,38 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     """Cut ``a`` along ``axis`` into consecutive pieces of the given sizes.
 
-    The pieces are views of ``a``. They share one hidden node whose
+    The pieces are views of ``a``. Their nodes share one parent node whose
     gradient is a single zero buffer: each piece's backward writes its
-    gradient into its own slice, and the node hands the buffer to ``a``
-    once. A piece that gets no gradient leaves zeros in its slice.
+    gradient into its own slice, and the shared node hands the buffer to
+    ``a`` once. A piece that gets no gradient leaves zeros in its slice.
     """
     axis = _check_axis(axis, a.data.ndim)
     sizes = [int(s) for s in sizes]
-    extent = a.data.shape[axis]
-    if any(s < 0 for s in sizes) or sum(sizes) != extent:
-        raise ShapeError(f"split sizes {sizes} do not add up to extent {extent} of axis {axis}")
-    whole = _make(a.data, (a,))
-    # The buffer of the backward pass in progress. No closure refers to
-    # ``whole`` from ``whole`` itself, so the graph holds no reference cycle
-    # and is freed as soon as it is dropped.
-    buffer: list[Optional[np.ndarray]] = [None]
+    src_shape = a.data.shape
+    if any(s < 0 for s in sizes) or sum(sizes) != src_shape[axis]:
+        raise ShapeError(f"split sizes {sizes} do not add up to extent {src_shape[axis]} of axis {axis}")
+    na = a._node if _grad_enabled else None
+    whole = None if na is None else _Node((na,))
 
     def write(key):
         def backward(g):
-            if buffer[0] is None:
-                buffer[0] = whole.grad = np.zeros(a.data.shape, dtype=g.dtype)
-            buffer[0][key] = g
+            if whole.grad is None:
+                whole.grad = np.zeros(src_shape, dtype=g.dtype)
+            whole.grad[key] = g
         return backward
 
     pieces = []
     start = 0
     for size in sizes:
         key = (slice(None),) * axis + (slice(start, start + size),)
-        piece = _make(a.data[key], (whole,))
-        if piece.requires_grad:
+        piece = _make(a.data[key], ())
+        if whole is not None:
+            piece._node = _Node((whole,))
             piece._backward = write(key)
         pieces.append(piece)
         start += size
-    if whole.requires_grad:
-        def backward(g):
-            buffer[0] = None  # the buffer now belongs to ``a``
-            _accum(a, g)
-        whole._backward = backward
+    if whole is not None:
+        whole.backward = lambda g: _accum(na, g)  # the buffer now belongs to ``a``
     return pieces
 
 
@@ -426,10 +456,10 @@ def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
         raise ShapeError(f"{len(pads)} pad pairs for {a.data.ndim}-dimensional tensor")
     out = _make(np.pad(a.data, pads), (a,))
     if out.requires_grad:
-        window = tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, a.data.shape))
+        na, window = a._node, tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, a.data.shape))
 
         def backward(g):
-            _accum(a, g[window])
+            _accum(na, g[window])
 
         out._backward = backward
     return out
@@ -440,8 +470,9 @@ def broadcast_mean(a: Tensor, axis: int) -> Tensor:
     axis = _check_axis(axis, a.data.ndim)
     out = _make(np.broadcast_to(a.data.mean(axis=axis, keepdims=True), a.data.shape).copy(), (a,))
     if out.requires_grad:
+        na = a._node
         def backward(g):
-            _accum(a, np.broadcast_to(g.mean(axis=axis, keepdims=True), g.shape).copy())
+            _accum(na, np.broadcast_to(g.mean(axis=axis, keepdims=True), g.shape).copy())
         out._backward = backward
     return out
 
@@ -457,14 +488,14 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
         raise ShapeError(f"gather index must be 1-dimensional, got shape {index.shape}")
     out = _make(np.ascontiguousarray(a.data[..., index]), (a,))
     if out.requires_grad:
-        last = a.data.shape[-1]
+        na, last = a._node, a.data.shape[-1]
 
         def backward(g):
             lead = g.shape[:-1]
             g2 = g.reshape(-1, index.size)
             buf = np.zeros((g2.shape[0], last), dtype=g.dtype)
             np.add.at(buf, (np.arange(g2.shape[0])[:, None], index[None, :]), g2)
-            _accum(a, buf.reshape(*lead, last))
+            _accum(na, buf.reshape(*lead, last))
 
         out._backward = backward
     return out
@@ -504,14 +535,15 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         parents = (a, b, bias)
     out = _make(y, parents)
     if out.requires_grad:
+        na, nb, ad, bd = a._node, b._node, a.data, b.data
+        nbias, bias_shape = (None, None) if bias is None else (bias._node, bias.data.shape)
         def backward(g):
-            if bias is not None and bias.requires_grad:
-                _accum(bias, _unbroadcast(g, bias.data.shape))
-            if a.requires_grad:
-                ga = np.matmul(g, b.data.swapaxes(-1, -2))
-                _accum(a, _unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(_weight_grad(a.data, g), b.data.shape))
+            if nbias is not None:
+                _accum(nbias, _unbroadcast(g, bias_shape))
+            if na is not None:
+                _accum(na, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(_weight_grad(ad, g), bd.shape))
         out._backward = backward
     return out
 
@@ -571,8 +603,9 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     y = shifted - logz
     out = _make(y, (x,))
     if out.requires_grad:
+        nx = x._node
         def backward(g):
-            _accum(x, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+            _accum(nx, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
         out._backward = backward
     return out
 
@@ -594,20 +627,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = _make(y, (x, gamma, beta))
     _count("other", out.data.size)
     if out.requires_grad:
+        nx, ngamma, nbeta, gamma_data = x._node, gamma._node, beta._node, gamma.data
         def backward(g):
             g2 = g.reshape(-1, c)
-            if gamma.requires_grad:
-                _accum(gamma, _col_sum(g2, xhat.reshape(-1, c)))
-            if beta.requires_grad:
-                _accum(beta, _col_sum(g2))
-            if x.requires_grad:
+            if ngamma is not None:
+                _accum(ngamma, _col_sum(g2, xhat.reshape(-1, c)))
+            if nbeta is not None:
+                _accum(nbeta, _col_sum(g2))
+            if nx is not None:
                 # ((gh - mean(gh)) - xhat * mean(gh * xhat)) * inv, in this order
-                gh = g * gamma.data
+                gh = g * gamma_data
                 m2 = _row_sum(gh, xhat) / c
                 gh -= _row_sum(gh) / c
                 gh -= xhat * m2
                 gh *= inv
-                _accum(x, gh)
+                _accum(nx, gh)
         out._backward = backward
     return out
 
@@ -728,19 +762,20 @@ def attention(
     _count("other", x2.shape[0] * 3 * c + 3 * p.size)
     out = _make(ctx, (x, w_qkv, b_qkv, bias))
     if out.requires_grad:
+        nx, nw, nb, nbias, w, bias_shape = x._node, w_qkv._node, b_qkv._node, bias._node, w_qkv.data, bias.shape
         def backward(g):
             gctx = g.reshape(*lead, m, heads, d).swapaxes(-3, -2)
             gs = np.matmul(gctx, v.swapaxes(-1, -2))
             gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
             gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
             _softmax_grad(gs, p, out=gs)
-            if bias.requires_grad:  # copied: gs is scaled in place next
-                _accum(bias, _unbroadcast(gs, bias.data.shape).copy())
+            if nbias is not None:  # copied: gs is scaled in place next
+                _accum(nbias, _unbroadcast(gs, bias_shape).copy())
             gs *= scale
             gqkv[..., :m, 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
             gqkv[..., m:, 0, :, :] = 0
             gqkv[..., 1, :, :] = np.moveaxis(np.matmul(q.swapaxes(-1, -2), gs), -1, -3)
-            _linear_backward(x, w_qkv, b_qkv, x2, gqkv.reshape(-1, 3 * c))
+            _linear_backward(nx, nw, nb, x2, w, gqkv.reshape(-1, 3 * c), (*lead, n, c))
         out._backward = backward
     return out, p
 
@@ -762,24 +797,26 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _count("other", 2 * act.size + y.size)
     out = _make(y.reshape(*x.data.shape[:-1], y.shape[1]), parents)
     if out.requires_grad:
+        nx, x_shape, w1d, w2d = x._node, x.data.shape, w1.data, w2.data
+        nw1, nb1, nw2, nb2 = w1._node, b1._node, w2._node, b2._node
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            gact = np.matmul(g2, w2.data.swapaxes(-1, -2))
-            _linear_backward(None, w2, b2, act, g2)
+            gact = np.matmul(g2, w2d.swapaxes(-1, -2))
+            _linear_backward(None, nw2, nb2, act, w2d, g2, None)
             gact *= d
-            _linear_backward(x, w1, b1, x2, gact)
+            _linear_backward(nx, nw1, nb1, x2, w1d, gact, x_shape)
         out._backward = backward
     return out
 
 
-def _linear_backward(x: Optional[Tensor], w: Tensor, b: Tensor, x2: np.ndarray, g2: np.ndarray) -> None:
-    """Gradients of ``x2 @ w + b``, ``x2`` being ``x``'s data as (M, in), from the (M, out) ``g2``."""
-    if b.requires_grad:
-        _accum(b, _col_sum(g2))
-    if x is not None and x.requires_grad:
-        _accum(x, np.matmul(g2, w.data.swapaxes(-1, -2)).reshape(x.data.shape))
-    if w.requires_grad:
-        _accum(w, _weight_grad(x2, g2))
+def _linear_backward(nx, nw, nb, x2: np.ndarray, w: np.ndarray, g2: np.ndarray, x_shape) -> None:
+    """Gradients of ``x2 @ w + b`` from the (M, out) ``g2`` into the nodes not None; ``x2`` is x as (M, in)."""
+    if nb is not None:
+        _accum(nb, _col_sum(g2))
+    if nx is not None:
+        _accum(nx, np.matmul(g2, w.swapaxes(-1, -2)).reshape(x_shape))
+    if nw is not None:
+        _accum(nw, _weight_grad(x2, g2))
 
 
 def _weight_grad(x2: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -835,13 +872,14 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(y.reshape(b, oh, ow, cout), parents)
     if out.requires_grad:
+        nx, nw, nbias = x._node, weight._node, None if bias is None else bias._node
         def backward(g):
             g2 = g.reshape(b * oh * ow, cout)
-            if bias is not None and bias.requires_grad:
-                _accum(bias, _col_sum(g2))
-            if weight.requires_grad:
-                _accum(weight, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
-            if x.requires_grad:
+            if nbias is not None:
+                _accum(nbias, _col_sum(g2))
+            if nw is not None:
+                _accum(nw, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
+            if nx is not None:
                 gcols = (g2 @ w2.T).reshape(b, oh, ow, kh, kw, cin)
                 gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin), dtype=cols2.dtype)
                 for ki in range(kh):
@@ -852,7 +890,7 @@ def conv2d(
                             kj : kj + stride * (ow - 1) + 1 : stride,
                             :,
                         ] += gcols[:, :, :, ki, kj, :]
-                _accum(x, gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp)
+                _accum(nx, gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp)
         out._backward = backward
     return out
 

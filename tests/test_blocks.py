@@ -60,12 +60,15 @@ def reference_segment_mean(a, segments):
         y[..., idx, :] = a.data[..., idx, :].mean(axis=-2, keepdims=True)
     out = _make(y, (a,))
     if out.requires_grad:
+        na = a._node
+
         def backward(g):
             buf = np.empty_like(g)
             for idx in segments:
                 buf[..., idx, :] = g[..., idx, :].mean(axis=-2, keepdims=True)
-            _accum(a, buf)
-        out._backward = backward
+            _accum(na, buf)
+
+        out._node.backward = backward
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from msgt import tensor as T
 from msgt import windows as W
 from msgt.errors import ConfigError
 from msgt.tensor import Tensor
-from msgt.train import cross_entropy
+from msgt.train import AdamW, cross_entropy
 from test_tensor import reference_attention, reference_mlp
 
 
@@ -237,7 +238,10 @@ class TestInputSizeCheck:
 class TestLiveBytes:
     # tracemalloc's count of what one micro train-mode forward at batch 4
     # leaves alive (the graph the backward reads), measured with numpy 2.4
-    LIVE_BYTES = 18_272_211
+    LIVE_BYTES = 13_365_223
+    # tracemalloc's peak over one whole micro train step at batch 4: forward,
+    # loss, backward and AdamW.step, measured with numpy 2.4
+    STEP_PEAK_BYTES = 15_033_655
 
     def test_train_forward_keeps_no_dead_buffer(self):
         model = M.build_model(M.micro_config(), seed=0)
@@ -253,6 +257,58 @@ class TestLiveBytes:
             tracemalloc.stop()
         assert logits.shape == (4, 4)
         assert live <= 1.02 * self.LIVE_BYTES, f"{live:,} live bytes after the forward"
+
+    def test_train_step_peak(self):
+        model = M.build_model(M.micro_config(), seed=0)
+        images = rand_images(4, 128)
+        opt = AdamW(model.named_parameters(), 0.05, (0.9, 0.999), 1e-8)
+
+        def step():
+            opt.zero_grad()
+            logits = M.forward(model, images, mode="train", rng=np.random.default_rng(0))
+            cross_entropy(logits, np.arange(4), 0.1).backward()
+            opt.step(1e-3)
+
+        step()  # fill any first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * self.STEP_PEAK_BYTES, f"{peak:,} bytes at the step's traced peak"
+
+    def test_a_dropped_residual_sum_is_freed_while_the_graph_lives(self):
+        """The graph keeps no array its backward does not read, so the caller decides what lives."""
+        rng = np.random.default_rng(3)
+        c, w = 16, 4
+        blocks = [M.make_block_params(rng, c, 2, w) for _ in range(2)]
+        params = [p for blk in blocks for p in blk.parameters()]
+        view = W.build_region_view((2, 2), 2)
+        data = rng.standard_normal((2, 2, 2, w * w + 1, c)).astype(np.float32)
+        weight = Tensor(rng.standard_normal(data.shape).astype(np.float32))
+
+        def run(keep):
+            for p in params:
+                p.zero_grad()
+            x = Tensor(data, requires_grad=True)
+            mid = B.block_forward(W.WindowedTokens(x, w, with_msg=True), blocks[0], view, training=True)
+            residual_sum = weakref.ref(mid.windows.data)
+            out = B.block_forward(mid, blocks[1], view, training=True)
+            loss = T.tsum(T.mul(out.windows, weight))
+            if not keep:
+                del mid
+            alive = residual_sum() is not None
+            loss.backward()
+            return alive, [x.grad] + [p.grad for p in params]
+
+        kept_alive, kept_grads = run(keep=True)
+        dropped_alive, dropped_grads = run(keep=False)
+        assert kept_alive and not dropped_alive
+        assert all(g is not None for g in dropped_grads)
+        for kept, dropped in zip(kept_grads, dropped_grads):
+            assert kept.tobytes() == dropped.tobytes()
 
 
 class TestBuild:
@@ -289,6 +345,25 @@ class TestBuild:
         changed = [n for n, t in model.named_parameters() if not np.array_equal(before[n], t.data)]
         assert changed == ["msg_input"]
         assert model.msg_input.shape == (2, 2, 16)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("shape", [(0,), (3, 0, 2), (1,), (1, 1), (5,), (7, 11), (96, 384), (3, 3, 16, 32)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trunc_normal_matches_the_full_rescan(self, seed, shape, dtype):
+        def full_rescan(rng, shape, std, dtype):  # the loop that re-checked every entry each round
+            out = rng.standard_normal(shape) * std
+            bad = np.abs(out) > 2 * std
+            while bad.any():
+                out[bad] = rng.standard_normal(int(bad.sum())) * std
+                bad = np.abs(out) > 2 * std
+            return out.astype(dtype)
+
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = M.trunc_normal(got_rng, shape, 0.02, dtype)
+        want = full_rescan(want_rng, shape, 0.02, dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.standard_normal() == want_rng.standard_normal()  # the same draws were consumed
 
     def test_no_msg_build_has_no_msg_parameters(self):
         cfg = M.micro_config(use_msg=False)

@@ -143,13 +143,14 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), requires_grad=True)
         y = T.conv2d(x, w, None, stride=2, padding=1)
         shapes = []
-        for cell in y._backward.__closure__:
+        for cell in y._node.backward.__closure__:
             value = cell.cell_contents
-            value = value.data if isinstance(value, Tensor) else value
+            assert not isinstance(value, Tensor)  # the closure holds nodes and arrays, never a tensor
             while isinstance(value, np.ndarray):  # an array and every array it views
                 shapes.append(value.shape)
                 value = value.base
-        assert (2, 9, 9, 3) in shapes and (2, 11, 11, 3) not in shapes
+        # the im2col columns are kept for the weight gradient; neither the input nor its padded copy
+        assert (50, 27) in shapes and (2, 9, 9, 3) not in shapes and (2, 11, 11, 3) not in shapes
 
 
 def reference_conv2d(x, w, bias, stride, padding, g):
@@ -277,7 +278,8 @@ def _node(x, reference):
     out = T._make(reference(x.data, np.zeros_like(x.data))[0], (x,))
     T._count("other", out.data.size)
     if out.requires_grad:
-        out._backward = lambda g: T._accum(x, reference(x.data, g)[1])
+        nx, xd = x._node, x.data
+        out._node.backward = lambda g: T._accum(nx, reference(xd, g)[1])
     return out
 
 
@@ -455,9 +457,10 @@ class TestSplit:
         a = Tensor(np.ones((2, 6)), requires_grad=True)
         seen = []
         q, k, v = T.split(a, (2, 2, 2), axis=-1)
-        hidden = q._parents[0]
-        real = hidden._backward
-        hidden._backward = lambda g: (seen.append(g), real(g))
+        shared = q._node.parents[0]
+        assert k._node.parents == v._node.parents == (shared,)
+        real = shared.backward
+        shared.backward = lambda g: (seen.append(g), real(g))
         T.add(T.add(T.tsum(q), T.tsum(k)), T.tsum(v)).backward()
         assert len(seen) == 1 and seen[0].shape == (2, 6)
         np.testing.assert_array_equal(a.grad, np.ones((2, 6)))
@@ -483,7 +486,7 @@ class TestSplit:
         a = Tensor(np.zeros((2, 6)), requires_grad=True)
         with T.no_grad():
             pieces = T.split(a, (3, 3), axis=1)
-        assert not any(p.requires_grad or p._parents for p in pieces)
+        assert all(p._node is None for p in pieces)
 
 
 def reference_attention(x, w_qkv, b_qkv, bias, heads, queries=None):
@@ -1003,9 +1006,9 @@ class TestBackwardUsesUpTheGraph:
         rng = np.random.default_rng(0)
         images = Tensor(rng.standard_normal((4, 128, 128, 3)).astype(np.float32))
         loss = cross_entropy(M.forward(model, images, mode="train", rng=rng), np.arange(4), 0.1)
-        mid = loss
+        mid = loss._node
         for _ in range(8):
-            mid = next(p for p in mid._parents if p._parents)
+            mid = next(p for p in mid.parents if p.parents)
         mid_ref = weakref.ref(mid)
         del mid
         assert mid_ref() is not None
@@ -1015,7 +1018,7 @@ class TestBackwardUsesUpTheGraph:
     def test_interior_nodes_are_freed_while_the_loss_lives(self, micro_step):
         _, loss, mid_ref = micro_step
         assert mid_ref() is None  # freed by reference counting alone: the graph holds no cycle
-        assert loss._parents == ()
+        assert loss._node.parents == ()
 
     def test_only_leaves_keep_gradients(self, micro_step):
         model, loss, _ = micro_step
@@ -1034,6 +1037,19 @@ class TestBackwardUsesUpTheGraph:
         T.tsum(h).backward()
         with pytest.raises(ContractError):
             T.tsum(T.mul(h, 2.0)).backward()
+
+    def test_tensor_reads_and_rewraps_its_node(self):
+        """``_parents`` and ``_backward`` read the node, and a tracer may replace ``_backward``."""
+        a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+        y = T.mul(a, b)
+        assert y._parents == (a._node, b._node) and y._backward is y._node.backward
+        calls = []
+        real = y._backward
+        y._backward = lambda g: (calls.append(g.shape), real(g))
+        T.tsum(y).backward()
+        assert calls == [(2,)]
+        np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+        assert Tensor(np.zeros(2))._parents == () and Tensor(np.zeros(2))._backward is None
 
     def test_leaf_root_keeps_its_seed(self):
         p = t64([1.0, 2.0])
