@@ -3,9 +3,11 @@
 Layout (all integers little-endian): magic bytes ``MSGT``, version u32,
 tensor count u32, then per tensor: name length u16, UTF-8 name, rank u8,
 one u32 extent per axis, then 32-bit little-endian float values. Saving
-writes a sibling ``.tmp`` file and renames it over the target. Loading
-rebuilds the model from its architecture config and validates every
-name, shape and value (NaN and Inf are rejected) before accepting them.
+writes a sibling ``.tmp`` file and renames it over the target, each
+tensor straight from its own buffer. Loading builds the model from its
+architecture config, then reads each tensor's values straight into its
+parameter and validates the file in place: every name, shape and value
+(NaN and Inf are rejected), and that no tensor is missing or unknown.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def save_checkpoint(model: Model, path: str) -> None:
                 f.write(encoded)
                 f.write(struct.pack("<B", tensor.data.ndim))
                 f.write(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
-                f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -55,7 +57,7 @@ def _read(f, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
-    """Rebuild a model for ``cfg`` and fill it from the checkpoint at ``path``."""
+    """Build a model for ``cfg`` and read the checkpoint at ``path`` straight into its parameters."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -63,7 +65,9 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         file_size = os.fstat(f.fileno()).st_size
-        entries: dict[str, np.ndarray] = {}
+        model = build_model(cfg, seed=0)
+        params = dict(model.named_parameters())
+        seen, unknown = set(), []  # every name read; those the model lacks, in file order
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
             try:
@@ -78,27 +82,28 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
                     f"{path}: truncated checkpoint: tensor {name!r} with extents {shape} "
                     f"needs {nbytes} bytes, {left} remain"
                 )
-            raw = _read(f, nbytes, f"values of {name}")
-            values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if name in seen:
+                raise FormatError(f"{path}: checkpoint tensor {name!r} appears twice")
+            seen.add(name)
+            if name not in params:
+                unknown.append(name)
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
+            values = params[name].data
+            if shape != values.shape:
+                raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, model expects {values.shape}")
+            if f.readinto(values) != nbytes:
+                raise FormatError(f"truncated checkpoint while reading values of {name}")
+            if not np.little_endian:
+                values.byteswap(inplace=True)
             if not np.isfinite(values).all():
                 raise FormatError(f"{path}: checkpoint tensor {name!r} holds NaN or Inf")
-            if name in entries:
-                raise FormatError(f"{path}: checkpoint tensor {name!r} appears twice")
-            entries[name] = values
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after the last checkpoint tensor")
 
-    model = build_model(cfg, seed=0)
-    for name, tensor in model.named_parameters():
-        if name not in entries:
+    for name in params:
+        if name not in seen:
             raise FormatError(f"checkpoint missing tensor {name!r}")
-        stored = entries.pop(name)
-        if stored.shape != tensor.data.shape:
-            raise FormatError(
-                f"checkpoint tensor {name!r} has shape {stored.shape}, "
-                f"model expects {tensor.data.shape}"
-            )
-        tensor.data = stored.astype(model.dtype, copy=True)
-    if entries:
-        raise FormatError(f"checkpoint contains unknown tensor {next(iter(entries))!r}")
+    if unknown:
+        raise FormatError(f"checkpoint contains unknown tensor {unknown[0]!r}")
     return model

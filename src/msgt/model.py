@@ -20,6 +20,7 @@ NUM_STAGES = 4
 PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD = 7, 4, 3
 MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD = 3, 2, 1
 INIT_STD = 0.02  # deviation of every trunc-normal draw, input messengers included
+INIT_CHUNK = 65_536  # float64 values per trunc-normal draw, whatever the tensor's size
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,26 @@ def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std), each round redrawing (in C order) and rechecking only the draws beyond two deviations."""
-    out = rng.standard_normal(shape)
-    out *= std
+    """Normal(0, std) truncated at two deviations, allocated once at ``dtype`` and filled in place.
+
+    Float64 draws pass through ``INIT_CHUNK``-value (512 KiB) chunks into the output; then each
+    round redraws (in C order) and rechecks only the draws still beyond two deviations. Values
+    and rng stream equal one whole-tensor draw, as ``standard_normal`` fills sequentially.
+    """
+    out = np.empty(shape, dtype)
     flat = out.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    bad = [np.empty(0, np.intp)]
+    for lo in range(0, flat.size, INIT_CHUNK):
+        part = rng.standard_normal(min(INIT_CHUNK, flat.size - lo))
+        part *= std
+        flat[lo : lo + part.size] = part
+        bad.append(np.flatnonzero(np.abs(part, out=part) > 2 * std) + lo)
+        del part  # one chunk buffer alive at a time
+    bad = np.concatenate(bad)
     while bad.size:
         flat[bad] = redrawn = rng.standard_normal(bad.size) * std
         bad = bad[np.abs(redrawn) > 2 * std]
-    return out.astype(dtype)
+    return out
 
 
 def _param_makers(rng: np.random.Generator, dtype):
@@ -430,7 +442,8 @@ def forward(
         if cfg.use_msg:
             wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)
-        stage_outputs.append(fm)
+        if cfg.task == "det-backbone":  # a classifier never reads the stage maps
+            stage_outputs.append(fm)
         if si < NUM_STAGES - 1:
             fm, msg = W.merge_tokens(fm, msg, model.merge_weights[si], model.merge_biases[si])
 

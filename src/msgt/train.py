@@ -159,7 +159,9 @@ def center_images(images: np.ndarray) -> np.ndarray:
     result is a new C-contiguous, writeable array, also for a read-only
     broadcast slice of ``Dataset.images``.
     """
-    return images * 2.0 - 1.0
+    out = images * 2.0
+    out -= 1.0  # in place: one array per batch, the same bits
+    return out
 
 
 def _batch(ds: D.Dataset, idx) -> Tensor:

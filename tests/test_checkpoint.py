@@ -1,7 +1,11 @@
 """Checkpoint round-trip and validation tests."""
 
+import gc
+import hashlib
 import re
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +30,38 @@ def test_round_trip_is_bit_identical(micro_model, tmp_path):
     for (na, ta), (nb, tb) in zip(micro_model.named_parameters(), loaded.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
+
+
+# size and SHA-256 of the golden version-1 file for the seed-11 micro model:
+# a change to the layout, the value bytes or the init fails here
+GOLDEN_MICRO_SEED11 = (1_664_356, "5ef913586b8f717c2c1851ac8db429aa2854e41500af0dc8cfed80326b26c854")
+
+
+def test_saved_bytes_equal_the_golden_file(micro_model, tmp_path):
+    path = tmp_path / "ckpt.msgt"
+    save_checkpoint(micro_model, str(path))
+    blob = path.read_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == GOLDEN_MICRO_SEED11
+
+
+def test_load_fills_the_built_model_in_place(tmp_path):
+    # micro at four times the channels: MB-scale tensors, still quick to build
+    micro = M.micro_config()
+    cfg = replace(micro, stages=tuple(replace(s, dim=4 * s.dim) for s in micro.stages))
+    path = str(tmp_path / "wide.msgt")
+    model = M.build_model(cfg, seed=3)
+    model_bytes = sum(t.data.nbytes for t in model.parameters())
+    save_checkpoint(model, path)
+    del model
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for t in loaded.parameters()) == model_bytes
+    assert peak <= 1.05 * model_bytes + 2 * 2**20, f"{peak:,} bytes at the traced peak for a {model_bytes:,}-byte model"
 
 
 def test_eval_logits_preserved_exactly(micro_model, tmp_path):
@@ -186,4 +222,15 @@ def test_trailing_bytes_rejected(micro_model, tmp_path):
     save_checkpoint(micro_model, str(path))
     path.write_bytes(path.read_bytes() + bytes(8))
     with pytest.raises(FormatError, match="trailing bytes"):
+        load_checkpoint(str(path), M.micro_config())
+
+
+def test_missing_name_reported_before_unknown_name(micro_model, tmp_path):
+    path = tmp_path / "renamed.msgt"
+    save_checkpoint(micro_model, str(path))
+    old, new = struct.pack("<H", 10) + b"embed.bias", struct.pack("<H", 10) + b"embed.bixs"
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(FormatError, match="missing tensor 'embed.bias'"):
         load_checkpoint(str(path), M.micro_config())

@@ -239,9 +239,11 @@ class TestLiveBytes:
     # tracemalloc's count of what one micro train-mode forward at batch 4
     # leaves alive (the graph the backward reads), measured with numpy 2.4
     LIVE_BYTES = 13_365_223
+    # tracemalloc's peak over that forward, measured with numpy 2.4
+    FORWARD_PEAK_BYTES = 14_158_681
     # tracemalloc's peak over one whole micro train step at batch 4: forward,
     # loss, backward and AdamW.step, measured with numpy 2.4
-    STEP_PEAK_BYTES = 15_033_655
+    STEP_PEAK_BYTES = 15_032_211
 
     def test_train_forward_keeps_no_dead_buffer(self):
         model = M.build_model(M.micro_config(), seed=0)
@@ -252,11 +254,12 @@ class TestLiveBytes:
         try:
             logits = M.forward(model, images, mode="train", rng=np.random.default_rng(0))
             gc.collect()
-            live, _ = tracemalloc.get_traced_memory()
+            live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert logits.shape == (4, 4)
         assert live <= 1.02 * self.LIVE_BYTES, f"{live:,} live bytes after the forward"
+        assert peak <= 1.02 * self.FORWARD_PEAK_BYTES, f"{peak:,} bytes at the forward's traced peak"
 
     def test_train_step_peak(self):
         model = M.build_model(M.micro_config(), seed=0)
@@ -347,7 +350,11 @@ class TestBuild:
         assert model.msg_input.shape == (2, 2, 16)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    @pytest.mark.parametrize("shape", [(0,), (3, 0, 2), (1,), (1, 1), (5,), (7, 11), (96, 384), (3, 3, 16, 32)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(0,), (3, 0, 2), (1,), (1, 1), (5,), (7, 11), (96, 384), (3, 3, 16, 32)]
+        + [(65536,), (65537,), (2, 65536), (300, 300), (3, 3, 64, 128)],  # across INIT_CHUNK boundaries
+    )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_trunc_normal_matches_the_full_rescan(self, seed, shape, dtype):
         def full_rescan(rng, shape, std, dtype):  # the loop that re-checked every entry each round
@@ -364,6 +371,17 @@ class TestBuild:
         assert got.dtype == dtype and got.shape == shape
         assert got.tobytes() == want.tobytes()
         assert got_rng.standard_normal() == want_rng.standard_normal()  # the same draws were consumed
+
+    def test_trunc_normal_holds_one_chunk_beyond_its_output(self):
+        rng = np.random.default_rng(0)
+        M.trunc_normal(rng, (8,))  # fill any first-call caches
+        tracemalloc.start()
+        try:
+            out = M.trunc_normal(rng, (3, 3, 256, 512))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20, f"{peak:,} bytes at the traced peak for a {out.nbytes:,}-byte result"
 
     def test_no_msg_build_has_no_msg_parameters(self):
         cfg = M.micro_config(use_msg=False)
