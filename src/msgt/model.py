@@ -191,6 +191,8 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=n
     round redraws (in C order) and rechecks only the draws still beyond two deviations. Values
     and rng stream equal one whole-tensor draw, as ``standard_normal`` fills sequentially.
     """
+    if not std > 0:
+        raise ConfigError(f"trunc_normal std must be positive, got {std}")
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     bad = [np.empty(0, np.intp)]

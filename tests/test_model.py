@@ -383,6 +383,14 @@ class TestBuild:
             tracemalloc.stop()
         assert peak <= out.nbytes + 2 * 2**20, f"{peak:,} bytes at the traced peak for a {out.nbytes:,}-byte result"
 
+    @pytest.mark.parametrize("std", [-0.02, 0.0, float("nan")])
+    def test_trunc_normal_rejects_a_std_not_positive_before_any_draw(self, std):
+        # every draw fails |v| <= 2 std below zero, so the redraw loop would never end
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="std"):
+            M.trunc_normal(rng, (4,), std)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
     def test_no_msg_build_has_no_msg_parameters(self):
         cfg = M.micro_config(use_msg=False)
         model = M.build_model(cfg, seed=0)

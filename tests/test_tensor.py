@@ -109,6 +109,12 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan")])
+    def test_eps_not_positive_rejected(self, eps):
+        # a NaN eps passes ``eps <= 0`` and turns every output into NaN
+        with pytest.raises(ConfigError, match="eps"):
+            T.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=eps)
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -785,6 +791,41 @@ class TestGelu:
         monkeypatch.setattr(T, "_ERF_CHUNK", 7)
         np.testing.assert_array_equal(T.phi32(x), whole)
         np.testing.assert_array_equal(T.phi32(x[::-1])[::-1], whole)
+
+    def test_phi32_saturates_where_x_squared_overflows(self):
+        x = np.array([np.inf, -np.inf, 1e30, -1e30], np.float32)
+        with np.errstate(over="ignore", invalid="raise"):  # x^2 overflows; no inf - inf or 0 * inf
+            np.testing.assert_array_equal(T.phi32(x), [1.0, 0.0, 1.0, 0.0])
+
+    def test_phi32_propagates_nan(self):
+        assert np.isnan(T.phi32(np.array([np.nan], np.float32))).all()
+
+    def test_phi32_non_decreasing(self):
+        assert (np.diff(T.phi32(np.linspace(-12.0, 12.0, 600_001, dtype=np.float32))) >= 0).all()
+
+    def test_phi32_symmetric(self):
+        x = np.linspace(-12.0, 12.0, 600_001, dtype=np.float32)
+        assert np.abs(T.phi32(x).astype(np.float64) + T.phi32(-x) - 1.0).max() <= 4e-7
+
+    def test_fit_has_no_real_root_at_nonnegative_squares(self):
+        # with a positive leading coefficient, H(s) > 0 for every s >= 0
+        assert T._PHI_H[0] > 0
+        roots = np.roots(T._PHI_H.astype(np.float64))
+        assert not [r for r in roots if abs(r.imag) < 1e-9 and r.real >= 0]
+
+    def test_float32_derivative_from_shared_square_matches_two_multiplies(self):
+        rng = np.random.default_rng(15)
+        x = np.concatenate([rng.standard_normal(5000) * 4, [0.0, -0.0, 1e-25, -1e-25, 2e19, -2e19, 40.0, -40.0]])
+        x = x.astype(np.float32)
+        with np.errstate(over="ignore"):
+            cdf = T.phi32(x)
+            t = x * np.float32(-0.5)  # (-0.5 x) x: two multiplies, no shared x^2
+            t *= x
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= x
+            t += cdf
+            np.testing.assert_array_equal(T._gelu_(x.copy(), True), t)
 
     @pytest.mark.parametrize("grad", [False, True], ids=["forward", "derivative"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
