@@ -40,15 +40,13 @@ class RelPosBias:
     """Per-head learned attention bias for one window.
 
     ``table`` holds one (2w-1)x(2w-1) entry grid per head, indexed by the
-    spatial offset between two patch positions. Rows where the messenger
-    token is the query use the scalar ``msg_query_bias``; columns where it
-    is the key use ``msg_key_bias``. The scalars are absent (``None``) in
-    messenger-free models.
+    spatial offset between two patch positions. The messenger's key columns
+    use the scalar ``msg_key_bias`` (``None`` without messengers); its query
+    row is zero, since softmax removes a constant row.
     """
 
     window_size: int
     table: Tensor                        # (heads, 2w-1, 2w-1)
-    msg_query_bias: Optional[Tensor]     # (heads,)
     msg_key_bias: Optional[Tensor]       # (heads,)
 
     def __post_init__(self):
@@ -58,43 +56,35 @@ class RelPosBias:
                 f"bias table {self.table.shape} does not match window size {self.window_size}"
             )
 
-    @property
-    def num_heads(self) -> int:
-        return self.table.shape[0]
-
 
 @lru_cache(maxsize=None)
 def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
-    """Flat (T*T,) index into one head's bias row that assembles its (T, T) matrix.
+    """Flat (w*w*T,) index into one head's bias row that assembles its patch query rows.
 
     Patch slots hold their positions in row-major order. Query i and key j
     address table cell (col_i - col_j + w-1, row_i - row_j + w-1) of the
-    flattened (2w-1)x(2w-1) table. With messengers, slot 0 is prepended:
-    its query row reads position (2w-1)**2 (the messenger-query scalar) and
-    its key column position (2w-1)**2 + 1 (the messenger-key scalar).
+    flattened (2w-1)x(2w-1) table. With messengers, key slot 0 is prepended
+    and reads position (2w-1)**2, the messenger-key scalar.
     """
     w = window_size
     span = 2 * w - 1
     row, col = np.divmod(np.arange(w * w), w)
     idx = (col[:, None] - col + w - 1) * span + (row[:, None] - row + w - 1)
     if with_msg:
-        idx = np.pad(idx, ((1, 0), (1, 0)), constant_values=span * span + 1)
-        idx[0] = span * span
+        idx = np.pad(idx, ((0, 0), (1, 0)), constant_values=span * span)
     return idx.reshape(-1)
 
 
-def bias_matrix(bias: RelPosBias, with_msg: bool = True, queries: Optional[int] = None) -> Tensor:
-    """Assemble the additive attention bias, shape (heads, T, T), or only its first ``queries`` rows."""
-    heads = bias.num_heads
+def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
+    """Assemble the additive attention bias, shape (heads, T, T); a messenger's query row is zero."""
+    heads, n = bias.table.shape[0], bias.window_size**2
     flat = T.reshape(bias.table, (heads, -1))
     if with_msg:
-        if bias.msg_query_bias is None or bias.msg_key_bias is None:
-            raise ConfigError("messenger bias scalars are absent in this block")
-        scalars = [T.reshape(s, (heads, 1)) for s in (bias.msg_query_bias, bias.msg_key_bias)]
-        flat = T.concat([flat, *scalars], axis=1)
-    n = bias.window_size**2 + with_msg
-    m = queries or n
-    return T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)[: m * n]), (heads, m, n))
+        if bias.msg_key_bias is None:
+            raise ConfigError("messenger key bias is absent in this block")
+        flat = T.concat([flat, T.reshape(bias.msg_key_bias, (heads, 1))], axis=1)
+    rows = T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)), (heads, n, n + with_msg))
+    return T.pad(rows, [(0, 0), (1, 0), (0, 0)]) if with_msg else rows
 
 
 # -- attention ------------------------------------------------------------------
@@ -106,21 +96,17 @@ class AttentionParams:
     qkv_bias: Tensor     # (3C,)
     out_weight: Tensor   # (C, C)
     out_bias: Tensor     # (C,)
+    num_heads: int
 
 
-def local_msa(
-    x: Tensor,
-    params: AttentionParams,
-    bias: RelPosBias,
-    queries: Optional[int] = None,
-) -> Tensor:
+def local_msa(x: Tensor, params: AttentionParams, bias: Optional[RelPosBias]) -> Tensor:
     """Multi-head self-attention inside each window of ``x`` (..., tokens, C).
 
-    Each window is queried by its first ``queries`` slots (default all). A
-    window of ``w**2 + 1`` tokens carries its messenger at slot 0.
+    A window of ``w**2 + 1`` tokens carries its messenger at slot 0. Without
+    ``bias`` (a messenger-only block) only that slot queries.
     """
-    bias_mat = bias_matrix(bias, with_msg=x.shape[-2] > bias.window_size**2, queries=queries)
-    ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias_mat, bias.num_heads, queries)
+    bias_mat = None if bias is None else bias_matrix(bias, with_msg=x.shape[-2] > bias.window_size**2)
+    ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias_mat, params.num_heads, 1 if bias is None else None)
     return T.linear(ctx, params.out_weight, params.out_bias)
 
 
@@ -206,7 +192,7 @@ class BlockParams:
     norm1_gamma: Tensor
     norm1_beta: Tensor
     attn: AttentionParams
-    bias: RelPosBias
+    bias: Optional[RelPosBias]  # None in a messenger-only block
     norm2_gamma: Tensor
     norm2_beta: Tensor
     mlp_w1: Tensor  # (C, 4C)
@@ -224,6 +210,8 @@ class BlockParams:
             )
         if self.mode not in MODES:
             raise ConfigError(f"unknown manipulation mode {self.mode!r}; expected one of {MODES}")
+        if self.bias is not None and self.bias.table.shape[0] != self.attn.num_heads:
+            raise ShapeError(f"bias table {self.bias.table.shape} does not have {self.attn.num_heads} heads")
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """The block's tensors under their checkpoint names, in checkpoint order."""
@@ -231,9 +219,10 @@ class BlockParams:
         items = [("norm1.gamma", self.norm1_gamma), ("norm1.beta", self.norm1_beta)]
         items += [("attn.qkv_weight", attn.qkv_weight), ("attn.qkv_bias", attn.qkv_bias)]
         items += [("attn.out_weight", attn.out_weight), ("attn.out_bias", attn.out_bias)]
-        items.append(("bias.table", bias.table))
-        if bias.msg_query_bias is not None:
-            items += [("bias.msg_query", bias.msg_query_bias), ("bias.msg_key", bias.msg_key_bias)]
+        if bias is not None:
+            items.append(("bias.table", bias.table))
+            if bias.msg_key_bias is not None:
+                items.append(("bias.msg_key", bias.msg_key_bias))
         items += [("norm2.gamma", self.norm2_gamma), ("norm2.beta", self.norm2_beta)]
         items += [("mlp.w1", self.mlp_w1), ("mlp.b1", self.mlp_b1)]
         return items + [("mlp.w2", self.mlp_w2), ("mlp.b2", self.mlp_b2)]
@@ -248,7 +237,6 @@ def block_forward(
     view: Optional[ShuffleRegionView],
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-    msg_only: bool = False,
 ) -> WindowedTokens | Tensor:
     """Run one transformer block over windowed tokens.
 
@@ -257,13 +245,14 @@ def block_forward(
     it the block runs the messenger-free ablation: plain local attention
     over ``w**2`` tokens with no cross-window exchange.
 
-    ``msg_only`` is a classifier's last block: every slot gives keys and values,
-    only slot 0 queries and goes on, and the block returns the messenger grid.
+    A block without ``bias`` is a classifier's messenger-only last block: every slot gives
+    keys and values, only slot 0 queries and goes on, and the block returns the messenger grid.
     """
+    msg_only = params.bias is None
     if msg_only and not wt.with_msg:
         raise ConfigError("a messenger-only block needs messenger tokens attached")
     normed = T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta)
-    attn_out = local_msa(normed, params.attn, params.bias, queries=1 if msg_only else None)
+    attn_out = local_msa(normed, params.attn, params.bias)
     tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
     tokens = T.add(tokens, T.drop_path(attn_out, params.drop_path_rate, rng, training))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError
-from .model import MERGE_KERNEL, PATCH_KERNEL, ArchConfig, stage_geometry
+from .model import MERGE_KERNEL, PATCH_KERNEL, ArchConfig, msg_only_block, stage_geometry
 
 SWIN_SHIFT = "swin_shift"
 MSG_SHUFFLE = "msg_shuffle"
@@ -132,7 +132,7 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
         spec = ComplexitySpec(
             grid_h=gh * ws, grid_w=gw * ws, window_size=ws, channels=s.dim, with_msg=cfg.use_msg
         )
-        last = i == len(cfg.stages) - 1 and cfg.task == "cls" and cfg.use_msg and s.num_blocks > 0
+        last = any(msg_only_block(cfg, i, b) for b in range(s.num_blocks))
         final_macs = flops_msg_block(spec) if last else 0
         stage_macs.append((s.num_blocks - last) * flops_block(spec) + final_macs)
         if i < len(cfg.stages) - 1:

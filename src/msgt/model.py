@@ -117,6 +117,11 @@ def stage_geometry(
     return out
 
 
+def msg_only_block(cfg: ArchConfig, stage: int, block: int) -> bool:
+    """Whether block ``block`` of 0-based stage ``stage`` runs only the messenger rows: a classifier's last block."""
+    return cfg.task == "cls" and cfg.use_msg and (stage, block) == (NUM_STAGES - 1, cfg.stages[-1].num_blocks - 1)
+
+
 def _block_anchor(task: str, block_index: int) -> str:
     """Detection backbones alternate the region anchor from block to block."""
     return W.BOTTOM_RIGHT if task == "det-backbone" and block_index % 2 else W.TOP_LEFT
@@ -233,10 +238,12 @@ def make_block_params(
     drop_path_rate: float = 0.0,
     dtype=np.float32,
     use_msg: bool = True,
+    msg_only: bool = False,
 ) -> B.BlockParams:
-    """Fresh block parameters: trunc-normal projections, zero biases and bias tables."""
+    """Fresh block parameters: trunc-normal projections, zero biases and bias tables (none if ``msg_only``)."""
     proj, zeros, ones = _param_makers(rng, dtype)
     span = 2 * window_size - 1
+    table, key = zeros(num_heads, span, span), zeros(num_heads) if use_msg else None
     return B.BlockParams(
         norm1_gamma=ones(channels),
         norm1_beta=zeros(channels),
@@ -245,13 +252,9 @@ def make_block_params(
             qkv_bias=zeros(3 * channels),
             out_weight=proj(channels, channels),
             out_bias=zeros(channels),
+            num_heads=num_heads,
         ),
-        bias=B.RelPosBias(
-            window_size=window_size,
-            table=zeros(num_heads, span, span),
-            msg_query_bias=zeros(num_heads) if use_msg else None,
-            msg_key_bias=zeros(num_heads) if use_msg else None,
-        ),
+        bias=None if msg_only else B.RelPosBias(window_size, table, key),
         norm2_gamma=ones(channels),
         norm2_beta=zeros(channels),
         mlp_w1=proj(channels, 4 * channels),
@@ -330,23 +333,16 @@ def build_model(
             requires_grad=(msg_policy == "learnable"),
         )
 
-    stages = []
-    for s in cfg.stages:
-        stages.append(
-            [
-                make_block_params(
-                    rng,
-                    s.dim,
-                    s.num_heads,
-                    s.window_size,
-                    mode=cfg.manipulation,
-                    drop_path_rate=cfg.drop_path_rate,
-                    dtype=dtype,
-                    use_msg=cfg.use_msg,
-                )
-                for _ in range(s.num_blocks)
-            ]
-        )
+    stages = [
+        [
+            make_block_params(
+                rng, s.dim, s.num_heads, s.window_size, mode=cfg.manipulation, drop_path_rate=cfg.drop_path_rate,
+                dtype=dtype, use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
+            )
+            for bi in range(s.num_blocks)
+        ]
+        for si, s in enumerate(cfg.stages)
+    ]
 
     merge_weights, merge_biases = [], []
     for i in range(NUM_STAGES - 1):
@@ -436,8 +432,7 @@ def forward(
             wt = B.attach_msg(wt, msg)  # slot 0 of every window until the stage ends
         for bi, blk in enumerate(model.stages[si]):
             view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
-            msg_only = cfg.task == "cls" and cfg.use_msg and (si, bi) == (NUM_STAGES - 1, len(model.stages[si]) - 1)
-            wt = B.block_forward(wt, blk, view, training=training, rng=rng, msg_only=msg_only)
+            wt = B.block_forward(wt, blk, view, training=training, rng=rng)
         if isinstance(wt, Tensor):  # a classifier's last block: the head reads only the messengers
             msg = wt
             break
@@ -466,7 +461,7 @@ def forward(
 def count_params(model: Model) -> dict[str, int]:
     """Exact scalar counts, reported with and without the input messenger tokens.
 
-    ``msg_related`` additionally counts the per-block messenger bias scalars.
+    ``msg_related`` additionally counts the per-block messenger-key bias scalars.
     """
     msg_count = 0 if model.msg_input is None else model.msg_input.size
     total = 0

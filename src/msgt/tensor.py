@@ -713,14 +713,14 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
 
 
 def attention(
-    x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Tensor, heads: int, queries: Optional[int] = None
+    x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias: Optional[Tensor], heads: int, queries: Optional[int] = None
 ) -> tuple[Tensor, np.ndarray]:
     """``softmax(q k^T / sqrt(d) + bias) v`` per head over each (..., n, C) sequence, as one node.
 
     q, k and v are the heads-first thirds of ``x @ w_qkv + b_qkv``; only the first m = ``queries``
-    slots (default all n) query. ``bias`` is (heads, m, n). Returns the context (..., m, C) and the
-    probabilities (..., heads, m, n). The backward pass writes dq (zero past slot m), dk and dv into
-    one (..., n, 3C) buffer, so one GEMM pair gives the gradients of ``w_qkv`` and ``b_qkv``.
+    slots (default all n) query. ``bias`` is (heads, m, n) or None. Returns the context (..., m, C)
+    and the probabilities (..., heads, m, n). The backward writes dq (zero past slot m), dk and dv
+    into one (..., n, 3C) buffer, so one GEMM pair gives the gradients of ``w_qkv`` and ``b_qkv``.
     """
     *lead, n, c = x.data.shape
     if c % heads:
@@ -737,14 +737,16 @@ def attention(
     scale = x.data.dtype.type(1.0 / math.sqrt(d))
     p = np.matmul(q, kt)
     p *= scale
-    p += bias.data
+    if bias is not None:
+        p += bias.data
     _softmax_(p)
     ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, m, c)
     _count("matmul", x2.shape[0] * c * 3 * c + 2 * p.size * d)
-    _count("other", x2.shape[0] * 3 * c + 3 * p.size)
-    out = _make(ctx, (x, w_qkv, b_qkv, bias))
+    _count("other", x2.shape[0] * 3 * c + (2 if bias is None else 3) * p.size)
+    out = _make(ctx, (x, w_qkv, b_qkv) if bias is None else (x, w_qkv, b_qkv, bias))
     if out.requires_grad:
-        nx, nw, nb, nbias, w, bias_shape = x._node, w_qkv._node, b_qkv._node, bias._node, w_qkv.data, bias.shape
+        nx, nw, nb, w = x._node, w_qkv._node, b_qkv._node, w_qkv.data
+        nbias, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
         def backward(g):
             gctx = g.reshape(*lead, m, heads, d).swapaxes(-3, -2)
             gs = np.matmul(gctx, v.swapaxes(-1, -2))

@@ -2,6 +2,7 @@
 shuffle/average/shift manipulation, and the composed block."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,11 +123,11 @@ def reference_bias_source(i, j, w):
 
     Slot 0 is the messenger token and slots 1.. are patch positions in
     row-major order; the offset arithmetic applies to 0-based patch
-    positions (slot - 1). Returns ("msg-query",), ("msg-key",) or
-    ("table", row, col).
+    positions (slot - 1). Returns ("zero",) for the messenger's query row,
+    ("msg-key",) or ("table", row, col).
     """
     if i == 0:
-        return ("msg-query",)
+        return ("zero",)
     if j == 0:
         return ("msg-key",)
     pi, pj = i - 1, j - 1
@@ -137,12 +138,12 @@ def reference_bias_matrix(bias, with_msg):
     """(heads, T, T) bias assembled entry by entry from :func:`reference_bias_source`."""
     w, first = bias.window_size, 0 if with_msg else 1
     n = w * w + 1 - first
-    out = np.empty((bias.num_heads, n, n), dtype=bias.table.data.dtype)
+    out = np.empty((bias.table.shape[0], n, n), dtype=bias.table.data.dtype)
     for a in range(n):
         for b in range(n):
             src = reference_bias_source(a + first, b + first, w)
-            if src[0] == "msg-query":
-                out[:, a, b] = bias.msg_query_bias.data
+            if src[0] == "zero":
+                out[:, a, b] = 0
             elif src[0] == "msg-key":
                 out[:, a, b] = bias.msg_key_bias.data
             else:
@@ -151,24 +152,24 @@ def reference_bias_matrix(bias, with_msg):
 
 
 def distinct_bias(w, heads=2, seed=5):
-    """A bias whose table cells and messenger scalars all hold different values."""
+    """A bias whose table cells and messenger-key scalars all hold different, nonzero values."""
     rng = np.random.default_rng(seed)
     span = 2 * w - 1
-    values = rng.permutation(heads * (span * span + 2)).astype(np.float32)
+    values = 1 + rng.permutation(heads * (span * span + 1)).astype(np.float32)
     return B.RelPosBias(
         window_size=w,
         table=Tensor(values[: heads * span * span].reshape(heads, span, span)),
-        msg_query_bias=Tensor(values[-2 * heads : -heads]),
         msg_key_bias=Tensor(values[-heads:]),
     )
 
 
 class TestBiasIndex:
-    def test_msg_query_row(self):
+    def test_msg_query_row_is_zero(self):
         bias = distinct_bias(2)
         mat = B.bias_matrix(bias, with_msg=True).data
-        assert all(reference_bias_source(0, j, 2) == ("msg-query",) for j in range(5))
-        assert (mat[:, 0, :] == bias.msg_query_bias.data[:, None]).all()
+        assert all(reference_bias_source(0, j, 2) == ("zero",) for j in range(5))
+        assert (mat[:, 0, :] == 0).all()
+        assert (mat[:, 1:, :] != 0).all()  # every other entry is read from the table or the key scalar
 
     def test_msg_key_column(self):
         bias = distinct_bias(2)
@@ -194,10 +195,10 @@ class TestBiasIndex:
     def test_swap_reflects_through_center(self):
         w = 3
         span = 2 * w - 1
-        idx = B._bias_gather_index(w, True).reshape(w * w + 1, w * w + 1)
+        idx = B._bias_gather_index(w, True).reshape(w * w, w * w + 1)  # patch query rows only
         for i in range(1, w * w + 1):
             for j in range(1, w * w + 1):
-                a, b = divmod(int(idx[i, j]), span), divmod(int(idx[j, i]), span)
+                a, b = divmod(int(idx[i - 1, j]), span), divmod(int(idx[j - 1, i]), span)
                 assert a == (span - 1 - b[0], span - 1 - b[1])
                 assert ("table", *a) == reference_bias_source(i, j, w)
 
@@ -218,7 +219,7 @@ class TestLocalMsa:
     def _probabilities(wt, params):
         """The attention node's probabilities under the block's relative-position bias."""
         bias = B.bias_matrix(params.bias, with_msg=wt.with_msg)
-        return T.attention(wt.windows, params.attn.qkv_weight, params.attn.qkv_bias, bias, params.bias.num_heads)[1]
+        return T.attention(wt.windows, params.attn.qkv_weight, params.attn.qkv_bias, bias, params.attn.num_heads)[1]
 
     def test_identical_tokens_attend_uniformly(self):
         c, w = 4, 2
@@ -254,9 +255,10 @@ class TestLocalMsa:
 
     def test_heads_must_divide_channels(self):
         params = self._params(8, 2, 2)
-        three_heads = B.RelPosBias(2, Tensor(np.zeros((3, 3, 3), dtype=np.float32)), None, None)
-        with pytest.raises(ConfigError):
-            B.local_msa(make_windows(1, 1, 1, 2, 8).windows, params.attn, three_heads)
+        three_heads = replace(params.attn, num_heads=3)
+        for bias in (params.bias, None):
+            with pytest.raises(ConfigError, match="3 heads"):
+                B.local_msa(make_windows(1, 1, 1, 2, 8).windows, three_heads, bias)
 
 
 class TestShuffle:
@@ -310,7 +312,7 @@ class TestShuffle:
 
 
 class TestExchangeMatchesReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
         gh=st.integers(1, 10),
         gw=st.integers(1, 10),
@@ -446,11 +448,19 @@ class TestBlockForward:
         wt = B.attach_msg(make_windows(1, 2, 3, w, c, seed=36, dtype=f64), make_msg(1, 2, 3, c, seed=37, dtype=f64))
         view = W.build_region_view((2, 3), 2, W.TOP_LEFT)  # a 2x2 and a 2x1 region
         full = B.detach_msg(B.block_forward(wt, params, view))[1].data
-        alone = B.block_forward(wt, params, view, msg_only=True)
+        msg_only = replace(params, bias=None)  # the messenger's query row of the bias is zero
+        alone = B.block_forward(wt, msg_only, view)
         assert isinstance(alone, Tensor)
         np.testing.assert_allclose(alone.data, full, rtol=0, atol=1e-13)
         with pytest.raises(ConfigError, match="messenger tokens attached"):
-            B.block_forward(make_windows(1, 2, 3, w, c), params, view, msg_only=True)
+            B.block_forward(make_windows(1, 2, 3, w, c), msg_only, view)
+
+    def test_bias_heads_must_match_attention_heads(self):
+        params = make_block_params(np.random.default_rng(34), 8, 2, 2)
+        one_head = B.RelPosBias(2, Tensor(np.zeros((1, 3, 3), dtype=np.float32)), None)
+        with pytest.raises(ShapeError, match="2 heads"):
+            replace(params, bias=one_head)
+        assert replace(params, bias=None).bias is None
 
     def test_mlp_must_be_four_x(self):
         rng = np.random.default_rng(34)

@@ -19,6 +19,7 @@ from msgt.checkpoint import save_checkpoint
 from msgt.data import load_idx
 from msgt.errors import ConfigError
 from msgt.train import check_task_data
+from test_checkpoint import random_legacy, version1_records, write_records
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -324,6 +325,19 @@ class TestDataAndTraining:
         # eval reports the smoothed val loss of the run's last val row
         last_val = [r for r in open(f"{out_dir}/metrics.csv").read().splitlines() if ",val," in r][-1]
         assert f"val loss {last_val.split(',')[3]} " in out
+
+    def test_eval_reads_a_version1_checkpoint(self, capsys, tmp_path, config_file):
+        cfg, _ = cli.parse_config(json.loads(open(config_file).read()))
+        model = M.build_model(cfg.arch_config(), seed=3)
+        v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+        write_records(v1, 1, version1_records(model, random_legacy()))
+        save_checkpoint(model, str(v2))
+        outputs = []
+        for path in (v1, v2):
+            code, out, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", str(path))
+            assert code == 0, err
+            outputs.append(out)
+        assert "val loss" in outputs[0] and outputs[0] == outputs[1]
 
     def test_eval_rejects_wrong_checkpoint_shape(self, capsys, tmp_path, config_file):
         bogus = tmp_path / "bogus.ckpt"

@@ -399,7 +399,11 @@ class TestBuild:
 
 
 def reference_named_parameters(model: M.Model) -> list[tuple[str, Tensor]]:
-    """The hand-listed checkpoint names and order that ``Model.named_parameters`` must keep."""
+    """The hand-listed checkpoint names and order that ``Model.named_parameters`` must keep.
+
+    A classifier with messengers has no bias in its last block, which only the messengers query.
+    """
+    cfg = model.config
     items = [("embed.weight", model.embed_weight), ("embed.bias", model.embed_bias)]
     if model.msg_input is not None:
         items.append(("msg_input", model.msg_input))
@@ -413,13 +417,13 @@ def reference_named_parameters(model: M.Model) -> list[tuple[str, Tensor]]:
                 (f"{prefix}.attn.qkv_bias", blk.attn.qkv_bias),
                 (f"{prefix}.attn.out_weight", blk.attn.out_weight),
                 (f"{prefix}.attn.out_bias", blk.attn.out_bias),
-                (f"{prefix}.bias.table", blk.bias.table),
             ]
-            if blk.bias.msg_query_bias is not None:
-                items += [
-                    (f"{prefix}.bias.msg_query", blk.bias.msg_query_bias),
-                    (f"{prefix}.bias.msg_key", blk.bias.msg_key_bias),
-                ]
+            msg_only = cfg.task == "cls" and cfg.use_msg and (si, bi) == (4, len(stage) - 1)
+            assert (blk.bias is None) == msg_only
+            if not msg_only:
+                items.append((f"{prefix}.bias.table", blk.bias.table))
+            if cfg.use_msg and not msg_only:
+                items.append((f"{prefix}.bias.msg_key", blk.bias.msg_key_bias))
             items += [
                 (f"{prefix}.norm2.gamma", blk.norm2_gamma),
                 (f"{prefix}.norm2.beta", blk.norm2_beta),
@@ -635,28 +639,25 @@ class TestForward:
             b = M.forward(model, x).data
         np.testing.assert_array_equal(a, b)
 
-    def test_messenger_query_bias_does_not_reach_the_logits(self):
-        """``bias.msg_query`` fills the messenger's whole score row with one constant, which softmax drops.
+    def test_messenger_key_bias_reaches_the_logits(self):
+        """Noise on ``bias.msg_key`` (one column of every patch row) moves the logits.
 
-        The same noise on ``bias.msg_key`` (one column of every row) does move the logits.
+        The messenger's query row of the bias is zero and has no parameter: one constant
+        over a whole score row would be removed by the softmax.
         """
         model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+        assert not [name for name, _ in model.named_parameters() if "msg_query" in name]
         images = Tensor(np.random.default_rng(8).standard_normal((2, 128, 128, 3)))
         with T.no_grad():
             base = M.forward(model, images).data
         rng = np.random.default_rng(9)
-        moved = {}
-        for kind in ("msg_query", "msg_key"):
-            scalars = [p for name, p in model.named_parameters() if name.endswith(f".bias.{kind}")]
-            kept = [p.data for p in scalars]
-            for p in scalars:
-                p.data = p.data + rng.normal(0.0, 3.0, p.shape)
-            with T.no_grad():
-                moved[kind] = np.abs(M.forward(model, images).data - base).max()
-            for p, data in zip(scalars, kept):
-                p.data = data
-        assert moved["msg_query"] <= 1e-12 * max(1.0, np.abs(base).max())
-        assert moved["msg_key"] > 1e-6
+        scalars = [p for name, p in model.named_parameters() if name.endswith(".bias.msg_key")]
+        assert len(scalars) == 4  # every block but the messenger-only last one
+        for p in scalars:
+            p.data = p.data + rng.normal(0.0, 3.0, p.shape)
+        with T.no_grad():
+            moved = np.abs(M.forward(model, images).data - base).max()
+        assert moved > 1e-6
 
     def test_final_stage_is_single_window_for_micro(self):
         # stage-4 resolution 4x4 equals the window size: one messenger left
@@ -756,9 +757,11 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
     """The classifier forward before its last block ran only the messenger rows.
 
     Every block runs over all tokens, and every stage ends with
-    ``detach_msg``, ``reverse_windows`` and ``crop_to``.
+    ``detach_msg``, ``reverse_windows`` and ``crop_to``. The last block, which has no
+    bias, gets a random one: the messenger rows it feeds do not read it.
     """
     cfg = model.config
+    bias_rng = np.random.default_rng(4)
     fm, msg = M.patch_embed(model, images), None
     for si, scfg in enumerate(cfg.stages):
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
@@ -767,6 +770,11 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
             msg = M._initial_msg(model.msg_input, wt.grid_shape, images.shape[0])
         wt = B.attach_msg(wt, msg)
         for bi, blk in enumerate(model.stages[si]):
+            if blk.bias is None:
+                span, heads = 2 * scfg.window_size - 1, blk.attn.num_heads
+                table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
+                bias = B.RelPosBias(scfg.window_size, Tensor(table.astype(model.dtype)), Tensor(key.astype(model.dtype)))
+                blk = replace(blk, bias=bias)
             view = W.build_region_view(wt.grid_shape, scfg.shuffle_size, M._block_anchor(cfg.task, bi))
             wt = B.block_forward(wt, blk, view, training=mode == "train", rng=rng)
         wt, msg = B.detach_msg(wt)
@@ -842,6 +850,19 @@ class TestMessengerOnlyFinalBlock:
             assert calls == want
 
 
+class TestEveryParameterLearns:
+    @pytest.mark.parametrize("cfg", [M.micro_config(), M.micro_config(use_msg=False)], ids=["micro", "micro-no-msg"])
+    def test_one_train_step_gives_every_trained_parameter_a_nonzero_gradient(self, cfg):
+        """A parameter whose gradient is all zero computes nothing, and only fills the checkpoint."""
+        model = M.build_model(cfg, seed=0)
+        labels = np.random.default_rng(4).integers(0, cfg.num_classes, 16)
+        logits = M.forward(model, rand_images(16, 128, seed=3), mode="train", rng=np.random.default_rng(5))
+        cross_entropy(logits, labels, 0.1).backward()
+        trained = [(name, p) for name, p in model.named_parameters() if p.requires_grad]
+        assert len(trained) == len(model.parameters())
+        assert [name for name, p in trained if p.grad is None or not np.any(p.grad)] == []
+
+
 class TestCountParams:
     @staticmethod
     def hand_count(cfg: M.ArchConfig) -> int:
@@ -852,13 +873,11 @@ class TestCountParams:
             total += cfg.stages[0].shuffle_size ** 2 * c1
         for s in cfg.stages:
             span = 2 * s.window_size - 1
-            per_block = (
-                12 * s.dim * s.dim  # qkv + out + two MLP weight matrices
-                + 13 * s.dim  # norm affines and every bias vector
-                + s.num_heads * span * span  # bias tables
-                + (2 * s.num_heads if cfg.use_msg else 0)  # messenger bias scalars
-            )
-            total += s.num_blocks * per_block
+            per_block = 12 * s.dim * s.dim + 13 * s.dim  # four weight matrices; norm affines and bias vectors
+            bias = s.num_heads * span * span + (s.num_heads if cfg.use_msg else 0)  # table, messenger-key scalars
+            total += s.num_blocks * (per_block + bias)
+        if cfg.task == "cls" and cfg.use_msg and cfg.stages[-1].num_blocks:
+            total -= bias  # the messenger-only last block has no relative-position bias
         for a, b in zip(cfg.stages[:-1], cfg.stages[1:]):
             total += 3 * 3 * a.dim * b.dim + b.dim
         c4 = cfg.stages[-1].dim
@@ -878,3 +897,9 @@ class TestCountParams:
     def test_hand_sum_matches_build_for_tiny(self, tiny_model):
         # Arithmetic cross-check without allocating the full model.
         assert M.count_params(tiny_model)["total"] == self.hand_count(tiny_model.config)
+
+    def test_msg_related_is_the_input_messengers_and_key_scalars(self):
+        counts = M.count_params(M.build_model(M.micro_config(), seed=0))
+        # 2x2 input messengers of 16 channels; one key scalar per head in all blocks but the last
+        assert counts["msg_input"] == 64
+        assert counts["msg_related"] == 64 + (1 + 2 + 4 + 4)

@@ -498,7 +498,8 @@ class TestSplit:
 def reference_attention(x, w_qkv, b_qkv, bias, heads, queries=None):
     """The composed graph ``blocks.local_msa`` ran before ``T.attention``, for any leading axes.
 
-    With ``queries`` only the first that many slots query, as in ``T.attention``.
+    With ``queries`` only the first that many slots query, and a ``bias`` of None is no add, as in
+    ``T.attention``.
     """
     *lead, n, c = x.shape
     m = queries or n
@@ -513,7 +514,7 @@ def reference_attention(x, w_qkv, b_qkv, bias, heads, queries=None):
     q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
     q = q if m == n else q[(slice(None),) * (a + 1) + (slice(0, m),)]
     scores = T.mul(T.matmul(q, T.transpose(k, (*range(a + 1), a + 2, a + 1))), 1.0 / math.sqrt(d))
-    attn = softmax_node(T.add(scores, bias))
+    attn = softmax_node(scores if bias is None else T.add(scores, bias))
     ctx = T.matmul(attn, v)
     return T.reshape(T.transpose(ctx, swap), (*lead, m, c)), attn.data
 
@@ -532,7 +533,8 @@ def _node_case(draw):
     lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     queries = draw(st.sampled_from([None, 1]))
-    return heads, d, window, with_msg, lead, dtype, queries
+    biased = draw(st.booleans())
+    return heads, d, window, with_msg, lead, dtype, queries, biased
 
 
 class TestFusedNodes:
@@ -544,14 +546,14 @@ class TestFusedNodes:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(case=_node_case())
-    @example(case=(2, 16, 4, True, (3,), np.float32, None))  # micro stage 2: 2 heads of 16, n = 17
-    @example(case=(4, 16, 7, True, (1, 2), np.float64, None))  # tiny's window: n = 50
-    @example(case=(8, 16, 4, True, (16, 1, 1), np.float32, 1))  # micro's last block, messenger rows only
+    @example(case=(2, 16, 4, True, (3,), np.float32, None, True))  # micro stage 2: 2 heads of 16, n = 17
+    @example(case=(4, 16, 7, True, (1, 2), np.float64, None, True))  # tiny's window: n = 50
+    @example(case=(8, 16, 4, True, (16, 1, 1), np.float32, 1, False))  # micro's last block, messenger rows only
     def test_matches_composed_graph(self, case):
-        heads, d, window, with_msg, lead, dtype, queries = case
+        heads, d, window, with_msg, lead, dtype, queries, biased = case
         c, n, span = heads * d, window * window + with_msg, 2 * window - 1
         rng = np.random.default_rng(heads * 1000 + d * 10 + window)
-        shapes = [(*lead, n, c), (c, 3 * c), (3 * c,), (heads, span, span), (heads,), (heads,)]
+        shapes = [(*lead, n, c), (c, 3 * c), (3 * c,), (heads, span, span), (heads,)]
         shapes += [(*lead, n, c), (c, 4 * c), (4 * c,), (4 * c, c), (c,)]
         data = [(rng.standard_normal(s) * 0.5).astype(dtype) for s in shapes]
         g_attn = rng.standard_normal((*lead, queries or n, c)).astype(dtype)
@@ -559,13 +561,18 @@ class TestFusedNodes:
 
         def run(attention, mlp):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
-            x, w_qkv, b_qkv, table, msg_q, msg_k = leaves[:6]
-            rel = B.RelPosBias(window, table, msg_q if with_msg else None, msg_k if with_msg else None)
-            ctx, probs = attention(x, w_qkv, b_qkv, B.bias_matrix(rel, with_msg, queries), heads, queries)
+            x, w_qkv, b_qkv, table, msg_k = leaves[:5]
+            bias = None
+            if biased:  # the first ``queries`` rows of the bias matrix
+                bias = B.bias_matrix(B.RelPosBias(window, table, msg_k if with_msg else None), with_msg)
+                bias = bias if queries is None else bias[:, :queries]
+            ctx, probs = attention(x, w_qkv, b_qkv, bias, heads, queries)
             ctx.backward(g_attn)
-            y = mlp(*leaves[6:])
+            y = mlp(*leaves[5:])
             y.backward(g_mlp)
-            used = leaves if with_msg else leaves[:4] + leaves[6:]
+            used = leaves[:3] + leaves[5:]
+            if biased:
+                used += leaves[3:5] if with_msg else leaves[3:4]
             return [ctx.data, probs, y.data] + [t.grad for t in used]
 
         got, want = run(T.attention, T.mlp), run(reference_attention, reference_mlp)
@@ -586,6 +593,18 @@ class TestFusedNodes:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_no_bias_adds_nothing_and_is_no_parent(self):
+        rng = np.random.default_rng(5)
+        x, w_qkv, b_qkv = self._leaves(rng, np.float64, (3, 6, 4), (4, 12), (12,))
+        zero = Tensor(np.zeros((2, 1, 6)), requires_grad=True)
+        for bias in (None, zero):
+            ctx, probs = T.attention(x, w_qkv, b_qkv, bias, 2, queries=1)
+            assert len(ctx._parents) == (3 if bias is None else 4)
+            T.tsum(T.mul(ctx, ctx)).backward()
+        unbiased, _ = T.attention(x, w_qkv, b_qkv, None, 2, queries=1)
+        np.testing.assert_array_equal(unbiased.data, ctx.data)
+        assert zero.grad.shape == zero.shape
 
     def test_probabilities_are_not_written_by_backward(self):
         rng = np.random.default_rng(1)
@@ -634,7 +653,8 @@ class TestFusedNodes:
         for a, b in zip(run(), whole):
             np.testing.assert_array_equal(a, b)
 
-    def test_counts_the_composed_graphs_macs(self):
+    @pytest.mark.parametrize("biased", [True, False])
+    def test_counts_the_composed_graphs_macs(self, biased):
         rng = np.random.default_rng(2)
         x, w_qkv, b_qkv, bias, w1, b1, w2, b2 = self._leaves(
             rng, np.float32, (2, 3, 5, 8), (8, 24), (24,), (2, 5, 5), (8, 32), (32,), (32, 8), (8,)
@@ -642,7 +662,7 @@ class TestFusedNodes:
         counts = []
         for attention, mlp in ((T.attention, T.mlp), (reference_attention, reference_mlp)):
             with T.count_macs() as c:
-                mlp(attention(x, w_qkv, b_qkv, bias, 2)[0], w1, b1, w2, b2)
+                mlp(attention(x, w_qkv, b_qkv, bias if biased else None, 2)[0], w1, b1, w2, b2)
             counts.append(c.buckets)
         assert counts[0] == counts[1]
 
