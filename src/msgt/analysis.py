@@ -83,7 +83,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     a23, b32 = t(2, 3), t(3, 2)
     ln_x, ln_g, ln_b = t(2, 3, 4), t(4), t(4)
     conv_x, conv_w, conv_b = t(2, 4, 4, 2), t(3, 3, 2, 3), t(3)
-    gather_x = t(6)
     mean_x = t(2, 4, 3)
     split_x = t(3, 5)
     mb_a, mb_b, mb_bias = t(2, 2, 3), t(3, 4), t(4)
@@ -98,7 +97,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
         "log_softmax": (lambda: _sq(T.log_softmax(x34, axis=1)), [x34]),
         "layer_norm": (lambda: _sq(T.layer_norm(ln_x, ln_g, ln_b)), [ln_x, ln_g, ln_b]),
         "conv2d": (lambda: _sq(T.conv2d(conv_x, conv_w, conv_b, stride=2, padding=1)), [conv_x, conv_w, conv_b]),
-        "gather_last": (lambda: _sq(T.gather_last(gather_x, np.array([0, 2, 2, 5]))), [gather_x]),
         "broadcast_mean": (lambda: _sq(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x)), [mean_x]),
         "split": (lambda: _split_objective(split_x), [split_x]),
         "matmul_bias": (lambda: _sq(T.matmul(mb_a, mb_b, mb_bias)), [mb_a, mb_b, mb_bias]),

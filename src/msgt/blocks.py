@@ -59,12 +59,13 @@ class RelPosBias:
 
 @lru_cache(maxsize=None)
 def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
-    """Flat (w*w*T,) index into one head's bias row that assembles its patch query rows.
+    """(T, T) index into one head's bias row that assembles its whole bias matrix.
 
     Patch slots hold their positions in row-major order. Query i and key j
     address table cell (col_i - col_j + w-1, row_i - row_j + w-1) of the
-    flattened (2w-1)x(2w-1) table. With messengers, key slot 0 is prepended
-    and reads position (2w-1)**2, the messenger-key scalar.
+    flattened (2w-1)x(2w-1) table. With messengers, slot 0 is prepended: its
+    key column reads position (2w-1)**2, the messenger-key scalar, and its
+    query row reads position (2w-1)**2 + 1, a zero.
     """
     w = window_size
     span = 2 * w - 1
@@ -72,19 +73,20 @@ def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     idx = (col[:, None] - col + w - 1) * span + (row[:, None] - row + w - 1)
     if with_msg:
         idx = np.pad(idx, ((0, 0), (1, 0)), constant_values=span * span)
-    return idx.reshape(-1)
+        idx = np.pad(idx, ((1, 0), (0, 0)), constant_values=span * span + 1)
+    return idx
 
 
 def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
     """Assemble the additive attention bias, shape (heads, T, T); a messenger's query row is zero."""
-    heads, n = bias.table.shape[0], bias.window_size**2
+    heads = bias.table.shape[0]
     flat = T.reshape(bias.table, (heads, -1))
     if with_msg:
         if bias.msg_key_bias is None:
             raise ConfigError("messenger key bias is absent in this block")
-        flat = T.concat([flat, T.reshape(bias.msg_key_bias, (heads, 1))], axis=1)
-    rows = T.reshape(T.gather_last(flat, _bias_gather_index(bias.window_size, with_msg)), (heads, n, n + with_msg))
-    return T.pad(rows, [(0, 0), (1, 0), (0, 0)]) if with_msg else rows
+        zero = Tensor(np.zeros((heads, 1), dtype=flat.data.dtype))
+        flat = T.concat([flat, T.reshape(bias.msg_key_bias, (heads, 1)), zero], axis=1)
+    return flat[:, _bias_gather_index(bias.window_size, with_msg)]
 
 
 # -- attention ------------------------------------------------------------------

@@ -35,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    from . import model as M
+
     parser = _Parser(prog="msgt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
@@ -55,14 +57,14 @@ def build_parser() -> _Parser:
 
     p_flops = sub.add_parser("flops", help="closed-form cost accounting")
     common(p_flops)
-    p_flops.add_argument("--window", type=int, default=7)
+    p_flops.add_argument("--window", type=int, default=M.PRESET_WINDOW)
     p_flops.add_argument("--dim", type=int, default=384)
     p_flops.add_argument("--arch", default=None, help="also report model totals for a preset")
 
     p_comm = sub.add_parser("analyze-comm", help="receptive fields and information flow")
     common(p_comm)
-    p_comm.add_argument("--window", type=int, default=7)
-    p_comm.add_argument("--shuffle", type=int, default=4)
+    p_comm.add_argument("--window", type=int, default=M.PRESET_WINDOW)
+    p_comm.add_argument("--shuffle", type=int, default=M.CLS_SHUFFLES[0])
 
     p_gc = sub.add_parser("gradcheck", help="64-bit finite-difference verification")
     common(p_gc)
@@ -210,12 +212,10 @@ def _cmd_flops(args) -> int:
     from . import model as M
 
     w, ch = args.window, args.dim
-    spec_no = C.ComplexitySpec(w, w, w, ch, with_msg=False)
-    spec_yes = C.ComplexitySpec(w, w, w, ch, with_msg=True)
-    ratio = C.flops_ratio(w, ch)
+    ratio = C.flops_ratio(w, ch)  # rejects a window or width that is not positive
     print(f"per-window block cost, window {w} x {w}, {ch} channels:")
-    print(f"  without messenger token: {C.flops_block(spec_no)} MACs")
-    print(f"  with messenger token:    {C.flops_block(spec_yes)} MACs")
+    print(f"  without messenger token: {C.flops_block(1, w, ch, with_msg=False)} MACs")
+    print(f"  with messenger token:    {C.flops_block(1, w, ch)} MACs")
     print(f"  increase ratio: {ratio.numerator}/{ratio.denominator} ≈ {float(ratio) * 100:.4f}%")
     print(f"  exact increase ratio: {float(C.flops_ratio_exact(w, ch)) * 100:.4f}%")
     if args.arch:

@@ -15,57 +15,31 @@ can be compared exactly against the instrumented counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError
-from .model import MERGE_KERNEL, PATCH_KERNEL, ArchConfig, msg_only_block, stage_geometry
+from .model import PATCH_KERNEL, ArchConfig, msg_only_block, stage_geometry
+from .windows import MERGE_KERNEL
 
 SWIN_SHIFT = "swin_shift"
 MSG_SHUFFLE = "msg_shuffle"
 
 
-@dataclass(frozen=True)
-class ComplexitySpec:
-    """Inputs to the per-block cost formulas."""
+def flops_block(windows: int, window_size: int, channels: int, with_msg: bool = True) -> int:
+    """Exact attention+MLP cost of one block over ``windows`` windows.
 
-    grid_h: int
-    grid_w: int
-    window_size: int
-    channels: int
-    with_msg: bool = True
-
-    def validate(self) -> None:
-        if min(self.grid_h, self.grid_w, self.window_size, self.channels) < 1:
-            raise ConfigError("all complexity extents must be positive")
-        if self.grid_h % self.window_size or self.grid_w % self.window_size:
-            raise ConfigError(
-                f"token grid {self.grid_h}x{self.grid_w} is not tiled by "
-                f"{self.window_size}x{self.window_size} windows"
-            )
-
-
-def flops_block(spec: ComplexitySpec) -> int:
-    """Exact attention+MLP cost of one block over the whole token grid.
-
-    Without messenger tokens: ``(HW/w^2)(4w^2C^2 + 2w^4C) + 2(HW/w^2)w^2·4C^2``;
+    Without messenger tokens: ``windows(4w^2C^2 + 2w^4C) + 2·windows·w^2·4C^2``;
     with them, every per-window token count ``w^2`` becomes ``w^2 + 1``.
     """
-    spec.validate()
-    windows = (spec.grid_h * spec.grid_w) // (spec.window_size**2)
-    n = spec.window_size**2 + (1 if spec.with_msg else 0)
-    c = spec.channels
-    msa = windows * (4 * n * c * c + 2 * n * n * c)
-    mlp = 2 * windows * n * 4 * c * c
-    return msa + mlp
+    n, c = window_size**2 + with_msg, channels
+    return windows * (4 * n * c * c + 2 * n * n * c + 8 * n * c * c)
 
 
-def flops_msg_block(spec: ComplexitySpec) -> int:
+def flops_msg_block(windows: int, window_size: int, channels: int) -> int:
     """Exact cost of a block in which only the messenger rows go past the keys and values (module docstring)."""
-    spec.validate()
-    n, c = spec.window_size**2 + 1, spec.channels
-    return (spec.grid_h * spec.grid_w) // (spec.window_size**2) * (3 * n * c * c + 2 * n * c + 9 * c * c)
+    n, c = window_size**2 + 1, channels
+    return windows * (3 * n * c * c + 2 * n * c + 9 * c * c)
 
 
 def flops_ratio(window_size: int, channels: int) -> Fraction:
@@ -118,30 +92,28 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     patch-embed / merge / head projection terms (``head`` 0 for a
     det-backbone, which runs no head), and grand totals under
     both the MAC convention (``total_macs``) and with convolutions counted
-    at 2 FLOPs per MAC (``total_flops_conv2x``).
+    at 2 FLOPs per MAC (``total_flops_conv2x``). A size the forward cannot run
+    raises the forward's ``ConfigError``.
     """
     cfg.validate()
-    geometry = stage_geometry(cfg, input_size)
+    size = cfg.input_size if input_size is None else input_size
+    cfg.check_input_size(size, size)
+    geometry = stage_geometry(cfg, size)
     h, w = geometry[0][0]
     embed_macs = h * w * PATCH_KERNEL**2 * 3 * cfg.stages[0].dim
 
     stage_macs: list[int] = []
     merge_macs: list[int] = []
     for i, (s, (_, (gh, gw))) in enumerate(zip(cfg.stages, geometry)):
-        ws = s.window_size
-        spec = ComplexitySpec(
-            grid_h=gh * ws, grid_w=gw * ws, window_size=ws, channels=s.dim, with_msg=cfg.use_msg
-        )
+        windows, ws = gh * gw, s.window_size
         last = any(msg_only_block(cfg, i, b) for b in range(s.num_blocks))
-        final_macs = flops_msg_block(spec) if last else 0
-        stage_macs.append((s.num_blocks - last) * flops_block(spec) + final_macs)
+        final_macs = flops_msg_block(windows, ws, s.dim) if last else 0
+        stage_macs.append((s.num_blocks - last) * flops_block(windows, ws, s.dim, cfg.use_msg) + final_macs)
         if i < len(cfg.stages) - 1:
-            (nh, nw), _ = geometry[i + 1]
-            macs = nh * nw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
-            if cfg.use_msg:
-                mh, mw = -(-gh // 2), -(-gw // 2)
-                macs += mh * mw * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim
-            merge_macs.append(macs)
+            # the messengers merge onto the next window grid, which the input-size check requires
+            (nh, nw), (mh, mw) = geometry[i + 1]
+            merged = nh * nw + (mh * mw if cfg.use_msg else 0)
+            merge_macs.append(merged * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim)
     head_macs = cfg.stages[-1].dim * cfg.num_classes if cfg.task == "cls" else 0
     conv_macs = embed_macs + sum(merge_macs)
     attention_mlp = sum(stage_macs)
@@ -155,5 +127,4 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
         "conv_macs": conv_macs,
         "total_macs": attention_mlp + conv_macs + head_macs,
         "total_flops_conv2x": attention_mlp + 2 * conv_macs + head_macs,
-        "final_msg_grid": geometry[-1][1],
     }

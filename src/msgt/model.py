@@ -18,7 +18,6 @@ from .tensor import Tensor
 
 NUM_STAGES = 4
 PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD = 7, 4, 3
-MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD = 3, 2, 1
 INIT_STD = 0.02  # deviation of every trunc-normal draw, input messengers included
 INIT_CHUNK = 65_536  # float64 values per trunc-normal draw, whatever the tensor's size
 
@@ -73,19 +72,20 @@ class ArchConfig:
                     f"stage {i + 1} dim {self.stages[i].dim} must double stage {i} "
                     f"dim {self.stages[i - 1].dim}"
                 )
-        if self.input_size < PATCH_KERNEL:
-            raise ConfigError(f"input size {self.input_size} smaller than patch kernel {PATCH_KERNEL}")
-        self._check_exchange(self.input_size, self.input_size)
+        self.check_input_size(self.input_size, self.input_size)
 
-    def _check_exchange(self, h: int, w: int) -> None:
-        """Reject an (h, w) input whose grids the exchange cannot run; rows follow h alone, columns w alone."""
+    def check_input_size(self, h: int, w: int) -> None:
+        """Reject an h x w input the forward cannot run: below the patch kernel, or messenger grids that
+        the merges or the exchange cannot carry. Rows follow h alone, columns w alone."""
+        size = h if h == w else f"{h}x{w}"
+        if min(h, w) < PATCH_KERNEL:
+            raise ConfigError(f"input size {size} smaller than patch kernel {PATCH_KERNEL}")
         if not self.use_msg:
             return
-        size = h if h == w else f"{h}x{w}"
-        grids = [(gh, gw) for (_, (gh, _)), (_, (_, gw)) in zip(stage_geometry(self, h), stage_geometry(self, w))]
+        grids = [grid for _, grid in stage_geometry(self, h, w)]
         for i, (s, grid) in enumerate(zip(self.stages, grids), start=1):
-            # each merge halves the messenger grid, which must meet the next window grid
-            msg_grid = tuple(-(-g // 2) for g in grids[i - 2]) if i > 1 else grid
+            # the merge convolves the messenger grid too, which must meet the next window grid
+            msg_grid = tuple(map(_merged, grids[i - 2])) if i > 1 else grid
             if grid != msg_grid:
                 raise ConfigError(f"stage {i}: window grid {grid} != messenger grid {msg_grid} from stage {i - 1}")
             # with shuffling, every region of either anchor (blocks alternate) must split the channels
@@ -103,17 +103,20 @@ def _conv_output(extent: int, kernel: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - kernel) // stride + 1
 
 
+def _merged(extent: int) -> int:
+    return _conv_output(extent, W.MERGE_KERNEL, W.MERGE_STRIDE, W.MERGE_PAD)
+
+
 def stage_geometry(
-    cfg: ArchConfig, input_size: Optional[int] = None
+    cfg: ArchConfig, h: Optional[int] = None, w: Optional[int] = None
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Per stage, the token-map extents and the padded window grid for a square input."""
-    size = cfg.input_size if input_size is None else input_size
-    h = w = _conv_output(size, PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD)
+    """Per stage, the token-map extents and the padded window grid for an h x w input (square if ``w`` is None)."""
+    h = cfg.input_size if h is None else h
+    h, w = (_conv_output(e, PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD) for e in (h, h if w is None else w))
     out = []
     for s in cfg.stages:
         out.append(((h, w), (-(-h // s.window_size), -(-w // s.window_size))))
-        h = _conv_output(h, MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD)
-        w = _conv_output(w, MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD)
+        h, w = _merged(h), _merged(w)
     return out
 
 
@@ -304,34 +307,17 @@ class Model:
             p.zero_grad()
 
 
-def build_model(
-    cfg: ArchConfig,
-    seed: int,
-    dtype=np.float32,
-    msg_policy: str = "learnable",
-) -> Model:
-    """Deterministically initialize a model from ``seed``.
-
-    ``msg_policy`` is "learnable" (default) or "frozen-random": the latter
-    keeps the same random draw for the input messenger tokens but excludes
-    them from training.
-    """
+def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
+    """Deterministically initialize a model from ``seed``."""
     cfg.validate()
-    if msg_policy not in ("learnable", "frozen-random"):
-        raise ConfigError(f"unknown msg_policy {msg_policy!r}")
     rng = np.random.default_rng(seed)
     proj, zeros, ones = _param_makers(rng, dtype)
     c1 = cfg.stages[0].dim
     embed_weight = proj(PATCH_KERNEL, PATCH_KERNEL, 3, c1)
     embed_bias = zeros(c1)
 
-    msg_input = None
-    if cfg.use_msg:
-        r1 = cfg.stages[0].shuffle_size
-        msg_input = Tensor(
-            trunc_normal(rng, (r1, r1, c1), INIT_STD, dtype),
-            requires_grad=(msg_policy == "learnable"),
-        )
+    r1 = cfg.stages[0].shuffle_size
+    msg_input = proj(r1, r1, c1) if cfg.use_msg else None
 
     stages = [
         [
@@ -347,7 +333,7 @@ def build_model(
     merge_weights, merge_biases = [], []
     for i in range(NUM_STAGES - 1):
         cin, cout = cfg.stages[i].dim, cfg.stages[i + 1].dim
-        merge_weights.append(proj(MERGE_KERNEL, MERGE_KERNEL, cin, cout))
+        merge_weights.append(proj(W.MERGE_KERNEL, W.MERGE_KERNEL, cin, cout))
         merge_biases.append(zeros(cout))
 
     c4 = cfg.stages[-1].dim
@@ -382,9 +368,7 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
     """Project (B, H, W, 3) pixels to stage-1 tokens with a 7x7 stride-4 conv."""
     if images.ndim != 4 or images.shape[-1] != 3:
         raise ShapeError(f"expected (B, H, W, 3) images, got {images.shape}")
-    if images.shape[1] < PATCH_KERNEL or images.shape[2] < PATCH_KERNEL:
-        raise ConfigError(f"input {images.shape[1]}x{images.shape[2]} smaller than patch kernel")
-    model.config._check_exchange(*images.shape[1:3])  # before any compute
+    model.config.check_input_size(*images.shape[1:3])  # before any compute
     tokens = T.conv2d(images, model.embed_weight, model.embed_bias, PATCH_STRIDE, PATCH_PAD)
     return W.FeatureMap(tokens=tokens)
 

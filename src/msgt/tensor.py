@@ -477,30 +477,6 @@ def broadcast_mean(a: Tensor, axis: int) -> Tensor:
     return out
 
 
-def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select ``index`` positions along the last axis: ``out[..., k] = a[..., index[k]]``.
-
-    The index array is a constant; gradients scatter-add back, so repeated
-    indices are handled (used for the bias-table lookup).
-    """
-    index = np.asarray(index)
-    if index.ndim != 1:
-        raise ShapeError(f"gather index must be 1-dimensional, got shape {index.shape}")
-    out = _make(np.ascontiguousarray(a.data[..., index]), (a,))
-    if out.requires_grad:
-        na, last = a._node, a.data.shape[-1]
-
-        def backward(g):
-            lead = g.shape[:-1]
-            g2 = g.reshape(-1, index.size)
-            buf = np.zeros((g2.shape[0], last), dtype=g.dtype)
-            np.add.at(buf, (np.arange(g2.shape[0])[:, None], index[None, :]), g2)
-            _accum(na, buf.reshape(*lead, last))
-
-        out._backward = backward
-    return out
-
-
 # -- linear algebra -------------------------------------------------------------
 
 

@@ -226,8 +226,9 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     check_task_data(arch, data_spec)
     train_ds, val_ds = load_data(data_spec)
 
-    policy = "frozen-random" if cfg.msg_input_policy == "frozen-random" else "learnable"
-    model = M.build_model(arch, seed=cfg.seed, msg_policy=policy)
+    model = M.build_model(arch, seed=cfg.seed)
+    if cfg.msg_input_policy == "frozen-random" and model.msg_input is not None:
+        model.msg_input = Tensor(model.msg_input.data)  # the same draw, kept out of training
     optimizer = AdamW(
         model.named_parameters(), weight_decay=cfg.weight_decay, betas=cfg.betas, eps=cfg.eps
     )

@@ -20,6 +20,7 @@ from .tensor import Tensor
 
 TOP_LEFT = "top-left"
 BOTTOM_RIGHT = "bottom-right"
+MERGE_KERNEL, MERGE_STRIDE, MERGE_PAD = 3, 2, 1  # the convolution between stages
 
 
 def partition_call_count() -> int:
@@ -185,14 +186,14 @@ def merge_tokens(
     """Downsample between stages with one shared strided 3x3 convolution.
 
     The patch grid and the messenger grid are convolved with the *same*
-    weights (stride 2, padding 1), halving spatial extents (ceil for odd
+    weights (3x3, stride 2, padding 1), halving spatial extents (ceil for odd
     messenger grids) and doubling channels.
     """
-    c = fm.channels
-    if weight.shape[:3] != (3, 3, c):
-        raise ShapeError(f"merge weight {weight.shape} does not match 3x3 kernel over {c} channels")
+    c, k = fm.channels, MERGE_KERNEL
+    if weight.shape[:3] != (k, k, c):
+        raise ShapeError(f"merge weight {weight.shape} does not match {k}x{k} kernel over {c} channels")
     if msg is not None and msg.shape[3] != c:
         raise ShapeError(f"messenger channels {msg.shape[3]} != patch channels {c}")
-    merged = FeatureMap(tokens=T.conv2d(fm.tokens, weight, bias, stride=2, padding=1))
-    merged_msg = None if msg is None else T.conv2d(msg, weight, bias, stride=2, padding=1)
+    merged = FeatureMap(tokens=T.conv2d(fm.tokens, weight, bias, MERGE_STRIDE, MERGE_PAD))
+    merged_msg = None if msg is None else T.conv2d(msg, weight, bias, MERGE_STRIDE, MERGE_PAD)
     return merged, merged_msg

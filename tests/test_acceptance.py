@@ -132,8 +132,7 @@ def test_criterion_8_closed_form_vs_instrumented():
     msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
     with T.count_macs() as counter:
         B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, W.build_region_view((gh, gw), 2, W.TOP_LEFT)))
-    spec = C.ComplexitySpec(gh * ws, gw * ws, ws, ch, with_msg=True)
-    ok = counter["matmul"] == C.flops_block(spec) and counter["other"] > 0 and counter["conv"] == 0
+    ok = counter["matmul"] == C.flops_block(gh * gw, ws, ch) and counter["other"] > 0 and counter["conv"] == 0
     report(8, "per-block formula equals the instrumented matmul MAC count exactly", ok,
            f"{counter['matmul']} MACs, {time.time() - t0:.2f}s")
 

@@ -140,6 +140,9 @@ class TestFlops:
         assert code == 0
         assert "2354/115297" in out
         assert "2.0417" in out
+        for bad in (("--window", "0"), ("--dim", "-1")):  # outside input, checked before any cost is printed
+            code, out, err = run_cli(capsys, "flops", *bad)
+            assert code == 1 and "must be positive" in err and not out
 
     def test_model_totals_for_preset(self, capsys):
         code, out, _ = run_cli(capsys, "flops", "--window", "7", "--dim", "384", "--arch", "tiny")

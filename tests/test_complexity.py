@@ -1,6 +1,7 @@
 """Closed-form cost model tests, including exact cross-checks against the
 instrumented engine."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,37 +12,43 @@ from msgt import complexity as C
 from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
-from msgt.errors import ConfigError
+from msgt.errors import ConfigError, PartitionError
 from msgt.tensor import Tensor
 
 
 class TestFlopsBlock:
     def test_hand_evaluated_single_window(self):
-        spec = C.ComplexitySpec(grid_h=7, grid_w=7, window_size=7, channels=384, with_msg=False)
         # 1*(4*49*384^2 + 2*2401*384) + 2*1*49*4*384^2
-        assert C.flops_block(spec) == 88_548_096
+        assert C.flops_block(1, 7, 384, with_msg=False) == 88_548_096
 
     def test_msg_increase_matches_exact_ratio(self):
-        for grid in (7, 14, 56):
-            base = C.ComplexitySpec(grid, grid, 7, 384, with_msg=False)
-            with_msg = C.ComplexitySpec(grid, grid, 7, 384, with_msg=True)
-            without = C.flops_block(base)
-            delta = C.flops_block(with_msg) - without
+        for windows in (1, 4, 64):
+            without = C.flops_block(windows, 7, 384, with_msg=False)
+            delta = C.flops_block(windows, 7, 384, with_msg=True) - without
             assert Fraction(delta, without) == C.flops_ratio_exact(7, 384)
 
     def test_channel_doubling_quadruples_projection_term(self):
         def projection_term(ch):
-            spec = C.ComplexitySpec(7, 7, 7, ch, with_msg=False)
             # remove the quadratic-in-tokens attention part: 2*w^4*C
-            return C.flops_block(spec) - 2 * 7**4 * ch
+            return C.flops_block(1, 7, ch, with_msg=False) - 2 * 7**4 * ch
 
         assert projection_term(768) == 4 * projection_term(384)
 
     @pytest.mark.parametrize("grid_h,grid_w,window", [(8, 8, 7), (8, 2, 4), (2, 8, 4)])
     def test_indivisible_grid_rejected(self, grid_h, grid_w, window):
-        """Each axis must be a window multiple, not only the token count (8x2 = 16 = 4x4)."""
-        with pytest.raises(ConfigError, match="not tiled"):
-            C.flops_block(C.ComplexitySpec(grid_h, grid_w, window, 64))
+        """Each axis must be a window multiple, not only the token count (8x2 = 16 = 4x4): the partition
+        refuses such a map, and the window count priced is that of the map padded axis by axis."""
+        rng = np.random.default_rng(0)
+        fm = W.FeatureMap(Tensor(rng.standard_normal((1, grid_h, grid_w, 16)).astype(np.float32)))
+        with pytest.raises(PartitionError, match="not divisible"):
+            W.partition_windows(fm, window)
+        wt = W.partition_windows(W.pad_to_window_multiple(fm, window)[0], window)
+        windows = wt.windows.shape[1] * wt.windows.shape[2]
+        assert windows == -(-grid_h // window) * -(-grid_w // window) > grid_h * grid_w // window**2
+        params = M.make_block_params(rng, 16, 2, window)
+        with T.count_macs() as counter:
+            B.block_forward(wt, params, None)
+        assert counter["matmul"] == C.flops_block(windows, window, 16, with_msg=False)
 
 
 class TestFlopsRatio:
@@ -62,9 +69,9 @@ class TestFlopsRatio:
                 headline = C.flops_ratio(w, ch)
                 # headline simplification understates the token-quadratic term
                 assert exact - headline == Fraction(w * w, 6 * w * w * ch + w**4)
-                for grid in (w, 4 * w):
-                    base = C.flops_block(C.ComplexitySpec(grid, grid, w, ch, with_msg=False))
-                    extra = C.flops_block(C.ComplexitySpec(grid, grid, w, ch, with_msg=True)) - base
+                for windows in (1, 16):
+                    base = C.flops_block(windows, w, ch, with_msg=False)
+                    extra = C.flops_block(windows, w, ch, with_msg=True) - base
                     assert exact * base == extra
 
 
@@ -115,8 +122,7 @@ class TestModelFlops:
         view = W.build_region_view((gh, gw), 2, W.TOP_LEFT)
         with T.count_macs() as counter:
             B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
-        spec = C.ComplexitySpec(gh * ws, gw * ws, ws, ch, with_msg=True)
-        assert counter["matmul"] == C.flops_block(spec)
+        assert counter["matmul"] == C.flops_block(gh * gw, ws, ch)
         assert counter["conv"] == 0
 
     def test_micro_model_counter_matches_closed_form(self):
@@ -154,8 +160,7 @@ class TestModelFlops:
 
     def test_messenger_only_block_formula(self):
         """``windows * (3nC^2 + 2nC + 9C^2)``; the per-image totals these terms give."""
-        spec = C.ComplexitySpec(grid_h=14, grid_w=14, window_size=7, channels=512)
-        assert C.flops_msg_block(spec) == 4 * (3 * 50 * 512**2 + 2 * 50 * 512 + 9 * 512**2)
+        assert C.flops_msg_block(4, 7, 512) == 4 * (3 * 50 * 512**2 + 2 * 50 * 512 + 9 * 512**2)
         totals = {
             (M.micro_config(), None): 21_709_568,
             (M.micro_config(task="det-backbone"), None): 24_137_984,
@@ -165,3 +170,24 @@ class TestModelFlops:
         }
         for (cfg, size), total in totals.items():
             assert C.model_flops(cfg, size)["total_macs"] == total
+
+    def test_prices_exactly_the_sizes_the_forward_runs(self):
+        """Forward-free: ``model_flops`` raises the forward's input-size error, naming the stage, and only then."""
+        with pytest.raises(ConfigError, match=r"stage 2: at input size 160 "):
+            C.model_flops(M.tiny_config(), 160)
+        rejected = 0
+        for make in M.PRESETS.values():
+            for task in ("cls", "det-backbone"):
+                for use_msg in (True, False):
+                    cfg = replace(make(task=task), use_msg=use_msg, manipulation="shuffle" if use_msg else "none")
+                    for size in range(64, 513, 16):
+                        try:
+                            cfg.check_input_size(size, size)
+                        except ConfigError as exc:
+                            rejected += 1
+                            with pytest.raises(ConfigError, match=r"^stage \d: ") as priced:
+                                C.model_flops(cfg, size)
+                            assert str(priced.value) == str(exc)
+                        else:
+                            assert C.model_flops(cfg, size)["total_macs"] > 0
+        assert rejected == 114  # of 464 sizes, all with messengers and shuffling

@@ -20,6 +20,7 @@ from msgt import complexity as C
 from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
+from msgt.checkpoint import save_checkpoint
 from msgt.errors import ConfigError
 from msgt.tensor import Tensor
 from msgt.train import AdamW, cross_entropy
@@ -113,31 +114,46 @@ def hand_stage_grids(cfg: M.ArchConfig, size: int) -> list[tuple[int, int]]:
     return grids
 
 
+def _accepts(cfg: M.ArchConfig, h: int, w: int) -> bool:
+    try:
+        cfg.check_input_size(h, w)
+    except ConfigError:
+        return False
+    return True
+
+
 @st.composite
 def _geometry_case(draw):
-    """A det-backbone config of 16-96 px with per-stage windows 1-5; messengers where they fit."""
+    """A det-backbone config of 16-96 px with per-stage windows 1-5, and a width of 16-96 px other than
+    its input size; messengers where both the square and the h x w input fit."""
     windows = [draw(st.integers(1, 5)) for _ in range(M.NUM_STAGES)]
     stages = tuple(M.StageConfig(4 << i, 1, 1, 1, ws) for i, ws in enumerate(windows))
     cfg = M.ArchConfig(stages, draw(st.integers(16, 96)), 2, task="det-backbone", use_msg=draw(st.booleans()))
-    try:
-        cfg.validate()
-    except ConfigError:
+    size = cfg.input_size
+    widths = [w for w in range(16, 97) if w != size]
+    fitting = [w for w in widths if _accepts(cfg, size, w)] if _accepts(cfg, size, size) else []
+    if not fitting:
         cfg = replace(cfg, use_msg=False)
-    return cfg
+    return cfg, draw(st.sampled_from(fitting or widths))
 
 
 class TestStageGeometry:
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(cfg=_geometry_case())
-    def test_extents_are_the_det_backbone_maps(self, cfg):
-        geometry = M.stage_geometry(cfg)
-        assert [grid for _, grid in geometry] == hand_stage_grids(cfg, cfg.input_size)
-        for (extents, grid), s in zip(geometry, cfg.stages):
-            assert grid == tuple(-(-e // s.window_size) for e in extents)
+    @given(case=_geometry_case())
+    def test_extents_are_the_det_backbone_maps(self, case):
+        cfg, width = case
+        size = cfg.input_size
         model = M.build_model(cfg, seed=0)
-        with T.no_grad():
-            maps = M.forward(model, rand_images(1, cfg.input_size))
-        assert [fm.tokens.shape for fm in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
+        cases = (((size, size), M.stage_geometry(cfg)), ((size, width), M.stage_geometry(cfg, size, width)))
+        for (h, w), geometry in cases:
+            rows_cols = zip(hand_stage_grids(cfg, h), hand_stage_grids(cfg, w))
+            assert [grid for _, grid in geometry] == [(rows, cols) for (rows, _), (_, cols) in rows_cols]
+            for (extents, grid), s in zip(geometry, cfg.stages):
+                assert grid == tuple(-(-e // s.window_size) for e in extents)
+            images = Tensor(np.random.default_rng(0).standard_normal((1, h, w, 3)).astype(np.float32))
+            with T.no_grad():
+                maps = M.forward(model, images)
+            assert [fm.tokens.shape for fm in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
 
 
 def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
@@ -335,11 +351,19 @@ class TestBuild:
         assert counts["msg_input"] == 1536
         assert counts["total"] - counts["without_msg_input"] == 1536
 
-    def test_frozen_msg_policy(self):
-        model = M.build_model(M.micro_config(), seed=0, msg_policy="frozen-random")
-        assert not model.msg_input.requires_grad
-        learned = M.build_model(M.micro_config(), seed=0, msg_policy="learnable")
-        np.testing.assert_array_equal(model.msg_input.data, learned.msg_input.data)
+    def test_frozen_msg_policy(self, tmp_path):
+        """``train`` freezes the input messengers by rebinding the built draw as a leaf without grad: the
+        optimizer leaves it out, while the counts and checkpoint bytes stay the learnable model's."""
+        learned = M.build_model(M.micro_config(), seed=0)
+        model = M.build_model(M.micro_config(), seed=0)
+        model.msg_input = Tensor(model.msg_input.data)
+        assert not model.msg_input.requires_grad and learned.msg_input.requires_grad
+        opt = AdamW(model.named_parameters(), weight_decay=0.05, betas=(0.9, 0.999), eps=1e-8)
+        assert [n for n, _ in opt.params] == [n for n, _ in learned.named_parameters() if n != "msg_input"]
+        assert M.count_params(model) == M.count_params(learned)
+        save_checkpoint(model, str(tmp_path / "frozen.ckpt"))
+        save_checkpoint(learned, str(tmp_path / "learned.ckpt"))
+        assert (tmp_path / "frozen.ckpt").read_bytes() == (tmp_path / "learned.ckpt").read_bytes()
 
     def test_rerandomize_touches_only_msg_input(self):
         model = M.build_model(M.micro_config(), seed=0)

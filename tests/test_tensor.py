@@ -947,16 +947,13 @@ class TestPerOpGradients:
         np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0, 0.0])
         b = t64(np.random.default_rng(3).standard_normal((3, 4)))
         _fd_check(lambda: _sq(b[:, [0, 3, 0]]), [b])
+        c = self.rand(6)
+        _fd_check(lambda: _sq(T.getitem(c, np.array([0, 2, 2, 5, 1]))), [c])
 
     def test_concat_pad(self):
         a, b = self.rand(2, 2), self.rand(1, 2)
         _fd_check(lambda: _sq(T.concat([a, b], axis=0)), [a, b])
         _fd_check(lambda: _sq(T.pad(a, [(1, 0), (0, 2)])), [a])
-
-    def test_gather_last_with_repeats(self):
-        a = self.rand(6)
-        idx = np.array([0, 2, 2, 5, 1])
-        _fd_check(lambda: _sq(T.gather_last(a, idx)), [a])
 
     def test_matmul(self):
         a, b = self.rand(2, 3), self.rand(3, 2)

@@ -255,7 +255,8 @@ class TestTrainLoop:
         )
         data = DatasetSpec(num_train=16, num_val=8, image_size=128, seed=8)
         res = TR.train(cfg, data, str(tmp_path))
-        fresh = M.build_model(cfg.arch_config(), seed=cfg.seed, msg_policy="frozen-random")
+        fresh = M.build_model(cfg.arch_config(), seed=cfg.seed)
+        assert not res.model.msg_input.requires_grad and fresh.msg_input.requires_grad
         np.testing.assert_array_equal(res.model.msg_input.data, fresh.msg_input.data)
         assert not np.array_equal(res.model.embed_weight.data, fresh.embed_weight.data)
 
