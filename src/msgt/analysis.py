@@ -122,10 +122,14 @@ def _split_objective(x: Tensor) -> Tensor:
     return T.add(_sq(first), T.tsum(T.mul(last, T.mul(last, last))))
 
 
-def block_grad_check(seed: int = 0) -> float:
-    """Exhaustive check through one block: w=2, 4 channels, one head."""
+def block_grad_check(seed: int = 0, use_msg: bool = True, msg_only: bool = False) -> float:
+    """Exhaustive check through one block: w=2, 4 channels, one head.
+
+    With ``use_msg`` the messengers are attached, and with ``msg_only`` only they query (a
+    classifier's last block, no bias table); without, the messenger-free block runs over w**2 tokens.
+    """
     rng = np.random.default_rng(seed)
-    params = make_block_params(rng, 4, 1, 2, mode="shuffle", dtype=np.float64)
+    params = make_block_params(rng, 4, 1, 2, mode="shuffle", dtype=np.float64, use_msg=use_msg, msg_only=msg_only)
     for t in params.parameters():
         t.data = rng.standard_normal(t.shape) * 0.3
     wt_data = Tensor(rng.standard_normal((1, 2, 2, 4, 4)), requires_grad=True)
@@ -133,11 +137,12 @@ def block_grad_check(seed: int = 0) -> float:
     view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
     def loss():
-        wt = B.attach_msg(W.WindowedTokens(windows=wt_data, window_size=2), msg_data)
-        out = B.block_forward(wt, params, view).windows
+        wt = W.WindowedTokens(wt_data)
+        out = B.block_forward(B.attach_msg(wt, msg_data) if use_msg else wt, params, view)
+        out = out if msg_only else out.windows
         return T.tsum(T.mul(out, out))
 
-    return T.grad_check(loss, params.parameters() + [wt_data, msg_data])
+    return T.grad_check(loss, params.parameters() + [wt_data] + [msg_data] * use_msg)
 
 
 def model_grad_check(

@@ -18,7 +18,7 @@ two-layer MLP, residual add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -35,28 +35,6 @@ MODES = ("shuffle", "average", "shift", "none")
 # -- relative position bias ---------------------------------------------------
 
 
-@dataclass
-class RelPosBias:
-    """Per-head learned attention bias for one window.
-
-    ``table`` holds one (2w-1)x(2w-1) entry grid per head, indexed by the
-    spatial offset between two patch positions. The messenger's key columns
-    use the scalar ``msg_key_bias`` (``None`` without messengers); its query
-    row is zero, since softmax removes a constant row.
-    """
-
-    window_size: int
-    table: Tensor                        # (heads, 2w-1, 2w-1)
-    msg_key_bias: Optional[Tensor]       # (heads,)
-
-    def __post_init__(self):
-        span = 2 * self.window_size - 1
-        if self.table.shape[1:] != (span, span):
-            raise ShapeError(
-                f"bias table {self.table.shape} does not match window size {self.window_size}"
-            )
-
-
 @lru_cache(maxsize=None)
 def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     """(T, T) index into one head's bias row that assembles its whole bias matrix.
@@ -65,7 +43,7 @@ def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     address table cell (col_i - col_j + w-1, row_i - row_j + w-1) of the
     flattened (2w-1)x(2w-1) table. With messengers, slot 0 is prepended: its
     key column reads position (2w-1)**2, the messenger-key scalar, and its
-    query row reads position (2w-1)**2 + 1, a zero.
+    query row reads position (2w-1)**2 + 1, a zero: softmax removes a constant row.
     """
     w = window_size
     span = 2 * w - 1
@@ -77,38 +55,31 @@ def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     return idx
 
 
-def bias_matrix(bias: RelPosBias, with_msg: bool = True) -> Tensor:
-    """Assemble the additive attention bias, shape (heads, T, T); a messenger's query row is zero."""
-    heads = bias.table.shape[0]
-    flat = T.reshape(bias.table, (heads, -1))
+def bias_matrix(table: Tensor, msg_key: Optional[Tensor], with_msg: bool = True) -> Tensor:
+    """Assemble the additive attention bias, shape (heads, T, T), for the window of the table's span."""
+    heads, span = table.shape[:2]
+    flat = T.reshape(table, (heads, -1))
     if with_msg:
-        if bias.msg_key_bias is None:
+        if msg_key is None:
             raise ConfigError("messenger key bias is absent in this block")
         zero = Tensor(np.zeros((heads, 1), dtype=flat.data.dtype))
-        flat = T.concat([flat, T.reshape(bias.msg_key_bias, (heads, 1)), zero], axis=1)
-    return flat[:, _bias_gather_index(bias.window_size, with_msg)]
+        flat = T.concat([flat, T.reshape(msg_key, (heads, 1)), zero], axis=1)
+    return flat[:, _bias_gather_index((span + 1) // 2, with_msg)]
 
 
 # -- attention ------------------------------------------------------------------
 
 
-@dataclass
-class AttentionParams:
-    qkv_weight: Tensor   # (C, 3C)
-    qkv_bias: Tensor     # (3C,)
-    out_weight: Tensor   # (C, C)
-    out_bias: Tensor     # (C,)
-    num_heads: int
-
-
-def local_msa(x: Tensor, params: AttentionParams, bias: Optional[RelPosBias]) -> Tensor:
+def local_msa(x: Tensor, params: BlockParams) -> Tensor:
     """Multi-head self-attention inside each window of ``x`` (..., tokens, C).
 
-    A window of ``w**2 + 1`` tokens carries its messenger at slot 0. Without
-    ``bias`` (a messenger-only block) only that slot queries.
+    A window of ``w**2 + 1`` tokens, w from the bias table's span, carries its messenger at
+    slot 0. Without ``bias_table`` (a messenger-only block) only that slot queries.
     """
-    bias_mat = None if bias is None else bias_matrix(bias, with_msg=x.shape[-2] > bias.window_size**2)
-    ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias_mat, params.num_heads, 1 if bias is None else None)
+    table = params.bias_table
+    with_msg = table is not None and x.shape[-2] > ((table.shape[1] + 1) // 2) ** 2
+    bias = None if table is None else bias_matrix(table, params.msg_key_bias, with_msg)
+    ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias, params.num_heads, 1 if table is None else None)
     return T.linear(ctx, params.out_weight, params.out_bias)
 
 
@@ -123,7 +94,7 @@ def attach_msg(wt: WindowedTokens, msg: Tensor) -> WindowedTokens:
     if msg.shape != (b, gh, gw, c):
         raise ShapeError(f"messenger grid {msg.shape} does not match window grid ({b}, {gh}, {gw}, {c})")
     lead = T.reshape(msg, (b, gh, gw, 1, c))
-    return replace(wt, windows=T.concat([lead, wt.windows], axis=3), with_msg=True)
+    return WindowedTokens(T.concat([lead, wt.windows], axis=3))
 
 
 def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, Tensor]:
@@ -132,7 +103,7 @@ def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, Tensor]:
         raise ConfigError("no messenger tokens attached")
     b, gh, gw, n, c = wt.windows.shape
     lead, rest = T.split(wt.windows, (1, n - 1), axis=3)
-    return replace(wt, windows=rest, with_msg=False), T.reshape(lead, (b, gh, gw, c))
+    return WindowedTokens(rest), T.reshape(lead, (b, gh, gw, c))
 
 
 # -- messenger manipulation ---------------------------------------------------------
@@ -193,16 +164,21 @@ def manipulate_msg(msg: Tensor, view: ShuffleRegionView, mode: str) -> Tensor:
 class BlockParams:
     norm1_gamma: Tensor
     norm1_beta: Tensor
-    attn: AttentionParams
-    bias: Optional[RelPosBias]  # None in a messenger-only block
+    qkv_weight: Tensor  # (C, 3C)
+    qkv_bias: Tensor  # (3C,)
+    out_weight: Tensor  # (C, C)
+    out_bias: Tensor  # (C,)
+    num_heads: int
+    bias_table: Optional[Tensor]  # (heads, 2w-1, 2w-1) by patch offset; None in a messenger-only block
+    msg_key_bias: Optional[Tensor]  # (heads,) on messenger key columns; None without messengers
     norm2_gamma: Tensor
     norm2_beta: Tensor
     mlp_w1: Tensor  # (C, 4C)
     mlp_b1: Tensor
     mlp_w2: Tensor  # (4C, C)
     mlp_b2: Tensor
-    mode: str = "shuffle"
-    drop_path_rate: float = 0.0
+    mode: str
+    drop_path_rate: float
 
     def __post_init__(self):
         c = self.mlp_w1.shape[0]
@@ -212,19 +188,19 @@ class BlockParams:
             )
         if self.mode not in MODES:
             raise ConfigError(f"unknown manipulation mode {self.mode!r}; expected one of {MODES}")
-        if self.bias is not None and self.bias.table.shape[0] != self.attn.num_heads:
-            raise ShapeError(f"bias table {self.bias.table.shape} does not have {self.attn.num_heads} heads")
+        shape = None if self.bias_table is None else self.bias_table.shape
+        if shape is not None and (shape != (self.num_heads, shape[-1], shape[-1]) or shape[-1] % 2 == 0):
+            raise ShapeError(f"bias table {shape} is not {self.num_heads} heads of odd-sided square grids")
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """The block's tensors under their checkpoint names, in checkpoint order."""
-        attn, bias = self.attn, self.bias
         items = [("norm1.gamma", self.norm1_gamma), ("norm1.beta", self.norm1_beta)]
-        items += [("attn.qkv_weight", attn.qkv_weight), ("attn.qkv_bias", attn.qkv_bias)]
-        items += [("attn.out_weight", attn.out_weight), ("attn.out_bias", attn.out_bias)]
-        if bias is not None:
-            items.append(("bias.table", bias.table))
-            if bias.msg_key_bias is not None:
-                items.append(("bias.msg_key", bias.msg_key_bias))
+        items += [("attn.qkv_weight", self.qkv_weight), ("attn.qkv_bias", self.qkv_bias)]
+        items += [("attn.out_weight", self.out_weight), ("attn.out_bias", self.out_bias)]
+        if self.bias_table is not None:
+            items.append(("bias.table", self.bias_table))
+        if self.msg_key_bias is not None:
+            items.append(("bias.msg_key", self.msg_key_bias))
         items += [("norm2.gamma", self.norm2_gamma), ("norm2.beta", self.norm2_beta)]
         items += [("mlp.w1", self.mlp_w1), ("mlp.b1", self.mlp_b1)]
         return items + [("mlp.w2", self.mlp_w2), ("mlp.b2", self.mlp_b2)]
@@ -247,24 +223,24 @@ def block_forward(
     it the block runs the messenger-free ablation: plain local attention
     over ``w**2`` tokens with no cross-window exchange.
 
-    A block without ``bias`` is a classifier's messenger-only last block: every slot gives
+    A block without ``bias_table`` is a classifier's messenger-only last block: every slot gives
     keys and values, only slot 0 queries and goes on, and the block returns the messenger grid.
     """
-    msg_only = params.bias is None
+    msg_only = params.bias_table is None
     if msg_only and not wt.with_msg:
         raise ConfigError("a messenger-only block needs messenger tokens attached")
     normed = T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta)
-    attn_out = local_msa(normed, params.attn, params.bias)
+    attn_out = local_msa(normed, params)
     tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
     tokens = T.add(tokens, T.drop_path(attn_out, params.drop_path_rate, rng, training))
 
     if msg_only:
         tokens = manipulate_msg(T.reshape(tokens, tokens.shape[:3] + (-1,)), view, params.mode)
     elif wt.with_msg:
-        patches, mid_msg = detach_msg(replace(wt, windows=tokens))
+        patches, mid_msg = detach_msg(WindowedTokens(tokens))
         tokens = attach_msg(patches, manipulate_msg(mid_msg, view, params.mode)).windows
 
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
-    return tokens if msg_only else replace(wt, windows=tokens)
+    return tokens if msg_only else WindowedTokens(tokens)

@@ -275,6 +275,8 @@ def _cmd_gradcheck(args) -> int:
     for name, err in sorted(op_errors.items()):
         report(name, err, 1e-6)
     report("block", block_grad_check(), 1e-4)
+    report("block_no_msg", block_grad_check(use_msg=False), 1e-4)
+    report("block_msg_only", block_grad_check(msg_only=True), 1e-4)
     if args.full_model:
         report("micro model", model_grad_check(max_entries_per_param=3), 1e-3)
     if failures:

@@ -57,11 +57,6 @@ class ArchConfig:
                 raise ConfigError(f"stage {i}: dim {s.dim} not a positive multiple of {s.num_heads} heads")
             if s.shuffle_size < 1:
                 raise ConfigError(f"stage {i}: shuffle size must be >= 1, got {s.shuffle_size}")
-            if s.dim % (s.shuffle_size**2):
-                raise ConfigError(
-                    f"stage {i}: dim {s.dim} not divisible by shuffle size squared "
-                    f"{s.shuffle_size**2}"
-                )
             if s.window_size < 1:
                 raise ConfigError(f"stage {i}: window size must be >= 1")
             if s.num_blocks < 0:  # 0 blocks is a stage of partition, reverse and merge only
@@ -246,18 +241,16 @@ def make_block_params(
     """Fresh block parameters: trunc-normal projections, zero biases and bias tables (none if ``msg_only``)."""
     proj, zeros, ones = _param_makers(rng, dtype)
     span = 2 * window_size - 1
-    table, key = zeros(num_heads, span, span), zeros(num_heads) if use_msg else None
     return B.BlockParams(
         norm1_gamma=ones(channels),
         norm1_beta=zeros(channels),
-        attn=B.AttentionParams(
-            qkv_weight=proj(channels, 3 * channels),
-            qkv_bias=zeros(3 * channels),
-            out_weight=proj(channels, channels),
-            out_bias=zeros(channels),
-            num_heads=num_heads,
-        ),
-        bias=None if msg_only else B.RelPosBias(window_size, table, key),
+        qkv_weight=proj(channels, 3 * channels),
+        qkv_bias=zeros(3 * channels),
+        out_weight=proj(channels, channels),
+        out_bias=zeros(channels),
+        num_heads=num_heads,
+        bias_table=None if msg_only else zeros(num_heads, span, span),
+        msg_key_bias=zeros(num_heads) if use_msg and not msg_only else None,
         norm2_gamma=ones(channels),
         norm2_beta=zeros(channels),
         mlp_w1=proj(channels, 4 * channels),
@@ -409,7 +402,7 @@ def forward(
     for si, scfg in enumerate(cfg.stages):
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
         wt = W.partition_windows(padded, scfg.window_size)
-        grid = wt.grid_shape
+        grid = wt.windows.shape[1:3]
         if cfg.use_msg:
             if si == 0:
                 msg = _initial_msg(model.msg_input, grid, batch)

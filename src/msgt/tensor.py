@@ -657,6 +657,7 @@ def phi32(x: np.ndarray) -> np.ndarray:
     return _cdf(x, np.empty(x.shape, np.float32), np.empty(x.shape, np.float32))
 
 
+@np.errstate(invalid="raise")
 def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
     """Overwrite the C-contiguous ``x`` with gelu(x) = x cdf(x) one chunk at a time; only a chunk of the cdf exists.
 
@@ -664,7 +665,9 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
     passes per chunk with the product, within ``2e-6 * max(1, |x|)`` of the float64 form;
     float64 takes ``math.erf`` per element, so gradient checks see the reference erf. Returns the
     derivative ``cdf + x * exp(-0.5 * x^2) / sqrt(2 pi)`` if ``grad``, else None; -0.5 * x^2
-    reuses the row of x^2 and rounds as (-0.5 * x) * x does.
+    reuses the row of x^2 and rounds as (-0.5 * x) * x does. Only x = +-inf makes a 0 * inf; the
+    invalid-operation flag then marks the chunk, whose limits are written in: gelu 0 and x,
+    derivative 0 and 1. NaN stays NaN.
     """
     src = x.reshape(-1)
     d = np.empty_like(src) if grad else None
@@ -682,9 +685,15 @@ def _gelu_(x: np.ndarray, grad: bool) -> Optional[np.ndarray]:
             t = np.multiply(s, -0.5, out=d[lo : lo + _ERF_CHUNK])
             np.exp(t, out=t)
             t *= _INV_SQRT_2PI
-            t *= xc
+            try:
+                t *= xc
+            except FloatingPointError:  # x pdf(x) at +-inf; numpy wrote the product first
+                t[np.isinf(xc)] = 0.0
             t += c
-        xc *= c
+        try:
+            xc *= c
+        except FloatingPointError:  # -inf * cdf(-inf), where the cdf is exactly 0
+            xc[np.isnan(xc) & (c == 0.0)] = 0.0
     return None if d is None else d.reshape(x.shape)
 
 

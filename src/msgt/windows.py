@@ -9,6 +9,7 @@ transformations here are differentiable and value-preserving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,18 +44,22 @@ class FeatureMap:
 class WindowedTokens:
     """Windows of tokens: ``windows`` is (B, Gh, Gw, tokens_per_window, C).
 
-    When ``with_msg`` is true the per-window token axis is ``w**2 + 1`` and
-    slot 0 holds the messenger token; slots 1.. hold patch tokens in
+    The per-window token axis is ``w**2`` or ``w**2 + 1``. In the second case
+    (``with_msg``) slot 0 holds the messenger token; patch tokens follow in
     row-major order.
     """
 
     windows: Tensor
-    window_size: int
-    with_msg: bool = False
+
+    def __post_init__(self):
+        n = self.windows.shape[3]
+        if n - math.isqrt(n) ** 2 > 1:
+            raise ShapeError(f"{n} tokens per window is neither a square w**2 nor w**2 + 1")
 
     @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.windows.shape[1], self.windows.shape[2]
+    def with_msg(self) -> bool:
+        """Whether slot 0 holds a messenger: the token count is not a perfect square."""
+        return math.isqrt(self.windows.shape[3]) ** 2 != self.windows.shape[3]
 
     @property
     def channels(self) -> int:
@@ -143,7 +148,7 @@ def partition_windows(fm: FeatureMap, window_size: int) -> WindowedTokens:
     x = T.reshape(fm.tokens, (b, gh, window_size, gw, window_size, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
     x = T.reshape(x, (b, gh, gw, window_size * window_size, c))
-    return WindowedTokens(windows=x, window_size=window_size, with_msg=False)
+    return WindowedTokens(x)
 
 
 def reverse_windows(wt: WindowedTokens) -> FeatureMap:
@@ -151,7 +156,7 @@ def reverse_windows(wt: WindowedTokens) -> FeatureMap:
     if wt.with_msg:
         raise ContractError("detach messenger tokens before reversing windows")
     b, gh, gw, n, c = wt.windows.shape
-    ws = wt.window_size
+    ws = math.isqrt(n)
     x = T.reshape(wt.windows, (b, gh, gw, ws, ws, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
     x = T.reshape(x, (b, gh * ws, gw * ws, c))

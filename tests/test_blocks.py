@@ -13,7 +13,7 @@ from msgt import blocks as B
 from msgt import tensor as T
 from msgt import windows as W
 from msgt.analysis import information_reach
-from msgt.errors import ConfigError, ShapeError
+from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.model import make_block_params
 from msgt.tensor import Tensor, _accum, _make
 
@@ -86,7 +86,7 @@ def reference_manipulate(grid, view, mode):
 def make_windows(b, gh, gw, window_size, c, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((b, gh, gw, window_size**2, c)).astype(dtype)
-    return W.WindowedTokens(windows=Tensor(data), window_size=window_size)
+    return W.WindowedTokens(Tensor(data))
 
 
 def make_msg(b, gh, gw, c, seed=1, dtype=np.float32):
@@ -118,6 +118,31 @@ class TestAttachDetach:
             B.attach_msg(make_windows(1, 2, 2, 2, 4), make_msg(1, 2, 3, 4))
 
 
+class TestMessengerSlotFromTokenCount:
+    """A record carries a messenger exactly when its token count is w**2 + 1; no flag can say otherwise."""
+
+    def test_direct_record_exchanges_like_an_attached_one(self):
+        c, w = 8, 2
+        params = make_block_params(np.random.default_rng(38), c, 2, w)
+        attached = B.attach_msg(make_windows(1, 2, 2, w, c, seed=39), make_msg(1, 2, 2, c, seed=40))
+        direct = W.WindowedTokens(Tensor(attached.windows.data.copy()))
+        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
+        want = B.block_forward(attached, params, view).windows.data
+        np.testing.assert_array_equal(B.block_forward(direct, params, view).windows.data, want)
+        with pytest.raises(ContractError, match="detach"):
+            W.reverse_windows(direct)
+
+    def test_flag_follows_the_count(self):
+        counts = {1: False, 2: True, 4: False, 5: True, 9: False, 10: True, 49: False, 50: True}
+        for n, with_msg in counts.items():
+            assert W.WindowedTokens(Tensor(np.zeros((1, 1, 1, n, 4), np.float32))).with_msg == with_msg, n
+
+    @pytest.mark.parametrize("n", [3, 6, 7, 8, 11, 48])
+    def test_count_neither_square_nor_square_plus_one_rejected(self, n):
+        with pytest.raises(ShapeError, match=f"{n} tokens per window"):
+            W.WindowedTokens(Tensor(np.zeros((1, 1, 1, n, 4), np.float32)))
+
+
 def reference_bias_source(i, j, w):
     """Per-slot spec of the bias lookup for query slot ``i`` and key slot ``j``.
 
@@ -134,63 +159,58 @@ def reference_bias_source(i, j, w):
     return ("table", pi % w - pj % w + w - 1, pi // w - pj // w + w - 1)
 
 
-def reference_bias_matrix(bias, with_msg):
+def reference_bias_matrix(table, msg_key, with_msg):
     """(heads, T, T) bias assembled entry by entry from :func:`reference_bias_source`."""
-    w, first = bias.window_size, 0 if with_msg else 1
+    w, first = (table.shape[1] + 1) // 2, 0 if with_msg else 1
     n = w * w + 1 - first
-    out = np.empty((bias.table.shape[0], n, n), dtype=bias.table.data.dtype)
+    out = np.empty((table.shape[0], n, n), dtype=table.data.dtype)
     for a in range(n):
         for b in range(n):
             src = reference_bias_source(a + first, b + first, w)
             if src[0] == "zero":
                 out[:, a, b] = 0
             elif src[0] == "msg-key":
-                out[:, a, b] = bias.msg_key_bias.data
+                out[:, a, b] = msg_key.data
             else:
-                out[:, a, b] = bias.table.data[:, src[1], src[2]]
+                out[:, a, b] = table.data[:, src[1], src[2]]
     return out
 
 
 def distinct_bias(w, heads=2, seed=5):
-    """A bias whose table cells and messenger-key scalars all hold different, nonzero values."""
+    """A (table, msg_key) pair whose table cells and messenger-key scalars all hold different, nonzero values."""
     rng = np.random.default_rng(seed)
     span = 2 * w - 1
     values = 1 + rng.permutation(heads * (span * span + 1)).astype(np.float32)
-    return B.RelPosBias(
-        window_size=w,
-        table=Tensor(values[: heads * span * span].reshape(heads, span, span)),
-        msg_key_bias=Tensor(values[-heads:]),
-    )
+    return Tensor(values[: heads * span * span].reshape(heads, span, span)), Tensor(values[-heads:])
 
 
 class TestBiasIndex:
     def test_msg_query_row_is_zero(self):
-        bias = distinct_bias(2)
-        mat = B.bias_matrix(bias, with_msg=True).data
+        mat = B.bias_matrix(*distinct_bias(2), with_msg=True).data
         assert all(reference_bias_source(0, j, 2) == ("zero",) for j in range(5))
         assert (mat[:, 0, :] == 0).all()
         assert (mat[:, 1:, :] != 0).all()  # every other entry is read from the table or the key scalar
 
     def test_msg_key_column(self):
-        bias = distinct_bias(2)
-        mat = B.bias_matrix(bias, with_msg=True).data
+        table, msg_key = distinct_bias(2)
+        mat = B.bias_matrix(table, msg_key, with_msg=True).data
         assert all(reference_bias_source(i, 0, 2) == ("msg-key",) for i in range(1, 5))
-        assert (mat[:, 1:, 0] == bias.msg_key_bias.data[:, None]).all()
+        assert (mat[:, 1:, 0] == msg_key.data[:, None]).all()
 
     def test_zero_offset_hits_table_center(self):
         for w in (2, 3, 7):
             bias = distinct_bias(w)
-            table, mat = bias.table.data, B.bias_matrix(bias, with_msg=True).data
+            table, mat = bias[0].data, B.bias_matrix(*bias, with_msg=True).data
             for slot in (1, w * w):
                 assert reference_bias_source(slot, slot, w) == ("table", w - 1, w - 1)
                 np.testing.assert_array_equal(mat[:, slot, slot], table[:, w - 1, w - 1])
 
     def test_hand_worked_offset(self):
         # window 2x2: query patch position 0, key patch position 3
-        bias = distinct_bias(2)
+        table, msg_key = distinct_bias(2)
         assert reference_bias_source(1, 4, 2) == ("table", 0, 0)
-        np.testing.assert_array_equal(B.bias_matrix(bias, with_msg=True).data[:, 1, 4], bias.table.data[:, 0, 0])
-        np.testing.assert_array_equal(B.bias_matrix(bias, with_msg=False).data[:, 0, 3], bias.table.data[:, 0, 0])
+        np.testing.assert_array_equal(B.bias_matrix(table, msg_key, with_msg=True).data[:, 1, 4], table.data[:, 0, 0])
+        np.testing.assert_array_equal(B.bias_matrix(table, msg_key, with_msg=False).data[:, 0, 3], table.data[:, 0, 0])
 
     def test_swap_reflects_through_center(self):
         w = 3
@@ -206,8 +226,8 @@ class TestBiasIndex:
     @pytest.mark.parametrize("w", range(1, 9))
     def test_bias_matrix_matches_index_oracle(self, w, with_msg):
         bias = distinct_bias(w, heads=3, seed=w)
-        mat = B.bias_matrix(bias, with_msg=with_msg).data
-        np.testing.assert_array_equal(mat, reference_bias_matrix(bias, with_msg))
+        mat = B.bias_matrix(*bias, with_msg=with_msg).data
+        np.testing.assert_array_equal(mat, reference_bias_matrix(*bias, with_msg))
 
 
 class TestLocalMsa:
@@ -218,21 +238,22 @@ class TestLocalMsa:
     @staticmethod
     def _probabilities(wt, params):
         """The attention node's probabilities under the block's relative-position bias."""
-        bias = B.bias_matrix(params.bias, with_msg=wt.with_msg)
-        return T.attention(wt.windows, params.attn.qkv_weight, params.attn.qkv_bias, bias, params.attn.num_heads)[1]
+        bias = B.bias_matrix(params.bias_table, params.msg_key_bias, with_msg=wt.with_msg)
+        return T.attention(wt.windows, params.qkv_weight, params.qkv_bias, bias, params.num_heads)[1]
 
     def test_identical_tokens_attend_uniformly(self):
         c, w = 4, 2
         params = self._params(c, 1, w)
         token = np.random.default_rng(8).standard_normal(c).astype(np.float32)
         data = np.broadcast_to(token, (1, 1, 1, w * w + 1, c)).copy()
-        wt = W.WindowedTokens(windows=Tensor(data), window_size=w, with_msg=True)
-        out = B.local_msa(wt.windows, params.attn, params.bias)
+        wt = W.WindowedTokens(Tensor(data))
+        assert wt.with_msg
+        out = B.local_msa(wt.windows, params)
         np.testing.assert_allclose(self._probabilities(wt, params), 1.0 / (w * w + 1), atol=1e-7)
         # expected output: out_proj(v) with v identical across tokens
-        qkv = token @ params.attn.qkv_weight.data + params.attn.qkv_bias.data
+        qkv = token @ params.qkv_weight.data + params.qkv_bias.data
         v = qkv[2 * c :]
-        expected = v @ params.attn.out_weight.data + params.attn.out_bias.data
+        expected = v @ params.out_weight.data + params.out_bias.data
         np.testing.assert_allclose(out.data[0, 0, 0], np.tile(expected, (w * w + 1, 1)), rtol=1e-5)
 
     def test_windows_are_isolated(self):
@@ -241,8 +262,8 @@ class TestLocalMsa:
         wt = make_windows(1, 1, 2, w, c, seed=10)
         zeroed = wt.windows.data.copy()
         zeroed[0, 0, 1] = 0.0
-        out_full = B.local_msa(wt.windows, params.attn, params.bias)
-        out_zero = B.local_msa(Tensor(zeroed), params.attn, params.bias)
+        out_full = B.local_msa(wt.windows, params)
+        out_zero = B.local_msa(Tensor(zeroed), params)
         np.testing.assert_array_equal(out_full.data[0, 0, 0], out_zero.data[0, 0, 0])
 
     def test_attention_rows_sum_to_one(self):
@@ -254,11 +275,10 @@ class TestLocalMsa:
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_heads_must_divide_channels(self):
-        params = self._params(8, 2, 2)
-        three_heads = replace(params.attn, num_heads=3)
-        for bias in (params.bias, None):
+        three_heads = self._params(8, 3, 2)
+        for table in (three_heads.bias_table, None):
             with pytest.raises(ConfigError, match="3 heads"):
-                B.local_msa(make_windows(1, 1, 1, 2, 8).windows, three_heads, bias)
+                B.local_msa(make_windows(1, 1, 1, 2, 8).windows, replace(three_heads, bias_table=table))
 
 
 class TestShuffle:
@@ -398,8 +418,8 @@ class TestBlockForward:
         rng = np.random.default_rng(30)
         c, w = 8, 2
         params = make_block_params(rng, c, 2, w, mode="shuffle")
-        params.attn.out_weight.data[:] = 0
-        params.attn.out_bias.data[:] = 0
+        params.out_weight.data[:] = 0
+        params.out_bias.data[:] = 0
         params.mlp_w2.data[:] = 0
         params.mlp_b2.data[:] = 0
         wt = make_windows(1, 2, 2, w, c, seed=31)
@@ -434,7 +454,7 @@ class TestBlockForward:
         view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
         def loss():
-            wt = W.WindowedTokens(windows=wt_data, window_size=w)
+            wt = W.WindowedTokens(wt_data)
             msg = msg_data
             out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
             return T.add(T.tsum(T.mul(out_wt.windows, out_wt.windows)), T.tsum(T.mul(out_msg, out_msg)))
@@ -452,7 +472,7 @@ class TestBlockForward:
         wt = B.attach_msg(make_windows(1, 2, 3, w, c, seed=36, dtype=f64), make_msg(1, 2, 3, c, seed=37, dtype=f64))
         view = W.build_region_view((2, 3), 2, W.TOP_LEFT)  # a 2x2 and a 2x1 region
         full = B.detach_msg(B.block_forward(wt, params, view))[1].data
-        msg_only = replace(params, bias=None)  # the messenger's query row of the bias is zero
+        msg_only = replace(params, bias_table=None)  # the messenger's query row of the bias is zero
         alone = B.block_forward(wt, msg_only, view)
         assert isinstance(alone, Tensor)
         np.testing.assert_allclose(alone.data, full, rtol=0, atol=1e-13)
@@ -461,22 +481,17 @@ class TestBlockForward:
 
     def test_bias_heads_must_match_attention_heads(self):
         params = make_block_params(np.random.default_rng(34), 8, 2, 2)
-        one_head = B.RelPosBias(2, Tensor(np.zeros((1, 3, 3), dtype=np.float32)), None)
+        one_head = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="2 heads"):
-            replace(params, bias=one_head)
-        assert replace(params, bias=None).bias is None
+            replace(params, bias_table=one_head)
+        assert replace(params, bias_table=None).bias_table is None
 
     def test_mlp_must_be_four_x(self):
         rng = np.random.default_rng(34)
         params = make_block_params(rng, 4, 1, 2)
         with pytest.raises(ConfigError):
-            B.BlockParams(
-                norm1_gamma=params.norm1_gamma,
-                norm1_beta=params.norm1_beta,
-                attn=params.attn,
-                bias=params.bias,
-                norm2_gamma=params.norm2_gamma,
-                norm2_beta=params.norm2_beta,
+            replace(
+                params,
                 mlp_w1=Tensor(np.zeros((4, 8), dtype=np.float32)),
                 mlp_b1=Tensor(np.zeros(8, dtype=np.float32)),
                 mlp_w2=Tensor(np.zeros((8, 4), dtype=np.float32)),

@@ -132,18 +132,19 @@ def test_version1_file_with_nonzero_legacy_tensors_loads(tmp_path, monkeypatch):
         got = M.forward(wide, images).data
 
     table, key = (Tensor(legacy[f"stage4.block0.bias.{kind}"].astype(np.float64)) for kind in ("table", "msg_key"))
-    wide.stages[3][0].bias = B.RelPosBias(4, table, key)  # a block with a bias runs over all tokens
+    last = wide.stages[3][0]
+    last.bias_table, last.msg_key_bias = table, key  # a block with a bias runs over all tokens
     query_row = {
-        id(blk.bias.table): legacy[f"stage{si}.block{bi}.bias.msg_query"].astype(np.float64)
+        id(blk.bias_table): legacy[f"stage{si}.block{bi}.bias.msg_query"].astype(np.float64)
         for si, stage in enumerate(wide.stages, start=1)
         for bi, blk in enumerate(stage)
     }
     real = B.bias_matrix
 
-    def version1_bias_matrix(bias, with_msg=True):
-        mat = real(bias, with_msg)
+    def version1_bias_matrix(table, msg_key, with_msg=True):
+        mat = real(table, msg_key, with_msg)
         row = np.zeros(mat.shape)
-        row[:, 0, :] = query_row[id(bias.table)][:, None]
+        row[:, 0, :] = query_row[id(table)][:, None]
         return T.add(mat, Tensor(row))
 
     monkeypatch.setattr(B, "bias_matrix", version1_bias_matrix)

@@ -168,6 +168,7 @@ class TestGradcheck:
         assert "all gradient checks passed" in out
         listed = {line.split()[0] for line in out.splitlines() if "max rel err" in line}
         assert {"attention", "attention_msg_rows", "mlp", "concat", "pad", "transpose"} <= listed
+        assert {"block", "block_no_msg", "block_msg_only"} <= listed  # every block kind
         assert not {"softmax", "gelu", "exp", "log"} & listed  # run only inside the attention and mlp nodes
 
     def test_rows_align_whatever_the_name_length(self, capsys):

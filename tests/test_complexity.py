@@ -114,10 +114,7 @@ class TestModelFlops:
         gh = gw = 2
         ws, ch, heads = 4, 16, 2
         params = M.make_block_params(rng, ch, heads, ws)
-        wt = W.WindowedTokens(
-            windows=Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)),
-            window_size=ws,
-        )
+        wt = W.WindowedTokens(Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)))
         msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
         view = W.build_region_view((gh, gw), 2, W.TOP_LEFT)
         with T.count_macs() as counter:

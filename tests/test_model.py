@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
 from msgt.checkpoint import save_checkpoint
-from msgt.errors import ConfigError
+from msgt.errors import ConfigError, ShapeError
 from msgt.tensor import Tensor
 from msgt.train import AdamW, cross_entropy
 from test_tensor import reference_attention, reference_mlp
@@ -169,6 +170,55 @@ def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
     return True
 
 
+@st.composite
+def _small_arch(draw):
+    """A small config: stage-1 dim 4-32 over 1-4 heads, windows of 1-5 (one for all stages or one per
+    stage), shuffle 1-4, 0-2 blocks per stage, 16-96 px, either task, every mode, messengers on or off."""
+    heads = draw(st.integers(1, 4))
+    dim = heads * draw(st.integers(-(-4 // heads), 32 // heads))
+    window = st.integers(1, 5)
+    windows = draw(st.one_of(window.map(lambda w: (w,) * M.NUM_STAGES), st.tuples(*[window] * M.NUM_STAGES)))
+    stages = tuple(
+        M.StageConfig(
+            dim << i, heads << draw(st.integers(0, i)), draw(st.integers(0, 2)), draw(st.integers(1, 4)), windows[i]
+        )
+        for i in range(M.NUM_STAGES)
+    )
+    return M.ArchConfig(
+        stages,
+        draw(st.integers(16, 96)),
+        num_classes=3,
+        task=draw(st.sampled_from(["cls", "det-backbone"])),
+        use_msg=draw(st.booleans()),
+        manipulation=draw(st.sampled_from(B.MODES)),
+    )
+
+
+class TestValidateIsExact:
+    """``validate`` accepts a config exactly when its forward runs."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(cfg=_small_arch(), batch=st.integers(1, 2))
+    def test_accepted_configs_run_and_rejected_ones_do_not(self, cfg, batch):
+        size = cfg.input_size
+        images = Tensor(np.random.default_rng(0).standard_normal((batch, size, size, 3)).astype(np.float32))
+        try:
+            cfg.validate()
+        except ConfigError:
+            unchecked = mock.patch.multiple(M.ArchConfig, validate=lambda self: None, check_input_size=lambda *a: None)
+            with unchecked, pytest.raises((ConfigError, ShapeError)):
+                M.forward(M.build_model(cfg, seed=0), images, mode="train", rng=np.random.default_rng(1))
+            return
+        model = M.build_model(cfg, seed=0)
+        with T.count_macs() as counter:
+            out = M.forward(model, images, mode="train", rng=np.random.default_rng(1))
+        assert counter["matmul"] + counter["conv"] == batch * C.model_flops(cfg)["total_macs"]
+        outs = [fm.tokens for fm in out] if cfg.task == "det-backbone" else [out]
+        loss = T.tsum(T.concat([T.reshape(T.mul(o, o), (-1,)) for o in outs], axis=0))
+        loss.backward()
+        assert all(np.isfinite(p.grad).all() for p in model.parameters() if p.grad is not None)
+
+
 class TestInputSizeCheck:
     @pytest.mark.parametrize("task,size", [("cls", 160), ("det-backbone", 256)])
     def test_unrunnable_tiny_size_rejected_by_build_model(self, task, size):
@@ -312,7 +362,7 @@ class TestLiveBytes:
             for p in params:
                 p.zero_grad()
             x = Tensor(data, requires_grad=True)
-            mid = B.block_forward(W.WindowedTokens(x, w, with_msg=True), blocks[0], view, training=True)
+            mid = B.block_forward(W.WindowedTokens(x), blocks[0], view, training=True)
             residual_sum = weakref.ref(mid.windows.data)
             out = B.block_forward(mid, blocks[1], view, training=True)
             loss = T.tsum(T.mul(out.windows, weight))
@@ -437,17 +487,18 @@ def reference_named_parameters(model: M.Model) -> list[tuple[str, Tensor]]:
             items += [
                 (f"{prefix}.norm1.gamma", blk.norm1_gamma),
                 (f"{prefix}.norm1.beta", blk.norm1_beta),
-                (f"{prefix}.attn.qkv_weight", blk.attn.qkv_weight),
-                (f"{prefix}.attn.qkv_bias", blk.attn.qkv_bias),
-                (f"{prefix}.attn.out_weight", blk.attn.out_weight),
-                (f"{prefix}.attn.out_bias", blk.attn.out_bias),
+                (f"{prefix}.attn.qkv_weight", blk.qkv_weight),
+                (f"{prefix}.attn.qkv_bias", blk.qkv_bias),
+                (f"{prefix}.attn.out_weight", blk.out_weight),
+                (f"{prefix}.attn.out_bias", blk.out_bias),
             ]
             msg_only = cfg.task == "cls" and cfg.use_msg and (si, bi) == (4, len(stage) - 1)
-            assert (blk.bias is None) == msg_only
+            assert (blk.bias_table is None) == msg_only
+            assert (blk.msg_key_bias is None) == (msg_only or not cfg.use_msg)
             if not msg_only:
-                items.append((f"{prefix}.bias.table", blk.bias.table))
+                items.append((f"{prefix}.bias.table", blk.bias_table))
             if cfg.use_msg and not msg_only:
-                items.append((f"{prefix}.bias.msg_key", blk.bias.msg_key_bias))
+                items.append((f"{prefix}.bias.msg_key", blk.msg_key_bias))
             items += [
                 (f"{prefix}.norm2.gamma", blk.norm2_gamma),
                 (f"{prefix}.norm2.beta", blk.norm2_beta),
@@ -791,15 +842,15 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
         wt = W.partition_windows(padded, scfg.window_size)
         if si == 0:
-            msg = M._initial_msg(model.msg_input, wt.grid_shape, images.shape[0])
+            msg = M._initial_msg(model.msg_input, wt.windows.shape[1:3], images.shape[0])
         wt = B.attach_msg(wt, msg)
         for bi, blk in enumerate(model.stages[si]):
-            if blk.bias is None:
-                span, heads = 2 * scfg.window_size - 1, blk.attn.num_heads
+            if blk.bias_table is None:
+                span, heads = 2 * scfg.window_size - 1, blk.num_heads
                 table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
-                bias = B.RelPosBias(scfg.window_size, Tensor(table.astype(model.dtype)), Tensor(key.astype(model.dtype)))
-                blk = replace(blk, bias=bias)
-            view = W.build_region_view(wt.grid_shape, scfg.shuffle_size, M._block_anchor(cfg.task, bi))
+                table, key = (Tensor(a.astype(model.dtype)) for a in (table, key))
+                blk = replace(blk, bias_table=table, msg_key_bias=key)
+            view = W.build_region_view(wt.windows.shape[1:3], scfg.shuffle_size, M._block_anchor(cfg.task, bi))
             wt = B.block_forward(wt, blk, view, training=mode == "train", rng=rng)
         wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)

@@ -564,7 +564,7 @@ class TestFusedNodes:
             x, w_qkv, b_qkv, table, msg_k = leaves[:5]
             bias = None
             if biased:  # the first ``queries`` rows of the bias matrix
-                bias = B.bias_matrix(B.RelPosBias(window, table, msg_k if with_msg else None), with_msg)
+                bias = B.bias_matrix(table, msg_k if with_msg else None, with_msg)
                 bias = bias if queries is None else bias[:, :queries]
             ctx, probs = attention(x, w_qkv, b_qkv, bias, heads, queries)
             ctx.backward(g_attn)
@@ -863,6 +863,20 @@ class TestGelu:
             _, grad = gelu_kernel(x.astype(dtype), np.ones(x.shape, dtype))
             grads.append(grad.astype(np.float64))
         assert np.abs(grads[0] - grads[1]).max() < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infinite_limits_and_nan(self, dtype):
+        """gelu(+inf) = inf, gelu(-inf) = 0, derivatives 1 and 0; NaN stays NaN; finite entries keep their bits."""
+        x = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0, 0.0], dtype)
+        with np.errstate(over="ignore"):  # x^2 overflows at +-inf
+            y, y_forward_only, finite = x.copy(), x.copy(), x[3:].copy()
+            d, d_finite = T._gelu_(y, True), T._gelu_(finite, True)
+            T._gelu_(y_forward_only, False)
+        np.testing.assert_array_equal(y[:3], np.array([np.inf, 0.0, np.nan], dtype))
+        np.testing.assert_array_equal(d[:3], np.array([1.0, 0.0, np.nan], dtype))
+        np.testing.assert_array_equal(y[3:], finite)
+        np.testing.assert_array_equal(d[3:], d_finite)
+        np.testing.assert_array_equal(y_forward_only, y)
 
     def test_float64_within_1e15_of_scipy(self):
         x = np.linspace(-10.0, 10.0, 200_001)

@@ -58,8 +58,7 @@ class TestPartition:
             W.partition_windows(fmap(1, 50, 56, 4), 7)
 
     def test_reverse_refuses_attached_msg(self):
-        wt = W.partition_windows(fmap(1, 4, 4, 2), 2)
-        wt.with_msg = True
+        wt = W.WindowedTokens(Tensor(np.zeros((1, 2, 2, 5, 2), dtype=np.float32)))
         with pytest.raises(ContractError):
             W.reverse_windows(wt)
 
