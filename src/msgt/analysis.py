@@ -20,9 +20,11 @@ from .model import make_block_params
 from .tensor import Tensor
 
 
-def _generic_block(rng: np.random.Generator, channels: int, num_heads: int, window_size: int, mode: str) -> B.BlockParams:
+def _generic_block(
+    rng: np.random.Generator, channels: int, num_heads: int, window_size: int, region_size: int, mode: str
+) -> B.BlockParams:
     """Random nonzero parameters everywhere, so no path is accidentally dead."""
-    params = make_block_params(rng, channels, num_heads, window_size, mode=mode, dtype=np.float64)
+    params = make_block_params(rng, channels, num_heads, window_size, region_size, mode=mode, dtype=np.float64)
     for t in params.parameters():
         t.data = rng.standard_normal(t.shape) * 0.2
     params.norm1_gamma.data = 1.0 + 0.1 * rng.standard_normal(channels)
@@ -47,8 +49,7 @@ def information_reach(
     gh, gw = grid
     h, w = gh * window_size, gw * window_size
 
-    params = [_generic_block(rng, channels, num_heads, window_size, mode) for _ in range(num_blocks)]
-    view = W.build_region_view((gh, gw), region_size, W.TOP_LEFT)
+    params = [_generic_block(rng, channels, num_heads, window_size, region_size, mode) for _ in range(num_blocks)]
     base_tokens = rng.standard_normal((1, h, w, channels))
     base_msg = rng.standard_normal((1, gh, gw, channels))
 
@@ -58,7 +59,7 @@ def information_reach(
             if use_msg:
                 wt = B.attach_msg(wt, Tensor(base_msg.copy()))
             for p in params:
-                wt = B.block_forward(wt, p, view)
+                wt = B.block_forward(wt, p)
             return wt.windows.data[..., int(use_msg) :, :]
 
     # Bump a single channel: a uniform all-channel shift would be erased by
@@ -129,16 +130,15 @@ def block_grad_check(seed: int = 0, use_msg: bool = True, msg_only: bool = False
     classifier's last block, no bias table); without, the messenger-free block runs over w**2 tokens.
     """
     rng = np.random.default_rng(seed)
-    params = make_block_params(rng, 4, 1, 2, mode="shuffle", dtype=np.float64, use_msg=use_msg, msg_only=msg_only)
+    params = make_block_params(rng, 4, 1, 2, 2, mode="shuffle", dtype=np.float64, use_msg=use_msg, msg_only=msg_only)
     for t in params.parameters():
         t.data = rng.standard_normal(t.shape) * 0.3
     wt_data = Tensor(rng.standard_normal((1, 2, 2, 4, 4)), requires_grad=True)
     msg_data = Tensor(rng.standard_normal((1, 2, 2, 4)), requires_grad=True)
-    view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
     def loss():
         wt = W.WindowedTokens(wt_data)
-        out = B.block_forward(B.attach_msg(wt, msg_data) if use_msg else wt, params, view)
+        out = B.block_forward(B.attach_msg(wt, msg_data) if use_msg else wt, params)
         out = out if msg_only else out.windows
         return T.tsum(T.mul(out, out))
 

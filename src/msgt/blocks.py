@@ -5,6 +5,7 @@ summarizes the window through attention. Between the attention and MLP
 halves of a block, messenger tokens belonging to the same shuffle region
 exchange channel groups (or are averaged / cyclically shifted, for the
 ablation modes), which is the only cross-window communication channel.
+A block's ``BlockParams`` states its exchange: region size, anchor, mode.
 
 A stage's messengers are one plain (B, Gh, Gw, C) tensor, one token per
 window. Each sits at slot 0 of its window's token sequence for a whole
@@ -25,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from . import windows as W
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-from .windows import ShuffleRegionView, WindowedTokens
 
 MODES = ("shuffle", "average", "shift", "none")
 
@@ -74,11 +75,15 @@ def local_msa(x: Tensor, params: BlockParams) -> Tensor:
     """Multi-head self-attention inside each window of ``x`` (..., tokens, C).
 
     A window of ``w**2 + 1`` tokens, w from the bias table's span, carries its messenger at
-    slot 0. Without ``bias_table`` (a messenger-only block) only that slot queries.
+    slot 0, one of ``w**2`` has none, and any other count raises. Without ``bias_table`` (a
+    messenger-only block) only slot 0 queries.
     """
-    table = params.bias_table
-    with_msg = table is not None and x.shape[-2] > ((table.shape[1] + 1) // 2) ** 2
-    bias = None if table is None else bias_matrix(table, params.msg_key_bias, with_msg)
+    table, n, bias = params.bias_table, x.shape[-2], None
+    if table is not None:
+        w = (table.shape[1] + 1) // 2
+        if n - w * w not in (0, 1):
+            raise ShapeError(f"{n} tokens per window are neither w**2 nor w**2 + 1 for the bias table's w = {w}")
+        bias = bias_matrix(table, params.msg_key_bias, n > w * w)
     ctx, _ = T.attention(x, params.qkv_weight, params.qkv_bias, bias, params.num_heads, 1 if table is None else None)
     return T.linear(ctx, params.out_weight, params.out_bias)
 
@@ -86,7 +91,7 @@ def local_msa(x: Tensor, params: BlockParams) -> Tensor:
 # -- messenger attachment ---------------------------------------------------------
 
 
-def attach_msg(wt: WindowedTokens, msg: Tensor) -> WindowedTokens:
+def attach_msg(wt: W.WindowedTokens, msg: Tensor) -> W.WindowedTokens:
     """Prepend each window's messenger token, from the (B, Gh, Gw, C) grid ``msg``, at slot 0."""
     if wt.with_msg:
         raise ConfigError("messenger tokens already attached")
@@ -94,16 +99,16 @@ def attach_msg(wt: WindowedTokens, msg: Tensor) -> WindowedTokens:
     if msg.shape != (b, gh, gw, c):
         raise ShapeError(f"messenger grid {msg.shape} does not match window grid ({b}, {gh}, {gw}, {c})")
     lead = T.reshape(msg, (b, gh, gw, 1, c))
-    return WindowedTokens(T.concat([lead, wt.windows], axis=3))
+    return W.WindowedTokens(T.concat([lead, wt.windows], axis=3))
 
 
-def detach_msg(wt: WindowedTokens) -> tuple[WindowedTokens, Tensor]:
+def detach_msg(wt: W.WindowedTokens) -> tuple[W.WindowedTokens, Tensor]:
     """Split slot 0 back out as the messenger grid; exact inverse of :func:`attach_msg`."""
     if not wt.with_msg:
         raise ConfigError("no messenger tokens attached")
     b, gh, gw, n, c = wt.windows.shape
     lead, rest = T.split(wt.windows, (1, n - 1), axis=3)
-    return WindowedTokens(rest), T.reshape(lead, (b, gh, gw, c))
+    return W.WindowedTokens(rest), T.reshape(lead, (b, gh, gw, c))
 
 
 # -- messenger manipulation ---------------------------------------------------------
@@ -134,18 +139,16 @@ def _exchange_regions(x: Tensor, rh: int, rw: int, mode: str) -> Tensor:
     return T.reshape(T.transpose(x, (0, 1, 3, 2, 4, 5)), (b, bh, bw, c))
 
 
-def manipulate_msg(msg: Tensor, view: ShuffleRegionView, mode: str) -> Tensor:
-    """Apply the configured cross-window exchange to the (B, Gh, Gw, C) messenger grid.
+def manipulate_msg(msg: Tensor, region_size: int, anchor: str, mode: str) -> Tensor:
+    """Exchange the (B, Gh, Gw, C) messenger grid within its ``region_size`` regions aligned to ``anchor``.
 
-    ``mode`` runs over each of the view's at most 2x2 blocks, and the grid is reassembled.
+    ``mode`` runs over each of :func:`windows.build_region_view`'s at most 2x2 blocks, and the grid is reassembled.
     """
-    if mode == "none":
-        return msg
     if mode not in MODES:
         raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
-    if view.grid_shape != msg.shape[1:3]:
-        raise ShapeError(f"region view grid {view.grid_shape} != messenger grid {msg.shape[1:3]}")
-    blocks = view.blocks
+    blocks = W.build_region_view(msg.shape[1:3], region_size, anchor)
+    if mode == "none":
+        return msg
     rows: dict[int, list[Tensor]] = {}
     for r, c, rh, rw in blocks:
         part = msg if len(blocks) == 1 else msg[:, r, c]
@@ -178,6 +181,8 @@ class BlockParams:
     mlp_w2: Tensor  # (4C, C)
     mlp_b2: Tensor
     mode: str
+    shuffle_size: int  # the exchange's region side, in windows
+    anchor: str  # the corner its complete regions align to
     drop_path_rate: float
 
     def __post_init__(self):
@@ -188,6 +193,8 @@ class BlockParams:
             )
         if self.mode not in MODES:
             raise ConfigError(f"unknown manipulation mode {self.mode!r}; expected one of {MODES}")
+        if self.bias_table is None and self.msg_key_bias is not None:
+            raise ConfigError("a messenger key bias needs a bias table; a messenger-only block has neither")
         shape = None if self.bias_table is None else self.bias_table.shape
         if shape is not None and (shape != (self.num_heads, shape[-1], shape[-1]) or shape[-1] % 2 == 0):
             raise ShapeError(f"bias table {shape} is not {self.num_heads} heads of odd-sided square grids")
@@ -210,16 +217,16 @@ class BlockParams:
 
 
 def block_forward(
-    wt: WindowedTokens,
+    wt: W.WindowedTokens,
     params: BlockParams,
-    view: Optional[ShuffleRegionView],
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> WindowedTokens | Tensor:
+) -> W.WindowedTokens | Tensor:
     """Run one transformer block over windowed tokens.
 
     With ``wt.with_msg`` slot 0 of each window is its messenger token, and
-    the messengers exchange between the attention and MLP halves. Without
+    the messengers exchange between the attention and MLP halves, over the
+    regions and in the mode that ``params`` holds. Without
     it the block runs the messenger-free ablation: plain local attention
     over ``w**2`` tokens with no cross-window exchange.
 
@@ -234,13 +241,14 @@ def block_forward(
     tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
     tokens = T.add(tokens, T.drop_path(attn_out, params.drop_path_rate, rng, training))
 
+    exchange = (params.shuffle_size, params.anchor, params.mode)
     if msg_only:
-        tokens = manipulate_msg(T.reshape(tokens, tokens.shape[:3] + (-1,)), view, params.mode)
+        tokens = manipulate_msg(T.reshape(tokens, tokens.shape[:3] + (-1,)), *exchange)
     elif wt.with_msg:
-        patches, mid_msg = detach_msg(WindowedTokens(tokens))
-        tokens = attach_msg(patches, manipulate_msg(mid_msg, view, params.mode)).windows
+        patches, mid_msg = detach_msg(W.WindowedTokens(tokens))
+        tokens = attach_msg(patches, manipulate_msg(mid_msg, *exchange)).windows
 
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
-    return tokens if msg_only else WindowedTokens(tokens)
+    return tokens if msg_only else W.WindowedTokens(tokens)

@@ -85,7 +85,7 @@ class ArchConfig:
                 raise ConfigError(f"stage {i}: window grid {grid} != messenger grid {msg_grid} from stage {i - 1}")
             # with shuffling, every region of either anchor (blocks alternate) must split the channels
             for anchor in sorted({_block_anchor(self.task, bi) for bi in range(min(s.num_blocks, 2))}):
-                for _, _, rh, rw in W.ShuffleRegionView(grid, s.shuffle_size, anchor).blocks:
+                for _, _, rh, rw in W.build_region_view(grid, s.shuffle_size, anchor):
                     if self.manipulation == "shuffle" and s.dim % (rh * rw):
                         raise ConfigError(
                             f"stage {i}: at input size {size} the {grid[0]}x{grid[1]} "
@@ -232,7 +232,9 @@ def make_block_params(
     channels: int,
     num_heads: int,
     window_size: int,
+    shuffle_size: int,
     mode: str = "shuffle",
+    anchor: str = W.TOP_LEFT,
     drop_path_rate: float = 0.0,
     dtype=np.float32,
     use_msg: bool = True,
@@ -258,6 +260,8 @@ def make_block_params(
         mlp_w2=proj(4 * channels, channels),
         mlp_b2=zeros(channels),
         mode=mode,
+        shuffle_size=shuffle_size,
+        anchor=anchor,
         drop_path_rate=drop_path_rate,
     )
 
@@ -295,10 +299,6 @@ class Model:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize a model from ``seed``."""
@@ -315,8 +315,9 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
     stages = [
         [
             make_block_params(
-                rng, s.dim, s.num_heads, s.window_size, mode=cfg.manipulation, drop_path_rate=cfg.drop_path_rate,
-                dtype=dtype, use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
+                rng, s.dim, s.num_heads, s.window_size, s.shuffle_size, mode=cfg.manipulation,
+                anchor=_block_anchor(cfg.task, bi), drop_path_rate=cfg.drop_path_rate, dtype=dtype,
+                use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
             )
             for bi in range(s.num_blocks)
         ]
@@ -402,14 +403,12 @@ def forward(
     for si, scfg in enumerate(cfg.stages):
         padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
         wt = W.partition_windows(padded, scfg.window_size)
-        grid = wt.windows.shape[1:3]
         if cfg.use_msg:
             if si == 0:
-                msg = _initial_msg(model.msg_input, grid, batch)
+                msg = _initial_msg(model.msg_input, wt.windows.shape[1:3], batch)
             wt = B.attach_msg(wt, msg)  # slot 0 of every window until the stage ends
-        for bi, blk in enumerate(model.stages[si]):
-            view = W.build_region_view(grid, scfg.shuffle_size, _block_anchor(cfg.task, bi))
-            wt = B.block_forward(wt, blk, view, training=training, rng=rng)
+        for blk in model.stages[si]:
+            wt = B.block_forward(wt, blk, training=training, rng=rng)
         if isinstance(wt, Tensor):  # a classifier's last block: the head reads only the messengers
             msg = wt
             break

@@ -1,10 +1,10 @@
 """Window partitioning, shuffle-region grouping, padding, and token merging.
 
 Feature maps are channel-last (B, H, W, C). Partitioning reshapes the map
-into a grid of non-overlapped square windows; regions group windows into
-tiles whose messenger tokens later exchange channels. A stage's messengers
-are one plain (B, Gh, Gw, C) tensor, one token per window of the grid. All
-transformations here are differentiable and value-preserving.
+into a grid of non-overlapped square windows. A stage's messengers are one
+plain (B, Gh, Gw, C) tensor, one token per window of the grid, and
+:func:`build_region_view` tiles that grid into the regions that exchange
+channels. The tensor transformations are differentiable and value-preserving.
 """
 
 from __future__ import annotations
@@ -81,58 +81,36 @@ def _segments(extent: int, region: int, anchor: str) -> list[tuple[int, int, int
     return [seg for seg in segs if seg[0] < seg[1]]
 
 
-@dataclass(frozen=True)
-class ShuffleRegionView:
-    """Grouping of the window grid into SxS region tiles for token exchange.
-
-    Complete tiles are aligned to ``anchor``; leftover windows form partial
-    regions at the opposite corner. Along each axis the regions fall into
-    at most two segments, so the grid splits into at most 2x2 rectangular
-    ``blocks``, each tiled by regions of one shape.
-    """
-
-    grid_shape: tuple[int, int]
-    region_size: int
-    anchor: str
-
-    @property
-    def blocks(self) -> list[tuple[slice, slice, int, int]]:
-        """(rows, cols, rh, rw) per block: its grid slices and its region shape."""
-        (gh, gw), s = self.grid_shape, self.region_size
-        return [
-            (slice(r0, r1), slice(c0, c1), rh, rw)
-            for r0, r1, rh in _segments(gh, s, self.anchor)
-            for c0, c1, rw in _segments(gw, s, self.anchor)
-        ]
-
-    @property
-    def regions(self) -> list[np.ndarray]:
-        """Per region, the flat (row-major) window indices it covers."""
-        (gh, gw), s = self.grid_shape, self.region_size
-
-        def bands(extent):
-            segs = _segments(extent, s, self.anchor)
-            return [(a, a + n) for a0, a1, n in segs for a in range(a0, a1, n)]
-
-        flat = np.arange(gh * gw).reshape(gh, gw)
-        return [flat[r0:r1, c0:c1].reshape(-1) for r0, r1 in bands(gh) for c0, c1 in bands(gw)]
-
-
 def build_region_view(
     grid_shape: tuple[int, int],
     region_size: int,
     anchor: str = TOP_LEFT,
-) -> ShuffleRegionView:
-    """Tile a window grid into shuffle regions without touching any tensor.
+) -> list[tuple[slice, slice, int, int]]:
+    """Tile a window grid into SxS shuffle regions: the at most 2x2 (rows, cols, rh, rw) blocks.
 
-    A region larger than the grid is valid: the whole grid is then one region.
+    Complete regions align to ``anchor`` and leftover windows form partial regions at the
+    opposite corner, so each axis has at most two segments, and the block at grid slices
+    ``rows``, ``cols`` is tiled by rh x rw regions. A region larger than the grid is the whole grid.
     """
-    gh, gw = grid_shape
     if region_size < 1:
         raise ConfigError(f"region size must be >= 1, got {region_size}")
     if anchor not in (TOP_LEFT, BOTTOM_RIGHT):
         raise ConfigError(f"unknown anchor {anchor!r}")
-    return ShuffleRegionView(grid_shape=(gh, gw), region_size=region_size, anchor=anchor)
+    (gh, gw), s = grid_shape, region_size
+    return [
+        (slice(r0, r1), slice(c0, c1), rh, rw)
+        for r0, r1, rh in _segments(gh, s, anchor)
+        for c0, c1, rw in _segments(gw, s, anchor)
+    ]
+
+
+def regions(grid_shape: tuple[int, int], region_size: int, anchor: str = TOP_LEFT) -> list[np.ndarray]:
+    """Per region of :func:`build_region_view`'s tiling, the flat (row-major) window indices it covers."""
+    blocks = build_region_view(grid_shape, region_size, anchor)
+    rows = sorted({(a, a + rh) for r, _, rh, _ in blocks for a in range(r.start, r.stop, rh)})
+    cols = sorted({(a, a + rw) for _, c, _, rw in blocks for a in range(c.start, c.stop, rw)})
+    flat = np.arange(grid_shape[0] * grid_shape[1]).reshape(grid_shape)
+    return [flat[r0:r1, c0:c1].reshape(-1) for r0, r1 in rows for c0, c1 in cols]
 
 
 def partition_windows(fm: FeatureMap, window_size: int) -> WindowedTokens:

@@ -49,15 +49,14 @@ def test_criterion_3_shuffle_correctness():
     rng = np.random.default_rng(3)
     ok = True
     for region in (1, 2, 4):
-        view = W.build_region_view((region, region), region, W.TOP_LEFT)
         for _ in range(100):
             c = region * region * int(rng.integers(1, 4))
             msg = Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
-            once = B.manipulate_msg(msg, view, "shuffle")
+            once = B.manipulate_msg(msg, region, W.TOP_LEFT, "shuffle")
             ok &= np.array_equal(np.sort(once.data.ravel()), np.sort(msg.data.ravel()))
-            ok &= np.array_equal(B.manipulate_msg(once, view, "shuffle").data, msg.data)
+            ok &= np.array_equal(B.manipulate_msg(once, region, W.TOP_LEFT, "shuffle").data, msg.data)
     hand = Tensor(np.arange(16, dtype=np.float32).reshape(1, 2, 2, 4))
-    got = B.manipulate_msg(hand, W.build_region_view((2, 2), 2, W.TOP_LEFT), "shuffle").data.reshape(4, 4)
+    got = B.manipulate_msg(hand, 2, W.TOP_LEFT, "shuffle").data.reshape(4, 4)
     expected = np.array([[0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]], dtype=np.float32)
     ok &= np.array_equal(got, expected)
     report(3, "shuffle is a value-preserving involutive permutation incl. hand example", ok,
@@ -124,11 +123,11 @@ def test_criterion_8_closed_form_vs_instrumented():
     rng = np.random.default_rng(8)
     gh = gw = 2
     ws, ch, heads = 4, 16, 2
-    params = M.make_block_params(rng, ch, heads, ws)
+    params = M.make_block_params(rng, ch, heads, ws, 2)
     wt = W.WindowedTokens(Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)))
     msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
     with T.count_macs() as counter:
-        B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, W.build_region_view((gh, gw), 2, W.TOP_LEFT)))
+        B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params))
     ok = counter["matmul"] == C.flops_block(gh * gw, ws, ch) and counter["other"] > 0 and counter["conv"] == 0
     report(8, "per-block formula equals the instrumented matmul MAC count exactly", ok,
            f"{counter['matmul']} MACs, {time.time() - t0:.2f}s")

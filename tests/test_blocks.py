@@ -18,18 +18,17 @@ from msgt.model import make_block_params
 from msgt.tensor import Tensor, _accum, _make
 
 
-# -- reference exchange: flat permutations and segment means over view.regions --
+# -- reference exchange: flat permutations and segment means over W.regions --
 
 
-def reference_shuffle_permutation(view, channels):
+def reference_shuffle_permutation(regions, windows, channels):
     """Scalar permutation over (window, channel) implementing the group transpose.
 
     Within a region of n tokens, channels split into n groups of C/n;
     output token a's group b is input token b's group a.
     """
-    gh, gw = view.grid_shape
-    perm = np.arange(gh * gw * channels, dtype=np.int64)
-    for idx in view.regions:
+    perm = np.arange(windows * channels, dtype=np.int64)
+    for idx in regions:
         n = len(idx)
         if n == 1:
             continue
@@ -42,11 +41,10 @@ def reference_shuffle_permutation(view, channels):
     return perm
 
 
-def reference_shift_permutation(view, channels):
+def reference_shift_permutation(regions, windows, channels):
     """Cyclic +1 shift of whole tokens, row-major within each region."""
-    gh, gw = view.grid_shape
-    perm = np.arange(gh * gw * channels, dtype=np.int64)
-    for idx in view.regions:
+    perm = np.arange(windows * channels, dtype=np.int64)
+    for idx in regions:
         n = len(idx)
         for k in range(n):
             src, dst = idx[(k - 1) % n], idx[k]
@@ -73,13 +71,13 @@ def reference_segment_mean(a, segments):
     return out
 
 
-def reference_manipulate(grid, view, mode):
+def reference_manipulate(grid, regions, mode):
     b, gh, gw, c = grid.shape
     if mode == "average":
         flat = T.reshape(grid, (b, gh * gw, c))
-        return T.reshape(reference_segment_mean(flat, view.regions), (b, gh, gw, c))
+        return T.reshape(reference_segment_mean(flat, regions), (b, gh, gw, c))
     make = reference_shuffle_permutation if mode == "shuffle" else reference_shift_permutation
-    out = T.getitem(T.reshape(grid, (b, gh * gw * c)), (slice(None), make(view, c)))
+    out = T.getitem(T.reshape(grid, (b, gh * gw * c)), (slice(None), make(regions, gh * gw, c)))
     return T.reshape(out, (b, gh, gw, c))
 
 
@@ -123,12 +121,11 @@ class TestMessengerSlotFromTokenCount:
 
     def test_direct_record_exchanges_like_an_attached_one(self):
         c, w = 8, 2
-        params = make_block_params(np.random.default_rng(38), c, 2, w)
+        params = make_block_params(np.random.default_rng(38), c, 2, w, 2)
         attached = B.attach_msg(make_windows(1, 2, 2, w, c, seed=39), make_msg(1, 2, 2, c, seed=40))
         direct = W.WindowedTokens(Tensor(attached.windows.data.copy()))
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        want = B.block_forward(attached, params, view).windows.data
-        np.testing.assert_array_equal(B.block_forward(direct, params, view).windows.data, want)
+        want = B.block_forward(attached, params).windows.data
+        np.testing.assert_array_equal(B.block_forward(direct, params).windows.data, want)
         with pytest.raises(ContractError, match="detach"):
             W.reverse_windows(direct)
 
@@ -233,7 +230,7 @@ class TestBiasIndex:
 class TestLocalMsa:
     def _params(self, c, heads, w, seed=7):
         rng = np.random.default_rng(seed)
-        return make_block_params(rng, c, heads, w)
+        return make_block_params(rng, c, heads, w, 1)
 
     @staticmethod
     def _probabilities(wt, params):
@@ -276,16 +273,23 @@ class TestLocalMsa:
 
     def test_heads_must_divide_channels(self):
         three_heads = self._params(8, 3, 2)
-        for table in (three_heads.bias_table, None):
+        for table in (three_heads.bias_table, None):  # a messenger key bias needs a table; 4 tokens read none
+            params = replace(three_heads, bias_table=table, msg_key_bias=None)
             with pytest.raises(ConfigError, match="3 heads"):
-                B.local_msa(make_windows(1, 1, 1, 2, 8).windows, replace(three_heads, bias_table=table))
+                B.local_msa(make_windows(1, 1, 1, 2, 8).windows, params)
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 17])
+    def test_token_count_off_the_tables_window_named(self, n):
+        params = self._params(8, 2, 2)  # w = 2: 4 or 5 tokens per window
+        x = Tensor(np.zeros((1, 1, 1, n, 8), np.float32))
+        with pytest.raises(ShapeError, match=rf"\b{n} tokens per window.*w = 2\b"):
+            B.local_msa(x, params)
 
 
 class TestShuffle:
     def test_region_of_one_is_identity(self):
         msg = make_msg(1, 3, 3, 4, seed=20)
-        view = W.build_region_view((3, 3), 1, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "shuffle")
+        out = B.manipulate_msg(msg, 1, W.TOP_LEFT, "shuffle")
         np.testing.assert_array_equal(out.data, msg.data)
 
     def test_hand_derived_group_transpose(self):
@@ -293,8 +297,7 @@ class TestShuffle:
             [[0.0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]], dtype=np.float32
         ).reshape(1, 2, 2, 4)
         msg = Tensor(tokens)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "shuffle").data.reshape(4, 4)
+        out = B.manipulate_msg(msg, 2, W.TOP_LEFT, "shuffle").data.reshape(4, 4)
         expected = np.array(
             [[0.0, 4, 8, 12], [1, 5, 9, 13], [2, 6, 10, 14], [3, 7, 11, 15]], dtype=np.float32
         )
@@ -306,25 +309,22 @@ class TestShuffle:
         for _ in range(100):
             c = region * region * int(rng.integers(1, 4))
             msg = Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
-            view = W.build_region_view((region, region), region, W.TOP_LEFT)
-            once = B.manipulate_msg(msg, view, "shuffle")
+            once = B.manipulate_msg(msg, region, W.TOP_LEFT, "shuffle")
             np.testing.assert_array_equal(
                 np.sort(once.data.ravel()), np.sort(msg.data.ravel())
             )
-            twice = B.manipulate_msg(once, view, "shuffle")
+            twice = B.manipulate_msg(once, region, W.TOP_LEFT, "shuffle")
             np.testing.assert_array_equal(twice.data, msg.data)
 
     def test_indivisible_channels_named_in_error(self):
         msg = make_msg(1, 2, 2, 6)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
         with pytest.raises(ConfigError, match="6.*4"):
-            B.manipulate_msg(msg, view, "shuffle")
+            B.manipulate_msg(msg, 2, W.TOP_LEFT, "shuffle")
 
     def test_partial_region_shuffles_over_actual_count(self):
         # 3x1 grid with region 2 via bottom-right anchor: regions of 1 and 2 windows
         msg = make_msg(1, 3, 1, 4, seed=21)
-        view = W.build_region_view((3, 1), 2, W.BOTTOM_RIGHT)
-        out = B.manipulate_msg(msg, view, "shuffle")
+        out = B.manipulate_msg(msg, 2, W.BOTTOM_RIGHT, "shuffle")
         np.testing.assert_array_equal(out.data[0, 0, 0], msg.data[0, 0, 0])
         a, b = msg.data[0, 1, 0], msg.data[0, 2, 0]
         np.testing.assert_array_equal(out.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
@@ -344,8 +344,8 @@ class TestExchangeMatchesReference:
         seed=st.integers(0, 2**16),
     )
     def test_bit_identical_forward_and_backward(self, gh, gw, region, anchor, mode, dtype, batch, seed):
-        view = W.build_region_view((gh, gw), region, anchor)
-        channels = math.lcm(*(len(r) for r in view.regions)) * 2
+        regions = W.regions((gh, gw), region, anchor)
+        channels = math.lcm(*(len(r) for r in regions)) * 2
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((batch, gh, gw, channels)).astype(dtype)
         upstream = rng.standard_normal(data.shape).astype(dtype)
@@ -356,8 +356,8 @@ class TestExchangeMatchesReference:
             T.tsum(T.mul(out, Tensor(upstream))).backward()
             return out.data, x.grad
 
-        out, grad = run(lambda x: B.manipulate_msg(x, view, mode))
-        ref_out, ref_grad = run(lambda x: reference_manipulate(x, view, mode))
+        out, grad = run(lambda x: B.manipulate_msg(x, region, anchor, mode))
+        ref_out, ref_grad = run(lambda x: reference_manipulate(x, regions, mode))
         assert out.dtype == ref_out.dtype == grad.dtype == dtype
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(grad, ref_grad)
@@ -373,43 +373,37 @@ class TestExchangeMatchesReference:
         monkeypatch.setattr(T, "getitem", slices_only)
         msg = make_msg(2, 5, 7, 48, seed=24)
         for anchor in (W.TOP_LEFT, W.BOTTOM_RIGHT):
-            view = W.build_region_view((5, 7), 4, anchor)
             for mode in ("shuffle", "shift", "average"):
-                assert B.manipulate_msg(msg, view, mode).shape == msg.shape
+                assert B.manipulate_msg(msg, 4, anchor, mode).shape == msg.shape
 
 
 class TestManipulate:
     def test_average_replaces_with_region_mean(self):
         grid = np.array([[1.0, 1.0], [3.0, 3.0]], dtype=np.float32).reshape(1, 1, 2, 2)
         msg = Tensor(grid)
-        view = W.build_region_view((1, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "average")
+        out = B.manipulate_msg(msg, 2, W.TOP_LEFT, "average")
         np.testing.assert_allclose(out.data.reshape(2, 2), [[2.0, 2.0], [2.0, 2.0]])
 
     def test_shift_is_cyclic_row_major(self):
         tokens = np.arange(4, dtype=np.float32).reshape(1, 2, 2, 1)  # a,b,c,d
         msg = Tensor(tokens)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "shift").data.reshape(4)
+        out = B.manipulate_msg(msg, 2, W.TOP_LEFT, "shift").data.reshape(4)
         np.testing.assert_array_equal(out, [3.0, 0.0, 1.0, 2.0])  # d,a,b,c
 
     def test_none_is_identity(self):
         msg = make_msg(1, 2, 2, 4, seed=22)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, "none")
+        out = B.manipulate_msg(msg, 2, W.TOP_LEFT, "none")
         assert out is msg
 
     def test_unknown_mode_rejected(self):
         msg = make_msg(1, 2, 2, 4)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
         with pytest.raises(ConfigError):
-            B.manipulate_msg(msg, view, "swap")
+            B.manipulate_msg(msg, 2, W.TOP_LEFT, "swap")
 
     @pytest.mark.parametrize("mode", ["shuffle", "average", "shift", "none"])
     def test_region_one_reduces_to_identity(self, mode):
         msg = make_msg(1, 2, 3, 4, seed=23)
-        view = W.build_region_view((2, 3), 1, W.TOP_LEFT)
-        out = B.manipulate_msg(msg, view, mode)
+        out = B.manipulate_msg(msg, 1, W.TOP_LEFT, mode)
         np.testing.assert_array_equal(out.data, msg.data)
 
 
@@ -417,18 +411,31 @@ class TestBlockForward:
     def test_zeroed_projections_make_identity_block(self):
         rng = np.random.default_rng(30)
         c, w = 8, 2
-        params = make_block_params(rng, c, 2, w, mode="shuffle")
+        params = make_block_params(rng, c, 2, w, 2, mode="shuffle")
         params.out_weight.data[:] = 0
         params.out_bias.data[:] = 0
         params.mlp_w2.data[:] = 0
         params.mlp_b2.data[:] = 0
         wt = make_windows(1, 2, 2, w, c, seed=31)
         msg = make_msg(1, 2, 2, c, seed=32)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
-        out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
+        out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params))
         np.testing.assert_array_equal(out_wt.windows.data, wt.windows.data)
-        expected_msg = B.manipulate_msg(msg, view, "shuffle").data
+        expected_msg = B.manipulate_msg(msg, 2, W.TOP_LEFT, "shuffle").data
         np.testing.assert_array_equal(out_msg.data, expected_msg)
+
+    @pytest.mark.parametrize("anchor", [W.TOP_LEFT, W.BOTTOM_RIGHT])
+    @pytest.mark.parametrize("mode", ["shuffle", "shift", "average"])
+    def test_block_exchanges_over_its_own_regions(self, anchor, mode):
+        """With the residual branches zeroed, the block's messengers leave as its params' exchange of them."""
+        c, w = 8, 2
+        params = make_block_params(np.random.default_rng(30), c, 2, w, 2, mode=mode, anchor=anchor)
+        for t in (params.out_weight, params.out_bias, params.mlp_w2, params.mlp_b2):
+            t.data[:] = 0
+        msg = make_msg(1, 3, 2, c, seed=32)  # partial regions at the edge opposite the anchor
+        out_msg = B.detach_msg(B.block_forward(B.attach_msg(make_windows(1, 3, 2, w, c, seed=31), msg), params))[1]
+        np.testing.assert_array_equal(out_msg.data, B.manipulate_msg(msg, 2, anchor, mode).data)
+        other = W.BOTTOM_RIGHT if anchor == W.TOP_LEFT else W.TOP_LEFT
+        assert not np.array_equal(out_msg.data, B.manipulate_msg(msg, 2, other, mode).data)
 
     def test_mode_none_keeps_windows_isolated(self):
         reached = information_reach(mode="none", use_msg=True, seed=3)
@@ -446,17 +453,16 @@ class TestBlockForward:
     def test_micro_block_gradients(self):
         rng = np.random.default_rng(33)
         c, w = 4, 2
-        params = make_block_params(rng, c, 1, w, mode="shuffle", dtype=np.float64)
+        params = make_block_params(rng, c, 1, w, 2, mode="shuffle", dtype=np.float64)
         for t in params.parameters():
             t.data = rng.standard_normal(t.shape) * 0.3
         wt_data = Tensor(rng.standard_normal((1, 2, 2, w * w, c)), requires_grad=True)
         msg_data = Tensor(rng.standard_normal((1, 2, 2, c)), requires_grad=True)
-        view = W.build_region_view((2, 2), 2, W.TOP_LEFT)
 
         def loss():
             wt = W.WindowedTokens(wt_data)
             msg = msg_data
-            out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
+            out_wt, out_msg = B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params))
             return T.add(T.tsum(T.mul(out_wt.windows, out_wt.windows)), T.tsum(T.mul(out_msg, out_msg)))
 
         err = T.grad_check(loss, params.parameters() + [wt_data, msg_data])
@@ -465,30 +471,34 @@ class TestBlockForward:
     def test_messenger_only_block_is_the_full_blocks_messenger_grid(self):
         rng = np.random.default_rng(35)
         c, w = 8, 2
-        params = make_block_params(rng, c, 2, w, mode="shuffle", dtype=np.float64)
+        params = make_block_params(rng, c, 2, w, 2, mode="shuffle", dtype=np.float64)
         for t in params.parameters():
             t.data = rng.standard_normal(t.shape) * 0.3
         f64 = np.float64
         wt = B.attach_msg(make_windows(1, 2, 3, w, c, seed=36, dtype=f64), make_msg(1, 2, 3, c, seed=37, dtype=f64))
-        view = W.build_region_view((2, 3), 2, W.TOP_LEFT)  # a 2x2 and a 2x1 region
-        full = B.detach_msg(B.block_forward(wt, params, view))[1].data
-        msg_only = replace(params, bias_table=None)  # the messenger's query row of the bias is zero
-        alone = B.block_forward(wt, msg_only, view)
+        full = B.detach_msg(B.block_forward(wt, params))[1].data  # a 2x2 and a 2x1 region
+        msg_only = replace(params, bias_table=None, msg_key_bias=None)  # the messenger's query row of the bias is zero
+        alone = B.block_forward(wt, msg_only)
         assert isinstance(alone, Tensor)
         np.testing.assert_allclose(alone.data, full, rtol=0, atol=1e-13)
         with pytest.raises(ConfigError, match="messenger tokens attached"):
-            B.block_forward(make_windows(1, 2, 3, w, c), msg_only, view)
+            B.block_forward(make_windows(1, 2, 3, w, c), msg_only)
 
     def test_bias_heads_must_match_attention_heads(self):
-        params = make_block_params(np.random.default_rng(34), 8, 2, 2)
+        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2)
         one_head = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="2 heads"):
             replace(params, bias_table=one_head)
-        assert replace(params, bias_table=None).bias_table is None
+        assert replace(params, bias_table=None, msg_key_bias=None).bias_table is None
+
+    def test_messenger_key_bias_without_bias_table_rejected(self):
+        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2)
+        with pytest.raises(ConfigError, match="messenger key bias needs a bias table"):
+            replace(params, bias_table=None)
 
     def test_mlp_must_be_four_x(self):
         rng = np.random.default_rng(34)
-        params = make_block_params(rng, 4, 1, 2)
+        params = make_block_params(rng, 4, 1, 2, 2)
         with pytest.raises(ConfigError):
             replace(
                 params,

@@ -45,9 +45,9 @@ class TestFlopsBlock:
         wt = W.partition_windows(W.pad_to_window_multiple(fm, window)[0], window)
         windows = wt.windows.shape[1] * wt.windows.shape[2]
         assert windows == -(-grid_h // window) * -(-grid_w // window) > grid_h * grid_w // window**2
-        params = M.make_block_params(rng, 16, 2, window)
+        params = M.make_block_params(rng, 16, 2, window, 1)
         with T.count_macs() as counter:
-            B.block_forward(wt, params, None)
+            B.block_forward(wt, params)
         assert counter["matmul"] == C.flops_block(windows, window, 16, with_msg=False)
 
 
@@ -113,12 +113,11 @@ class TestModelFlops:
         rng = np.random.default_rng(0)
         gh = gw = 2
         ws, ch, heads = 4, 16, 2
-        params = M.make_block_params(rng, ch, heads, ws)
+        params = M.make_block_params(rng, ch, heads, ws, 2)
         wt = W.WindowedTokens(Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)))
         msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
-        view = W.build_region_view((gh, gw), 2, W.TOP_LEFT)
         with T.count_macs() as counter:
-            B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params, view))
+            B.detach_msg(B.block_forward(B.attach_msg(wt, msg), params))
         assert counter["matmul"] == C.flops_block(gh * gw, ws, ch)
         assert counter["conv"] == 0
 

@@ -164,7 +164,7 @@ def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
         for bi in range(min(2, s.num_blocks)):
             anchor = W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT
             try:
-                B.manipulate_msg(msg, W.build_region_view(grid, s.shuffle_size, anchor), "shuffle")
+                B.manipulate_msg(msg, s.shuffle_size, anchor, "shuffle")
             except ConfigError:
                 return False
     return True
@@ -352,9 +352,8 @@ class TestLiveBytes:
         """The graph keeps no array its backward does not read, so the caller decides what lives."""
         rng = np.random.default_rng(3)
         c, w = 16, 4
-        blocks = [M.make_block_params(rng, c, 2, w) for _ in range(2)]
+        blocks = [M.make_block_params(rng, c, 2, w, 2) for _ in range(2)]
         params = [p for blk in blocks for p in blk.parameters()]
-        view = W.build_region_view((2, 2), 2)
         data = rng.standard_normal((2, 2, 2, w * w + 1, c)).astype(np.float32)
         weight = Tensor(rng.standard_normal(data.shape).astype(np.float32))
 
@@ -362,9 +361,9 @@ class TestLiveBytes:
             for p in params:
                 p.zero_grad()
             x = Tensor(data, requires_grad=True)
-            mid = B.block_forward(W.WindowedTokens(x), blocks[0], view, training=True)
+            mid = B.block_forward(W.WindowedTokens(x), blocks[0], training=True)
             residual_sum = weakref.ref(mid.windows.data)
-            out = B.block_forward(mid, blocks[1], view, training=True)
+            out = B.block_forward(mid, blocks[1], training=True)
             loss = T.tsum(T.mul(out.windows, weight))
             if not keep:
                 del mid
@@ -844,14 +843,13 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
         if si == 0:
             msg = M._initial_msg(model.msg_input, wt.windows.shape[1:3], images.shape[0])
         wt = B.attach_msg(wt, msg)
-        for bi, blk in enumerate(model.stages[si]):
+        for blk in model.stages[si]:
             if blk.bias_table is None:
                 span, heads = 2 * scfg.window_size - 1, blk.num_heads
                 table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
                 table, key = (Tensor(a.astype(model.dtype)) for a in (table, key))
                 blk = replace(blk, bias_table=table, msg_key_bias=key)
-            view = W.build_region_view(wt.windows.shape[1:3], scfg.shuffle_size, M._block_anchor(cfg.task, bi))
-            wt = B.block_forward(wt, blk, view, training=mode == "train", rng=rng)
+            wt = B.block_forward(wt, blk, training=mode == "train", rng=rng)
         wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)
         if si < M.NUM_STAGES - 1:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from msgt import tensor as T
 from msgt import windows as W
-from msgt.errors import ContractError, PartitionError, ShapeError
+from msgt.errors import ConfigError, ContractError, PartitionError, ShapeError
 from msgt.tensor import Tensor
 
 
@@ -112,22 +112,22 @@ class TestPadding:
 
 class TestRegions:
     def test_full_tiling(self):
-        view = W.build_region_view((8, 8), 4, W.TOP_LEFT)
-        assert len(view.regions) == 4
-        assert all(len(r) == 16 for r in view.regions)
+        regions = W.regions((8, 8), 4, W.TOP_LEFT)
+        assert len(regions) == 4
+        assert all(len(r) == 16 for r in regions)
 
     def test_degenerate_region_size_one(self):
-        view = W.build_region_view((3, 3), 1, W.TOP_LEFT)
-        assert len(view.regions) == 9
-        assert all(len(r) == 1 for r in view.regions)
+        regions = W.regions((3, 3), 1, W.TOP_LEFT)
+        assert len(regions) == 9
+        assert all(len(r) == 1 for r in regions)
 
     def test_bottom_right_anchor_of_irregular_grid(self):
         # 5x5 grid, region 4: complete tile in the bottom-right corner,
         # partial strips along the top and left.
-        view = W.build_region_view((5, 5), 4, W.BOTTOM_RIGHT)
-        sizes = sorted(len(r) for r in view.regions)
+        regions = W.regions((5, 5), 4, W.BOTTOM_RIGHT)
+        sizes = sorted(len(r) for r in regions)
         assert sizes == [1, 4, 4, 16]
-        full = [r for r in view.regions if len(r) == 16][0]
+        full = [r for r in regions if len(r) == 16][0]
         expected = np.array([i * 5 + j for i in range(1, 5) for j in range(1, 5)])
         np.testing.assert_array_equal(np.sort(full), expected)
 
@@ -137,8 +137,7 @@ class TestRegions:
             gh, gw = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             rs = int(rng.integers(1, 5))
             anchor = W.TOP_LEFT if rng.integers(2) else W.BOTTOM_RIGHT
-            view = W.build_region_view((gh, gw), rs, anchor)
-            combined = np.concatenate(view.regions)
+            combined = np.concatenate(W.regions((gh, gw), rs, anchor))
             np.testing.assert_array_equal(np.sort(combined), np.arange(gh * gw))
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -149,25 +148,36 @@ class TestRegions:
         anchor=st.sampled_from([W.TOP_LEFT, W.BOTTOM_RIGHT]),
     )
     def test_blocks_tile_grid_with_one_region_shape_each(self, gh, gw, region, anchor):
-        view = W.build_region_view((gh, gw), region, anchor)
-        assert len(view.blocks) <= 4
+        blocks = W.build_region_view((gh, gw), region, anchor)
+        assert len(blocks) <= 4
         cover = np.zeros((gh, gw), dtype=int)
-        for rows, cols, rh, rw in view.blocks:
+        for rows, cols, rh, rw in blocks:
             assert (rows.stop - rows.start) % rh == 0 and (cols.stop - cols.start) % rw == 0
             cover[rows, cols] += 1
         assert (cover == 1).all()
-        for idx in view.regions:
+        for idx in W.regions((gh, gw), region, anchor):
             r, c = np.divmod(idx, gw)
             home = [
                 (rh, rw)
-                for rows, cols, rh, rw in view.blocks
+                for rows, cols, rh, rw in blocks
                 if rows.start <= r.min() and r.max() < rows.stop and cols.start <= c.min() and c.max() < cols.stop
             ]
             assert len(home) == 1 and (np.ptp(r) + 1, np.ptp(c) + 1) == home[0]
 
     def test_oversized_region_is_one_region(self):
-        view = W.build_region_view((2, 2), 4, W.TOP_LEFT)
-        assert len(view.regions) == 1 and len(view.regions[0]) == 4
+        regions = W.regions((2, 2), 4, W.TOP_LEFT)
+        assert len(regions) == 1 and len(regions[0]) == 4
+
+    def test_regions_run_row_major_over_region_corners(self):
+        # 3x5 grid, region 2, top-left: row bands [0, 2), [2, 3); column bands [0, 2), [2, 4), [4, 5)
+        got = [r.tolist() for r in W.regions((3, 5), 2, W.TOP_LEFT)]
+        assert got == [[0, 1, 5, 6], [2, 3, 7, 8], [4, 9], [10, 11], [12, 13], [14]]
+
+    @pytest.mark.parametrize("size, anchor", [(0, W.TOP_LEFT), (2, "center")])
+    def test_bad_region_size_or_anchor_rejected(self, size, anchor):
+        for tiling in (W.build_region_view, W.regions):
+            with pytest.raises(ConfigError):
+                tiling((2, 2), size, anchor)
 
 
 class TestMergeTokens:
