@@ -59,10 +59,10 @@ def _read(f, n: int, what: str) -> bytes:
 
 def _version1_only(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Shape by name of the tensors only version 1 holds; none of them reaches an output."""
-    legacy = {}
+    legacy, span = {}, 2 * cfg.window_size - 1
     for si, s in enumerate(cfg.stages if cfg.use_msg else ()):
         for bi in range(s.num_blocks):
-            prefix, span = f"stage{si + 1}.block{bi}.bias", 2 * s.window_size - 1
+            prefix = f"stage{si + 1}.block{bi}.bias"
             legacy[f"{prefix}.msg_query"] = (s.num_heads,)
             if msg_only_block(cfg, si, bi):
                 legacy.update({f"{prefix}.table": (s.num_heads, span, span), f"{prefix}.msg_key": (s.num_heads,)})

@@ -83,8 +83,6 @@ def load_config(path: Optional[str]) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except FileNotFoundError:
-        raise _UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
 
@@ -96,7 +94,7 @@ _TRAIN_KEYS = {
     "optimizer": {"lr": "base_lr", "weight_decay": "weight_decay", "betas": "betas", "eps": "eps"},
     "schedule": {k: k for k in ("total_steps", "warmup_steps", "min_lr")},
 }
-_ARCH_OVERRIDES = ("num_classes", "task", "input_size", "use_msg", "manipulation")  # ArchConfig fields
+_ARCH_OVERRIDES = ("num_classes", "task", "input_size", "use_msg", "manipulation", "window_size")  # ArchConfig fields
 _STAGE_KEYS = ("dim", "heads", "blocks")  # StageConfig.dim, num_heads, num_blocks
 
 
@@ -133,7 +131,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None):
     from .data import DatasetSpec
     from .train import TrainConfig
 
-    arch_keys = ("arch", "stages", "window_size", "shuffle_sizes", *_ARCH_OVERRIDES)
+    arch_keys = ("arch", "stages", "shuffle_sizes", *_ARCH_OVERRIDES)
     top = _object(raw, "", (*arch_keys, *_TRAIN_KEYS[""], "optimizer", "schedule", "data"))
     default = TrainConfig()
 
@@ -143,12 +141,11 @@ def parse_config(raw: dict, seed_override: Optional[int] = None):
     num_classes, task = get("num_classes", default.arch.num_classes), get("task", default.arch.task)
     arch = default.arch
     if "stages" in top:
-        entries, window = get("stages", ({},) * M.NUM_STAGES), get("window_size", M.PRESET_WINDOW)
         stages = []
-        for i, (entry, shuffle) in enumerate(zip(entries, M.CLS_SHUFFLES)):
+        for i, (entry, shuffle) in enumerate(zip(get("stages", ({},) * M.NUM_STAGES), M.CLS_SHUFFLES)):
             entry = _object(entry, f"stages[{i}].", _STAGE_KEYS)
             dim, heads, blocks = (_coerce(entry.get(k), 0, f"stages[{i}].{k}") for k in _STAGE_KEYS)
-            stages.append(M.StageConfig(dim, heads, blocks, shuffle, window))
+            stages.append(M.StageConfig(dim, heads, blocks, shuffle))
         arch = M.ArchConfig(tuple(stages), M.PRESET_INPUT_SIZE, num_classes, task)
     elif "arch" in top:
         arch = M.preset_config(get("arch", ""), num_classes=num_classes, task=task)
@@ -188,8 +185,8 @@ def _cmd_eval(args) -> int:
     cfg, data_spec = parse_config(load_config(args.config), args.seed)
     arch = cfg.arch_config()
     check_task_data(arch, data_spec)
+    model = load_checkpoint(args.checkpoint, arch)  # before the val split is rendered
     _, val_ds = load_data(data_spec)
-    model = load_checkpoint(args.checkpoint, arch)
     loss, top1 = evaluate(model, val_ds, cfg.batch_size, cfg.label_smoothing)
     print(f"val loss {loss:.6f}  top1 {top1:.4f}")
     return 0
@@ -329,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _COMMANDS[args.command](args)
         except (ConfigError, ContractError, FormatError, ShapeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return USAGE_EXIT
+        except FileNotFoundError as exc:  # a missing input: the --config, --checkpoint or an IDX file
+            print(f"error: file not found: {exc.filename}", file=sys.stderr)
             return USAGE_EXIT
     except _UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -105,12 +105,12 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     stage_macs: list[int] = []
     merge_macs: list[int] = []
     for i, (s, (_, (gh, gw))) in enumerate(zip(cfg.stages, geometry)):
-        windows, ws = gh * gw, s.window_size
+        windows, ws = gh * gw, cfg.window_size
         last = any(msg_only_block(cfg, i, b) for b in range(s.num_blocks))
         final_macs = flops_msg_block(windows, ws, s.dim) if last else 0
         stage_macs.append((s.num_blocks - last) * flops_block(windows, ws, s.dim, cfg.use_msg) + final_macs)
         if i < len(cfg.stages) - 1:
-            # the messengers merge onto the next window grid, which the input-size check requires
+            # the messengers merge onto the next window grid (``ArchConfig.check_input_size`` says why)
             (nh, nw), (mh, mw) = geometry[i + 1]
             merged = nh * nw + (mh * mw if cfg.use_msg else 0)
             merge_macs.append(merged * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim)

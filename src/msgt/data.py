@@ -33,9 +33,10 @@ class DatasetSpec:
     labels_path: str = ""
 
     def validate(self) -> None:
-        bounds = (("seed", self.seed, 0), ("num_train", self.num_train, 1), ("num_val", self.num_val, 0))
+        bounds = (("seed", self.seed, 0), ("num_train", self.num_train, 1), ("num_val", self.num_val, 0),
+                  ("image_size", self.image_size, 1), ("noise_sigma", self.noise_sigma, 0))
         for key, value, least in bounds:
-            if value < least:
+            if not value >= least:  # NaN too
                 raise ConfigError(f"data.{key} must be >= {least}, got {value}")
         if self.source not in ("synthetic-textures", "idx-files"):
             raise ConfigError(f"unknown dataset source {self.source!r}")

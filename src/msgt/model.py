@@ -20,6 +20,9 @@ NUM_STAGES = 4
 PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD = 7, 4, 3
 INIT_STD = 0.02  # deviation of every trunc-normal draw, input messengers included
 INIT_CHUNK = 65_536  # float64 values per trunc-normal draw, whatever the tensor's size
+# the preset geometry, also the defaults of a custom ``stages`` config
+PRESET_WINDOW, PRESET_INPUT_SIZE = 7, 224
+CLS_SHUFFLES = (4, 4, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class StageConfig:
     num_heads: int
     num_blocks: int
     shuffle_size: int
-    window_size: int
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ArchConfig:
     use_msg: bool = True
     manipulation: str = "shuffle"
     drop_path_rate: float = 0.0
+    window_size: int = PRESET_WINDOW  # every stage's
 
     def validate(self) -> None:
         if len(self.stages) != NUM_STAGES:
@@ -52,37 +55,29 @@ class ArchConfig:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.manipulation not in B.MODES:
             raise ConfigError(f"unknown manipulation mode {self.manipulation!r}")
+        if self.window_size < 1:
+            raise ConfigError(f"window size must be >= 1, got {self.window_size}")
         for i, s in enumerate(self.stages, start=1):
             if not 1 <= s.num_heads <= s.dim or s.dim % s.num_heads:
                 raise ConfigError(f"stage {i}: dim {s.dim} not a positive multiple of {s.num_heads} heads")
             if s.shuffle_size < 1:
                 raise ConfigError(f"stage {i}: shuffle size must be >= 1, got {s.shuffle_size}")
-            if s.window_size < 1:
-                raise ConfigError(f"stage {i}: window size must be >= 1")
             if s.num_blocks < 0:  # 0 blocks is a stage of partition, reverse and merge only
                 raise ConfigError(f"stage {i}: number of blocks must be >= 0, got {s.num_blocks}")
-        for i in range(1, NUM_STAGES):
-            if self.stages[i].dim != 2 * self.stages[i - 1].dim:
-                raise ConfigError(
-                    f"stage {i + 1} dim {self.stages[i].dim} must double stage {i} "
-                    f"dim {self.stages[i - 1].dim}"
-                )
         self.check_input_size(self.input_size, self.input_size)
 
     def check_input_size(self, h: int, w: int) -> None:
-        """Reject an h x w input the forward cannot run: below the patch kernel, or messenger grids that
-        the merges or the exchange cannot carry. Rows follow h alone, columns w alone."""
+        """Reject an h x w input the forward cannot run: below the patch kernel, or shuffle regions that
+        do not split the channels. Rows follow h alone, columns w alone.
+
+        No grid check is needed between stages: the merge maps e tokens to ceil(e/2), and
+        ceil(ceil(e/w)/2) = ceil(ceil(e/2)/w), so the merged messenger grid is the next window grid."""
         size = h if h == w else f"{h}x{w}"
         if min(h, w) < PATCH_KERNEL:
             raise ConfigError(f"input size {size} smaller than patch kernel {PATCH_KERNEL}")
         if not self.use_msg:
             return
-        grids = [grid for _, grid in stage_geometry(self, h, w)]
-        for i, (s, grid) in enumerate(zip(self.stages, grids), start=1):
-            # the merge convolves the messenger grid too, which must meet the next window grid
-            msg_grid = tuple(map(_merged, grids[i - 2])) if i > 1 else grid
-            if grid != msg_grid:
-                raise ConfigError(f"stage {i}: window grid {grid} != messenger grid {msg_grid} from stage {i - 1}")
+        for i, (s, (_, grid)) in enumerate(zip(self.stages, stage_geometry(self, h, w)), start=1):
             # with shuffling, every region of either anchor (blocks alternate) must split the channels
             for anchor in sorted({_block_anchor(self.task, bi) for bi in range(min(s.num_blocks, 2))}):
                 for _, _, rh, rw in W.build_region_view(grid, s.shuffle_size, anchor):
@@ -108,9 +103,9 @@ def stage_geometry(
     """Per stage, the token-map extents and the padded window grid for an h x w input (square if ``w`` is None)."""
     h = cfg.input_size if h is None else h
     h, w = (_conv_output(e, PATCH_KERNEL, PATCH_STRIDE, PATCH_PAD) for e in (h, h if w is None else w))
-    out = []
-    for s in cfg.stages:
-        out.append(((h, w), (-(-h // s.window_size), -(-w // s.window_size))))
+    out, win = [], cfg.window_size
+    for _ in cfg.stages:
+        out.append(((h, w), (-(-h // win), -(-w // win))))
         h, w = _merged(h), _merged(w)
     return out
 
@@ -125,16 +120,8 @@ def _block_anchor(task: str, block_index: int) -> str:
     return W.BOTTOM_RIGHT if task == "det-backbone" and block_index % 2 else W.TOP_LEFT
 
 
-def _stages(dims, heads, depths, shuffles, window) -> tuple[StageConfig, ...]:
-    return tuple(
-        StageConfig(dim=d, num_heads=h, num_blocks=n, shuffle_size=r, window_size=window)
-        for d, h, n, r in zip(dims, heads, depths, shuffles)
-    )
-
-
-# the preset geometry, also the defaults of a custom ``stages`` config
-PRESET_WINDOW, PRESET_INPUT_SIZE = 7, 224
-CLS_SHUFFLES = (4, 4, 2, 1)
+def _stages(dims, heads, depths, shuffles) -> tuple[StageConfig, ...]:
+    return tuple(StageConfig(*stage) for stage in zip(dims, heads, depths, shuffles))
 
 
 def _preset(dims, heads, depths):
@@ -143,7 +130,7 @@ def _preset(dims, heads, depths):
     def config(num_classes: int = 1000, task: str = "cls") -> ArchConfig:
         shuffles = CLS_SHUFFLES if task == "cls" else (4, 4, 8, 4)
         return ArchConfig(
-            stages=_stages(dims, heads, depths, shuffles, PRESET_WINDOW),
+            stages=_stages(dims, heads, depths, shuffles),
             input_size=PRESET_INPUT_SIZE,
             num_classes=num_classes,
             task=task,
@@ -160,9 +147,10 @@ base_config = _preset((96, 192, 384, 768), (3, 6, 12, 24), (2, 4, 28, 4))
 def micro_config(num_classes: int = 4, task: str = "cls", **overrides) -> ArchConfig:
     """Desk-scale config: stage-4 resolution (4x4) equals the window size."""
     cfg = ArchConfig(
-        stages=_stages((16, 32, 64, 128), (1, 2, 4, 8), (1, 1, 2, 1), (2, 2, 2, 1), 4),
+        stages=_stages((16, 32, 64, 128), (1, 2, 4, 8), (1, 1, 2, 1), (2, 2, 2, 1)),
         input_size=128,
         num_classes=num_classes,
+        window_size=4,
         task=task,
     )
     return replace(cfg, **overrides) if overrides else cfg
@@ -315,7 +303,7 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
     stages = [
         [
             make_block_params(
-                rng, s.dim, s.num_heads, s.window_size, s.shuffle_size, mode=cfg.manipulation,
+                rng, s.dim, s.num_heads, cfg.window_size, s.shuffle_size, mode=cfg.manipulation,
                 anchor=_block_anchor(cfg.task, bi), drop_path_rate=cfg.drop_path_rate, dtype=dtype,
                 use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
             )
@@ -400,9 +388,9 @@ def forward(
 
     msg: Optional[Tensor] = None  # the (B, Gh, Gw, C) messenger grid
     stage_outputs: list[W.FeatureMap] = []
-    for si, scfg in enumerate(cfg.stages):
-        padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
-        wt = W.partition_windows(padded, scfg.window_size)
+    for si in range(NUM_STAGES):
+        padded, extents = W.pad_to_window_multiple(fm, cfg.window_size)
+        wt = W.partition_windows(padded, cfg.window_size)
         if cfg.use_msg:
             if si == 0:
                 msg = _initial_msg(model.msg_input, wt.windows.shape[1:3], batch)

@@ -1,8 +1,10 @@
 """CLI dispatch tests: exit codes, printed values, and end-to-end command flows."""
 
+import ast
 import copy
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import msgt
 from msgt import cli
 from msgt import model as M
-from msgt.checkpoint import save_checkpoint
+from msgt.checkpoint import load_checkpoint, save_checkpoint
 from msgt.data import load_idx
 from msgt.errors import ConfigError
 from msgt.train import check_task_data
@@ -280,6 +282,32 @@ class TestConfigFuzz:
             data.validate()
 
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme_schema() -> dict:
+    """The object in README's "Config schema (JSON)" block, without its // comments and ``, ...`` elisions."""
+    with open(README) as f:
+        block = f.read().split("### Config schema (JSON)", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r",\s*\.\.\.", "", re.sub(r"//[^\n]*", "", block)))
+
+
+def _accepted_keys(raw) -> set:
+    """The keys parse_config names as expected when ``raw`` holds an unknown one."""
+    with pytest.raises(ConfigError, match="unknown config key") as info:
+        cli.parse_config(raw)
+    return set(ast.literal_eval(str(info.value).split("expected one of ", 1)[1]))
+
+
+class TestReadmeSchema:
+    def test_schema_block_holds_exactly_the_accepted_keys(self):
+        schema, unknown = _readme_schema(), {"not_a_key": 1}
+        assert set(schema) == _accepted_keys(unknown)
+        for section in ("optimizer", "schedule", "data"):
+            assert set(schema[section]) == _accepted_keys({section: unknown}), section
+        assert set(schema["stages"][0]) == _accepted_keys({"stages": [unknown] * M.NUM_STAGES})
+
+
 class TestDataAndTraining:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -461,10 +489,67 @@ class TestDataAndTraining:
         }
         path = tmp_path / "idx.json"
         path.write_text(json.dumps(raw))
-        for argv in (["train"], ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]):
+        ckpt = str(tmp_path / "model.ckpt")  # eval reads the checkpoint before the data
+        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        for argv in (["train"], ["eval", "--checkpoint", ckpt]):
             code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
             assert code == 1
             assert "label 7 at index 5" in err
+
+    def test_missing_idx_file_exit_1_naming_it(self, capsys, tmp_path, config_file):
+        from msgt.data import save_idx
+
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        save_idx(np.zeros((24, 8, 8), dtype=np.uint8), np.arange(24) % 4, ip, lp)
+        raw = json.loads(open(config_file).read())
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        gone = str(tmp_path / "gone.idx")
+        for images, labels in ((gone, lp), (ip, gone)):
+            raw["data"] = {
+                "source": "idx-files", "image_size": 128, "num_train": 16, "num_val": 8,
+                "images_path": images, "labels_path": labels,
+            }
+            path = tmp_path / "idx.json"
+            path.write_text(json.dumps(raw))
+            for argv in (["train"], ["eval", "--checkpoint", ckpt]):
+                code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+                assert code == 1, err
+                assert f"error: file not found: {gone}" in err and "runtime error" not in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_eval_missing_checkpoint_exit_1_before_rendering_val(self, capsys, tmp_path, config_file, monkeypatch):
+        from msgt import train as TR
+
+        rendered = []
+        monkeypatch.setattr(TR, "load_data", lambda spec: rendered.append(spec))
+        missing = str(tmp_path / "missing.ckpt")
+        code, out, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", missing)
+        assert code == 1 and "val loss" not in out
+        assert f"error: file not found: {missing}" in err and "runtime error" not in err
+        assert rendered == []
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("image_size", -4, "error: data.image_size must be >= 1, got -4"),
+            ("image_size", 0, "error: data.image_size must be >= 1, got 0"),
+            ("noise_sigma", -1.0, "error: data.noise_sigma must be >= 0, got -1.0"),
+            ("noise_sigma", float("nan"), "error: config key 'data.noise_sigma' must be float, got nan"),
+        ],
+    )
+    def test_gen_data_rejects_unusable_image_size_or_noise_exit_1(
+        self, capsys, tmp_path, config_file, key, value, message
+    ):
+        raw = json.loads(open(config_file).read())
+        raw["data"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))  # NaN is written as NaN, which json.load reads back
+        out_dir = tmp_path / "data"
+        code, _, err = run_cli(capsys, "gen-data", "--config", str(path), "--out", str(out_dir))
+        assert code == 1
+        assert message in err and "runtime error" not in err
+        assert not out_dir.exists()
 
     def test_custom_stage_config_parses(self, tmp_path):
         raw = {
@@ -482,7 +567,7 @@ class TestDataAndTraining:
         }
         cfg, data = cli.parse_config(raw)
         arch = cfg.arch_config()
-        assert arch.stages[0].window_size == 4
+        assert arch.window_size == 4
         assert [s.shuffle_size for s in arch.stages] == [2, 2, 2, 1]
         assert data.seed == 5
 
@@ -516,6 +601,19 @@ class TestDataAndTraining:
         assert code == 1
         assert "error: stage 2: number of blocks must be >= 0, got -2" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_window_size_applies_to_presets_and_the_default_and_trains(self, capsys, tmp_path, config_file):
+        for raw in ({"arch": "micro", "window_size": 2}, {"window_size": 2}):
+            assert cli.parse_config(raw)[0].arch_config() == M.micro_config(window_size=2)
+        raw = json.loads(open(config_file).read())
+        raw["window_size"] = 2
+        path = tmp_path / "window2.json"
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(out_dir))
+        assert code == 0, err
+        model = load_checkpoint(str(out_dir / "model.ckpt"), M.micro_config(window_size=2))
+        assert model.stages[0][0].bias_table.shape == (1, 3, 3)
 
     def test_preset_keeps_task_and_input_size(self):
         cfg, _ = cli.parse_config({"arch": "micro", "task": "det-backbone", "input_size": 96})

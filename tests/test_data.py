@@ -1,6 +1,7 @@
 """Dataset tests: synthetic texture generation and the IDX binary format."""
 
 import hashlib
+import re
 import struct
 import weakref
 from dataclasses import replace
@@ -86,6 +87,20 @@ class TestSynthetic:
     def test_uneven_class_split_rejected(self):
         with pytest.raises(ConfigError):
             D.DatasetSpec(num_train=13, num_val=0).validate()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("image_size", 0, "data.image_size must be >= 1, got 0"),
+            ("image_size", -4, "data.image_size must be >= 1, got -4"),
+            ("noise_sigma", -1.0, "data.noise_sigma must be >= 0, got -1.0"),
+            ("noise_sigma", float("nan"), "data.noise_sigma must be >= 0, got nan"),
+        ],
+    )
+    def test_unusable_image_size_or_noise_rejected(self, key, value, message):
+        spec = replace(D.DatasetSpec(num_train=4, num_val=0, image_size=16), **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            D.generate_synthetic(spec)
 
 
 class TestIdx:

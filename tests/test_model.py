@@ -47,30 +47,31 @@ class TestConfigs:
         assert [s.num_heads for s in cfg.stages] == [2, 4, 8, 16]
         assert [s.num_blocks for s in cfg.stages] == [2, 4, 12, 4]
         assert [s.shuffle_size for s in cfg.stages] == [4, 4, 2, 1]
-        assert all(s.window_size == 7 for s in cfg.stages)
+        assert cfg.window_size == 7
 
     def test_det_shuffle_sizes(self):
         cfg = M.tiny_config(task="det-backbone")
         assert [s.shuffle_size for s in cfg.stages] == [4, 4, 8, 4]
 
-    def test_dims_must_double(self):
-        bad = M.ArchConfig(
-            stages=M._stages((64, 128, 256, 500), (2, 4, 8, 10), (2, 4, 12, 4), (4, 4, 2, 1), 7),
-            input_size=224,
-            num_classes=10,
-        )
-        with pytest.raises(ConfigError, match="double"):
-            bad.validate()
+    def test_stage_widths_need_not_double(self):
+        """Widths that are not doublings, each a multiple of its heads, run and count model_flops' MACs."""
+        cfg = M.micro_config(stages=M._stages((16, 24, 40, 64), (1, 2, 4, 8), (1, 1, 2, 1), (2, 2, 2, 1)))
+        model = M.build_model(cfg, seed=0)
+        with T.count_macs() as counter:
+            logits = M.forward(model, rand_images(2, 128), mode="train", rng=np.random.default_rng(0))
+        assert counter["matmul"] + counter["conv"] == 2 * C.model_flops(cfg)["total_macs"] == 2 * 13_408_256
+        cross_entropy(logits, np.array([0, 3]), 0.1).backward()
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
 
     def test_shuffle_divisibility_enforced(self):
-        bad = M.micro_config()
-        bad = M.ArchConfig(
-            stages=M._stages((18, 36, 72, 144), (1, 2, 4, 8), (1, 1, 1, 1), (2, 2, 2, 1), 4),
-            input_size=128,
-            num_classes=4,
-        )
+        bad = M.micro_config(stages=M._stages((18, 36, 72, 144), (1, 2, 4, 8), (1, 1, 1, 1), (2, 2, 2, 1)))
         with pytest.raises(ConfigError, match="shuffle"):
             bad.validate()
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ConfigError, match=f"window size must be >= 1, got {window}"):
+            M.micro_config(window_size=window).validate()
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
     def test_drop_path_rate_outside_unit_interval_rejected(self, rate):
@@ -81,16 +82,16 @@ class TestConfigs:
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     def test_negative_block_count_rejected(self, stage):
         depths = tuple(-2 if i == stage else 1 for i in range(1, 5))
-        stages = M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1), 4)
+        stages = M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1))
         with pytest.raises(ConfigError, match=f"stage {stage}: number of blocks must be >= 0, got -2"):
-            M.ArchConfig(stages, 128, 4).validate()
+            M.micro_config(stages=stages).validate()
 
     @pytest.mark.parametrize(
         "depths", [(0, 2, 2, 1), (1, 0, 2, 1), (1, 2, 0, 1), (1, 1, 2, 0)],
         ids=["stage-1", "stage-2", "stage-3", "stage-4"],
     )
     def test_stage_without_blocks_is_valid_and_runs(self, depths):
-        cfg = M.ArchConfig(M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1), 4), 128, 4)
+        cfg = M.micro_config(stages=M._stages((16, 32, 64, 128), (1, 2, 4, 8), depths, (2, 2, 2, 1)))
         model = M.build_model(cfg, seed=0)
         with T.no_grad(), T.count_macs() as counter:
             logits = M.forward(model, rand_images(1, 128))
@@ -102,40 +103,29 @@ class TestConfigs:
     def test_micro_stage4_resolution_equals_window(self):
         cfg = M.micro_config()
         # 128 -> 32 -> 16 -> 8 -> 4 tokens; stage-4 grid is a single window
-        assert cfg.input_size // 32 == cfg.stages[-1].window_size
+        assert cfg.input_size // 32 == cfg.window_size
 
 
 def hand_stage_grids(cfg: M.ArchConfig, size: int) -> list[tuple[int, int]]:
     """Padded window grids, from ceil(size/4) tokens halved (ceil) by each merge."""
     h = -(-size // 4)
     grids = []
-    for s in cfg.stages:
-        grids.append((-(-h // s.window_size),) * 2)
+    for _ in cfg.stages:
+        grids.append((-(-h // cfg.window_size),) * 2)
         h = -(-h // 2)
     return grids
 
 
-def _accepts(cfg: M.ArchConfig, h: int, w: int) -> bool:
-    try:
-        cfg.check_input_size(h, w)
-    except ConfigError:
-        return False
-    return True
-
-
 @st.composite
 def _geometry_case(draw):
-    """A det-backbone config of 16-96 px with per-stage windows 1-5, and a width of 16-96 px other than
-    its input size; messengers where both the square and the h x w input fit."""
-    windows = [draw(st.integers(1, 5)) for _ in range(M.NUM_STAGES)]
-    stages = tuple(M.StageConfig(4 << i, 1, 1, 1, ws) for i, ws in enumerate(windows))
-    cfg = M.ArchConfig(stages, draw(st.integers(16, 96)), 2, task="det-backbone", use_msg=draw(st.booleans()))
-    size = cfg.input_size
-    widths = [w for w in range(16, 97) if w != size]
-    fitting = [w for w in widths if _accepts(cfg, size, w)] if _accepts(cfg, size, size) else []
-    if not fitting:
-        cfg = replace(cfg, use_msg=False)
-    return cfg, draw(st.sampled_from(fitting or widths))
+    """A det-backbone config of 16-96 px with a window of 1-5 and shuffle size 1, which runs at every size,
+    and a width of 16-96 px other than its input size."""
+    stages = tuple(M.StageConfig(4 << i, 1, 1, 1) for i in range(M.NUM_STAGES))
+    size = draw(st.integers(16, 96))
+    cfg = M.ArchConfig(
+        stages, size, 2, task="det-backbone", use_msg=draw(st.booleans()), window_size=draw(st.integers(1, 5))
+    )
+    return cfg, draw(st.integers(16, 96).filter(lambda w: w != size))
 
 
 class TestStageGeometry:
@@ -149,12 +139,21 @@ class TestStageGeometry:
         for (h, w), geometry in cases:
             rows_cols = zip(hand_stage_grids(cfg, h), hand_stage_grids(cfg, w))
             assert [grid for _, grid in geometry] == [(rows, cols) for (rows, _), (_, cols) in rows_cols]
-            for (extents, grid), s in zip(geometry, cfg.stages):
-                assert grid == tuple(-(-e // s.window_size) for e in extents)
+            for extents, grid in geometry:
+                assert grid == tuple(-(-e // cfg.window_size) for e in extents)
             images = Tensor(np.random.default_rng(0).standard_normal((1, h, w, 3)).astype(np.float32))
             with T.no_grad():
                 maps = M.forward(model, images)
             assert [fm.tokens.shape for fm in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
+
+    def test_merged_messenger_grid_is_the_next_window_grid(self):
+        """The merge maps e tokens to ceil(e/2), so with one window w it maps a ceil(e/w) grid to
+        ceil(e/2w) = ceil(ceil(e/2)/w): the next stage's window grid. No size needs a grid check."""
+        for window in range(1, 13):
+            cfg = M.micro_config(window_size=window)
+            for size in range(7, 700):
+                grids = [grid for _, grid in M.stage_geometry(cfg, size, size + 1)]
+                assert [tuple(map(M._merged, g)) for g in grids[:-1]] == grids[1:], (window, size)
 
 
 def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
@@ -171,42 +170,65 @@ def exchange_runs(cfg: M.ArchConfig, size: int) -> bool:
 
 
 @st.composite
-def _small_arch(draw):
-    """A small config: stage-1 dim 4-32 over 1-4 heads, windows of 1-5 (one for all stages or one per
-    stage), shuffle 1-4, 0-2 blocks per stage, 16-96 px, either task, every mode, messengers on or off."""
+def _stage(draw, i):
+    """Stage ``i`` (0-based): 1-4 heads, a width of 4 to 32 << i that is any multiple of them, 0-2 blocks
+    and shuffle 1-4."""
     heads = draw(st.integers(1, 4))
-    dim = heads * draw(st.integers(-(-4 // heads), 32 // heads))
-    window = st.integers(1, 5)
-    windows = draw(st.one_of(window.map(lambda w: (w,) * M.NUM_STAGES), st.tuples(*[window] * M.NUM_STAGES)))
-    stages = tuple(
-        M.StageConfig(
-            dim << i, heads << draw(st.integers(0, i)), draw(st.integers(0, 2)), draw(st.integers(1, 4)), windows[i]
-        )
-        for i in range(M.NUM_STAGES)
-    )
+    dim = heads * draw(st.integers(-(-4 // heads), (32 << i) // heads))
+    return M.StageConfig(dim, heads, draw(st.integers(0, 2)), draw(st.integers(1, 4)))
+
+
+@st.composite
+def _small_arch(draw):
+    """A small config: stage widths not tied to each other, one window of 1-5, 16-96 px, either task, every
+    mode, messengers on or off."""
     return M.ArchConfig(
-        stages,
+        tuple(draw(_stage(i)) for i in range(M.NUM_STAGES)),
         draw(st.integers(16, 96)),
         num_classes=3,
         task=draw(st.sampled_from(["cls", "det-backbone"])),
-        use_msg=draw(st.booleans()),
-        manipulation=draw(st.sampled_from(B.MODES)),
+        use_msg=draw(st.sampled_from((True, True, False))),
+        manipulation=draw(st.sampled_from(("shuffle",) * 3 + B.MODES)),  # the only mode that rejects a size
+        window_size=draw(st.integers(1, 5)),
     )
 
 
+def _accepts(cfg: M.ArchConfig, h: int, w: int) -> bool:
+    try:
+        cfg.check_input_size(h, w)
+    except ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def _arch_and_width(draw):
+    """A small config and an input width of 16-96 px; half the time one that ``check_input_size`` rejects
+    at the config's height, where there is one."""
+    cfg, widths = draw(_small_arch()), range(16, 97)
+    rejected = [w for w in widths if not _accepts(cfg, cfg.input_size, w)]
+    return cfg, draw(st.sampled_from(rejected if rejected and draw(st.booleans()) else widths))
+
+
+def _unchecked():
+    """``validate`` and ``check_input_size`` patched out, so a forward meets only the errors of its own ops."""
+    return mock.patch.multiple(M.ArchConfig, validate=lambda self: None, check_input_size=lambda *a: None)
+
+
 class TestValidateIsExact:
-    """``validate`` accepts a config exactly when its forward runs."""
+    """``validate`` accepts a config exactly when its forward runs, and ``check_input_size(h, w)`` accepts an
+    h x w input exactly when the forward at h x w runs."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(cfg=_small_arch(), batch=st.integers(1, 2))
-    def test_accepted_configs_run_and_rejected_ones_do_not(self, cfg, batch):
+    @given(case=_arch_and_width(), batch=st.integers(1, 2))
+    def test_accepted_configs_run_and_rejected_ones_do_not(self, case, batch):
+        cfg, width = case
         size = cfg.input_size
         images = Tensor(np.random.default_rng(0).standard_normal((batch, size, size, 3)).astype(np.float32))
         try:
             cfg.validate()
         except ConfigError:
-            unchecked = mock.patch.multiple(M.ArchConfig, validate=lambda self: None, check_input_size=lambda *a: None)
-            with unchecked, pytest.raises((ConfigError, ShapeError)):
+            with _unchecked(), pytest.raises((ConfigError, ShapeError)):
                 M.forward(M.build_model(cfg, seed=0), images, mode="train", rng=np.random.default_rng(1))
             return
         model = M.build_model(cfg, seed=0)
@@ -217,6 +239,18 @@ class TestValidateIsExact:
         loss = T.tsum(T.concat([T.reshape(T.mul(o, o), (-1,)) for o in outs], axis=0))
         loss.backward()
         assert all(np.isfinite(p.grad).all() for p in model.parameters() if p.grad is not None)
+
+        wide = Tensor(np.random.default_rng(2).standard_normal((1, size, width, 3)).astype(np.float32))
+        try:
+            cfg.check_input_size(size, width)
+        except ConfigError:
+            with _unchecked(), T.no_grad(), pytest.raises((ConfigError, ShapeError)):
+                M.forward(model, wide)
+            return
+        with T.no_grad():
+            out = M.forward(model, wide)
+        outs = [fm.tokens for fm in out] if cfg.task == "det-backbone" else [out]
+        assert all(np.isfinite(o.data).all() for o in outs)
 
 
 class TestInputSizeCheck:
@@ -239,18 +273,6 @@ class TestInputSizeCheck:
         for mode in ("average", "shift", "none"):
             replace(cfg, manipulation=mode).validate()
         replace(cfg, use_msg=False).validate()
-
-    def test_mixed_window_sizes_rejected_with_messengers(self):
-        cfg = M.micro_config()
-        mixed = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], window_size=2),))
-        with pytest.raises(ConfigError, match=r"stage 4: window grid \(2, 2\) != messenger grid \(1, 1\)"):
-            M.build_model(mixed, seed=0)
-
-    def test_mixed_window_sizes_run_without_messengers(self):
-        cfg = M.micro_config(use_msg=False, manipulation="none")
-        mixed = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], window_size=2),))
-        logits = M.forward(M.build_model(mixed, seed=0), Tensor(np.zeros((1, 128, 128, 3), np.float32)))
-        assert logits.shape == (1, 4)
 
     def test_with_shuffle_sizes_needs_one_per_stage(self):
         cfg = M.with_shuffle_sizes(M.tiny_config(), (2, 2, 2, 1))
@@ -837,15 +859,15 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
     cfg = model.config
     bias_rng = np.random.default_rng(4)
     fm, msg = M.patch_embed(model, images), None
-    for si, scfg in enumerate(cfg.stages):
-        padded, extents = W.pad_to_window_multiple(fm, scfg.window_size)
-        wt = W.partition_windows(padded, scfg.window_size)
+    for si in range(M.NUM_STAGES):
+        padded, extents = W.pad_to_window_multiple(fm, cfg.window_size)
+        wt = W.partition_windows(padded, cfg.window_size)
         if si == 0:
             msg = M._initial_msg(model.msg_input, wt.windows.shape[1:3], images.shape[0])
         wt = B.attach_msg(wt, msg)
         for blk in model.stages[si]:
             if blk.bias_table is None:
-                span, heads = 2 * scfg.window_size - 1, blk.num_heads
+                span, heads = 2 * cfg.window_size - 1, blk.num_heads
                 table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
                 table, key = (Tensor(a.astype(model.dtype)) for a in (table, key))
                 blk = replace(blk, bias_table=table, msg_key_bias=key)
@@ -864,11 +886,10 @@ def _window2_config(input_size=128, mode="shuffle", depths=(1, 1, 1, 1), drop_pa
     At 128 px the stage-4 map is 4x4 (one full region); at 136 px it is 5x5,
     padded to 6x6, and its 3x3 window grid has partial regions.
     """
-    stages = tuple(
-        M.StageConfig(dim=d, num_heads=h, num_blocks=n, shuffle_size=2, window_size=2)
-        for d, h, n in zip((8, 16, 32, 64), (1, 2, 2, 4), depths)
+    stages = M._stages((8, 16, 32, 64), (1, 2, 2, 4), depths, (2,) * M.NUM_STAGES)
+    return M.ArchConfig(
+        stages, input_size, num_classes=3, manipulation=mode, drop_path_rate=drop_path_rate, window_size=2
     )
-    return M.ArchConfig(stages, input_size, num_classes=3, manipulation=mode, drop_path_rate=drop_path_rate)
 
 
 class TestMessengerOnlyFinalBlock:
@@ -944,8 +965,8 @@ class TestCountParams:
         total = 7 * 7 * 3 * c1 + c1  # patch embed
         if cfg.use_msg:
             total += cfg.stages[0].shuffle_size ** 2 * c1
+        span = 2 * cfg.window_size - 1
         for s in cfg.stages:
-            span = 2 * s.window_size - 1
             per_block = 12 * s.dim * s.dim + 13 * s.dim  # four weight matrices; norm affines and bias vectors
             bias = s.num_heads * span * span + (s.num_heads if cfg.use_msg else 0)  # table, messenger-key scalars
             total += s.num_blocks * (per_block + bias)

@@ -672,7 +672,7 @@ def _stage_weight_shapes():
     shapes = set()
     for cfg, batch in ((M.micro_config(), 16), (M.tiny_config(), 1)):
         for stage, (_, (gh, gw)) in zip(cfg.stages, M.stage_geometry(cfg)):
-            rows, c = batch * gh * gw * (stage.window_size**2 + 1), stage.dim
+            rows, c = batch * gh * gw * (cfg.window_size**2 + 1), stage.dim
             shapes |= {(rows, c, 3 * c), (rows, c, c), (rows, c, 4 * c), (rows, 4 * c, c)}
     return sorted(shapes)
 
