@@ -114,24 +114,31 @@ def detach_msg(wt: W.WindowedTokens) -> tuple[W.WindowedTokens, Tensor]:
 # -- messenger manipulation ---------------------------------------------------------
 
 
-def _exchange_regions(x: Tensor, rh: int, rw: int, mode: str) -> Tensor:
+def _exchange_regions(x: Tensor, rh: int, rw: int, s: int, anchor: str, mode: str) -> Tensor:
     """Exchange within every rh x rw region of a block tiled by such regions.
 
-    The block (B, nr*rh, nc*rw, C) is viewed as (B, nr, nc, n, C) with the
-    n = rh*rw region tokens in row-major order; the mode acts on that axis.
+    ``shuffle`` numbers slots and C's S² channel groups over the full SxS region, the slots of a partial
+    region lying away from ``anchor``: slot p's group q swaps with slot q's group p, and a group whose
+    partner slot is absent stays. ``shift`` and ``average`` act on the n = rh*rw tokens in row-major order.
     """
     b, bh, bw, c = x.shape
     n, nr, nc = rh * rw, bh // rh, bw // rw
     if n == 1:
         return x
-    if mode == "shuffle" and c % n:
-        raise ConfigError(f"channels {c} not divisible by region token count {n}")
+    if mode == "shuffle":
+        x = T.reshape(x, (b, nr, rh, nc, rw, s, s, c // (s * s)))
+        swap = (0, 1, 5, 3, 6, 2, 4, 7)  # (row, col) slot axes <-> (row, col) group axes
+        if (rh, rw) == (s, s):
+            return T.reshape(T.transpose(x, swap), (b, bh, bw, c))
+        r0, c0 = (0, 0) if anchor == W.TOP_LEFT else (s - rh, s - rw)
+        full = T.pad(x, [(0, 0), (0, 0), (r0, s - rh - r0), (0, 0), (c0, s - rw - c0), (0, 0), (0, 0), (0, 0)])
+        keep = np.ones((s, s, 1), x.data.dtype)
+        keep[r0 : r0 + rh, c0 : c0 + rw] = 0  # groups whose partner slot is present move
+        swapped = T.transpose(full, swap)[:, :, r0 : r0 + rh, :, c0 : c0 + rw]
+        return T.reshape(T.add(swapped, T.mul(x, Tensor(keep))), (b, bh, bw, c))
     x = T.reshape(x, (b, nr, rh, nc, rw, c))
     x = T.reshape(T.transpose(x, (0, 1, 3, 2, 4, 5)), (b, nr, nc, n, c))
-    if mode == "shuffle":  # token a's group g <- token g's group a
-        x = T.reshape(x, (b, nr, nc, n, n, c // n))
-        x = T.reshape(T.transpose(x, (0, 1, 2, 4, 3, 5)), (b, nr, nc, n, c))
-    elif mode == "shift":  # token k <- token k-1, cyclically
+    if mode == "shift":  # token k <- token k-1, cyclically
         x = T.concat([x[:, :, :, n - 1 :], x[:, :, :, : n - 1]], axis=3)
     else:  # every token <- the region mean
         x = T.broadcast_mean(x, axis=3)
@@ -142,17 +149,22 @@ def _exchange_regions(x: Tensor, rh: int, rw: int, mode: str) -> Tensor:
 def manipulate_msg(msg: Tensor, region_size: int, anchor: str, mode: str) -> Tensor:
     """Exchange the (B, Gh, Gw, C) messenger grid within its ``region_size`` regions aligned to ``anchor``.
 
-    ``mode`` runs over each of :func:`windows.build_region_view`'s at most 2x2 blocks, and the grid is reassembled.
+    ``mode`` runs over each of :func:`windows.build_region_view`'s at most 2x2 blocks, and the grid is
+    reassembled. ``shuffle`` needs S² | C at every grid size.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
     blocks = W.build_region_view(msg.shape[1:3], region_size, anchor)
+    if mode == "shuffle" and msg.shape[3] % region_size**2:
+        raise ConfigError(
+            f"channels {msg.shape[3]} do not split into shuffle size {region_size}'s {region_size**2} channel groups"
+        )
     if mode == "none":
         return msg
     rows: dict[int, list[Tensor]] = {}
     for r, c, rh, rw in blocks:
         part = msg if len(blocks) == 1 else msg[:, r, c]
-        rows.setdefault(r.start, []).append(_exchange_regions(part, rh, rw, mode))
+        rows.setdefault(r.start, []).append(_exchange_regions(part, rh, rw, region_size, anchor, mode))
 
     def join(parts, axis):
         return T.concat(parts, axis=axis) if len(parts) > 1 else parts[0]

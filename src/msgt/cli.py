@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -108,6 +109,8 @@ def _object(value, prefix: str, known) -> dict:
 
 def _coerce(value, like, key: str):
     """``value`` as the type of ``like``: numbers convert only without loss, a tuple takes a list."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if isinstance(like, tuple) and isinstance(value, list) and len(value) == len(like):
         return tuple(_coerce(v, d, key) for v, d in zip(value, like))
     if type(value) is type(like) or {type(value), type(like)} <= {int, float}:

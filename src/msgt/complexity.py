@@ -15,6 +15,7 @@ can be compared exactly against the instrumented counters.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -92,13 +93,12 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
     patch-embed / merge / head projection terms (``head`` 0 for a
     det-backbone, which runs no head), and grand totals under
     both the MAC convention (``total_macs``) and with convolutions counted
-    at 2 FLOPs per MAC (``total_flops_conv2x``). A size the forward cannot run
-    raises the forward's ``ConfigError``.
+    at 2 FLOPs per MAC (``total_flops_conv2x``). A config or size that
+    ``ArchConfig.validate`` rejects raises its ``ConfigError``.
     """
+    cfg = cfg if input_size is None else replace(cfg, input_size=input_size)
     cfg.validate()
-    size = cfg.input_size if input_size is None else input_size
-    cfg.check_input_size(size, size)
-    geometry = stage_geometry(cfg, size)
+    geometry = stage_geometry(cfg)
     h, w = geometry[0][0]
     embed_macs = h * w * PATCH_KERNEL**2 * 3 * cfg.stages[0].dim
 
@@ -110,7 +110,7 @@ def model_flops(cfg: ArchConfig, input_size: Optional[int] = None) -> dict:
         final_macs = flops_msg_block(windows, ws, s.dim) if last else 0
         stage_macs.append((s.num_blocks - last) * flops_block(windows, ws, s.dim, cfg.use_msg) + final_macs)
         if i < len(cfg.stages) - 1:
-            # the messengers merge onto the next window grid (``ArchConfig.check_input_size`` says why)
+            # the messengers merge onto the next window grid: ceil(ceil(e/w)/2) = ceil(ceil(e/2)/w)
             (nh, nw), (mh, mw) = geometry[i + 1]
             merged = nh * nw + (mh * mw if cfg.use_msg else 0)
             merge_macs.append(merged * MERGE_KERNEL**2 * s.dim * cfg.stages[i + 1].dim)

@@ -57,6 +57,9 @@ class ArchConfig:
             raise ConfigError(f"unknown manipulation mode {self.manipulation!r}")
         if self.window_size < 1:
             raise ConfigError(f"window size must be >= 1, got {self.window_size}")
+        if self.input_size < 1:  # one pixel gives every stage one token, which runs
+            raise ConfigError(f"input size must be >= 1, got {self.input_size}")
+        shuffles = self.use_msg and self.manipulation == "shuffle"
         for i, s in enumerate(self.stages, start=1):
             if not 1 <= s.num_heads <= s.dim or s.dim % s.num_heads:
                 raise ConfigError(f"stage {i}: dim {s.dim} not a positive multiple of {s.num_heads} heads")
@@ -64,29 +67,11 @@ class ArchConfig:
                 raise ConfigError(f"stage {i}: shuffle size must be >= 1, got {s.shuffle_size}")
             if s.num_blocks < 0:  # 0 blocks is a stage of partition, reverse and merge only
                 raise ConfigError(f"stage {i}: number of blocks must be >= 0, got {s.num_blocks}")
-        self.check_input_size(self.input_size, self.input_size)
-
-    def check_input_size(self, h: int, w: int) -> None:
-        """Reject an h x w input the forward cannot run: below the patch kernel, or shuffle regions that
-        do not split the channels. Rows follow h alone, columns w alone.
-
-        No grid check is needed between stages: the merge maps e tokens to ceil(e/2), and
-        ceil(ceil(e/w)/2) = ceil(ceil(e/2)/w), so the merged messenger grid is the next window grid."""
-        size = h if h == w else f"{h}x{w}"
-        if min(h, w) < PATCH_KERNEL:
-            raise ConfigError(f"input size {size} smaller than patch kernel {PATCH_KERNEL}")
-        if not self.use_msg:
-            return
-        for i, (s, (_, grid)) in enumerate(zip(self.stages, stage_geometry(self, h, w)), start=1):
-            # with shuffling, every region of either anchor (blocks alternate) must split the channels
-            for anchor in sorted({_block_anchor(self.task, bi) for bi in range(min(s.num_blocks, 2))}):
-                for _, _, rh, rw in W.build_region_view(grid, s.shuffle_size, anchor):
-                    if self.manipulation == "shuffle" and s.dim % (rh * rw):
-                        raise ConfigError(
-                            f"stage {i}: at input size {size} the {grid[0]}x{grid[1]} "
-                            f"window grid has {rh}x{rw} shuffle regions, whose {rh * rw} tokens "
-                            f"do not divide {s.dim} channels"
-                        )
+            if shuffles and s.num_blocks and s.dim % s.shuffle_size**2:  # the exchange's rule at every size
+                raise ConfigError(
+                    f"stage {i}: dim {s.dim} does not split into shuffle size {s.shuffle_size}'s "
+                    f"{s.shuffle_size**2} channel groups"
+                )
 
 
 def _conv_output(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -113,11 +98,6 @@ def stage_geometry(
 def msg_only_block(cfg: ArchConfig, stage: int, block: int) -> bool:
     """Whether block ``block`` of 0-based stage ``stage`` runs only the messenger rows: a classifier's last block."""
     return cfg.task == "cls" and cfg.use_msg and (stage, block) == (NUM_STAGES - 1, cfg.stages[-1].num_blocks - 1)
-
-
-def _block_anchor(task: str, block_index: int) -> str:
-    """Detection backbones alternate the region anchor from block to block."""
-    return W.BOTTOM_RIGHT if task == "det-backbone" and block_index % 2 else W.TOP_LEFT
 
 
 def _stages(dims, heads, depths, shuffles) -> tuple[StageConfig, ...]:
@@ -304,8 +284,9 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
         [
             make_block_params(
                 rng, s.dim, s.num_heads, cfg.window_size, s.shuffle_size, mode=cfg.manipulation,
-                anchor=_block_anchor(cfg.task, bi), drop_path_rate=cfg.drop_path_rate, dtype=dtype,
-                use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
+                anchor=W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT,  # detection alternates
+                drop_path_rate=cfg.drop_path_rate, dtype=dtype, use_msg=cfg.use_msg,
+                msg_only=msg_only_block(cfg, si, bi),
             )
             for bi in range(s.num_blocks)
         ]
@@ -350,7 +331,6 @@ def patch_embed(model: Model, images: Tensor) -> W.FeatureMap:
     """Project (B, H, W, 3) pixels to stage-1 tokens with a 7x7 stride-4 conv."""
     if images.ndim != 4 or images.shape[-1] != 3:
         raise ShapeError(f"expected (B, H, W, 3) images, got {images.shape}")
-    model.config.check_input_size(*images.shape[1:3])  # before any compute
     tokens = T.conv2d(images, model.embed_weight, model.embed_bias, PATCH_STRIDE, PATCH_PAD)
     return W.FeatureMap(tokens=tokens)
 

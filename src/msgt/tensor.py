@@ -452,11 +452,14 @@ def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
 def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
     """Zero-pad each axis by (before, after)."""
     pads = tuple((int(lo), int(hi)) for lo, hi in pads)
-    if len(pads) != a.data.ndim:
-        raise ShapeError(f"{len(pads)} pad pairs for {a.data.ndim}-dimensional tensor")
-    out = _make(np.pad(a.data, pads), (a,))
+    if len(pads) != a.data.ndim or any(min(p) < 0 for p in pads):
+        raise ShapeError(f"pads {pads} are not {a.data.ndim} pairs of non-negative widths")
+    window = tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, a.data.shape))
+    data = np.zeros([lo + n + hi for (lo, hi), n in zip(pads, a.data.shape)], a.data.dtype)
+    data[window] = a.data  # np.pad loops over the axes in Python, over 10x slower on a small 8-d map
+    out = _make(data, (a,))
     if out.requires_grad:
-        na, window = a._node, tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, a.data.shape))
+        na = a._node
 
         def backward(g):
             _accum(na, g[window])

@@ -1,7 +1,6 @@
 """Messenger-token block tests: attachment, bias indexing, local attention,
 shuffle/average/shift manipulation, and the composed block."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,25 +17,31 @@ from msgt.model import make_block_params
 from msgt.tensor import Tensor, _accum, _make
 
 
-# -- reference exchange: flat permutations and segment means over W.regions --
+# -- reference exchange: flat permutations and segment means, over W.regions for shift and average --
 
 
-def reference_shuffle_permutation(regions, windows, channels):
-    """Scalar permutation over (window, channel) implementing the group transpose.
+def reference_shuffle_permutation(grid, region, anchor, channels):
+    """Scalar permutation over (window, channel) implementing the S²-group swap.
 
-    Within a region of n tokens, channels split into n groups of C/n;
-    output token a's group b is input token b's group a.
+    A window's slot is its place in the full SxS region that covers it, counted on a grid that
+    runs on past the edges away from ``anchor``, so a partial region keeps the slots nearest the
+    anchor. Channels split into S² groups; windows at slots p and q of one region swap group q
+    of p with group p of q, and a group whose partner slot holds no window stays.
     """
-    perm = np.arange(windows * channels, dtype=np.int64)
-    for idx in regions:
-        n = len(idx)
-        if n == 1:
-            continue
-        g = channels // n
-        for a in range(n):
-            for bi in range(n):
-                dst = idx[a] * channels + bi * g
-                src = idx[bi] * channels + a * g
+    (gh, gw), s = grid, region
+    g = channels // (s * s)
+    oh, ow = (0, 0) if anchor == W.TOP_LEFT else ((-gh) % s, (-gw) % s)
+    window_at = {}  # (region row, region col, slot) -> flat window index
+    for i in range(gh):
+        for j in range(gw):
+            r, c = i + oh, j + ow
+            window_at[r // s, c // s, (r % s) * s + c % s] = i * gw + j
+    perm = np.arange(gh * gw * channels, dtype=np.int64)
+    for (rr, rc, p), a in window_at.items():
+        for q in range(s * s):
+            b = window_at.get((rr, rc, q))
+            if b is not None:
+                dst, src = a * channels + q * g, b * channels + p * g
                 perm[dst : dst + g] = np.arange(src, src + g)
     return perm
 
@@ -71,13 +76,17 @@ def reference_segment_mean(a, segments):
     return out
 
 
-def reference_manipulate(grid, regions, mode):
+def reference_manipulate(grid, region, anchor, mode):
     b, gh, gw, c = grid.shape
+    regions = W.regions((gh, gw), region, anchor)
     if mode == "average":
         flat = T.reshape(grid, (b, gh * gw, c))
         return T.reshape(reference_segment_mean(flat, regions), (b, gh, gw, c))
-    make = reference_shuffle_permutation if mode == "shuffle" else reference_shift_permutation
-    out = T.getitem(T.reshape(grid, (b, gh * gw * c)), (slice(None), make(regions, gh * gw, c)))
+    if mode == "shuffle":
+        perm = reference_shuffle_permutation((gh, gw), region, anchor, c)
+    else:
+        perm = reference_shift_permutation(regions, gh * gw, c)
+    out = T.getitem(T.reshape(grid, (b, gh * gw * c)), (slice(None), perm))
     return T.reshape(out, (b, gh, gw, c))
 
 
@@ -303,32 +312,33 @@ class TestShuffle:
         )
         np.testing.assert_array_equal(out, expected)
 
-    @pytest.mark.parametrize("region", [1, 2, 4])
-    def test_permutation_and_involution(self, region):
+    @pytest.mark.parametrize("anchor", [W.TOP_LEFT, W.BOTTOM_RIGHT])
+    @pytest.mark.parametrize("region", [1, 2, 3, 4])
+    def test_permutation_and_involution(self, region, anchor):
+        """On every grid of 1x1 to 7x7 windows, partial regions and regions larger than the grid included."""
         rng = np.random.default_rng(region)
-        for _ in range(100):
-            c = region * region * int(rng.integers(1, 4))
-            msg = Tensor(rng.standard_normal((1, region, region, c)).astype(np.float32))
-            once = B.manipulate_msg(msg, region, W.TOP_LEFT, "shuffle")
-            np.testing.assert_array_equal(
-                np.sort(once.data.ravel()), np.sort(msg.data.ravel())
-            )
-            twice = B.manipulate_msg(once, region, W.TOP_LEFT, "shuffle")
-            np.testing.assert_array_equal(twice.data, msg.data)
+        for gh in range(1, 8):
+            for gw in range(1, 8):
+                c = region * region * int(rng.integers(1, 4))
+                msg = Tensor(rng.standard_normal((1, gh, gw, c)).astype(np.float32))
+                once = B.manipulate_msg(msg, region, anchor, "shuffle")
+                np.testing.assert_array_equal(np.sort(once.data.ravel()), np.sort(msg.data.ravel()))
+                twice = B.manipulate_msg(once, region, anchor, "shuffle")
+                np.testing.assert_array_equal(twice.data, msg.data)
 
-    def test_indivisible_channels_named_in_error(self):
-        msg = make_msg(1, 2, 2, 6)
-        with pytest.raises(ConfigError, match="6.*4"):
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (3, 5)])
+    def test_indivisible_channels_named_in_error(self, grid):
+        """S² | C is the rule at every grid size, a single window included."""
+        msg = make_msg(1, *grid, 6)
+        with pytest.raises(ConfigError, match="channels 6 .* shuffle size 2's 4 channel groups"):
             B.manipulate_msg(msg, 2, W.TOP_LEFT, "shuffle")
 
-    def test_partial_region_shuffles_over_actual_count(self):
-        # 3x1 grid with region 2 via bottom-right anchor: regions of 1 and 2 windows
-        msg = make_msg(1, 3, 1, 4, seed=21)
-        out = B.manipulate_msg(msg, 2, W.BOTTOM_RIGHT, "shuffle")
-        np.testing.assert_array_equal(out.data[0, 0, 0], msg.data[0, 0, 0])
-        a, b = msg.data[0, 1, 0], msg.data[0, 2, 0]
-        np.testing.assert_array_equal(out.data[0, 1, 0], [a[0], a[1], b[0], b[1]])
-        np.testing.assert_array_equal(out.data[0, 2, 0], [a[2], a[3], b[2], b[3]])
+    def test_partial_region_numbers_groups_over_the_full_region(self):
+        """3x1 grid, region 2, bottom-right anchor: a 1-window region at slot 3 and a 2x1 one at slots 1 and 3.
+        Slot 1's group 3 swaps with slot 3's group 1; every group whose partner slot is absent stays."""
+        msg = Tensor(np.arange(12, dtype=np.float32).reshape(1, 3, 1, 4))
+        out = B.manipulate_msg(msg, 2, W.BOTTOM_RIGHT, "shuffle").data.reshape(3, 4)
+        np.testing.assert_array_equal(out, [[0, 1, 2, 3], [4, 5, 6, 9], [8, 7, 10, 11]])
 
 
 class TestExchangeMatchesReference:
@@ -344,8 +354,7 @@ class TestExchangeMatchesReference:
         seed=st.integers(0, 2**16),
     )
     def test_bit_identical_forward_and_backward(self, gh, gw, region, anchor, mode, dtype, batch, seed):
-        regions = W.regions((gh, gw), region, anchor)
-        channels = math.lcm(*(len(r) for r in regions)) * 2
+        channels = region * region * 2
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((batch, gh, gw, channels)).astype(dtype)
         upstream = rng.standard_normal(data.shape).astype(dtype)
@@ -357,7 +366,7 @@ class TestExchangeMatchesReference:
             return out.data, x.grad
 
         out, grad = run(lambda x: B.manipulate_msg(x, region, anchor, mode))
-        ref_out, ref_grad = run(lambda x: reference_manipulate(x, regions, mode))
+        ref_out, ref_grad = run(lambda x: reference_manipulate(x, region, anchor, mode))
         assert out.dtype == ref_out.dtype == grad.dtype == dtype
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(grad, ref_grad)

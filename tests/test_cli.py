@@ -474,6 +474,33 @@ class TestDataAndTraining:
         assert message in err and "runtime error" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "path,value,shown",
+        [
+            (("optimizer", "lr"), float("nan"), "nan"),
+            (("optimizer", "lr"), float("inf"), "inf"),
+            (("optimizer", "weight_decay"), float("inf"), "inf"),
+            (("optimizer", "betas"), [float("-inf"), 0.999], "-inf"),
+            (("data", "noise_sigma"), float("inf"), "inf"),
+            (("data", "noise_sigma"), float("-inf"), "-inf"),
+            (("label_smoothing",), float("nan"), "nan"),
+            (("num_classes",), float("inf"), "inf"),
+        ],
+    )
+    def test_non_finite_number_exit_1_naming_key(self, capsys, tmp_path, config_file, path, value, shown):
+        """JSON's NaN, Infinity and -Infinity are rejected as not finite, whatever the key's type."""
+        raw = json.loads(open(config_file).read())
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert f"error: config key '{'.'.join(path)}' must be finite, got {shown}" in err and "runtime error" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_idx_label_out_of_range_exit_1(self, capsys, tmp_path, config_file):
         from msgt.data import save_idx
 
@@ -535,7 +562,7 @@ class TestDataAndTraining:
             ("image_size", -4, "error: data.image_size must be >= 1, got -4"),
             ("image_size", 0, "error: data.image_size must be >= 1, got 0"),
             ("noise_sigma", -1.0, "error: data.noise_sigma must be >= 0, got -1.0"),
-            ("noise_sigma", float("nan"), "error: config key 'data.noise_sigma' must be float, got nan"),
+            ("noise_sigma", float("nan"), "error: config key 'data.noise_sigma' must be finite, got nan"),
         ],
     )
     def test_gen_data_rejects_unusable_image_size_or_noise_exit_1(
@@ -572,23 +599,22 @@ class TestDataAndTraining:
         assert data.seed == 5
 
     def test_unrunnable_custom_stages_exit_1(self, capsys, tmp_path, config_file):
+        """Stage 1's 72 channels do not split into shuffle size 4's 16 groups: exit 1 before any compute."""
         raw = json.loads(open(config_file).read())
         raw.pop("arch")
         raw.update(
             stages=[
-                {"dim": 64, "heads": 2, "blocks": 1},
+                {"dim": 72, "heads": 2, "blocks": 1},
                 {"dim": 128, "heads": 4, "blocks": 1},
                 {"dim": 256, "heads": 8, "blocks": 1},
                 {"dim": 512, "heads": 16, "blocks": 1},
             ],
-            input_size=160,
         )
-        raw["data"]["image_size"] = 160
         path = tmp_path / "stages.json"
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
         assert code == 1
-        assert "error: stage 2: at input size 160 the 3x3 window grid" in err
+        assert "error: stage 1: dim 72 does not split into shuffle size 4's 16 channel groups" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_negative_block_count_exit_1(self, capsys, tmp_path, config_file):

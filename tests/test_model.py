@@ -22,7 +22,7 @@ from msgt import model as M
 from msgt import tensor as T
 from msgt import windows as W
 from msgt.checkpoint import save_checkpoint
-from msgt.errors import ConfigError, ShapeError
+from msgt.errors import ConfigError
 from msgt.tensor import Tensor
 from msgt.train import AdamW, cross_entropy
 from test_tensor import reference_attention, reference_mlp
@@ -180,55 +180,32 @@ def _stage(draw, i):
 
 @st.composite
 def _small_arch(draw):
-    """A small config: stage widths not tied to each other, one window of 1-5, 16-96 px, either task, every
+    """A small config: stage widths not tied to each other, one window of 1-5, 0-96 px, either task, every
     mode, messengers on or off."""
     return M.ArchConfig(
         tuple(draw(_stage(i)) for i in range(M.NUM_STAGES)),
-        draw(st.integers(16, 96)),
+        draw(st.integers(0, 96)),
         num_classes=3,
         task=draw(st.sampled_from(["cls", "det-backbone"])),
         use_msg=draw(st.sampled_from((True, True, False))),
-        manipulation=draw(st.sampled_from(("shuffle",) * 3 + B.MODES)),  # the only mode that rejects a size
+        manipulation=draw(st.sampled_from(("shuffle",) * 3 + B.MODES)),  # the only mode with a width rule
         window_size=draw(st.integers(1, 5)),
     )
 
 
-def _accepts(cfg: M.ArchConfig, h: int, w: int) -> bool:
-    try:
-        cfg.check_input_size(h, w)
-    except ConfigError:
-        return False
-    return True
-
-
-@st.composite
-def _arch_and_width(draw):
-    """A small config and an input width of 16-96 px; half the time one that ``check_input_size`` rejects
-    at the config's height, where there is one."""
-    cfg, widths = draw(_small_arch()), range(16, 97)
-    rejected = [w for w in widths if not _accepts(cfg, cfg.input_size, w)]
-    return cfg, draw(st.sampled_from(rejected if rejected and draw(st.booleans()) else widths))
-
-
-def _unchecked():
-    """``validate`` and ``check_input_size`` patched out, so a forward meets only the errors of its own ops."""
-    return mock.patch.multiple(M.ArchConfig, validate=lambda self: None, check_input_size=lambda *a: None)
-
-
 class TestValidateIsExact:
-    """``validate`` accepts a config exactly when its forward runs, and ``check_input_size(h, w)`` accepts an
-    h x w input exactly when the forward at h x w runs."""
+    """``validate`` accepts a config exactly when its forward runs, and an accepted model runs at every
+    h x w input of at least one pixel."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(case=_arch_and_width(), batch=st.integers(1, 2))
-    def test_accepted_configs_run_and_rejected_ones_do_not(self, case, batch):
-        cfg, width = case
+    @given(cfg=_small_arch(), width=st.integers(1, 96), batch=st.integers(1, 2))
+    def test_accepted_configs_run_and_rejected_ones_do_not(self, cfg, width, batch):
         size = cfg.input_size
         images = Tensor(np.random.default_rng(0).standard_normal((batch, size, size, 3)).astype(np.float32))
         try:
             cfg.validate()
         except ConfigError:
-            with _unchecked(), pytest.raises((ConfigError, ShapeError)):
+            with mock.patch.object(M.ArchConfig, "validate", lambda self: None), pytest.raises(ConfigError):
                 M.forward(M.build_model(cfg, seed=0), images, mode="train", rng=np.random.default_rng(1))
             return
         model = M.build_model(cfg, seed=0)
@@ -241,25 +218,13 @@ class TestValidateIsExact:
         assert all(np.isfinite(p.grad).all() for p in model.parameters() if p.grad is not None)
 
         wide = Tensor(np.random.default_rng(2).standard_normal((1, size, width, 3)).astype(np.float32))
-        try:
-            cfg.check_input_size(size, width)
-        except ConfigError:
-            with _unchecked(), T.no_grad(), pytest.raises((ConfigError, ShapeError)):
-                M.forward(model, wide)
-            return
         with T.no_grad():
             out = M.forward(model, wide)
         outs = [fm.tokens for fm in out] if cfg.task == "det-backbone" else [out]
         assert all(np.isfinite(o.data).all() for o in outs)
 
 
-class TestInputSizeCheck:
-    @pytest.mark.parametrize("task,size", [("cls", 160), ("det-backbone", 256)])
-    def test_unrunnable_tiny_size_rejected_by_build_model(self, task, size):
-        cfg = replace(M.tiny_config(task=task), input_size=size)
-        with pytest.raises(ConfigError, match=r"stage \d: .* \dx\d window grid .* \dx\d shuffle regions.* channels"):
-            M.build_model(cfg, seed=0)
-
+class TestInputSize:
     def test_presets_and_micro_accepted(self):
         for make in M.PRESETS.values():
             for task in ("cls", "det-backbone"):
@@ -268,11 +233,23 @@ class TestInputSizeCheck:
             M.micro_config(manipulation=mode).validate()
         M.micro_config(use_msg=False, manipulation="none").validate()
 
-    def test_only_shuffle_needs_dividing_regions(self):
-        cfg = replace(M.tiny_config(), input_size=160)
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_input_size_below_one_rejected(self, size):
+        with pytest.raises(ConfigError, match=f"input size must be >= 1, got {size}"):
+            M.micro_config(input_size=size).validate()
+
+    def test_only_shuffle_needs_groups_that_split_the_channels(self):
+        """Stage 2's 40 channels do not split into shuffle size 4's 16 groups: only ``shuffle`` with messengers
+        rejects it, and only while the stage has a block."""
+        cfg = M.micro_config(stages=M._stages((16, 40, 64, 128), (1, 2, 4, 8), (1, 1, 2, 1), (2, 4, 2, 1)))
+        with pytest.raises(ConfigError, match="stage 2: dim 40 does not split into shuffle size 4's 16 channel"):
+            cfg.validate()
         for mode in ("average", "shift", "none"):
             replace(cfg, manipulation=mode).validate()
         replace(cfg, use_msg=False).validate()
+        M.with_shuffle_sizes(cfg, (2, 2, 2, 1)).validate()
+        without_blocks = tuple(replace(s, num_blocks=0) if i == 1 else s for i, s in enumerate(cfg.stages))
+        replace(cfg, stages=without_blocks).validate()
 
     def test_with_shuffle_sizes_needs_one_per_stage(self):
         cfg = M.with_shuffle_sizes(M.tiny_config(), (2, 2, 2, 1))
@@ -281,43 +258,37 @@ class TestInputSizeCheck:
             with pytest.raises(ConfigError, match="expected 4 shuffle sizes"):
                 M.with_shuffle_sizes(cfg, sizes)
 
-    @pytest.mark.parametrize(
-        "preset,task,rejected",
-        [("tiny", "cls", 38), ("tiny", "det-backbone", 63), ("small", "cls", 38), ("small", "det-backbone", 63)],
-    )
-    def test_validate_accepts_exactly_the_sizes_the_exchange_runs(self, preset, task, rejected):
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    @pytest.mark.parametrize("task", ["cls", "det-backbone"])
+    def test_every_size_is_accepted_and_the_exchange_runs(self, preset, task):
+        """Partial regions and regions larger than the grid shuffle over the full region's groups."""
         base = M.PRESETS[preset](task=task)
-        failures = 0
-        for size in range(160, 1400, 16):
+        for size in range(1, 1400, 15):
             cfg = replace(base, input_size=size)
-            try:
-                cfg.validate()
-                accepted = True
-            except ConfigError:
-                accepted = False
-            assert accepted == exchange_runs(cfg, size), f"input size {size}"
-            failures += not accepted
-        assert failures == rejected
+            cfg.validate()
+            assert exchange_runs(cfg, size), f"input size {size}"
 
-    def test_unrunnable_input_rejected_before_any_compute(self):
-        model = M.build_model(replace(M.tiny_config(), input_size=256), seed=0)
-        with T.no_grad(), T.count_macs() as counter:
-            with pytest.raises(ConfigError, match=r"stage 2: at input size 160 the 3x3 window grid .* 128 channels"):
-                M.forward(model, rand_images(1, 160))
-        assert counter.buckets == {"matmul": 0, "conv": 0, "other": 0}
-        with pytest.raises(ConfigError, match=r"stage 1: at input size 176x160 the 7x6 window grid"):
-            M.forward(model, Tensor(np.zeros((1, 176, 160, 3), dtype=np.float32)))
+    def test_a_zero_pixel_image_raises_before_any_compute(self):
+        model = M.build_model(M.micro_config(), seed=0)
+        for hw in ((0, 0), (0, 128), (128, 0)):
+            with T.no_grad(), T.count_macs() as counter:
+                with pytest.raises(ConfigError, match="conv2d output extent"):
+                    M.forward(model, Tensor(np.zeros((1, *hw, 3), dtype=np.float32)))
+            assert counter.buckets == {"matmul": 0, "conv": 0, "other": 0}
 
-    def test_runnable_sizes_off_the_configured_one_still_run(self):
+    def test_sizes_off_the_configured_one_run(self):
+        """Sizes and h x w inputs with partial shuffle regions run, counting ``model_flops``' MACs."""
         cfg = replace(M.tiny_config(), input_size=256)
         model = M.build_model(cfg, seed=0)
-        for size in (200, 263):
+        for size in (160, 200, 263):
             with T.no_grad(), T.count_macs() as counter:
                 logits = M.forward(model, rand_images(1, size))
             assert logits.shape == (1, cfg.num_classes) and np.isfinite(logits.data).all(), size
             assert counter["matmul"] + counter["conv"] == C.model_flops(cfg, size)["total_macs"], size
+        with T.no_grad():
+            assert np.isfinite(M.forward(model, Tensor(np.zeros((1, 176, 160, 3), np.float32))).data).all()
         micro = M.build_model(M.micro_config(), seed=0)
-        for hw in ((128, 96), (96, 160)):
+        for hw in ((128, 96), (96, 160), (100, 37), (1, 1), (3, 6)):
             images = Tensor(np.zeros((2, *hw, 3), dtype=np.float32))
             logits = M.forward(micro, images, mode="train", rng=np.random.default_rng(0))
             assert logits.shape == (2, 4) and np.isfinite(logits.data).all(), hw
@@ -660,10 +631,11 @@ class TestPatchEmbed:
         fm = M.patch_embed(model, rand_images(1, 128))
         assert fm.tokens.shape == (1, 32, 32, 16)
 
-    def test_too_small_input(self):
+    @pytest.mark.parametrize("size", [1, 3, 6])
+    def test_input_below_the_kernel_gives_one_or_two_tokens(self, size):
         model = M.build_model(M.micro_config(), seed=0)
-        with pytest.raises(ConfigError):
-            M.patch_embed(model, Tensor(np.zeros((1, 5, 5, 3), dtype=np.float32)))
+        fm = M.patch_embed(model, Tensor(np.zeros((1, size, size, 3), dtype=np.float32)))
+        assert fm.tokens.shape == (1, -(-size // 4), -(-size // 4), 16)
 
 
 class TestForward:

@@ -969,6 +969,14 @@ class TestPerOpGradients:
         _fd_check(lambda: _sq(T.concat([a, b], axis=0)), [a, b])
         _fd_check(lambda: _sq(T.pad(a, [(1, 0), (0, 2)])), [a])
 
+    def test_pad_matches_np_pad_and_rejects_bad_pairs(self):
+        a = self.rand(2, 3, 1)
+        pads = [(1, 0), (0, 2), (3, 1)]
+        assert T.pad(a, pads).data.tobytes() == np.pad(a.data, pads).tobytes()
+        for bad in ([(1, 0), (0, 2)], [(1, 0), (0, -1), (0, 0)]):
+            with pytest.raises(ShapeError, match="pairs of non-negative widths"):
+                T.pad(a, bad)
+
     def test_matmul(self):
         a, b = self.rand(2, 3), self.rand(3, 2)
         _fd_check(lambda: _sq(T.matmul(a, b)), [a, b])
