@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, eval, ablate, flops, analyze-comm, gradcheck, gen-data.
-All commands accept --config (JSON), --seed, and --out; exit code 0 on
-success, 1 on validation failure, 2 on runtime error.
+Each takes only the options it reads: train, eval, ablate and gen-data read
+--config (JSON) and --seed, and all but eval write under --out. Exit code 0
+on success, 1 on validation or usage failure, 2 on runtime error.
 
 MSGT_THREADS caps the BLAS thread pools; the package applies it on import,
 before numpy is loaded.
@@ -41,37 +42,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="msgt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def config_options(p, out: bool = True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", default="run", help="output directory")
+        if out:
+            p.add_argument("--out", default="run", help="output directory")
+        return p
 
-    common(sub.add_parser("train", help="train a model and write metrics + checkpoint"))
+    config_options(sub.add_parser("train", help="train a model and write metrics + checkpoint"))
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
-    common(p_eval)
+    p_eval = config_options(sub.add_parser("eval", help="evaluate a checkpoint on the validation split"), out=False)
     p_eval.add_argument("--checkpoint", required=True)
 
-    p_abl = sub.add_parser("ablate", help="run an ablation comparison")
-    common(p_abl)
+    p_abl = config_options(sub.add_parser("ablate", help="run an ablation comparison"))
     p_abl.add_argument("--mode", required=True)
 
     p_flops = sub.add_parser("flops", help="closed-form cost accounting")
-    common(p_flops)
     p_flops.add_argument("--window", type=int, default=M.PRESET_WINDOW)
     p_flops.add_argument("--dim", type=int, default=384)
     p_flops.add_argument("--arch", default=None, help="also report model totals for a preset")
 
     p_comm = sub.add_parser("analyze-comm", help="receptive fields and information flow")
-    common(p_comm)
     p_comm.add_argument("--window", type=int, default=M.PRESET_WINDOW)
     p_comm.add_argument("--shuffle", type=int, default=M.CLS_SHUFFLES[0])
 
     p_gc = sub.add_parser("gradcheck", help="64-bit finite-difference verification")
-    common(p_gc)
     p_gc.add_argument("--full-model", action="store_true", help="include the micro-model sweep")
 
-    common(sub.add_parser("gen-data", help="write the synthetic dataset as IDX files"))
+    config_options(sub.add_parser("gen-data", help="write the synthetic dataset as IDX files"))
     return parser
 
 

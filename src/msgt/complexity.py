@@ -57,15 +57,11 @@ def flops_ratio(window_size: int, channels: int) -> Fraction:
 
 
 def flops_ratio_exact(window_size: int, channels: int) -> Fraction:
-    """Exact relative increase, ``(6C + 2w^2 + 1) / (6 w^2 C + w^4)``.
-
-    Consistent with :func:`flops_block` for every grid: multiplying by the
-    messenger-free block cost gives exactly the with-messenger delta.
-    """
+    """Exact relative increase of :func:`flops_block`, ``(6C + 2w^2 + 1) / (6 w^2 C + w^4)`` for every grid."""
     if window_size < 1 or channels < 1:
         raise ConfigError("window size and channels must be positive")
-    w2 = window_size**2
-    return Fraction(6 * channels + 2 * w2 + 1, 6 * w2 * channels + w2 * w2)
+    without = flops_block(1, window_size, channels, with_msg=False)
+    return Fraction(flops_block(1, window_size, channels) - without, without)
 
 
 def receptive_field(scheme: str, window_size: int, shuffle_size: Optional[int] = None) -> Fraction:

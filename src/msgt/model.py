@@ -239,7 +239,6 @@ class Model:
     """All learnable state plus the architecture it instantiates."""
 
     config: ArchConfig
-    dtype: type
     embed_weight: Tensor
     embed_bias: Tensor
     msg_input: Optional[Tensor]  # (R1, R1, C1), tiled across shuffle regions
@@ -302,7 +301,6 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
     c4 = cfg.stages[-1].dim
     return Model(
         config=cfg,
-        dtype=dtype,
         embed_weight=embed_weight,
         embed_bias=embed_bias,
         msg_input=msg_input,
@@ -321,7 +319,7 @@ def rerandomize_msg_input(model: Model, seed: int) -> None:
     if model.msg_input is None:
         raise ConfigError("model was built without messenger tokens")
     rng = np.random.default_rng(seed)
-    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, INIT_STD, model.dtype)
+    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, INIT_STD, model.msg_input.dtype)
 
 
 # -- forward --------------------------------------------------------------------

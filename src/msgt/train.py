@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +46,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.warmup_steps < 0:
+            raise ConfigError(f"schedule.warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.warmup_steps >= self.total_steps:
             raise ConfigError(
                 f"warmup steps {self.warmup_steps} must be below total steps {self.total_steps}"
@@ -61,6 +62,8 @@ class TrainConfig:
             raise ConfigError(f"label smoothing must lie in [0, 1), got {self.label_smoothing}")
         if not self.base_lr >= 0.0:  # 0 is allowed: it freezes the weights
             raise ConfigError(f"base learning rate must be >= 0, got {self.base_lr}")
+        if not 0.0 <= self.min_lr <= self.base_lr:
+            raise ConfigError(f"schedule.min_lr must lie in [0, optimizer.lr {self.base_lr}], got {self.min_lr}")
         if not all(0.0 <= b < 1.0 for b in self.betas):  # beta = 1 divides by 1 - beta**t = 0
             raise ConfigError(f"optimizer.betas must each lie in [0, 1), got {list(self.betas)}")
         if not self.eps > 0.0:
@@ -197,11 +200,14 @@ def evaluate(model: Model, ds: D.Dataset, batch_size: int = 32, smoothing: float
 
 @dataclass
 class TrainResult:
-    final: MetricsRow
     metrics_path: str
     checkpoint_path: str
     model: Model
-    rows: list[MetricsRow] = field(repr=False, default_factory=list)
+    rows: list[MetricsRow] = field(repr=False)
+
+    @property
+    def final(self) -> MetricsRow:
+        return self.rows[-1]
 
 
 def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
@@ -224,6 +230,9 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     os.makedirs(out_dir, exist_ok=True)
     arch = cfg.arch_config()
     check_task_data(arch, data_spec)
+    data_spec.validate()
+    if cfg.batch_size > data_spec.num_train:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds data.num_train {data_spec.num_train}")
     train_ds, val_ds = load_data(data_spec)
 
     model = M.build_model(arch, seed=cfg.seed)
@@ -238,29 +247,9 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
     start_time = time.perf_counter()
     order = rng.permutation(len(train_ds))
     cursor, epoch = 0, 0
-    window_losses: list[float] = []
-    window_hits, window_seen = 0, 0
+    losses: list[float] = []  # the train steps since the last record
+    hits, seen = 0, 0
 
-    def record(step: int, lr: float) -> MetricsRow:
-        elapsed = time.perf_counter() - start_time
-        nonlocal window_hits, window_seen
-        if window_losses:
-            rows.append(
-                MetricsRow(
-                    epoch, step, "train",
-                    float(np.mean(window_losses)),
-                    window_hits / max(1, window_seen),
-                    lr, elapsed,
-                )
-            )
-        vloss, vtop1 = evaluate(model, val_ds, batch_size=cfg.batch_size, smoothing=cfg.label_smoothing)
-        row = MetricsRow(epoch, step, "val", vloss, vtop1, lr, time.perf_counter() - start_time)
-        rows.append(row)
-        window_losses.clear()
-        window_hits, window_seen = 0, 0
-        return row
-
-    final_row: Optional[MetricsRow] = None
     for step in range(cfg.total_steps):
         if cursor + cfg.batch_size > len(order):
             order = rng.permutation(len(train_ds))
@@ -275,9 +264,9 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
         loss_val = loss.item()
         if not np.isfinite(loss_val):
             raise TrainingDiverged(step, f"loss became {loss_val}")
-        window_losses.append(loss_val)
-        window_hits += int((logits.data.argmax(axis=1) == labels).sum())
-        window_seen += len(labels)
+        losses.append(loss_val)
+        hits += int((logits.data.argmax(axis=1) == labels).sum())
+        seen += len(labels)
 
         optimizer.zero_grad()
         loss.backward()
@@ -285,10 +274,12 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
         optimizer.step(lr)
 
         if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.total_steps:
-            final_row = record(step + 1, lr)
-
-    if final_row is None:
-        final_row = record(cfg.total_steps, cosine_warmup_lr(cfg.total_steps - 1, cfg))
+            rows.append(MetricsRow(
+                epoch, step + 1, "train", float(np.mean(losses)), hits / seen, lr, time.perf_counter() - start_time
+            ))
+            vloss, vtop1 = evaluate(model, val_ds, batch_size=cfg.batch_size, smoothing=cfg.label_smoothing)
+            rows.append(MetricsRow(epoch, step + 1, "val", vloss, vtop1, lr, time.perf_counter() - start_time))
+            losses, hits, seen = [], 0, 0
 
     if cfg.msg_input_policy == "rerandomize-at-eval":
         # evaluate with re-sampled input messengers, then restore the trained ones
@@ -296,11 +287,9 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
         M.rerandomize_msg_input(model, seed=cfg.seed + 1)
         vloss, vtop1 = evaluate(model, val_ds, batch_size=cfg.batch_size, smoothing=cfg.label_smoothing)
         model.msg_input.data = trained
-        final_row = MetricsRow(
-            epoch, cfg.total_steps, "val-rerandomized", vloss, vtop1,
-            final_row.lr, time.perf_counter() - start_time,
-        )
-        rows.append(final_row)
+        rows.append(MetricsRow(
+            epoch, cfg.total_steps, "val-rerandomized", vloss, vtop1, lr, time.perf_counter() - start_time
+        ))
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w") as f:
@@ -309,13 +298,7 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
             f.write(row.format() + "\n")
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(model, checkpoint_path)
-    return TrainResult(
-        final=final_row,
-        metrics_path=metrics_path,
-        checkpoint_path=checkpoint_path,
-        model=model,
-        rows=rows,
-    )
+    return TrainResult(metrics_path=metrics_path, checkpoint_path=checkpoint_path, model=model, rows=rows)
 
 
 # -- ablation driver ------------------------------------------------------------------

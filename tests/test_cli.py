@@ -1,13 +1,16 @@
 """CLI dispatch tests: exit codes, printed values, and end-to-end command flows."""
 
+import argparse
 import ast
 import copy
+import inspect
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -52,6 +55,47 @@ class TestDispatch:
         code, _, err = run_cli(capsys, "train", "--config", "/does/not/exist.json")
         assert code == 1
         assert "not found" in err
+
+
+def _declared_options() -> dict:
+    """The dest of every option each subcommand declares, --help aside."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+
+
+def _args_read(fn) -> set:
+    """The names ``fn`` reads as ``args.<name>``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+
+
+class TestOptions:
+    def test_each_command_declares_exactly_the_options_it_reads(self):
+        declared = _declared_options()
+        assert declared.keys() == cli._COMMANDS.keys()
+        for name, fn in cli._COMMANDS.items():
+            assert declared[name] == _args_read(fn), name
+        assert sum(map(len, declared.values())) == 19
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([cmd, *opt] for cmd in ("flops", "analyze-comm", "gradcheck")
+              for opt in (["--config", "x.json"], ["--seed", "5"], ["--out", "x"])),
+            ["eval", "--checkpoint", "m.ckpt", "--out", "x"],
+        ],
+        ids=" ".join,
+    )
+    def test_option_a_command_does_not_read_exits_1_with_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("usage: msgt") and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 class TestThreadCap:
@@ -214,7 +258,7 @@ FUZZ_REJECT = [
     (("seed",), -1), (("data", "seed"), -1), (("data", "num_train"), 0), (("data", "num_train"), -4),
     (("data", "num_val"), 0), (("eval_interval",), 0), (("label_smoothing",), 1.5), (("optimizer", "lr"), -1e-3),
     (("optimizer", "betas"), [1.0, 0.999]), (("optimizer", "betas"), [0.9, 1.0]), (("optimizer", "eps"), 0),
-    (("stages",), NEGATIVE_BLOCKS),
+    (("stages",), NEGATIVE_BLOCKS), (("schedule", "warmup_steps"), -1), (("schedule", "min_lr"), -1e-3),
 ]
 
 
@@ -415,6 +459,10 @@ class TestDataAndTraining:
             (("optimizer", "betas"), [1.0, 0.999], "error: optimizer.betas must each lie in [0, 1)"),
             (("optimizer", "betas"), [0.9, 1.0], "error: optimizer.betas must each lie in [0, 1)"),
             (("optimizer", "eps"), 0, "error: optimizer.eps must be > 0, got 0.0"),
+            (("schedule", "warmup_steps"), -1, "error: schedule.warmup_steps must be >= 0, got -1"),
+            (("schedule", "min_lr"), -1, "error: schedule.min_lr must lie in [0, optimizer.lr 0.001], got -1.0"),
+            (("schedule", "min_lr"), 0.01, "error: schedule.min_lr must lie in [0, optimizer.lr 0.001], got 0.01"),
+            (("batch_size",), 32, "error: batch_size 32 exceeds data.num_train 16"),
         ],
     )
     def test_train_rejects_unrunnable_value_exit_1(
@@ -518,8 +566,8 @@ class TestDataAndTraining:
         path.write_text(json.dumps(raw))
         ckpt = str(tmp_path / "model.ckpt")  # eval reads the checkpoint before the data
         save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
-        for argv in (["train"], ["eval", "--checkpoint", ckpt]):
-            code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+        for argv in (["train", "--out", str(tmp_path / "run")], ["eval", "--checkpoint", ckpt]):
+            code, _, err = run_cli(capsys, *argv, "--config", str(path))
             assert code == 1
             assert "label 7 at index 5" in err
 
@@ -539,8 +587,8 @@ class TestDataAndTraining:
             }
             path = tmp_path / "idx.json"
             path.write_text(json.dumps(raw))
-            for argv in (["train"], ["eval", "--checkpoint", ckpt]):
-                code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+            for argv in (["train", "--out", str(tmp_path / "run")], ["eval", "--checkpoint", ckpt]):
+                code, _, err = run_cli(capsys, *argv, "--config", str(path))
                 assert code == 1, err
                 assert f"error: file not found: {gone}" in err and "runtime error" not in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
@@ -673,8 +721,8 @@ class TestDataAndTraining:
         }
         path = tmp_path / "idx.json"
         path.write_text(json.dumps(raw))
-        for argv in (["train"], ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]):
-            code, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "run"))
+        for argv in (["train", "--out", str(tmp_path / "run")], ["eval", "--checkpoint", str(tmp_path / "none.ckpt")]):
+            code, _, err = run_cli(capsys, *argv, "--config", str(path))
             assert code == 1
             assert "dataset has 10 classes but the model head has 4" in err
 

@@ -841,7 +841,7 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
             if blk.bias_table is None:
                 span, heads = 2 * cfg.window_size - 1, blk.num_heads
                 table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
-                table, key = (Tensor(a.astype(model.dtype)) for a in (table, key))
+                table, key = (Tensor(a.astype(model.embed_weight.dtype)) for a in (table, key))
                 blk = replace(blk, bias_table=table, msg_key_bias=key)
             wt = B.block_forward(wt, blk, training=mode == "train", rng=rng)
         wt, msg = B.detach_msg(wt)

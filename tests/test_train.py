@@ -60,6 +60,10 @@ class TestValidate:
             ("eps", 0.0, "optimizer.eps"),
             ("eps", -1e-8, "optimizer.eps"),
             ("eps", float("nan"), "optimizer.eps"),
+            ("warmup_steps", -5, "schedule.warmup_steps"),
+            ("min_lr", -1.0, "schedule.min_lr"),
+            ("min_lr", 4e-3, "schedule.min_lr"),
+            ("min_lr", float("nan"), "schedule.min_lr"),
         ],
     )
     def test_rejects_bad_value(self, field, value, named):
@@ -68,6 +72,17 @@ class TestValidate:
 
     def test_boundary_values_accepted(self):
         TR.TrainConfig(eval_interval=1, label_smoothing=0.0, base_lr=0.0, betas=(0.0, 0.0), eps=1e-30).validate()
+        TR.TrainConfig(total_steps=1, warmup_steps=0, min_lr=3e-3).validate()  # min_lr may equal base_lr
+
+    def test_run_without_steps_rejected(self):
+        with pytest.raises(ConfigError, match="schedule.warmup_steps must be >= 0, got -1"):
+            TR.TrainConfig(total_steps=0, warmup_steps=-1).validate()
+
+    def test_batch_beyond_train_split_rejected_before_compute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TR, "load_data", None)  # any data loading would fail with TypeError
+        spec = DatasetSpec(num_train=8, num_val=8, image_size=128, seed=3)
+        with pytest.raises(ConfigError, match="batch_size 16 exceeds data.num_train 8"):
+            TR.train(replace(TINY_RUN, batch_size=16), spec, str(tmp_path / "run"))
 
     def test_idx_label_at_num_classes_rejected_before_compute(self, tmp_path, monkeypatch):
         from msgt import data as D
