@@ -181,12 +181,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
-    from .train import check_task_data, evaluate, load_data
+    from .train import check_run, evaluate, load_data
 
     cfg, data_spec = parse_config(load_config(args.config), args.seed)
-    arch = cfg.arch_config()
-    check_task_data(arch, data_spec)
-    model = load_checkpoint(args.checkpoint, arch)  # before the val split is rendered
+    check_run(cfg, data_spec)
+    model = load_checkpoint(args.checkpoint, cfg.arch)  # before the val split is rendered
     _, val_ds = load_data(data_spec)
     loss, top1 = evaluate(model, val_ds, cfg.batch_size, cfg.label_smoothing)
     print(f"val loss {loss:.6f}  top1 {top1:.4f}")

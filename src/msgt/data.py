@@ -139,36 +139,25 @@ def load_data(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
 # -- IDX binary format -----------------------------------------------------------
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
+def _read_exact(f, path: str, n: int, what: str) -> bytes:
+    start = f.tell()
     buf = f.read(n)
     if len(buf) != n:
-        raise FormatError(f"truncated IDX file at byte offset {offset}: expected {what}")
+        raise FormatError(f"{path}: truncated IDX file at byte offset {start + len(buf)}: expected {what}")
     return buf
 
 
 def _load_idx_array(path: str, expected_magic: int, rank: int) -> np.ndarray:
     with open(path, "rb") as f:
-        header = f.read(4)
-        if len(header) < 4:
-            raise FormatError(f"{path}: truncated IDX file at byte offset 0: expected magic")
-        (magic,) = struct.unpack(">i", header)
+        (magic,) = struct.unpack(">i", _read_exact(f, path, 4, "magic"))
         if magic != expected_magic:
             raise FormatError(
                 f"{path}: bad IDX magic 0x{magic:08x} at byte offset 0, "
                 f"expected 0x{expected_magic:08x}"
             )
-        extents = []
-        for d in range(rank):
-            buf = _read_exact(f, 4, 4 + 4 * d, f"extent {d}")
-            extents.append(struct.unpack(">i", buf)[0])
+        extents = struct.unpack(f">{rank}i", _read_exact(f, path, 4 * rank, f"{rank} extents"))
         count = int(np.prod(extents))
-        data_offset = 4 + 4 * rank
-        raw = f.read(count)
-        if len(raw) != count:
-            raise FormatError(
-                f"{path}: truncated IDX payload at byte offset {data_offset + len(raw)}: "
-                f"expected {count} bytes"
-            )
+        raw = _read_exact(f, path, count, f"{count} payload bytes")
         return np.frombuffer(raw, dtype=np.uint8).reshape(extents)
 
 

@@ -210,8 +210,10 @@ class TrainResult:
         return self.rows[-1]
 
 
-def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
-    """Reject runs the classification loop cannot score, before any compute."""
+def check_run(cfg: TrainConfig, spec: D.DatasetSpec) -> None:
+    """Reject a run the classification loop cannot score, before any compute or output."""
+    cfg.validate()
+    arch = cfg.arch_config()
     if arch.task != "cls":
         raise ConfigError(f"task {arch.task!r} has no training or eval loop; use 'cls'")
     if spec.num_classes > arch.num_classes:
@@ -222,20 +224,18 @@ def check_task_data(arch: ArchConfig, spec: D.DatasetSpec) -> None:
         raise ConfigError(f"data.num_val must be >= 1 to score the run, got {spec.num_val}")
     if spec.image_size != arch.input_size:
         raise ConfigError(f"dataset image size {spec.image_size} != model input {arch.input_size}")
+    spec.validate()
+    if cfg.batch_size > spec.num_train:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds data.num_train {spec.num_train}")
 
 
 def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResult:
     """Run the full loop; writes metrics.csv and model.ckpt under ``out_dir``."""
-    cfg.validate()
+    check_run(cfg, data_spec)
     os.makedirs(out_dir, exist_ok=True)
-    arch = cfg.arch_config()
-    check_task_data(arch, data_spec)
-    data_spec.validate()
-    if cfg.batch_size > data_spec.num_train:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds data.num_train {data_spec.num_train}")
     train_ds, val_ds = load_data(data_spec)
 
-    model = M.build_model(arch, seed=cfg.seed)
+    model = M.build_model(cfg.arch, seed=cfg.seed)
     if cfg.msg_input_policy == "frozen-random" and model.msg_input is not None:
         model.msg_input = Tensor(model.msg_input.data)  # the same draw, kept out of training
     optimizer = AdamW(
@@ -303,15 +303,14 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
 
 # -- ablation driver ------------------------------------------------------------------
 
-ABLATION_MODES = (
-    "no-msg",
-    "msg-noshuffle",
-    "msg-shuffle",
-    "msg-average",
-    "msg-shift",
-    "rerandomize-input-msg",
-    "shuffle-size-sweep",
-)
+# each two-arm mode: its ArchConfig changes against the msg-shuffle baseline
+ABLATION_ARMS = {
+    "no-msg": dict(use_msg=False, manipulation="none"),
+    "msg-noshuffle": dict(manipulation="none"),
+    "msg-average": dict(manipulation="average"),
+    "msg-shift": dict(manipulation="shift"),
+}
+ABLATION_MODES = (*ABLATION_ARMS, "msg-shuffle", "rerandomize-input-msg", "shuffle-size-sweep")
 
 SHUFFLE_SIZE_SWEEP = ((2, 2, 2, 1), (4, 2, 2, 1), (4, 4, 2, 1))
 
@@ -326,21 +325,12 @@ def _variant_rows(mode: str, cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
     arch = replace(cfg.arch, use_msg=True, manipulation="shuffle")
     baseline = replace(cfg, arch=arch, msg_input_policy="learnable")
 
-    def variant(**changes) -> TrainConfig:
-        return replace(baseline, arch=replace(arch, **changes))
-
-    if mode == "no-msg":
-        return [("msg-shuffle", baseline), ("no-msg", variant(use_msg=False, manipulation="none"))]
-    if mode == "msg-noshuffle":
-        return [("msg-shuffle", baseline), ("msg-noshuffle", variant(manipulation="none"))]
+    if mode in ABLATION_ARMS:
+        return [("msg-shuffle", baseline), (mode, replace(baseline, arch=replace(arch, **ABLATION_ARMS[mode])))]
     if mode == "msg-shuffle":
         return [("msg-shuffle", baseline)]
     if mode == "rerandomize-input-msg":  # one run, evaluated before and after re-sampling
         return [("rerandomize-base", replace(cfg, msg_input_policy="rerandomize-at-eval"))]
-    if mode == "msg-average":
-        return [("msg-shuffle", baseline), ("msg-average", variant(manipulation="average"))]
-    if mode == "msg-shift":
-        return [("msg-shuffle", baseline), ("msg-shift", variant(manipulation="shift"))]
     if mode == "shuffle-size-sweep":
         return [
             ("shuffle-" + "".join(map(str, r)), replace(baseline, arch=M.with_shuffle_sizes(arch, r)))
@@ -356,9 +346,12 @@ def ablate(mode: str, cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) 
     guarantees: only the named knob changes, and the parameter-count diff
     between variants is part of the report.
     """
+    variants = _variant_rows(mode, cfg)
+    for _, variant_cfg in variants:  # every variant, before the first one trains
+        check_run(variant_cfg, data_spec)
     os.makedirs(out_dir, exist_ok=True)
     results: list[dict] = []
-    for name, variant_cfg in _variant_rows(mode, cfg):
+    for name, variant_cfg in variants:
         run = train(variant_cfg, data_spec, os.path.join(out_dir, name))
         counts = M.count_params(run.model)
         if name == "no-msg" and counts["msg_related"]:

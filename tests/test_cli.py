@@ -23,7 +23,7 @@ from msgt import model as M
 from msgt.checkpoint import load_checkpoint, save_checkpoint
 from msgt.data import load_idx
 from msgt.errors import ConfigError
-from msgt.train import check_task_data
+from msgt.train import check_run
 from test_checkpoint import random_legacy, version1_records, write_records
 
 
@@ -137,8 +137,8 @@ def _on_glibc() -> bool:
         return False
 
 
-class TestMallocPolicy:
-    @pytest.mark.skipif(not _on_glibc(), reason="the malloc policy applies on glibc only")
+class TestWarmForwardFaults:
+    @pytest.mark.skipif(not _on_glibc(), reason="the bound is measured under glibc's default malloc thresholds")
     def test_warm_no_grad_forwards_fault_in_no_pages(self):
         """After two warm-up micro forwards at batch 16, three more take under 100 minor faults."""
         env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
@@ -162,22 +162,6 @@ class TestMallocPolicy:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
         )
         assert int(done.stdout.strip()) < 100
-
-    def test_no_op_without_mallopt_or_glibc(self, monkeypatch):
-        import ctypes
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
-        assert msgt._apply_malloc_policy() is False
-
-        def no_glibc(name):
-            raise ValueError("unrecognized configuration name")
-
-        def must_not_load(name):
-            raise AssertionError("loaded the C library off glibc")
-
-        monkeypatch.setattr(os, "confstr", no_glibc)
-        monkeypatch.setattr(ctypes, "CDLL", must_not_load)
-        assert msgt._apply_malloc_policy() is False
 
 
 class TestFlops:
@@ -302,9 +286,7 @@ class TestConfigFuzz:
         """parse_config plus the checks that run before compute raise only ConfigError."""
         try:
             cfg, data = cli.parse_config(raw)
-            cfg.validate()
-            check_task_data(cfg.arch_config(), data)
-            data.validate()
+            check_run(cfg, data)
         except ConfigError:
             pass
 
@@ -321,9 +303,7 @@ class TestConfigFuzz:
         raw = _apply(base, extra + [bad])
         with pytest.raises(ConfigError):
             cfg, data = cli.parse_config(raw)
-            cfg.validate()
-            check_task_data(cfg.arch_config(), data)
-            data.validate()
+            check_run(cfg, data)
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -463,6 +443,7 @@ class TestDataAndTraining:
             (("schedule", "min_lr"), -1, "error: schedule.min_lr must lie in [0, optimizer.lr 0.001], got -1.0"),
             (("schedule", "min_lr"), 0.01, "error: schedule.min_lr must lie in [0, optimizer.lr 0.001], got 0.01"),
             (("batch_size",), 32, "error: batch_size 32 exceeds data.num_train 16"),
+            (("window_size",), 0, "error: window size must be >= 1, got 0"),
         ],
     )
     def test_train_rejects_unrunnable_value_exit_1(
@@ -473,7 +454,41 @@ class TestDataAndTraining:
         code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
         assert code == 1
         assert message in err and "runtime error" not in err
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_eval_rejects_bad_batch_size_exit_1(self, capsys, tmp_path, config_file, batch_size):
+        raw = json.loads(open(config_file).read())
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        raw["batch_size"] = batch_size
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "eval", "--config", str(path), "--checkpoint", ckpt)
+        assert code == 1 and "val loss" not in out
+        assert f"error: batch size must be >= 1, got {batch_size}" in err and "runtime error" not in err
+
+    def test_ablate_rejects_unknown_mode_before_making_out_dir(self, capsys, tmp_path, config_file):
+        argv = ("ablate", "--mode", "bogus", "--config", config_file, "--out", str(tmp_path / "abl"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error: unknown ablation mode 'bogus'" in err
+        assert not (tmp_path / "abl").exists()
+
+    def test_ablate_checks_every_variant_before_training_the_first(self, capsys, tmp_path, config_file):
+        """A stage-1 dim of 24 splits into 2x2 regions' 4 groups but not 4x4 regions' 16: the sweep trains nothing."""
+        raw = json.loads(open(config_file).read())
+        del raw["arch"]
+        dims, heads, blocks = (24, 32, 64, 128), (1, 2, 4, 8), (1, 1, 2, 1)
+        raw["stages"] = [{"dim": d, "heads": h, "blocks": b} for d, h, b in zip(dims, heads, blocks)]
+        raw.update(input_size=128, window_size=4, shuffle_sizes=[2, 2, 2, 1])
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(raw))
+        argv = ("ablate", "--mode", "shuffle-size-sweep", "--config", str(path), "--out", str(tmp_path / "abl"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error: stage 1: dim 24 does not split into shuffle size 4's 16 channel groups" in err
+        assert not (tmp_path / "abl").exists()
 
     def test_eval_rejects_empty_val_split_exit_1(self, capsys, tmp_path, config_file):
         raw = json.loads(open(config_file).read())
