@@ -20,11 +20,9 @@ from .model import make_block_params
 from .tensor import Tensor
 
 
-def _generic_block(
-    rng: np.random.Generator, channels: int, num_heads: int, window_size: int, region_size: int, mode: str
-) -> B.BlockParams:
-    """Random nonzero parameters everywhere, so no path is accidentally dead."""
-    params = make_block_params(rng, channels, num_heads, window_size, region_size, mode=mode, dtype=np.float64)
+def _generic_block(rng: np.random.Generator, channels: int, region_size: int, mode: str) -> B.BlockParams:
+    """Window 2, one head, and random nonzero parameters everywhere, so no path is accidentally dead."""
+    params = make_block_params(rng, channels, 1, 2, region_size, mode=mode, dtype=np.float64)
     for t in params.parameters():
         t.data = rng.standard_normal(t.shape) * 0.2
     params.norm1_gamma.data = 1.0 + 0.1 * rng.standard_normal(channels)
@@ -33,29 +31,19 @@ def _generic_block(
 
 
 def information_reach(
-    window_size: int = 2,
-    region_size: int = 2,
-    grid: tuple[int, int] = (2, 2),
-    channels: int = 8,
-    num_heads: int = 2,
-    num_blocks: int = 2,
-    mode: str = "shuffle",
-    use_msg: bool = True,
-    seed: int = 0,
+    region_size: int = 2, mode: str = "shuffle", use_msg: bool = True, num_blocks: int = 2, seed: int = 0
 ) -> np.ndarray:
-    """Boolean (grid_h, grid_w) map of windows whose outputs change when one
-    patch token in window (0, 0) is perturbed."""
+    """Boolean (S, S) map of windows whose outputs change when one patch token in window (0, 0) is
+    perturbed, over one S x S region of 2x2 windows with one head and 2*S*S channels."""
     rng = np.random.default_rng(seed)
-    gh, gw = grid
-    h, w = gh * window_size, gw * window_size
-
-    params = [_generic_block(rng, channels, num_heads, window_size, region_size, mode) for _ in range(num_blocks)]
-    base_tokens = rng.standard_normal((1, h, w, channels))
-    base_msg = rng.standard_normal((1, gh, gw, channels))
+    s, channels = region_size, 2 * region_size * region_size
+    params = [_generic_block(rng, channels, s, mode) for _ in range(num_blocks)]
+    base_tokens = rng.standard_normal((1, 2 * s, 2 * s, channels))
+    base_msg = rng.standard_normal((1, s, s, channels))
 
     def run(tokens: np.ndarray) -> np.ndarray:
         with T.no_grad():
-            wt = W.partition_windows(W.FeatureMap(tokens=Tensor(tokens)), window_size)
+            wt = W.partition_windows(W.FeatureMap(tokens=Tensor(tokens)), 2)
             if use_msg:
                 wt = B.attach_msg(wt, Tensor(base_msg.copy()))
             for p in params:
@@ -67,7 +55,7 @@ def information_reach(
     perturbed = base_tokens.copy()
     perturbed[0, 0, 0, 0] += 1e-3
     delta = np.abs(run(perturbed) - run(base_tokens.copy()))
-    return delta.reshape(1, gh, gw, -1).max(axis=(0, 3)) > 0.0
+    return delta.reshape(1, s, s, -1).max(axis=(0, 3)) > 0.0
 
 
 # -- gradient-check suite -------------------------------------------------------
@@ -166,7 +154,7 @@ def model_grad_check(
     target = Tensor(label)
 
     def loss():
-        logits = M.forward(model, images, mode="eval")
+        logits = M.forward(model, images)
         logp = T.log_softmax(logits, axis=1)
         return T.mul(T.tsum(T.mul(logp, target)), -1.0)
 

@@ -195,7 +195,6 @@ class BlockParams:
     mode: str
     shuffle_size: int  # the exchange's region side, in windows
     anchor: str  # the corner its complete regions align to
-    drop_path_rate: float
 
     def __post_init__(self):
         c = self.mlp_w1.shape[0]
@@ -228,12 +227,7 @@ class BlockParams:
         return [t for _, t in self.named_parameters()]
 
 
-def block_forward(
-    wt: W.WindowedTokens,
-    params: BlockParams,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> W.WindowedTokens | Tensor:
+def block_forward(wt: W.WindowedTokens, params: BlockParams) -> W.WindowedTokens | Tensor:
     """Run one transformer block over windowed tokens.
 
     With ``wt.with_msg`` slot 0 of each window is its messenger token, and
@@ -251,7 +245,7 @@ def block_forward(
     normed = T.layer_norm(wt.windows, params.norm1_gamma, params.norm1_beta)
     attn_out = local_msa(normed, params)
     tokens = wt.windows[:, :, :, :1] if msg_only else wt.windows
-    tokens = T.add(tokens, T.drop_path(attn_out, params.drop_path_rate, rng, training))
+    tokens = T.add(tokens, attn_out)
 
     exchange = (params.shuffle_size, params.anchor, params.mode)
     if msg_only:
@@ -262,5 +256,5 @@ def block_forward(
 
     normed2 = T.layer_norm(tokens, params.norm2_gamma, params.norm2_beta)
     hidden = T.mlp(normed2, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
-    tokens = T.add(tokens, T.drop_path(hidden, params.drop_path_rate, rng, training))
+    tokens = T.add(tokens, hidden)
     return tokens if msg_only else W.WindowedTokens(tokens)

@@ -238,16 +238,10 @@ def _cmd_analyze_comm(args) -> int:
     print(f"  window shifting:    {float(swin):g}")
     print(f"  messenger shuffle:  {float(msg):g} (shuffle size {s})")
     grid = min(s, 3)
-    reached = information_reach(
-        window_size=2, region_size=grid, grid=(grid, grid), channels=2 * grid * grid,
-        num_heads=1, num_blocks=2, mode="shuffle", seed=0,
-    )
+    reached = information_reach(grid, "shuffle")
     print(f"perturbation reach over a {grid}x{grid} region after two blocks: "
           f"{int(reached.sum())}/{reached.size} windows")
-    confined = information_reach(
-        window_size=2, region_size=grid, grid=(grid, grid), channels=2 * grid * grid,
-        num_heads=1, num_blocks=2, mode="none", seed=0,
-    )
+    confined = information_reach(grid, "none")
     print(f"with exchange disabled: {int(confined.sum())}/{confined.size} windows")
     if not reached.all() or confined.sum() != 1:
         print("information-flow check FAILED")
@@ -275,7 +269,7 @@ def _cmd_gradcheck(args) -> int:
     report("block_no_msg", block_grad_check(use_msg=False), 1e-4)
     report("block_msg_only", block_grad_check(msg_only=True), 1e-4)
     if args.full_model:
-        report("micro model", model_grad_check(max_entries_per_param=3), 1e-3)
+        report("micro model", model_grad_check(), 1e-3)
     if failures:
         print(f"gradient check FAILED: {', '.join(failures)}")
         return USAGE_EXIT

@@ -41,14 +41,11 @@ class ArchConfig:
     task: str = "cls"  # "cls" | "det-backbone"
     use_msg: bool = True
     manipulation: str = "shuffle"
-    drop_path_rate: float = 0.0
     window_size: int = PRESET_WINDOW  # every stage's
 
     def validate(self) -> None:
         if len(self.stages) != NUM_STAGES:
             raise ConfigError(f"expected {NUM_STAGES} stages, got {len(self.stages)}")
-        if not 0.0 <= self.drop_path_rate < 1.0:  # a rate of 1 drops every sample: 0/0 in the rescale
-            raise ConfigError(f"drop_path_rate must lie in [0, 1), got {self.drop_path_rate}")
         if self.task not in ("cls", "det-backbone"):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.num_classes < 1:
@@ -203,7 +200,6 @@ def make_block_params(
     shuffle_size: int,
     mode: str = "shuffle",
     anchor: str = W.TOP_LEFT,
-    drop_path_rate: float = 0.0,
     dtype=np.float32,
     use_msg: bool = True,
     msg_only: bool = False,
@@ -230,7 +226,6 @@ def make_block_params(
         mode=mode,
         shuffle_size=shuffle_size,
         anchor=anchor,
-        drop_path_rate=drop_path_rate,
     )
 
 
@@ -284,8 +279,7 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
             make_block_params(
                 rng, s.dim, s.num_heads, cfg.window_size, s.shuffle_size, mode=cfg.manipulation,
                 anchor=W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT,  # detection alternates
-                drop_path_rate=cfg.drop_path_rate, dtype=dtype, use_msg=cfg.use_msg,
-                msg_only=msg_only_block(cfg, si, bi),
+                dtype=dtype, use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
             )
             for bi in range(s.num_blocks)
         ]
@@ -356,10 +350,12 @@ def forward(
     Classification returns (B, num_classes) logits from the pooled final
     messenger tokens; det-backbone mode returns the four per-stage patch
     feature maps at strides 4/8/16/32 instead.
+
+    No layer is stochastic: ``mode`` and ``rng`` change no output and draw nothing.
+    Both go once the benchmark stops passing them (ROADMAP item 7).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
-    training = mode == "train"
     cfg = model.config
     fm = patch_embed(model, images)
     batch = images.shape[0]
@@ -374,7 +370,7 @@ def forward(
                 msg = _initial_msg(model.msg_input, wt.windows.shape[1:3], batch)
             wt = B.attach_msg(wt, msg)  # slot 0 of every window until the stage ends
         for blk in model.stages[si]:
-            wt = B.block_forward(wt, blk, training=training, rng=rng)
+            wt = B.block_forward(wt, blk)
         if isinstance(wt, Tensor):  # a classifier's last block: the head reads only the messengers
             msg = wt
             break

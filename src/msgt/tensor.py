@@ -867,18 +867,6 @@ def conv2d(
     return out
 
 
-def drop_path(x: Tensor, rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
-    """Stochastic depth on the leading (batch) axis; identity when inactive."""
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        raise ContractError("drop_path with rate > 0 requires an RNG in training mode")
-    keep = 1.0 - rate
-    mask_shape = (x.data.shape[0],) + (1,) * (x.data.ndim - 1)
-    mask = (rng.random(mask_shape) < keep).astype(x.data.dtype) / keep
-    return mul(x, Tensor(mask))
-
-
 # -- gradient checking -------------------------------------------------------------
 
 

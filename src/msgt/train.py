@@ -188,7 +188,7 @@ def evaluate(model: Model, ds: D.Dataset, batch_size: int = 32, smoothing: float
     with T.no_grad():
         for start in range(0, len(ds), batch_size):
             labels = ds.labels[start : start + batch_size]
-            logits = M.forward(model, _batch(ds, slice(start, start + batch_size)), mode="eval")
+            logits = M.forward(model, _batch(ds, slice(start, start + batch_size)))
             losses += cross_entropy(logits, labels, smoothing).item() * len(labels)
             hits += (logits.data.argmax(axis=1) == labels).sum()
             seen += len(labels)
@@ -259,7 +259,7 @@ def train(cfg: TrainConfig, data_spec: D.DatasetSpec, out_dir: str) -> TrainResu
         cursor += cfg.batch_size
 
         labels = train_ds.labels[batch_idx]
-        logits = M.forward(model, _batch(train_ds, batch_idx), mode="train", rng=rng)
+        logits = M.forward(model, _batch(train_ds, batch_idx))
         loss = cross_entropy(logits, labels, cfg.label_smoothing)
         loss_val = loss.item()
         if not np.isfinite(loss_val):

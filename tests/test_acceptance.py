@@ -86,7 +86,7 @@ def test_criterion_5_gradient_fidelity():
     t0 = time.time()
     op_errors = single_op_grad_checks()
     worst_op = max(op_errors.values())
-    model_err = model_grad_check(max_entries_per_param=3)
+    model_err = model_grad_check()
     elapsed = time.time() - t0
     ok = worst_op < 1e-6 and model_err < 1e-3 and elapsed < 60
     report(5, "finite differences: ops < 1e-6, micro model < 1e-3, under 60 s", ok,

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ import msgt
 from msgt import cli
 from msgt import model as M
 from msgt.checkpoint import load_checkpoint, save_checkpoint
-from msgt.data import load_idx
+from msgt.data import DatasetSpec, load_idx
 from msgt.errors import ConfigError
-from msgt.train import check_run
+from msgt.train import TrainConfig, check_run
 from test_checkpoint import random_legacy, version1_records, write_records
 
 
@@ -96,6 +97,19 @@ class TestOptions:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
         assert err.startswith("usage: msgt") and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+class TestConfigKeys:
+    def test_every_config_field_is_set_by_a_json_key(self):
+        """A field that no JSON key sets is a knob no run can turn."""
+        assert {f.name for f in fields(M.ArchConfig)} == {"stages", *cli._ARCH_OVERRIDES}
+        train_fields = {name for keys in cli._TRAIN_KEYS.values() for name in keys.values()}
+        assert {f.name for f in fields(TrainConfig)} == {"arch", *train_fields}
+        changed, default = {str: lambda v: v + "-set", int: lambda v: v + 1, float: lambda v: v + 0.5}, DatasetSpec()
+        for f in fields(default):
+            value = changed[type(getattr(default, f.name))](getattr(default, f.name))
+            _, spec = cli.parse_config({"data": {f.name: value}})
+            assert getattr(spec, f.name) == value, f"data.{f.name}"
 
 
 class TestThreadCap:

@@ -73,12 +73,6 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"window size must be >= 1, got {window}"):
             M.micro_config(window_size=window).validate()
 
-    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
-    def test_drop_path_rate_outside_unit_interval_rejected(self, rate):
-        """A rate of 1 or NaN gives non-finite logits; the key is named before compute."""
-        with pytest.raises(ConfigError, match="drop_path_rate"):
-            M.build_model(M.micro_config(drop_path_rate=rate), seed=0)
-
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     def test_negative_block_count_rejected(self, stage):
         depths = tuple(-2 if i == stage else 1 for i in range(1, 5))
@@ -354,9 +348,9 @@ class TestLiveBytes:
             for p in params:
                 p.zero_grad()
             x = Tensor(data, requires_grad=True)
-            mid = B.block_forward(W.WindowedTokens(x), blocks[0], training=True)
+            mid = B.block_forward(W.WindowedTokens(x), blocks[0])
             residual_sum = weakref.ref(mid.windows.data)
-            out = B.block_forward(mid, blocks[1], training=True)
+            out = B.block_forward(mid, blocks[1])
             loss = T.tsum(T.mul(out.windows, weight))
             if not keep:
                 del mid
@@ -707,6 +701,22 @@ class TestForward:
             b = M.forward(model, x).data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [128, 136])  # 136 px pads every stage
+    @pytest.mark.parametrize("manipulation", B.MODES)
+    def test_train_mode_and_rng_change_nothing(self, manipulation, size):
+        """No layer is stochastic: ``mode="train"`` with an rng gives eval's bits and draws nothing."""
+        def step(**keywords):
+            model = M.build_model(M.micro_config(manipulation=manipulation), seed=0)
+            logits = M.forward(model, rand_images(2, size, seed=7), **keywords)
+            cross_entropy(logits, np.array([0, 3])).backward()
+            return [logits.data] + [p.grad for p in model.parameters()]
+
+        rng = np.random.default_rng(9)
+        trained, evaluated = step(mode="train", rng=rng), step(mode="eval")
+        for got, want in zip(trained, evaluated, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert rng.random() == np.random.default_rng(9).random()
+
     def test_messenger_key_bias_reaches_the_logits(self):
         """Noise on ``bias.msg_key`` (one column of every patch row) moves the logits.
 
@@ -775,7 +785,7 @@ class TestNoDeadOps:
         for name in public:
             monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
         for mode in B.MODES:  # 136 px pads every stage and crops the tiled input messengers
-            model = M.build_model(M.micro_config(manipulation=mode, drop_path_rate=0.1), seed=0)
+            model = M.build_model(M.micro_config(manipulation=mode), seed=0)
             logits = M.forward(model, rand_images(2, 136), mode="train", rng=np.random.default_rng(0))
             cross_entropy(logits, np.array([0, 3])).backward()
         M.forward(M.build_model(M.micro_config(task="det-backbone"), seed=0), rand_images(1, 160))
@@ -795,7 +805,7 @@ class TestFusedNodesInModel:
 
     def test_micro_train_step(self, monkeypatch):
         def step():
-            model = M.build_model(M.micro_config(drop_path_rate=0.1), seed=0)
+            model = M.build_model(M.micro_config(), seed=0)
             with T.count_macs() as c:
                 logits = M.forward(model, rand_images(2, 128), mode="train", rng=np.random.default_rng(0))
                 cross_entropy(logits, np.array([0, 3])).backward()
@@ -827,6 +837,7 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
     Every block runs over all tokens, and every stage ends with
     ``detach_msg``, ``reverse_windows`` and ``crop_to``. The last block, which has no
     bias, gets a random one: the messenger rows it feeds do not read it.
+    ``mode`` and ``rng`` take ``forward``'s keywords, which select nothing.
     """
     cfg = model.config
     bias_rng = np.random.default_rng(4)
@@ -843,7 +854,7 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
                 table, key = bias_rng.standard_normal((heads, span, span)), bias_rng.standard_normal(heads)
                 table, key = (Tensor(a.astype(model.embed_weight.dtype)) for a in (table, key))
                 blk = replace(blk, bias_table=table, msg_key_bias=key)
-            wt = B.block_forward(wt, blk, training=mode == "train", rng=rng)
+            wt = B.block_forward(wt, blk)
         wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)
         if si < M.NUM_STAGES - 1:
@@ -852,16 +863,14 @@ def reference_forward(model: M.Model, images: Tensor, mode: str = "eval", rng=No
     return T.linear(pooled, model.head_weight, model.head_bias)
 
 
-def _window2_config(input_size=128, mode="shuffle", depths=(1, 1, 1, 1), drop_path_rate=0.0):
+def _window2_config(input_size=128, mode="shuffle", depths=(1, 1, 1, 1)):
     """Window 2 and shuffle 2 in every stage, so the last block exchanges across a 2x2 or 3x3 grid.
 
     At 128 px the stage-4 map is 4x4 (one full region); at 136 px it is 5x5,
     padded to 6x6, and its 3x3 window grid has partial regions.
     """
     stages = M._stages((8, 16, 32, 64), (1, 2, 2, 4), depths, (2,) * M.NUM_STAGES)
-    return M.ArchConfig(
-        stages, input_size, num_classes=3, manipulation=mode, drop_path_rate=drop_path_rate, window_size=2
-    )
+    return M.ArchConfig(stages, input_size, num_classes=3, manipulation=mode, window_size=2)
 
 
 class TestMessengerOnlyFinalBlock:
@@ -887,10 +896,10 @@ class TestMessengerOnlyFinalBlock:
         + [
             (M.micro_config(), "eval"),
             (_window2_config(input_size=136), "eval"),
-            (_window2_config(input_size=136, mode="average", depths=(1, 1, 2, 2), drop_path_rate=0.3), "train"),
+            (_window2_config(input_size=136, mode="average", depths=(1, 1, 2, 2)), "train"),
             (_window2_config(depths=(1, 1, 2, 0)), "eval"),
         ],
-        ids=[*B.MODES, "micro", "padded-partial", "train-drop-path", "empty-last-stage"],
+        ids=[*B.MODES, "micro", "padded-partial", "train-average-partial", "empty-last-stage"],
     )
     def test_matches_full_block_oracle(self, cfg, mode):
         got_logits, got_grads, got_next = self._run(M.forward, cfg, mode)
@@ -903,7 +912,7 @@ class TestMessengerOnlyFinalBlock:
                 assert got is want is None or not np.any(want if got is None else got), name
                 continue
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), name
-        assert got_next == want_next  # the drop-path masks took the same draws
+        assert got_next == want_next  # neither forward drew from the rng
 
     def test_stage4_patch_tokens_are_not_reversed(self, monkeypatch):
         calls = []

@@ -1138,25 +1138,6 @@ class TestBackwardUsesUpTheGraph:
         np.testing.assert_array_equal(p.grad, [4.0, 5.0])
 
 
-class TestDropPath:
-    def test_inactive_outside_training(self):
-        x = Tensor(np.ones((4, 3), dtype=np.float32))
-        assert T.drop_path(x, 0.5, None, training=False) is x
-        assert T.drop_path(x, 0.0, None, training=True) is x
-
-    def test_keeps_or_scales_whole_samples(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((64, 3), dtype=np.float32))
-        y = T.drop_path(x, 0.25, rng, training=True).data
-        per_sample = np.unique(y, axis=1)
-        assert per_sample.shape[1] == 1  # each sample fully kept or fully dropped
-        assert set(np.unique(y)).issubset({0.0, np.float32(1 / 0.75)})
-
-    def test_requires_rng_in_training(self):
-        with pytest.raises(ContractError):
-            T.drop_path(Tensor(np.ones(2, dtype=np.float32)), 0.5, None, training=True)
-
-
 class TestMacCounter:
     def test_matmul_macs(self):
         a = Tensor(np.zeros((4, 3, 5), dtype=np.float32))
