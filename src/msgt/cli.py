@@ -237,9 +237,12 @@ def _cmd_analyze_comm(args) -> int:
     print("receptive field after two attention computations:")
     print(f"  window shifting:    {float(swin):g}")
     print(f"  messenger shuffle:  {float(msg):g} (shuffle size {s})")
+    if s == 1:
+        print("shuffle size 1 exchanges nothing between windows, so there is nothing to check")
+        return 0
     grid = min(s, 3)
     reached = information_reach(grid, "shuffle")
-    print(f"perturbation reach over a {grid}x{grid} region after two blocks: "
+    print(f"toy probe (window 2, one head, a {grid}x{grid} region), perturbation reach after two blocks: "
           f"{int(reached.sum())}/{reached.size} windows")
     confined = information_reach(grid, "none")
     print(f"with exchange disabled: {int(confined.sum())}/{confined.size} windows")

@@ -27,10 +27,14 @@ outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
 which give a row the same bits wherever it sits in the array; a GEMV
 against ones does not.
 
-Every op adds its work to one private table, ``_counts``: MACs by kernel
-family, the fused nodes' included, and window partitions. ``count_macs``
-reads the table's growth over a block and ``windows.partition_call_count``
-its partitions, so nested readers each see all the work inside them.
+Every op returns through one constructor, ``_op``; only ``split``'s pieces
+get their nodes by hand. As the op returns, ``_op`` adds its work to one
+private table, ``_counts`` (MACs by kernel family, the fused nodes' included),
+so an op that raises books nothing; and when grad reaches a parent, it keeps
+the op's backward closure, inside which any work only a backward needs is
+done. ``count_macs`` reads the table's growth over a block and
+``windows.partition_call_count`` the partitions ``windows.partition_windows``
+adds, so nested readers each see all the work inside them.
 """
 
 from __future__ import annotations
@@ -72,10 +76,6 @@ class no_grad:
 _counts: Counter = Counter()
 
 
-def _count(kind: str, n: int) -> None:
-    _counts[kind] += int(n)
-
-
 class count_macs:
     """``with count_macs() as c:`` counts the MACs of all ops run in the block, nested blocks' too.
 
@@ -108,9 +108,9 @@ class _Node:
 
     __slots__ = ("grad", "backward", "parents", "__weakref__")
 
-    def __init__(self, parents: tuple[_Node, ...] = ()):
+    def __init__(self, parents: tuple[_Node, ...] = (), backward: Optional[Callable[[np.ndarray], None]] = None):
         self.grad: Optional[np.ndarray] = None
-        self.backward: Optional[Callable[[np.ndarray], None]] = None
+        self.backward = backward
         self.parents = parents
 
 
@@ -157,10 +157,6 @@ class Tensor:
     @grad.setter
     def grad(self, g: Optional[np.ndarray]) -> None:
         self._node.grad = g
-
-    @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return () if self._node is None else self._node.parents
 
     @property
     def _backward(self) -> Optional[Callable[[np.ndarray], None]]:
@@ -236,11 +232,14 @@ def _consumed(g: np.ndarray) -> None:
     raise ContractError("backward() through a graph that an earlier backward() used up")
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
+def _op(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None], **work: int) -> Tensor:
+    """An op's output: books its ``work`` by kind and keeps ``backward`` if grad reaches a (non-None) parent."""
+    for kind, n in work.items():
+        _counts[kind] += n
     out = Tensor.__new__(Tensor)
     out.data = data
-    nodes = tuple(p._node for p in parents if p._node is not None) if _grad_enabled else ()
-    out._node = _Node(nodes) if nodes else None
+    nodes = tuple(p._node for p in parents if p is not None and p._node is not None) if _grad_enabled else ()
+    out._node = _Node(nodes, backward) if nodes else None
     return out
 
 
@@ -292,45 +291,36 @@ def _check_axis(axis: int, ndim: int) -> int:
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out = _make(a.data + b.data, (a, b))
-    _count("other", out.data.size)
-    if out.requires_grad:
-        na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
-        def backward(g):
-            if na is not None:
-                _accum(na, _unbroadcast(g, a_shape))
-            if nb is not None:
-                _accum(nb, _unbroadcast(g, b_shape))
-        out._backward = backward
-    return out
+    y = a.data + b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    def backward(g):
+        if na is not None:
+            _accum(na, _unbroadcast(g, a_shape))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, b_shape))
+    return _op(y, (a, b), backward, other=y.size)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out = _make(a.data * b.data, (a, b))
-    _count("other", out.data.size)
-    if out.requires_grad:
-        na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
-        ad, bd = (None if nb is None else a.data), (None if na is None else b.data)  # read by the other's gradient
-        def backward(g):
-            if na is not None:
-                _accum(na, _unbroadcast(g * bd, a_shape))
-            if nb is not None:
-                _accum(nb, _unbroadcast(g * ad, b_shape))
-        out._backward = backward
-    return out
+    y = a.data * b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    ad, bd = (None if nb is None else a.data), (None if na is None else b.data)  # read by the other's gradient
+    def backward(g):
+        if na is not None:
+            _accum(na, _unbroadcast(g * bd, a_shape))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * ad, b_shape))
+    return _op(y, (a, b), backward, other=y.size)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
-        na, a_shape = a._node, a.data.shape
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(na, np.broadcast_to(g, a_shape))
-        out._backward = backward
-    return out
+    na, a_shape = a._node, a.data.shape
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(na, np.broadcast_to(g, a_shape))
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -342,73 +332,56 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _make(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        na, src_shape = a._node, a.data.shape
+    na, src_shape = a._node, a.data.shape
 
-        def backward(g):
-            _accum(na, g.reshape(src_shape))
+    def backward(g):
+        _accum(na, g.reshape(src_shape))
 
-        out._backward = backward
-    return out
+    return _op(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"axes {axes} are not a permutation of 0..{a.data.ndim - 1}")
-    out = _make(np.ascontiguousarray(a.data.transpose(axes)), (a,))
-    if out.requires_grad:
-        na, inverse = a._node, tuple(np.argsort(axes))
+    na = a._node
 
-        def backward(g):
-            _accum(na, g.transpose(inverse))
+    def backward(g):
+        _accum(na, g.transpose(np.argsort(axes)))  # the inverse is worked out only if a backward runs
 
-        out._backward = backward
-    return out
+    return _op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    picked = a.data[key]
-    if not isinstance(picked, np.ndarray):
-        picked = np.asarray(picked)
-    out = _make(picked, (a,))
-    if out.requires_grad:
-        na, src_shape = a._node, a.data.shape
+    picked = np.asarray(a.data[key])  # a 0-d array where one element is picked
+    na, src_shape = a._node, a.data.shape
+
+    def backward(g):
+        buf = np.zeros(src_shape, dtype=g.dtype)
         # An index array may repeat an entry; np.add.at sums the repeats,
         # where assignment would keep only one of them.
         parts = key if isinstance(key, tuple) else (key,)
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
+        if any(isinstance(k, (np.ndarray, list)) for k in parts):
+            np.add.at(buf, key, g)
+        else:
+            buf[key] = g
+        _accum(na, buf)
 
-        def backward(g):
-            buf = np.zeros(src_shape, dtype=g.dtype)
-            if fancy:
-                np.add.at(buf, key, g)
-            else:
-                buf[key] = g
-            _accum(na, buf)
-
-        out._backward = backward
-    return out
+    return _op(picked, (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     axis = _check_axis(axis, tensors[0].data.ndim)
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        nodes = [t._node for t in tensors]
-        extents = [t.data.shape[axis] for t in tensors]
+    nodes = [t._node for t in tensors]
+    extents = [t.data.shape[axis] for t in tensors]
 
-        def backward(g):
-            start = 0
-            for node, extent in zip(nodes, extents):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + extent)
-                _accum(node, g[tuple(sl)])
-                start += extent
+    def backward(g):
+        start = 0
+        for node, extent in zip(nodes, extents):
+            _accum(node, g[(slice(None),) * axis + (slice(start, start + extent),)])
+            start += extent
 
-        out._backward = backward
-    return out
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
@@ -425,7 +398,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     if any(s < 0 for s in sizes) or sum(sizes) != src_shape[axis]:
         raise ShapeError(f"split sizes {sizes} do not add up to extent {src_shape[axis]} of axis {axis}")
     na = a._node if _grad_enabled else None
-    whole = None if na is None else _Node((na,))
+    whole = None if na is None else _Node((na,), lambda g: _accum(na, g))  # hands the buffer to ``a``
 
     def write(key):
         def backward(g):
@@ -438,14 +411,11 @@ def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     start = 0
     for size in sizes:
         key = (slice(None),) * axis + (slice(start, start + size),)
-        piece = _make(a.data[key], ())
+        piece = Tensor(a.data[key])
         if whole is not None:
-            piece._node = _Node((whole,))
-            piece._backward = write(key)
+            piece._node = _Node((whole,), write(key))
         pieces.append(piece)
         start += size
-    if whole is not None:
-        whole.backward = lambda g: _accum(na, g)  # the buffer now belongs to ``a``
     return pieces
 
 
@@ -457,27 +427,21 @@ def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
     window = tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, a.data.shape))
     data = np.zeros([lo + n + hi for (lo, hi), n in zip(pads, a.data.shape)], a.data.dtype)
     data[window] = a.data  # np.pad loops over the axes in Python, over 10x slower on a small 8-d map
-    out = _make(data, (a,))
-    if out.requires_grad:
-        na = a._node
+    na = a._node
 
-        def backward(g):
-            _accum(na, g[window])
+    def backward(g):
+        _accum(na, g[window])
 
-        out._backward = backward
-    return out
+    return _op(data, (a,), backward)
 
 
 def broadcast_mean(a: Tensor, axis: int) -> Tensor:
     """Replace every entry along ``axis`` by the mean over that axis."""
     axis = _check_axis(axis, a.data.ndim)
-    out = _make(np.broadcast_to(a.data.mean(axis=axis, keepdims=True), a.data.shape).copy(), (a,))
-    if out.requires_grad:
-        na = a._node
-        def backward(g):
-            _accum(na, np.broadcast_to(g.mean(axis=axis, keepdims=True), g.shape).copy())
-        out._backward = backward
-    return out
+    na = a._node
+    def backward(g):
+        _accum(na, np.broadcast_to(g.mean(axis=axis, keepdims=True), g.shape).copy())
+    return _op(np.broadcast_to(a.data.mean(axis=axis, keepdims=True), a.data.shape).copy(), (a,), backward)
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -489,10 +453,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``bias`` is added in place into the product; it must broadcast to the
     product's shape without enlarging it.
     """
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(f"mixed dtypes {a.data.dtype} and {b.data.dtype}")
+    b = _coerce(b, a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul requires 2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -501,30 +462,24 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         y = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"batch extents incompatible: {a.data.shape} @ {b.data.shape}") from exc
-    m, k, n = a.data.shape[-2], a.data.shape[-1], b.data.shape[-1]
-    _count("matmul", int(np.prod(y.shape[:-2], dtype=np.int64)) * m * k * n)
-    parents = (a, b)
+    macs = int(np.prod(y.shape[:-2], dtype=np.int64)) * a.data.shape[-2] * a.data.shape[-1] * b.data.shape[-1]
+    nbias, bias_shape = None, None
     if bias is not None:
         bias = _coerce(bias, a)
         try:
             y += bias.data
         except ValueError as exc:
             raise ShapeError(f"bias {bias.data.shape} does not broadcast to product {y.shape}") from exc
-        _count("other", y.size)
-        parents = (a, b, bias)
-    out = _make(y, parents)
-    if out.requires_grad:
-        na, nb, ad, bd = a._node, b._node, a.data, b.data
-        nbias, bias_shape = (None, None) if bias is None else (bias._node, bias.data.shape)
-        def backward(g):
-            if nbias is not None:
-                _accum(nbias, _unbroadcast(g, bias_shape))
-            if na is not None:
-                _accum(na, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
-            if nb is not None:
-                _accum(nb, _unbroadcast(_weight_grad(ad, g), bd.shape))
-        out._backward = backward
-    return out
+        nbias, bias_shape = bias._node, bias.data.shape
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
+    def backward(g):
+        if nbias is not None:
+            _accum(nbias, _unbroadcast(g, bias_shape))
+        if na is not None:
+            _accum(na, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
+        if nb is not None:
+            _accum(nb, _unbroadcast(_weight_grad(ad, g), bd.shape))
+    return _op(y, (a, b, bias), backward, matmul=macs, other=0 if bias is None else y.size)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -580,13 +535,10 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - logz
-    out = _make(y, (x,))
-    if out.requires_grad:
-        nx = x._node
-        def backward(g):
-            _accum(nx, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-        out._backward = backward
-    return out
+    nx = x._node
+    def backward(g):
+        _accum(nx, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+    return _op(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -603,26 +555,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
-    out = _make(y, (x, gamma, beta))
-    _count("other", out.data.size)
-    if out.requires_grad:
-        nx, ngamma, nbeta, gamma_data = x._node, gamma._node, beta._node, gamma.data
-        def backward(g):
-            g2 = g.reshape(-1, c)
-            if ngamma is not None:
-                _accum(ngamma, _col_sum(g2, xhat.reshape(-1, c)))
-            if nbeta is not None:
-                _accum(nbeta, _col_sum(g2))
-            if nx is not None:
-                # ((gh - mean(gh)) - xhat * mean(gh * xhat)) * inv, in this order
-                gh = g * gamma_data
-                m2 = _row_sum(gh, xhat) / c
-                gh -= _row_sum(gh) / c
-                gh -= xhat * m2
-                gh *= inv
-                _accum(nx, gh)
-        out._backward = backward
-    return out
+    nx, ngamma, nbeta, gamma_data = x._node, gamma._node, beta._node, gamma.data
+    def backward(g):
+        g2 = g.reshape(-1, c)
+        if ngamma is not None:
+            _accum(ngamma, _col_sum(g2, xhat.reshape(-1, c)))
+        if nbeta is not None:
+            _accum(nbeta, _col_sum(g2))
+        if nx is not None:
+            # ((gh - mean(gh)) - xhat * mean(gh * xhat)) * inv, in this order
+            gh = g * gamma_data
+            m2 = _row_sum(gh, xhat) / c
+            gh -= _row_sum(gh) / c
+            gh -= xhat * m2
+            gh *= inv
+            _accum(nx, gh)
+    return _op(y, (x, gamma, beta), backward, other=y.size)
 
 
 # gelu's float32 cdf is 0.5 (1 + tanh(x H(x^2))), H(s) a degree-6 weighted minimax fit of
@@ -729,27 +677,24 @@ def attention(
         p += bias.data
     _softmax_(p)
     ctx = np.ascontiguousarray(np.matmul(p, v).swapaxes(-3, -2)).reshape(*lead, m, c)
-    _count("matmul", x2.shape[0] * c * 3 * c + 2 * p.size * d)
-    _count("other", x2.shape[0] * 3 * c + (2 if bias is None else 3) * p.size)
-    out = _make(ctx, (x, w_qkv, b_qkv) if bias is None else (x, w_qkv, b_qkv, bias))
-    if out.requires_grad:
-        nx, nw, nb, w = x._node, w_qkv._node, b_qkv._node, w_qkv.data
-        nbias, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
-        def backward(g):
-            gctx = g.reshape(*lead, m, heads, d).swapaxes(-3, -2)
-            gs = np.matmul(gctx, v.swapaxes(-1, -2))
-            gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
-            gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
-            _softmax_grad(gs, p, out=gs)
-            if nbias is not None:  # copied: gs is scaled in place next
-                _accum(nbias, _unbroadcast(gs, bias_shape).copy())
-            gs *= scale
-            gqkv[..., :m, 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
-            gqkv[..., m:, 0, :, :] = 0
-            gqkv[..., 1, :, :] = np.moveaxis(np.matmul(q.swapaxes(-1, -2), gs), -1, -3)
-            _linear_backward(nx, nw, nb, x2, w, gqkv.reshape(-1, 3 * c), (*lead, n, c))
-        out._backward = backward
-    return out, p
+    nx, nw, nb, w = x._node, w_qkv._node, b_qkv._node, w_qkv.data
+    nbias, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
+    def backward(g):
+        gctx = g.reshape(*lead, m, heads, d).swapaxes(-3, -2)
+        gs = np.matmul(gctx, v.swapaxes(-1, -2))
+        gqkv = np.empty((*lead, n, 3, heads, d), dtype=g.dtype)
+        gqkv[..., 2, :, :] = np.matmul(p.swapaxes(-1, -2), gctx).swapaxes(-3, -2)
+        _softmax_grad(gs, p, out=gs)
+        if nbias is not None:  # copied: gs is scaled in place next
+            _accum(nbias, _unbroadcast(gs, bias_shape).copy())
+        gs *= scale
+        gqkv[..., :m, 0, :, :] = np.matmul(gs, kt.swapaxes(-1, -2)).swapaxes(-3, -2)
+        gqkv[..., m:, 0, :, :] = 0
+        gqkv[..., 1, :, :] = np.moveaxis(np.matmul(q.swapaxes(-1, -2), gs), -1, -3)
+        _linear_backward(nx, nw, nb, x2, w, gqkv.reshape(-1, 3 * c), (*lead, n, c))
+    macs = x2.shape[0] * c * 3 * c + 2 * p.size * d
+    other = x2.shape[0] * 3 * c + (2 if bias is None else 3) * p.size
+    return _op(ctx, (x, w_qkv, b_qkv, bias), backward, matmul=macs, other=other), p
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -765,20 +710,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     d = _gelu_(act, _grad_enabled and any(p.requires_grad for p in parents))
     y = np.matmul(act, w2.data)
     y += b2.data
-    _count("matmul", (x2.size + y.size) * act.shape[1])
-    _count("other", 2 * act.size + y.size)
-    out = _make(y.reshape(*x.data.shape[:-1], y.shape[1]), parents)
-    if out.requires_grad:
-        nx, x_shape, w1d, w2d = x._node, x.data.shape, w1.data, w2.data
-        nw1, nb1, nw2, nb2 = w1._node, b1._node, w2._node, b2._node
-        def backward(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            gact = np.matmul(g2, w2d.swapaxes(-1, -2))
-            _linear_backward(None, nw2, nb2, act, w2d, g2, None)
-            gact *= d
-            _linear_backward(nx, nw1, nb1, x2, w1d, gact, x_shape)
-        out._backward = backward
-    return out
+    nx, x_shape, w1d, w2d = x._node, x.data.shape, w1.data, w2.data
+    nw1, nb1, nw2, nb2 = w1._node, b1._node, w2._node, b2._node
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gact = np.matmul(g2, w2d.swapaxes(-1, -2))
+        _linear_backward(None, nw2, nb2, act, w2d, g2, None)
+        gact *= d
+        _linear_backward(nx, nw1, nb1, x2, w1d, gact, x_shape)
+    out = y.reshape(*x_shape[:-1], y.shape[1])
+    return _op(out, parents, backward, matmul=(x2.size + y.size) * act.shape[1], other=2 * act.size + y.size)
 
 
 def _linear_backward(nx, nw, nb, x2: np.ndarray, w: np.ndarray, g2: np.ndarray, x_shape) -> None:
@@ -838,33 +779,28 @@ def conv2d(
     cols2 = cols.reshape(b * oh * ow, kh * kw * cin)
     w2 = weight.data.reshape(kh * kw * cin, cout)
     y = cols2 @ w2
-    _count("conv", cols2.shape[0] * cols2.shape[1] * cout)
     if bias is not None:
         y += bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(y.reshape(b, oh, ow, cout), parents)
-    if out.requires_grad:
-        nx, nw, nbias = x._node, weight._node, None if bias is None else bias._node
-        def backward(g):
-            g2 = g.reshape(b * oh * ow, cout)
-            if nbias is not None:
-                _accum(nbias, _col_sum(g2))
-            if nw is not None:
-                _accum(nw, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
-            if nx is not None:
-                gcols = (g2 @ w2.T).reshape(b, oh, ow, kh, kw, cin)
-                gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin), dtype=cols2.dtype)
-                for ki in range(kh):
-                    for kj in range(kw):
-                        gxp[
-                            :,
-                            ki : ki + stride * (oh - 1) + 1 : stride,
-                            kj : kj + stride * (ow - 1) + 1 : stride,
-                            :,
-                        ] += gcols[:, :, :, ki, kj, :]
-                _accum(nx, gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp)
-        out._backward = backward
-    return out
+    nx, nw, nbias = x._node, weight._node, None if bias is None else bias._node
+    def backward(g):
+        g2 = g.reshape(b * oh * ow, cout)
+        if nbias is not None:
+            _accum(nbias, _col_sum(g2))
+        if nw is not None:
+            _accum(nw, _weight_grad(cols2, g2).reshape(kh, kw, cin, cout))
+        if nx is not None:
+            gcols = (g2 @ w2.T).reshape(b, oh, ow, kh, kw, cin)
+            gxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin), dtype=cols2.dtype)
+            for ki in range(kh):
+                for kj in range(kw):
+                    gxp[
+                        :,
+                        ki : ki + stride * (oh - 1) + 1 : stride,
+                        kj : kj + stride * (ow - 1) + 1 : stride,
+                        :,
+                    ] += gcols[:, :, :, ki, kj, :]
+            _accum(nx, gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp)
+    return _op(y.reshape(b, oh, ow, cout), (x, weight, bias), backward, conv=cols2.shape[0] * cols2.shape[1] * cout)
 
 
 # -- gradient checking -------------------------------------------------------------

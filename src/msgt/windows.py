@@ -121,7 +121,7 @@ def partition_windows(fm: FeatureMap, window_size: int) -> WindowedTokens:
             f"extents {h}x{w} are not divisible by window size {window_size}; "
             "call pad_to_window_multiple first"
         )
-    T._count("partitions", 1)
+    T._counts["partitions"] += 1
     gh, gw = h // window_size, w // window_size
     x = T.reshape(fm.tokens, (b, gh, window_size, gw, window_size, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))

@@ -14,7 +14,7 @@ from msgt import windows as W
 from msgt.analysis import information_reach
 from msgt.errors import ConfigError, ContractError, ShapeError
 from msgt.model import make_block_params
-from msgt.tensor import Tensor, _accum, _make
+from msgt.tensor import Tensor, _accum, _op
 
 
 # -- reference exchange: flat permutations and segment means, over W.regions for shift and average --
@@ -62,18 +62,15 @@ def reference_segment_mean(a, segments):
     y = np.empty_like(a.data)
     for idx in segments:
         y[..., idx, :] = a.data[..., idx, :].mean(axis=-2, keepdims=True)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        na = a._node
+    na = a._node
 
-        def backward(g):
-            buf = np.empty_like(g)
-            for idx in segments:
-                buf[..., idx, :] = g[..., idx, :].mean(axis=-2, keepdims=True)
-            _accum(na, buf)
+    def backward(g):
+        buf = np.empty_like(g)
+        for idx in segments:
+            buf[..., idx, :] = g[..., idx, :].mean(axis=-2, keepdims=True)
+        _accum(na, buf)
 
-        out._node.backward = backward
-    return out
+    return _op(y, (a,), backward)
 
 
 def reference_manipulate(grid, region, anchor, mode):

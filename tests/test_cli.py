@@ -204,6 +204,18 @@ class TestAnalyzeComm:
         assert "784" in out
         assert "passed" in out
 
+    def test_shuffle_size_one_claims_no_check(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze-comm", "--shuffle", "1")
+        assert code == 0
+        assert "shuffle size 1 exchanges nothing" in out
+        assert "passed" not in out and "probe" not in out
+
+    def test_probe_line_names_the_geometry_it_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze-comm", "--window", "4", "--shuffle", "8")
+        assert code == 0
+        assert "(shuffle size 8)" in out and "8x8" not in out
+        assert "window 2, one head, a 3x3 region" in out
+
 
 class TestGradcheck:
     def test_op_and_block_suite(self, capsys):

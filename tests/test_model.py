@@ -615,6 +615,28 @@ def test_outputs_and_gradients_do_not_depend_on_the_thread_count():
     assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
 
+class TestFloat32Fidelity:
+    """The float32 path that trains stays close to float64 on the same weights and images."""
+
+    @pytest.mark.parametrize("size", [128, 136])
+    def test_train_step_matches_float64(self, size):
+        f32 = M.build_model(M.micro_config(), seed=0)
+        f64 = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+        for (name, p32), (name64, p64) in zip(f32.named_parameters(), f64.named_parameters(), strict=True):
+            assert name == name64
+            p64.data = p32.data.astype(np.float64)
+        images = rand_images(4, size)
+        losses = []
+        for model, x in ((f32, images), (f64, Tensor(images.data.astype(np.float64)))):
+            loss = cross_entropy(M.forward(model, x), np.arange(4), 0.1)
+            loss.backward()
+            losses.append(loss.item())
+        assert abs(losses[0] - losses[1]) <= 1e-6 * abs(losses[1])
+        for (name, p32), (_, p64) in zip(f32.named_parameters(), f64.named_parameters()):
+            err = np.linalg.norm(p32.grad.astype(np.float64) - p64.grad) / np.linalg.norm(p64.grad)
+            assert err <= 1e-4, (name, err)
+
+
 class TestPatchEmbed:
     def test_tiny_geometry(self, tiny_model):
         fm = M.patch_embed(tiny_model, rand_images(1, 224))

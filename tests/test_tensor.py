@@ -281,12 +281,9 @@ def _node(x, reference):
 
     Counts its output size as ``other`` MACs, as the engine's elementwise ops do.
     """
-    out = T._make(reference(x.data, np.zeros_like(x.data))[0], (x,))
-    T._count("other", out.data.size)
-    if out.requires_grad:
-        nx, xd = x._node, x.data
-        out._node.backward = lambda g: T._accum(nx, reference(xd, g)[1])
-    return out
+    y = reference(x.data, np.zeros_like(x.data))[0]
+    nx, xd = x._node, x.data
+    return T._op(y, (x,), lambda g: T._accum(nx, reference(xd, g)[1]), other=y.size)
 
 
 def softmax_node(x):
@@ -600,7 +597,7 @@ class TestFusedNodes:
         zero = Tensor(np.zeros((2, 1, 6)), requires_grad=True)
         for bias in (None, zero):
             ctx, probs = T.attention(x, w_qkv, b_qkv, bias, 2, queries=1)
-            assert len(ctx._parents) == (3 if bias is None else 4)
+            assert len(ctx._node.parents) == (3 if bias is None else 4)
             T.tsum(T.mul(ctx, ctx)).backward()
         unbiased, _ = T.attention(x, w_qkv, b_qkv, None, 2, queries=1)
         np.testing.assert_array_equal(unbiased.data, ctx.data)
@@ -1119,23 +1116,64 @@ class TestBackwardUsesUpTheGraph:
             T.tsum(T.mul(h, 2.0)).backward()
 
     def test_tensor_reads_and_rewraps_its_node(self):
-        """``_parents`` and ``_backward`` read the node, and a tracer may replace ``_backward``."""
+        """``_backward`` reads the node's closure, and a tracer may replace it."""
         a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
         y = T.mul(a, b)
-        assert y._parents == (a._node, b._node) and y._backward is y._node.backward
+        assert y._node.parents == (a._node, b._node) and y._backward is y._node.backward
         calls = []
         real = y._backward
         y._backward = lambda g: (calls.append(g.shape), real(g))
         T.tsum(y).backward()
         assert calls == [(2,)]
         np.testing.assert_array_equal(a.grad, [3.0, 4.0])
-        assert Tensor(np.zeros(2))._parents == () and Tensor(np.zeros(2))._backward is None
+        assert Tensor(np.zeros(2))._node is None and Tensor(np.zeros(2))._backward is None
 
     def test_leaf_root_keeps_its_seed(self):
         p = t64([1.0, 2.0])
         p.backward(np.array([3.0, 4.0]))
         p.backward(np.array([1.0, 1.0]))
         np.testing.assert_array_equal(p.grad, [4.0, 5.0])
+
+
+class TestOpConstructor:
+    @pytest.mark.parametrize("mode", ["shuffle", "average", "shift"])
+    def test_every_graph_node_comes_from_the_op_constructor(self, monkeypatch, mode):
+        """Every non-leaf node a micro train step reaches was made by ``_op``, or is a ``split`` piece or shared node.
+
+        136 px pads every stage, so ``pad`` and the crop's ``getitem`` run too.
+        """
+        made, split_nodes = [], []  # held, so no id is reused while the graph is walked
+        op, split = T._op, T.split
+
+        def recording_op(*args, **work):
+            out = op(*args, **work)
+            made.append(out._node)
+            return out
+
+        def recording_split(*args, **kwargs):
+            pieces = split(*args, **kwargs)
+            split_nodes.extend(n for p in pieces for n in (p._node, *p._node.parents))
+            return pieces
+
+        monkeypatch.setattr(T, "_op", recording_op)
+        monkeypatch.setattr(T, "split", recording_split)
+        model = M.build_model(M.micro_config(manipulation=mode), seed=0)
+        images = Tensor(np.random.default_rng(0).standard_normal((4, 136, 136, 3)).astype(np.float32))
+        loss = cross_entropy(M.forward(model, images), np.arange(4), 0.1)
+        allowed = {id(n) for n in made + split_nodes if n is not None}
+        seen, stack, inner = set(), [loss._node], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.backward is not None:
+                inner += 1
+                assert id(node) in allowed, node.backward.__qualname__
+            stack.extend(node.parents)
+        assert split_nodes and inner > len(split_nodes)
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestMacCounter:
@@ -1152,6 +1190,14 @@ class TestMacCounter:
         with T.count_macs() as c:
             T.conv2d(x, w, None, stride=2, padding=1)
         assert c["conv"] == 4 * 4 * 9 * 3 * 6
+
+    def test_an_op_that_raises_books_no_work(self):
+        """The product runs before the bias is found not to broadcast; its 24 MACs are not booked."""
+        a = Tensor(np.zeros((2, 3), dtype=np.float32))
+        b = Tensor(np.zeros((3, 4), dtype=np.float32))
+        with T.count_macs() as c, pytest.raises(ShapeError, match="bias"):
+            T.matmul(a, b, Tensor(np.zeros((5, 1, 4), dtype=np.float32)))
+        assert c.buckets == {"matmul": 0, "conv": 0, "other": 0}
 
     def test_nested_blocks_each_count_all_their_work(self):
         """An outer block counts the inner block's MACs too; partitions go to the same table."""
