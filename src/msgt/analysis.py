@@ -1,7 +1,7 @@
 """Verification probes that run the real machinery.
 
-Two families: information-flow reach (perturb one patch token, report
-which windows notice after a stack of blocks) and the 64-bit
+Two families: information-flow reach (bump one input pixel of a real
+model, report which stage-1 windows notice) and the 64-bit
 finite-difference gradient suite over single ops, one block, and the full
 micro model.
 """
@@ -20,42 +20,30 @@ from .model import make_block_params
 from .tensor import Tensor
 
 
-def _generic_block(rng: np.random.Generator, channels: int, region_size: int, mode: str) -> B.BlockParams:
-    """Window 2, one head, and random nonzero parameters everywhere, so no path is accidentally dead."""
-    params = make_block_params(rng, channels, 1, 2, region_size, mode=mode, dtype=np.float64)
-    for t in params.parameters():
-        t.data = rng.standard_normal(t.shape) * 0.2
-    params.norm1_gamma.data = 1.0 + 0.1 * rng.standard_normal(channels)
-    params.norm2_gamma.data = 1.0 + 0.1 * rng.standard_normal(channels)
-    return params
-
-
 def information_reach(
-    region_size: int = 2, mode: str = "shuffle", use_msg: bool = True, num_blocks: int = 2, seed: int = 0
+    region_size: int = 2, mode: str = "shuffle", use_msg: bool = True, num_blocks: int = 2, seed: int = 0,
+    window: int = 2,
 ) -> np.ndarray:
-    """Boolean (S, S) map of windows whose outputs change when one patch token in window (0, 0) is
-    perturbed, over one S x S region of 2x2 windows with one head and 2*S*S channels."""
+    """Boolean (S, S) map of the stage-1 windows whose outputs change when input pixel (0, 0) is bumped.
+
+    Runs ``model.forward`` of a float64 det-backbone whose stage 1 is exactly one S x S region of
+    ``window``-sized windows: ``num_blocks`` blocks, one head and S*S channels (the fewest the
+    shuffle splits); stages 2-4 have no blocks. Every parameter is redrawn from N(0, 0.2^2), so no
+    path is accidentally dead. Pixel (0, 0) lies under stage-1 token (0, 0) alone.
+    """
+    s, channels = region_size, region_size * region_size
+    stages = tuple(M.StageConfig(channels, 1, n, s) for n in (num_blocks, 0, 0, 0))
+    cfg = M.ArchConfig(stages, M.PATCH_STRIDE * s * window, 1, "det-backbone", use_msg, mode, window)
+    model = M.build_model(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    s, channels = region_size, 2 * region_size * region_size
-    params = [_generic_block(rng, channels, s, mode) for _ in range(num_blocks)]
-    base_tokens = rng.standard_normal((1, 2 * s, 2 * s, channels))
-    base_msg = rng.standard_normal((1, s, s, channels))
-
-    def run(tokens: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            wt = W.partition_windows(W.FeatureMap(tokens=Tensor(tokens)), 2)
-            if use_msg:
-                wt = B.attach_msg(wt, Tensor(base_msg.copy()))
-            for p in params:
-                wt = B.block_forward(wt, p)
-            return wt.windows.data[..., int(use_msg) :, :]
-
-    # Bump a single channel: a uniform all-channel shift would be erased by
-    # the layer norms and never enter the attention path.
-    perturbed = base_tokens.copy()
-    perturbed[0, 0, 0, 0] += 1e-3
-    delta = np.abs(run(perturbed) - run(base_tokens.copy()))
-    return delta.reshape(1, s, s, -1).max(axis=(0, 3)) > 0.0
+    for p in model.parameters():
+        p.data = rng.standard_normal(p.shape) * 0.2
+    images = rng.standard_normal((1, cfg.input_size, cfg.input_size, 3))
+    bumped = images.copy()
+    bumped[0, 0, 0, 0] += 1e-3  # one channel of one pixel
+    with T.no_grad():
+        before, after = (M.forward(model, Tensor(x))[0].tokens.data for x in (images, bumped))
+    return np.abs(after - before).reshape(s, window, s, window, channels).max(axis=(1, 3, 4)) > 0.0
 
 
 # -- gradient-check suite -------------------------------------------------------

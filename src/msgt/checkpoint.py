@@ -8,7 +8,7 @@ tensor straight from its own buffer. Loading builds the model from its
 architecture config, then reads each tensor's values straight into its
 parameter and validates the file in place: every name, shape and value
 (NaN and Inf are rejected), and that no tensor is missing or unknown.
-Version-1 files load too: the tensors only they hold are checked, then dropped.
+Only version 2 loads: a file of any other version is rejected, its version named.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .model import ArchConfig, Model, build_model, msg_only_block
+from .model import ArchConfig, Model, build_model
 
 MAGIC = b"MSGT"
 VERSION = 2
@@ -57,30 +57,17 @@ def _read(f, n: int, what: str) -> bytes:
     return buf
 
 
-def _version1_only(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
-    """Shape by name of the tensors only version 1 holds; none of them reaches an output."""
-    legacy, span = {}, 2 * cfg.window_size - 1
-    for si, s in enumerate(cfg.stages if cfg.use_msg else ()):
-        for bi in range(s.num_blocks):
-            prefix = f"stage{si + 1}.block{bi}.bias"
-            legacy[f"{prefix}.msg_query"] = (s.num_heads,)
-            if msg_only_block(cfg, si, bi):
-                legacy.update({f"{prefix}.table": (s.num_heads, span, span), f"{prefix}.msg_key": (s.num_heads,)})
-    return legacy
-
-
 def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
     """Build a model for ``cfg`` and read the checkpoint at ``path`` straight into its parameters."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         version, count = struct.unpack("<II", _read(f, 8, "header"))
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         file_size = os.fstat(f.fileno()).st_size
         model = build_model(cfg, seed=0)
         params = dict(model.named_parameters())
-        dropped = _version1_only(cfg) if version == 1 else {}
         seen, unknown = set(), []  # every name read; those the model lacks, in file order
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
@@ -99,11 +86,11 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
             if name in seen:
                 raise FormatError(f"{path}: checkpoint tensor {name!r} appears twice")
             seen.add(name)
-            if name not in params and name not in dropped:
+            if name not in params:
                 unknown.append(name)
                 f.seek(nbytes, os.SEEK_CUR)
                 continue
-            values = params[name].data if name in params else np.empty(dropped[name], np.float32)
+            values = params[name].data
             if shape != values.shape:
                 raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, model expects {values.shape}")
             if f.readinto(values) != nbytes:
@@ -115,7 +102,7 @@ def load_checkpoint(path: str, cfg: ArchConfig) -> Model:
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after the last checkpoint tensor")
 
-    for name in [*params, *dropped]:
+    for name in params:
         if name not in seen:
             raise FormatError(f"checkpoint missing tensor {name!r}")
     if unknown:

@@ -23,6 +23,7 @@ from typing import Optional
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 USAGE_EXIT, RUNTIME_EXIT = 1, 2
+PROBE_MAC_BUDGET = 2**32  # analyze-comm runs no reach probe whose forward costs more
 
 
 class _UsageError(Exception):
@@ -240,11 +241,13 @@ def _cmd_analyze_comm(args) -> int:
     if s == 1:
         print("shuffle size 1 exchanges nothing between windows, so there is nothing to check")
         return 0
-    grid = min(s, 3)
-    reached = information_reach(grid, "shuffle")
-    print(f"toy probe (window 2, one head, a {grid}x{grid} region), perturbation reach after two blocks: "
+    if 2 * C.flops_block(s * s, w, s * s) > PROBE_MAC_BUDGET:  # two blocks over S*S windows of S*S channels
+        print(f"reach probe skipped: a {s}x{s} region of window {w} costs over {PROBE_MAC_BUDGET} MACs per forward")
+        return 0
+    reached = information_reach(s, "shuffle", window=w)
+    print(f"reach probe (stage 1, window {w}, one head, a {s}x{s} region), perturbation reach after two blocks: "
           f"{int(reached.sum())}/{reached.size} windows")
-    confined = information_reach(grid, "none")
+    confined = information_reach(s, "none", window=w)
     print(f"with exchange disabled: {int(confined.sum())}/{confined.size} windows")
     if not reached.all() or confined.sum() != 1:
         print("information-flow check FAILED")

@@ -80,8 +80,10 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
 
     Each image is a sinusoidal grating (random frequency and phase) plus
     Gaussian pixel noise, clipped to [0, 1]. Identical (spec, seed) pairs
-    produce identical bytes.
+    produce identical bytes. Any other ``data.source`` raises ``ConfigError``.
     """
+    if spec.source != "synthetic-textures":
+        raise ConfigError(f"data.source {spec.source!r} is not generated; only 'synthetic-textures' is")
     labels, rows = _synthetic(spec)
     return Dataset(gray=rows(0, len(labels)), labels=labels)
 

@@ -27,12 +27,13 @@ outputs. The hot reductions are einsum sums (``_row_sum``, ``_col_sum``),
 which give a row the same bits wherever it sits in the array; a GEMV
 against ones does not.
 
-Every op returns through one constructor, ``_op``; only ``split``'s pieces
-get their nodes by hand. As the op returns, ``_op`` adds its work to one
-private table, ``_counts`` (MACs by kernel family, the fused nodes' included),
-so an op that raises books nothing; and when grad reaches a parent, it keeps
-the op's backward closure, inside which any work only a backward needs is
-done. ``count_macs`` reads the table's growth over a block and
+Every op returns through one constructor, ``_op``, the only maker of graph
+nodes besides a leaf's ``Tensor(requires_grad=True)``; ``split``'s pieces and
+their shared node are ``_op`` outputs too. As the op returns, ``_op`` adds its
+work to one private table, ``_counts`` (MACs by kernel family, the fused
+nodes' included), so an op that raises books nothing; and when grad reaches a
+parent, it keeps the op's backward closure, inside which any work only a
+backward needs is done. ``count_macs`` reads the table's growth over a block and
 ``windows.partition_call_count`` the partitions ``windows.partition_windows``
 adds, so nested readers each see all the work inside them.
 """
@@ -397,8 +398,9 @@ def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     src_shape = a.data.shape
     if any(s < 0 for s in sizes) or sum(sizes) != src_shape[axis]:
         raise ShapeError(f"split sizes {sizes} do not add up to extent {src_shape[axis]} of axis {axis}")
-    na = a._node if _grad_enabled else None
-    whole = None if na is None else _Node((na,), lambda g: _accum(na, g))  # hands the buffer to ``a``
+    na = a._node
+    shared = _op(a.data, (a,), lambda g: _accum(na, g))  # hands the buffer to ``a``
+    whole = shared._node
 
     def write(key):
         def backward(g):
@@ -411,10 +413,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
     start = 0
     for size in sizes:
         key = (slice(None),) * axis + (slice(start, start + size),)
-        piece = Tensor(a.data[key])
-        if whole is not None:
-            piece._node = _Node((whole,), write(key))
-        pieces.append(piece)
+        pieces.append(_op(a.data[key], (shared,), write(key)))
         start += size
     return pieces
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msgt import blocks as B
+from msgt import complexity as C
 from msgt import tensor as T
 from msgt import windows as W
 from msgt.analysis import information_reach
@@ -455,6 +456,16 @@ class TestBlockForward:
     def test_no_msg_blocks_stay_local(self):
         reached = information_reach(mode="none", use_msg=False, num_blocks=3, seed=5)
         assert reached[0, 0] and reached.sum() == 1
+
+    @pytest.mark.parametrize("region", [2, 3, 4])
+    @pytest.mark.parametrize("window", [1, 2, 3, 7])
+    def test_reach_is_the_receptive_field_formula(self, window, region):
+        """Two shuffle blocks reach (S*w)^2 tokens: all S*S windows of w*w; without exchange, one window."""
+        reached = information_reach(region, "shuffle", window=window)
+        assert reached.all() and reached.sum() * window**2 == C.receptive_field(C.MSG_SHUFFLE, window, region)
+        for use_msg in (True, False):
+            confined = information_reach(region, "none", use_msg=use_msg, window=window)
+            assert confined[0, 0] and confined.sum() == 1
 
     def test_micro_block_gradients(self):
         rng = np.random.default_rng(33)

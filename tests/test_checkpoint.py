@@ -10,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from msgt import blocks as B
 from msgt import checkpoint as CK
 from msgt import model as M
 from msgt import tensor as T
@@ -36,17 +35,6 @@ def test_round_trip_is_bit_identical(micro_model, tmp_path):
 # size and SHA-256 of the golden version-2 file for the seed-11 micro model:
 # a change to the layout, the value bytes or the init fails here
 GOLDEN_MICRO_SEED11 = (1_662_433, "8449990cdab552f864264e093a25cd12beaa249a968f99562aed8d8760b40570")
-# the version-1 file of the same model, which also held the seven tensors below (all zero at init)
-GOLDEN_MICRO_SEED11_V1 = (1_664_356, "5ef913586b8f717c2c1851ac8db429aa2854e41500af0dc8cfed80326b26c854")
-MICRO_V1_ONLY = {
-    "stage1.block0.bias.msg_query": (1,),
-    "stage2.block0.bias.msg_query": (2,),
-    "stage3.block0.bias.msg_query": (4,),
-    "stage3.block1.bias.msg_query": (4,),
-    "stage4.block0.bias.table": (8, 7, 7),
-    "stage4.block0.bias.msg_query": (8,),
-    "stage4.block0.bias.msg_key": (8,),
-}
 
 
 def write_records(path, version, records) -> None:
@@ -58,27 +46,6 @@ def write_records(path, version, records) -> None:
     path.write_bytes(bytes(blob))
 
 
-def version1_records(model, legacy):
-    """``model``'s tensors in version-1 order: each block's bias as table, msg_query and msg_key
-    after its ``attn.out_bias``, taken from ``model`` or, for the version-1-only names, ``legacy``."""
-    have = {name: t.data for name, t in model.named_parameters()}
-    records = []
-    for name, data in have.items():
-        if ".bias." not in name:
-            records.append((name, data))
-        if name.endswith(".attn.out_bias"):
-            for kind in ("table", "msg_query", "msg_key"):
-                key = name.replace("attn.out_bias", f"bias.{kind}")
-                if key in have or key in legacy:
-                    records.append((key, have.get(key, legacy.get(key))))
-    return records
-
-
-def random_legacy(seed=6):
-    rng = np.random.default_rng(seed)
-    return {name: rng.normal(0.0, 0.3, shape).astype(np.float32) for name, shape in MICRO_V1_ONLY.items()}
-
-
 def test_saved_bytes_equal_the_golden_file(micro_model, tmp_path):
     path = tmp_path / "ckpt.msgt"
     save_checkpoint(micro_model, str(path))
@@ -86,108 +53,14 @@ def test_saved_bytes_equal_the_golden_file(micro_model, tmp_path):
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == GOLDEN_MICRO_SEED11
 
 
-def test_golden_version1_file_loads_into_the_same_model(micro_model, tmp_path):
-    path = tmp_path / "v1.msgt"
-    zeros = {name: np.zeros(shape, np.float32) for name, shape in MICRO_V1_ONLY.items()}
-    write_records(path, 1, version1_records(micro_model, zeros))
-    blob = path.read_bytes()
-    assert (len(blob), hashlib.sha256(blob).hexdigest()) == GOLDEN_MICRO_SEED11_V1
-    loaded = load_checkpoint(str(path), M.micro_config())
-    for (na, ta), (nb, tb) in zip(micro_model.named_parameters(), loaded.named_parameters(), strict=True):
-        assert na == nb
-        np.testing.assert_array_equal(ta.data, tb.data)
-
-
-def _random_micro(seed):
-    model = M.build_model(M.micro_config(), seed=0)
-    rng = np.random.default_rng(seed)
-    for p in model.parameters():
-        p.data[...] = rng.normal(0.0, 0.3, p.shape)
-    return model
-
-
-def _widened(model):
-    wide = M.build_model(model.config, seed=0, dtype=np.float64)
-    for a, b in zip(wide.parameters(), model.parameters(), strict=True):
-        a.data[...] = b.data
-    return wide
-
-
-def test_version1_file_with_nonzero_legacy_tensors_loads(tmp_path, monkeypatch):
-    """Float64 logits of the loaded model match the version-1 computation within 1e-12 relative.
-
-    That computation put ``msg_query`` in the messenger's query row of every bias, and ran the
-    last block in full with its own bias; softmax drops the first and the head never reads the second.
-    """
-    model, legacy = _random_micro(5), random_legacy()
-    path = tmp_path / "v1.msgt"
-    write_records(path, 1, version1_records(model, legacy))
-    loaded = load_checkpoint(str(path), M.micro_config())
-    for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters(), strict=True):
-        assert na == nb
-        np.testing.assert_array_equal(ta.data, tb.data)
-    images = Tensor(np.random.default_rng(9).standard_normal((4, 128, 128, 3)))
-    wide = _widened(loaded)
-    with T.no_grad():
-        got = M.forward(wide, images).data
-
-    table, key = (Tensor(legacy[f"stage4.block0.bias.{kind}"].astype(np.float64)) for kind in ("table", "msg_key"))
-    last = wide.stages[3][0]
-    last.bias_table, last.msg_key_bias = table, key  # a block with a bias runs over all tokens
-    query_row = {
-        id(blk.bias_table): legacy[f"stage{si}.block{bi}.bias.msg_query"].astype(np.float64)
-        for si, stage in enumerate(wide.stages, start=1)
-        for bi, blk in enumerate(stage)
-    }
-    real = B.bias_matrix
-
-    def version1_bias_matrix(table, msg_key, with_msg=True):
-        mat = real(table, msg_key, with_msg)
-        row = np.zeros(mat.shape)
-        row[:, 0, :] = query_row[id(table)][:, None]
-        return T.add(mat, Tensor(row))
-
-    monkeypatch.setattr(B, "bias_matrix", version1_bias_matrix)
-    with T.no_grad():
-        want = M.forward(wide, images).data
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not np.array_equal(got, want)  # the version-1 graph really ran
-
-
-def test_version1_file_without_messengers_differs_only_in_version(tmp_path):
-    cfg = M.micro_config(use_msg=False)
-    model = M.build_model(cfg, seed=2)
-    v1, v2 = tmp_path / "v1.msgt", tmp_path / "v2.msgt"
-    write_records(v1, 1, version1_records(model, {}))
-    save_checkpoint(model, str(v2))
-    one, two = v1.read_bytes(), v2.read_bytes()
-    assert one[:4] + one[8:] == two[:4] + two[8:]
-    assert (struct.unpack("<I", one[4:8])[0], struct.unpack("<I", two[4:8])[0]) == (1, 2)
-    loaded = load_checkpoint(str(v1), cfg)
-    for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
-        np.testing.assert_array_equal(a.data, b.data)
-
-
 @pytest.mark.parametrize(
     "version,change,message",
-    [
-        (1, "drop stage2.block0.bias.msg_query", "missing tensor 'stage2.block0.bias.msg_query'"),
-        (1, "drop stage4.block0.bias.table", "missing tensor 'stage4.block0.bias.table'"),
-        (1, "add stage1.block0.bias.msg_other", "unknown tensor 'stage1.block0.bias.msg_other'"),
-        (1, "reshape stage3.block1.bias.msg_query", "'stage3.block1.bias.msg_query' has shape"),
-        (2, "add stage1.block0.bias.msg_query", "unknown tensor 'stage1.block0.bias.msg_query'"),
-    ],
+    [(2, "add stage1.block0.bias.msg_query", "unknown tensor 'stage1.block0.bias.msg_query'")],
 )
 def test_version1_names_are_checked(micro_model, tmp_path, version, change, message):
-    verb, name = change.split()
-    legacy = random_legacy() if version == 1 else {}
-    records = version1_records(micro_model, legacy)  # in version 2, the model's own records
-    if verb == "drop":
-        records = [(n, a) for n, a in records if n != name]
-    elif verb == "add":
-        records.append((name, np.ones(1, np.float32)))
-    else:
-        records = [(n, a.reshape(2, 2) if n == name else a) for n, a in records]
+    """A name only version 1 held is unknown to a version-2 model."""
+    name = change.split()[1]
+    records = [(n, t.data) for n, t in micro_model.named_parameters()] + [(name, np.ones(1, np.float32))]
     path = tmp_path / "bad.msgt"
     write_records(path, version, records)
     with pytest.raises(FormatError, match=re.escape(message)):
@@ -233,13 +106,15 @@ def test_corrupt_magic_rejected_immediately(tmp_path):
 
 
 def test_version_mismatch_rejected(micro_model, tmp_path):
+    """Only version 2 loads; version 1, whose read path is gone, is named like any other."""
     path = tmp_path / "ver.msgt"
     save_checkpoint(micro_model, str(path))
     blob = bytearray(path.read_bytes())
-    blob[4] = 99  # little-endian version field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="version"):
-        load_checkpoint(str(path), M.micro_config())
+    for version in (1, 99):
+        blob[4] = version  # little-endian version field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"version {version}$"):
+            load_checkpoint(str(path), M.micro_config())
 
 
 def test_shape_mismatch_names_first_bad_tensor(micro_model, tmp_path):
@@ -261,7 +136,7 @@ def test_truncated_file_rejected(micro_model, tmp_path):
 
 def _one_tensor_file(path, extents, name=b"embed.weight"):
     """A checkpoint with one tensor record whose values are cut to 16 bytes."""
-    blob = MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+    blob = MAGIC + struct.pack("<II", 2, 1) + struct.pack("<H", len(name)) + name
     blob += struct.pack("<B", len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
     path.write_bytes(blob + bytes(16))
 

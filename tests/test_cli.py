@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from msgt.checkpoint import load_checkpoint, save_checkpoint
 from msgt.data import DatasetSpec, load_idx
 from msgt.errors import ConfigError
 from msgt.train import TrainConfig, check_run
-from test_checkpoint import random_legacy, version1_records, write_records
+from test_checkpoint import write_records
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -213,8 +214,15 @@ class TestAnalyzeComm:
     def test_probe_line_names_the_geometry_it_runs(self, capsys):
         code, out, _ = run_cli(capsys, "analyze-comm", "--window", "4", "--shuffle", "8")
         assert code == 0
-        assert "(shuffle size 8)" in out and "8x8" not in out
-        assert "window 2, one head, a 3x3 region" in out
+        assert "(shuffle size 8)" in out
+        assert "window 4, one head, a 8x8 region" in out and "64/64 windows" in out
+        assert "with exchange disabled: 1/64 windows" in out and "passed" in out
+
+    def test_probe_over_the_mac_budget_is_skipped(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze-comm", "--window", "7", "--shuffle", "16")
+        assert code == 0
+        assert "(shuffle size 16)" in out and "reach probe skipped" in out
+        assert "passed" not in out and "windows" not in out
 
 
 class TestGradcheck:
@@ -358,6 +366,22 @@ class TestReadmeSchema:
         assert set(schema["stages"][0]) == _accepted_keys({"stages": [unknown] * M.NUM_STAGES})
 
 
+def _readme_cli_lines() -> list[str]:
+    """The ``msgt ...`` command lines of README's "## CLI" block, without their # comments."""
+    with open(README) as f:
+        block = f.read().split("\n## CLI\n", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("msgt ")]
+
+
+class TestReadmeCli:
+    def test_every_documented_command_line_parses(self):
+        """A documented option that its subcommand no longer declares fails here."""
+        parser, documented = cli.build_parser(), set()
+        for line in _readme_cli_lines():
+            documented.add(parser.parse_args(shlex.split(line)[1:]).command)
+        assert documented == cli._COMMANDS.keys()
+
+
 class TestDataAndTraining:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -408,18 +432,14 @@ class TestDataAndTraining:
         last_val = [r for r in open(f"{out_dir}/metrics.csv").read().splitlines() if ",val," in r][-1]
         assert f"val loss {last_val.split(',')[3]} " in out
 
-    def test_eval_reads_a_version1_checkpoint(self, capsys, tmp_path, config_file):
+    def test_eval_rejects_a_version1_checkpoint_exit_1(self, capsys, tmp_path, config_file):
         cfg, _ = cli.parse_config(json.loads(open(config_file).read()))
         model = M.build_model(cfg.arch_config(), seed=3)
-        v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
-        write_records(v1, 1, version1_records(model, random_legacy()))
-        save_checkpoint(model, str(v2))
-        outputs = []
-        for path in (v1, v2):
-            code, out, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", str(path))
-            assert code == 0, err
-            outputs.append(out)
-        assert "val loss" in outputs[0] and outputs[0] == outputs[1]
+        v1 = tmp_path / "v1.ckpt"
+        write_records(v1, 1, [(name, t.data) for name, t in model.named_parameters()])
+        code, out, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", str(v1))
+        assert code == 1 and "val loss" not in out
+        assert "unsupported checkpoint version 1" in err
 
     def test_eval_rejects_wrong_checkpoint_shape(self, capsys, tmp_path, config_file):
         bogus = tmp_path / "bogus.ckpt"
@@ -434,7 +454,7 @@ class TestDataAndTraining:
         bogus = tmp_path / "name.ckpt"
         name = b"\xff\xfe"
         # one 1-element tensor whose 2-byte name is not UTF-8
-        header = b"MSGT" + struct.pack("<IIH", 1, 1, len(name)) + name
+        header = b"MSGT" + struct.pack("<IIH", 2, 1, len(name)) + name
         bogus.write_bytes(header + struct.pack("<BI", 1, 1) + bytes(4))
         code, _, err = run_cli(capsys, "eval", "--config", config_file, "--checkpoint", str(bogus))
         assert code == 1
@@ -665,6 +685,18 @@ class TestDataAndTraining:
         code, _, err = run_cli(capsys, "gen-data", "--config", str(path), "--out", str(out_dir))
         assert code == 1
         assert message in err and "runtime error" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("num_classes", [5, 3])
+    def test_gen_data_rejects_a_source_it_does_not_generate_exit_1(self, capsys, tmp_path, num_classes):
+        """An idx-files config once crashed at 5 classes and wrote three-class textures at 3."""
+        path = tmp_path / "idx.json"
+        data = {"source": "idx-files", "images_path": "x", "labels_path": "y", "num_classes": num_classes}
+        path.write_text(json.dumps({"data": data}))
+        out_dir = tmp_path / "data"
+        code, out, err = run_cli(capsys, "gen-data", "--config", str(path), "--out", str(out_dir))
+        assert code == 1 and not out
+        assert "error: data.source 'idx-files'" in err and "runtime error" not in err
         assert not out_dir.exists()
 
     def test_custom_stage_config_parses(self, tmp_path):
