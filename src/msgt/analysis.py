@@ -18,6 +18,7 @@ from . import tensor as T
 from . import windows as W
 from .model import make_block_params
 from .tensor import Tensor
+from .train import cross_entropy
 
 
 def information_reach(
@@ -61,7 +62,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
     ln_x, ln_g, ln_b = t(2, 3, 4), t(4), t(4)
     conv_x, conv_w, conv_b = t(2, 4, 4, 2), t(3, 3, 2, 3), t(3)
     mean_x = t(2, 4, 3)
-    split_x = t(3, 5)
     mb_a, mb_b, mb_bias = t(2, 2, 3), t(3, 4), t(4)
     attn_params, mlp_params = [t(2, 5, 4), t(4, 12), t(12), t(2, 5, 5)], [t(2, 3, 4), t(4, 8), t(8), t(8, 4), t(4)]
     getitem_x = t(3, 4)
@@ -75,7 +75,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
         "layer_norm": (lambda: _sq(T.layer_norm(ln_x, ln_g, ln_b)), [ln_x, ln_g, ln_b]),
         "conv2d": (lambda: _sq(T.conv2d(conv_x, conv_w, conv_b, stride=2, padding=1)), [conv_x, conv_w, conv_b]),
         "broadcast_mean": (lambda: _sq(T.mul(T.broadcast_mean(mean_x, axis=1), mean_x)), [mean_x]),
-        "split": (lambda: _split_objective(split_x), [split_x]),
         "matmul_bias": (lambda: _sq(T.matmul(mb_a, mb_b, mb_bias)), [mb_a, mb_b, mb_bias]),
         "attention": (lambda: _sq(T.attention(*attn_params, 2)[0]), attn_params),
         "mlp": (lambda: _sq(T.mlp(*mlp_params)), mlp_params),
@@ -91,12 +90,6 @@ def single_op_grad_checks(seed: int = 0) -> dict[str, float]:
 def _sq(y: Tensor) -> Tensor:
     """The sum of squares: each entry's gradient is twice its own value, so a misplaced one shows."""
     return T.tsum(T.mul(y, y))
-
-
-def _split_objective(x: Tensor) -> Tensor:
-    """Uses the first and last pieces only, so the middle slice's gradient is zero."""
-    first, _, last = T.split(x, (1, 2, 2), axis=1)
-    return T.add(_sq(first), T.tsum(T.mul(last, T.mul(last, last))))
 
 
 def block_grad_check(seed: int = 0, use_msg: bool = True, msg_only: bool = False) -> float:
@@ -121,12 +114,8 @@ def block_grad_check(seed: int = 0, use_msg: bool = True, msg_only: bool = False
     return T.grad_check(loss, params.parameters() + [wt_data] + [msg_data] * use_msg)
 
 
-def model_grad_check(
-    max_entries_per_param: Optional[int] = 3,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Finite-difference check over every parameter tensor of the micro model.
+def model_grad_check(max_entries_per_param: Optional[int] = 3, seed: int = 0) -> float:
+    """Finite-difference check over every parameter tensor of the micro model, scored on label 1.
 
     Entries are subsampled deterministically per tensor; pass ``None`` to
     check every entry (slow).
@@ -137,19 +126,10 @@ def model_grad_check(
     for _, p in model.named_parameters():
         p.data = rng.standard_normal(p.shape) * 0.1
     images = Tensor(rng.standard_normal((1, 128, 128, 3)))
-    label = np.zeros((1, model.config.num_classes))
-    label[0, 1] = 1.0
-    target = Tensor(label)
-
-    def loss():
-        logits = M.forward(model, images)
-        logp = T.log_softmax(logits, axis=1)
-        return T.mul(T.tsum(T.mul(logp, target)), -1.0)
-
+    label = np.array([1])
     return T.grad_check(
-        loss,
+        lambda: cross_entropy(M.forward(model, images), label, 0.0),
         [p for _, p in model.named_parameters()],
-        step=step,
         max_entries_per_param=max_entries_per_param,
         seed=seed,
     )

@@ -103,12 +103,10 @@ def attach_msg(wt: W.WindowedTokens, msg: Tensor) -> W.WindowedTokens:
 
 
 def detach_msg(wt: W.WindowedTokens) -> tuple[W.WindowedTokens, Tensor]:
-    """Split slot 0 back out as the messenger grid; exact inverse of :func:`attach_msg`."""
+    """Cut slot 0 back out as the messenger grid; exact inverse of :func:`attach_msg`."""
     if not wt.with_msg:
         raise ConfigError("no messenger tokens attached")
-    b, gh, gw, n, c = wt.windows.shape
-    lead, rest = T.split(wt.windows, (1, n - 1), axis=3)
-    return W.WindowedTokens(rest), T.reshape(lead, (b, gh, gw, c))
+    return W.WindowedTokens(wt.windows[:, :, :, 1:]), wt.windows[:, :, :, 0]
 
 
 # -- messenger manipulation ---------------------------------------------------------

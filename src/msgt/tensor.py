@@ -11,12 +11,11 @@ closure and parents. Only leaves keep ``.grad``, and a second backward
 through a used-up graph raises ``ContractError``.
 
 One in-place rule: an op may write in place only into an array that it
-allocated itself and has not yet returned. Buffers shared through views,
-such as the pieces of ``split``, are therefore never mutated; the zero
-buffer the pieces of one ``split`` write their gradients into belongs to
-that split's shared node. A node may overwrite a buffer it allocated and
-has not returned (``mlp``'s pre-activation becomes its activation), never
-one it returned (``attention``'s probabilities).
+allocated itself and has not yet returned. A node may overwrite a buffer it
+allocated and has not returned (``mlp``'s pre-activation becomes its
+activation), never one it returned (``attention``'s probabilities).
+Backward closures hand their gradients to ``_accum``, which sums them out
+of place, so no op writes into a node's gradient.
 
 The ops are the ones the model runs. Softmax and gelu are not graph ops:
 they are in-place array kernels (``_softmax_``, ``_gelu_``) inside the
@@ -28,14 +27,14 @@ which give a row the same bits wherever it sits in the array; a GEMV
 against ones does not.
 
 Every op returns through one constructor, ``_op``, the only maker of graph
-nodes besides a leaf's ``Tensor(requires_grad=True)``; ``split``'s pieces and
-their shared node are ``_op`` outputs too. As the op returns, ``_op`` adds its
-work to one private table, ``_counts`` (MACs by kernel family, the fused
-nodes' included), so an op that raises books nothing; and when grad reaches a
-parent, it keeps the op's backward closure, inside which any work only a
-backward needs is done. ``count_macs`` reads the table's growth over a block and
-``windows.partition_call_count`` the partitions ``windows.partition_windows``
-adds, so nested readers each see all the work inside them.
+nodes besides a leaf's ``Tensor(requires_grad=True)``. As the op returns,
+``_op`` adds its work to one private table, ``_counts`` (MACs by kernel
+family, the fused nodes' included), so an op that raises books nothing; and
+when grad reaches a parent, it keeps the op's backward closure, inside which
+any work only a backward needs is done. ``count_macs`` reads the table's
+growth over a block and ``windows.partition_call_count`` the partitions
+``windows.partition_windows`` adds, so nested readers each see all the work
+inside them.
 """
 
 from __future__ import annotations
@@ -315,18 +314,18 @@ def mul(a: Tensor, b) -> Tensor:
     return _op(y, (a, b), backward, other=y.size)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     na, a_shape = a._node, a.data.shape
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(na, np.broadcast_to(g, a_shape))
-    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _op(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.data.size if axis is None else np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)])
-    return mul(tsum(a, axis, keepdims), 1.0 / float(n))
+    return mul(tsum(a, axis), 1.0 / float(n))
 
 
 # -- structural ops ------------------------------------------------------------
@@ -383,39 +382,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             start += extent
 
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    """Cut ``a`` along ``axis`` into consecutive pieces of the given sizes.
-
-    The pieces are views of ``a``. Their nodes share one parent node whose
-    gradient is a single zero buffer: each piece's backward writes its
-    gradient into its own slice, and the shared node hands the buffer to
-    ``a`` once. A piece that gets no gradient leaves zeros in its slice.
-    """
-    axis = _check_axis(axis, a.data.ndim)
-    sizes = [int(s) for s in sizes]
-    src_shape = a.data.shape
-    if any(s < 0 for s in sizes) or sum(sizes) != src_shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not add up to extent {src_shape[axis]} of axis {axis}")
-    na = a._node
-    shared = _op(a.data, (a,), lambda g: _accum(na, g))  # hands the buffer to ``a``
-    whole = shared._node
-
-    def write(key):
-        def backward(g):
-            if whole.grad is None:
-                whole.grad = np.zeros(src_shape, dtype=g.dtype)
-            whole.grad[key] = g
-        return backward
-
-    pieces = []
-    start = 0
-    for size in sizes:
-        key = (slice(None),) * axis + (slice(start, start + size),)
-        pieces.append(_op(a.data[key], (shared,), write(key)))
-        start += size
-    return pieces
 
 
 def pad(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:

@@ -1,6 +1,7 @@
 """Messenger-token block tests: attachment, bias indexing, local attention,
 shuffle/average/shift manipulation, and the composed block."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,25 @@ class TestAttachDetach:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             B.attach_msg(make_windows(1, 2, 2, 2, 4), make_msg(1, 2, 3, 4))
+
+    @pytest.mark.parametrize("use_patches, use_msg", [(True, True), (True, False), (False, True)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_detach_backward_fills_each_slot_from_its_piece(self, use_patches, use_msg, dtype):
+        """Slot 0 gets the grid's gradient and slots 1..n the patches'; a piece with none leaves exact +0.0."""
+        rng = np.random.default_rng(7)
+        wt, grid = make_windows(2, 2, 3, 2, 4, seed=8, dtype=dtype), make_msg(2, 2, 3, 4, seed=9, dtype=dtype)
+        x = Tensor(B.attach_msg(wt, grid).windows.data, requires_grad=True)
+        g_patches = -1.0 - rng.random((2, 2, 3, 4, 4)).astype(dtype)  # negative, so only used slots carry a sign
+        g_msg = -1.0 - rng.random((2, 2, 3, 4)).astype(dtype)
+        patches, msg = B.detach_msg(W.WindowedTokens(x))
+        pieces = ((patches.windows, g_patches, use_patches), (msg, g_msg, use_msg))
+        functools.reduce(T.add, [T.tsum(T.mul(piece, Tensor(g))) for piece, g, use in pieces if use]).backward()
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad[:, :, :, 0], g_msg if use_msg else 0.0)
+        np.testing.assert_array_equal(x.grad[:, :, :, 1:], g_patches if use_patches else 0.0)
+        used_slots = np.zeros(x.shape, bool)
+        used_slots[:, :, :, 0], used_slots[:, :, :, 1:] = use_msg, use_patches
+        np.testing.assert_array_equal(np.signbit(x.grad), used_slots)  # unused slots hold +0.0, never -0.0
 
 
 class TestMessengerSlotFromTokenCount:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import msgt
 from msgt import cli
 from msgt import model as M
+from msgt.analysis import single_op_grad_checks
 from msgt.checkpoint import load_checkpoint, save_checkpoint
 from msgt.data import DatasetSpec, load_idx
 from msgt.errors import ConfigError
@@ -380,6 +381,14 @@ class TestReadmeCli:
         for line in _readme_cli_lines():
             documented.add(parser.parse_args(shlex.split(line)[1:]).command)
         assert documented == cli._COMMANDS.keys()
+
+
+class TestReadmeGradcheck:
+    def test_listed_op_cases_are_exactly_the_suite(self):
+        """An op case added to or deleted from ``single_op_grad_checks`` without README's list fails here."""
+        with open(README) as f:
+            listed = f.read().split("against central differences:", 1)[1].split(", then each block", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == list(single_op_grad_checks())
 
 
 class TestDataAndTraining:

@@ -299,11 +299,6 @@ def reference_qkv_split(qkv, c):
     return [qkv[..., :c], qkv[..., c : 2 * c], qkv[..., 2 * c :]]
 
 
-def _heads_first(x, heads):
-    *lead, n, c = x.shape
-    return T.transpose(T.reshape(x, (*lead, n, heads, c // heads)), (0, 2, 1, 3))
-
-
 class TestKernelsMatchReferences:
     """The in-place kernels must give the fresh-array references' bits exactly."""
 
@@ -369,30 +364,6 @@ class TestKernelsMatchReferences:
         for got, want in zip(gelu_kernel(x, g), reference_gelu(x, g)):
             np.testing.assert_array_equal(got, want)
 
-    @dims
-    @slots
-    @dtypes
-    def test_qkv_split(self, c, n, dtype):
-        rng = np.random.default_rng(5 * c + n)
-        heads = max(1, c // 16)
-        qkv = rng.standard_normal((2, n, 3 * c)).astype(dtype)
-        weights = [Tensor(rng.standard_normal((2, heads, n, c // heads)).astype(dtype)) for _ in range(3)]
-
-        def run(cut):
-            x = Tensor(qkv, requires_grad=True)
-            parts = [_heads_first(p, heads) for p in cut(x)]
-            loss = T.tsum(T.mul(parts[0], weights[0]))
-            for p, w in zip(parts[1:], weights[1:]):
-                loss = T.add(loss, T.tsum(T.mul(p, w)))
-            loss.backward()
-            return [p.data for p in parts], x.grad
-
-        parts, grad = run(lambda x: T.split(x, (c, c, c), axis=-1))
-        ref_parts, ref_grad = run(lambda x: reference_qkv_split(x, c))
-        for got, want in zip(parts, ref_parts):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(grad, ref_grad)
-
     @dtypes
     def test_linear_bias_in_matmul(self, dtype):
         rng = np.random.default_rng(6)
@@ -407,8 +378,26 @@ class TestKernelsMatchReferences:
         np.testing.assert_array_equal(wt.grad, x2.T @ g2)
         np.testing.assert_array_equal(bt.grad, np.einsum("ij->j", g2))
 
+    @dims
+    @slots
+    @dtypes
+    def test_messenger_cut(self, c, n, dtype):
+        """``blocks.detach_msg``'s two getitems give numpy's slices as views, and the pieces' gradients side by side."""
+        rng = np.random.default_rng(5 * c + n)
+        x = rng.standard_normal((2, 2, 3, n, c)).astype(dtype)
+        g_patches = rng.standard_normal((2, 2, 3, n - 1, c)).astype(dtype)
+        g_msg = rng.standard_normal((2, 2, 3, c)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        patches, msg = B.detach_msg(W.WindowedTokens(xt))
+        for piece, want in ((patches.windows, x[:, :, :, 1:]), (msg, x[:, :, :, 0])):
+            np.testing.assert_array_equal(piece.data, want)
+            assert np.shares_memory(piece.data, xt.data)
+        T.add(T.tsum(T.mul(patches.windows, Tensor(g_patches))), T.tsum(T.mul(msg, Tensor(g_msg)))).backward()
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(xt.grad, np.concatenate([g_msg[:, :, :, None], g_patches], axis=3))
 
-def _split_case(draw):
+
+def _cut_case(draw):
     shape = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
     axis = draw(st.integers(-len(shape), len(shape) - 1))
     extent = shape[axis]
@@ -419,10 +408,12 @@ def _split_case(draw):
     return shape, axis, sizes, used
 
 
-class TestSplit:
+class TestCut:
+    """``getitem`` is the one way to cut a tensor: adjacent slices along an axis, as the messenger cut takes."""
+
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(case=st.composite(_split_case)(), dtype=st.sampled_from([np.float32, np.float64]))
-    def test_gradient_matches_getitem(self, case, dtype):
+    @given(case=st.composite(_cut_case)(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_gradient_is_the_pieces_gradients_scattered(self, case, dtype):
         shape, axis, sizes, used = case
         rng = np.random.default_rng(len(shape) * 7 + sum(sizes))
         data = rng.standard_normal(shape).astype(dtype)
@@ -430,55 +421,34 @@ class TestSplit:
         starts = np.cumsum([0] + sizes[:-1])
         keys = [(slice(None),) * ax + (slice(lo, lo + n),) for lo, n in zip(starts, sizes)]
         weights = [rng.standard_normal(data[k].shape).astype(dtype) for k in keys]
-
-        def run(pieces_of):
-            a = Tensor(data, requires_grad=True)
-            # one extra consumer of ``a``, so the split buffer is summed with another gradient
-            loss = T.tsum(T.mul(a, 0.5))
-            for piece, w, use in zip(pieces_of(a), weights, used):
-                if use:
-                    loss = T.add(loss, T.tsum(T.mul(piece, Tensor(w))))
-            loss.backward()
-            return a.grad
-
-        pieces = T.split(Tensor(data), sizes, axis)
-        for piece, key in zip(pieces, keys):
+        a = Tensor(data, requires_grad=True)
+        # one extra consumer of ``a``, so each piece's zero buffer is summed with another gradient
+        loss = T.tsum(T.mul(a, 0.5))
+        want = np.full(shape, 0.5, dtype)
+        for key, w, use in zip(keys, weights, used):
+            piece = a[key]
             np.testing.assert_array_equal(piece.data, data[key])
             assert piece.data.size == 0 or np.shares_memory(piece.data, data)
-        grad = run(lambda a: T.split(a, sizes, axis))
-        np.testing.assert_array_equal(grad, run(lambda a: [a[k] for k in keys]))
-        assert grad.dtype == dtype
+            if use:
+                loss = T.add(loss, T.tsum(T.mul(piece, Tensor(w))))
+                want[key] += w
+        loss.backward()
+        assert a.grad.dtype == dtype
+        np.testing.assert_array_equal(a.grad, want)
 
     def test_unused_pieces_get_exact_zeros(self):
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        first, _, last = T.split(a, (1, 2, 1), axis=1)
+        first, last = a[:, :1], a[:, 3:]
         T.add(T.tsum(T.mul(first, 2.0)), T.tsum(T.mul(last, 3.0))).backward()
         np.testing.assert_array_equal(a.grad, np.tile([2.0, 0.0, 0.0, 3.0], (3, 1)))
         assert not np.signbit(a.grad).any()
-
-    def test_gradient_reaches_input_once(self):
-        a = Tensor(np.ones((2, 6)), requires_grad=True)
-        seen = []
-        q, k, v = T.split(a, (2, 2, 2), axis=-1)
-        shared = q._node.parents[0]
-        assert k._node.parents == v._node.parents == (shared,)
-        real = shared.backward
-        shared.backward = lambda g: (seen.append(g), real(g))
-        T.add(T.add(T.tsum(q), T.tsum(k)), T.tsum(v)).backward()
-        assert len(seen) == 1 and seen[0].shape == (2, 6)
-        np.testing.assert_array_equal(a.grad, np.ones((2, 6)))
-
-    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2, 1, 1), (-1, 7), ()])
-    def test_sizes_must_add_up_to_extent(self, sizes):
-        with pytest.raises(ShapeError, match="extent 6"):
-            T.split(Tensor(np.zeros((2, 6))), sizes, axis=1)
 
     def test_graph_holds_no_reference_cycle(self):
         gc.collect()
         gc.disable()
         try:
             a = Tensor(np.ones((2, 6)), requires_grad=True)
-            q, k, v = T.split(a, (2, 2, 2), axis=-1)
+            q, k, v = a[:, :2], a[:, 2:4], a[:, 4:]
             T.tsum(T.mul(q, k)).backward()
             del a, q, k, v
             assert gc.collect() == 0
@@ -488,7 +458,7 @@ class TestSplit:
     def test_no_grad_pieces_record_nothing(self):
         a = Tensor(np.zeros((2, 6)), requires_grad=True)
         with T.no_grad():
-            pieces = T.split(a, (3, 3), axis=1)
+            pieces = [a[:, :3], a[:, 3:]]
         assert all(p._node is None for p in pieces)
 
 
@@ -508,7 +478,7 @@ def reference_attention(x, w_qkv, b_qkv, bias, heads, queries=None):
     def heads_first(part):
         return T.transpose(T.reshape(part, (*lead, n, heads, d)), swap)
 
-    q, k, v = (heads_first(part) for part in T.split(qkv, (c, c, c), axis=-1))
+    q, k, v = (heads_first(part) for part in reference_qkv_split(qkv, c))
     q = q if m == n else q[(slice(None),) * (a + 1) + (slice(0, m),)]
     scores = T.mul(T.matmul(q, T.transpose(k, (*range(a + 1), a + 2, a + 1))), 1.0 / math.sqrt(d))
     attn = softmax_node(scores if bias is None else T.add(scores, bias))
@@ -1138,9 +1108,9 @@ class TestBackwardUsesUpTheGraph:
 class TestOpConstructor:
     @pytest.mark.parametrize("mode", ["shuffle", "average", "shift"])
     def test_every_graph_node_comes_from_the_op_constructor(self, monkeypatch, mode):
-        """Every non-leaf node a micro train step reaches was made by ``_op``, ``split``'s pieces and shared node too.
+        """Every non-leaf node a micro train step reaches was made by ``_op``.
 
-        136 px pads every stage, so ``pad`` and the crop's ``getitem`` run too.
+        136 px pads every stage, so ``pad`` and the crop's ``getitem`` run beside the messenger cut's.
         """
         made = []  # held, so no id is reused while the graph is walked
         op = T._op
@@ -1165,7 +1135,7 @@ class TestOpConstructor:
                 ops.add(node.backward.__qualname__.split(".")[0])
                 assert id(node) in allowed, node.backward.__qualname__
             stack.extend(node.parents)
-        assert "split" in ops
+        assert {"getitem", "pad"} <= ops
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
 
