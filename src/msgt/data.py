@@ -163,14 +163,8 @@ def _load_idx_array(path: str, expected_magic: int, rank: int) -> np.ndarray:
         return np.frombuffer(raw, dtype=np.uint8).reshape(extents)
 
 
-def load_idx(images_path: str, labels_path: str, image_size: int) -> Dataset:
-    """Load an IDX image/label pair, rescale to [0, 1], center-pad to size."""
-    labels, rows = _idx(images_path, labels_path, image_size)
-    return Dataset(gray=rows(0, len(labels)), labels=labels)
-
-
 def _idx(images_path: str, labels_path: str, image_size: int):
-    """The labels, and ``rows(lo, hi)``: rows lo:hi in a new array."""
+    """The labels, and ``rows(lo, hi)``: rows lo:hi rescaled to [0, 1] and center-padded, in a new array."""
     images = _load_idx_array(images_path, IDX_IMAGES_MAGIC, rank=3)
     labels = _load_idx_array(labels_path, IDX_LABELS_MAGIC, rank=1)
     if images.shape[0] != labels.shape[0]:

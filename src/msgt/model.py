@@ -152,28 +152,26 @@ def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
 # -- initialization -------------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) truncated at two deviations, allocated once at ``dtype`` and filled in place.
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, ``INIT_STD``) truncated at two deviations, allocated once at ``dtype`` and filled in place.
 
     Float64 draws pass through ``INIT_CHUNK``-value (512 KiB) chunks into the output; then each
     round redraws (in C order) and rechecks only the draws still beyond two deviations. Values
     and rng stream equal one whole-tensor draw, as ``standard_normal`` fills sequentially.
     """
-    if not std > 0:
-        raise ConfigError(f"trunc_normal std must be positive, got {std}")
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     bad = [np.empty(0, np.intp)]
     for lo in range(0, flat.size, INIT_CHUNK):
         part = rng.standard_normal(min(INIT_CHUNK, flat.size - lo))
-        part *= std
+        part *= INIT_STD
         flat[lo : lo + part.size] = part
-        bad.append(np.flatnonzero(np.abs(part, out=part) > 2 * std) + lo)
+        bad.append(np.flatnonzero(np.abs(part, out=part) > 2 * INIT_STD) + lo)
         del part  # one chunk buffer alive at a time
     bad = np.concatenate(bad)
     while bad.size:
-        flat[bad] = redrawn = rng.standard_normal(bad.size) * std
-        bad = bad[np.abs(redrawn) > 2 * std]
+        flat[bad] = redrawn = rng.standard_normal(bad.size) * INIT_STD
+        bad = bad[np.abs(redrawn) > 2 * INIT_STD]
     return out
 
 
@@ -181,7 +179,7 @@ def _param_makers(rng: np.random.Generator, dtype):
     """Trainable-tensor factories: trunc-normal ``proj``, ``zeros`` and ``ones``."""
 
     def proj(*shape):
-        return Tensor(trunc_normal(rng, shape, INIT_STD, dtype), requires_grad=True)
+        return Tensor(trunc_normal(rng, shape, dtype), requires_grad=True)
 
     def zeros(*shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -313,7 +311,7 @@ def rerandomize_msg_input(model: Model, seed: int) -> None:
     if model.msg_input is None:
         raise ConfigError("model was built without messenger tokens")
     rng = np.random.default_rng(seed)
-    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, INIT_STD, model.msg_input.dtype)
+    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, model.msg_input.dtype)
 
 
 # -- forward --------------------------------------------------------------------
@@ -397,9 +395,9 @@ def forward(
 
 
 def count_params(model: Model) -> dict[str, int]:
-    """Exact scalar counts, reported with and without the input messenger tokens.
+    """Exact scalar counts: every parameter, the input messenger tokens, and ``msg_related``.
 
-    ``msg_related`` additionally counts the per-block messenger-key bias scalars.
+    ``msg_related`` counts the input messenger tokens plus the per-block messenger-key bias scalars.
     """
     msg_count = 0 if model.msg_input is None else model.msg_input.size
     total = 0
@@ -408,9 +406,4 @@ def count_params(model: Model) -> dict[str, int]:
         total += t.size
         if ".bias.msg_" in name:
             msg_related += t.size
-    return {
-        "total": total,
-        "msg_input": msg_count,
-        "without_msg_input": total - msg_count,
-        "msg_related": msg_related,
-    }
+    return {"total": total, "msg_input": msg_count, "msg_related": msg_related}

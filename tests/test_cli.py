@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 import msgt
 from msgt import cli
 from msgt import model as M
-from msgt.analysis import single_op_grad_checks
+from msgt.analysis import OP_CASES
 from msgt.checkpoint import load_checkpoint, save_checkpoint
-from msgt.data import DatasetSpec, load_idx
+from msgt.data import DatasetSpec
 from msgt.errors import ConfigError
 from msgt.train import TrainConfig, check_run
 from test_checkpoint import write_records
+from test_data import read_idx
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -385,10 +386,10 @@ class TestReadmeCli:
 
 class TestReadmeGradcheck:
     def test_listed_op_cases_are_exactly_the_suite(self):
-        """An op case added to or deleted from ``single_op_grad_checks`` without README's list fails here."""
+        """An op case added to or deleted from ``OP_CASES`` without README's list fails here."""
         with open(README) as f:
             listed = f.read().split("against central differences:", 1)[1].split(", then each block", 1)[0]
-        assert re.findall(r"`(\w+)`", listed) == list(single_op_grad_checks())
+        assert re.findall(r"`(\w+)`", listed) == list(OP_CASES)
 
 
 class TestDataAndTraining:
@@ -418,11 +419,7 @@ class TestDataAndTraining:
         out_dir = str(tmp_path / "data")
         code, out, _ = run_cli(capsys, "gen-data", "--config", config_file, "--out", out_dir)
         assert code == 0
-        ds = load_idx(
-            f"{out_dir}/textures-images.idx3-ubyte",
-            f"{out_dir}/textures-labels.idx1-ubyte",
-            image_size=128,
-        )
+        ds = read_idx(f"{out_dir}/textures-images.idx3-ubyte", f"{out_dir}/textures-labels.idx1-ubyte", 128)
         assert len(ds) == 24
         assert np.bincount(ds.labels, minlength=4).tolist() == [6, 6, 6, 6]
 

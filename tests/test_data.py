@@ -20,6 +20,18 @@ SMALL_SPEC_SHA256 = "8eea18ca2504553fd430735f635fffeadb44a20db9246d81531e3dcc804
 HAND_BUILT_IDX_SHA256 = "dad0fcc5138692f3844536fd2a617bed3e1ecc33b790e4e71d2d8ca20adfc788"
 
 
+def read_idx(images_path: str, labels_path: str, image_size: int) -> D.Dataset:
+    """Every row of an IDX pair, read as a run reads them: the train split of ``load_data``, as many
+    rows as the labels header counts. A file too short for a header is left to the loader to reject."""
+    with open(labels_path, "rb") as f:
+        head = f.read(8)
+    spec = D.DatasetSpec(
+        source="idx-files", image_size=image_size, num_train=struct.unpack(">ii", head)[1] if len(head) == 8 else 1,
+        num_val=0, images_path=images_path, labels_path=labels_path,
+    )
+    return D.load_data(spec)[0]
+
+
 def classify_by_orientation(images: np.ndarray) -> np.ndarray:
     """Independent oracle: dominant Fourier-peak angle, snapped to the class grid.
 
@@ -122,7 +134,7 @@ class TestIdx:
 
     def test_hand_built_fixture_loads(self, tmp_path):
         images_path, labels_path = self.hand_built_fixture(tmp_path)
-        ds = D.load_idx(images_path, labels_path, image_size=8)
+        ds = read_idx(images_path, labels_path, 8)
         assert ds.images.shape == (4, 8, 8, 3)
         np.testing.assert_array_equal(ds.labels, [0, 1, 2, 3])
         # centered: 3 rows starting at (8-3)//2=2, 2 cols starting at 3
@@ -136,7 +148,7 @@ class TestIdx:
         labels = np.array([0, 1, 2, 3, 0], dtype=np.int64)
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         D.save_idx(images, labels, ip, lp)
-        ds = D.load_idx(ip, lp, image_size=6)
+        ds = read_idx(ip, lp, 6)
         np.testing.assert_allclose(ds.images[..., 0], images.astype(np.float32) / 255.0)
         np.testing.assert_array_equal(ds.labels, labels)
 
@@ -147,30 +159,30 @@ class TestIdx:
             f.write(struct.pack(">ii", 0x00000801, 3))
             f.write(bytes([0, 1, 2]))
         with pytest.raises(FormatError, match="count"):
-            D.load_idx(images_path, str(bad_labels), image_size=8)
+            read_idx(images_path, str(bad_labels), 8)
 
     def test_empty_file_rejected_at_offset_zero(self, tmp_path):
         empty = tmp_path / "empty.idx"
         empty.write_bytes(b"")
         with pytest.raises(FormatError, match="offset 0"):
-            D.load_idx(str(empty), str(empty), image_size=8)
+            read_idx(str(empty), str(empty), 8)
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(struct.pack(">iiii", 0x12345678, 1, 2, 2) + bytes(4))
         with pytest.raises(FormatError, match="magic"):
-            D.load_idx(str(bad), str(bad), image_size=8)
+            read_idx(str(bad), str(bad), 8)
 
     def test_truncated_payload_names_offset(self, tmp_path):
         trunc = tmp_path / "trunc.idx"
         trunc.write_bytes(struct.pack(">iiii", 0x00000803, 2, 2, 2) + bytes(5))
         with pytest.raises(FormatError, match="offset"):
-            D.load_idx(str(trunc), str(trunc), image_size=8)
+            read_idx(str(trunc), str(trunc), 8)
 
     def test_oversized_images_rejected(self, tmp_path):
         images_path, labels_path = self.hand_built_fixture(tmp_path)
         with pytest.raises(ConfigError):
-            D.load_idx(images_path, labels_path, image_size=2)
+            read_idx(images_path, labels_path, 2)
 
     def test_writer_rejects_labels_above_one_byte(self, tmp_path):
         images = np.zeros((2, 4, 4), dtype=np.uint8)
@@ -184,7 +196,7 @@ class TestIdx:
 class TestStorage:
     @staticmethod
     def both_sources(tmp_path):
-        idx = D.load_idx(*TestIdx.hand_built_fixture(tmp_path), image_size=8)
+        idx = read_idx(*TestIdx.hand_built_fixture(tmp_path), 8)
         return {"synthetic": D.generate_synthetic(SMALL_SPEC), "idx": idx}
 
     def test_one_stored_channel_behind_a_read_only_rgb_view(self, tmp_path):
@@ -218,7 +230,7 @@ class TestStorage:
         )
         return {
             "synthetic": (SMALL_SPEC, D.generate_synthetic(SMALL_SPEC)),
-            "idx": (idx, D.load_idx(images_path, labels_path, image_size=8)),  # 4 rows: the last is in neither split
+            "idx": (idx, read_idx(images_path, labels_path, 8)),  # 4 rows: the last is in neither split
         }
 
     def test_each_split_owns_exactly_its_rows(self, tmp_path):
