@@ -22,20 +22,19 @@ from .train import cross_entropy
 
 
 def information_reach(
-    region_size: int = 2, mode: str = "shuffle", use_msg: bool = True, num_blocks: int = 2, seed: int = 0,
-    window: int = 2,
+    region_size: int, mode: str, window: int, use_msg: bool = True, num_blocks: int = 2, seed: int = 0
 ) -> np.ndarray:
     """Boolean (S, S) map of the stage-1 windows whose outputs change when input pixel (0, 0) is bumped.
 
-    Runs ``model.forward`` of a float64 det-backbone whose stage 1 is exactly one S x S region of
+    Runs ``model.forward`` of a det-backbone whose stage 1 is exactly one S x S region of
     ``window``-sized windows: ``num_blocks`` blocks, one head and S*S channels (the fewest the
-    shuffle splits); stages 2-4 have no blocks. Every parameter is redrawn from N(0, 0.2^2), so no
-    path is accidentally dead. Pixel (0, 0) lies under stage-1 token (0, 0) alone.
+    shuffle splits); stages 2-4 have no blocks. Every parameter is redrawn in float64 from
+    N(0, 0.2^2), so no path is accidentally dead. Pixel (0, 0) lies under stage-1 token (0, 0) alone.
     """
     s, channels = region_size, region_size * region_size
     stages = tuple(M.StageConfig(channels, 1, n, s) for n in (num_blocks, 0, 0, 0))
     cfg = M.ArchConfig(stages, M.PATCH_STRIDE * s * window, 1, "det-backbone", use_msg, mode, window)
-    model = M.build_model(cfg, seed=seed, dtype=np.float64)
+    model = M.build_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for p in model.parameters():
         p.data = rng.standard_normal(p.shape) * 0.2
@@ -43,7 +42,7 @@ def information_reach(
     bumped = images.copy()
     bumped[0, 0, 0, 0] += 1e-3  # one channel of one pixel
     with T.no_grad():
-        before, after = (M.forward(model, Tensor(x))[0].tokens.data for x in (images, bumped))
+        before, after = (M.forward(model, Tensor(x))[0].data for x in (images, bumped))
     return np.abs(after - before).reshape(s, window, s, window, channels).max(axis=(1, 3, 4)) > 0.0
 
 
@@ -97,8 +96,8 @@ def block_grad_check(use_msg: bool = True, msg_only: bool = False) -> float:
     classifier's last block, no bias table); without, the messenger-free block runs over w**2 tokens.
     """
     rng = np.random.default_rng(0)
-    params = make_block_params(rng, 4, 1, 2, 2, mode="shuffle", dtype=np.float64, use_msg=use_msg, msg_only=msg_only)
-    for t in params.parameters():
+    params = make_block_params(rng, 4, 1, 2, 2, "shuffle", use_msg, msg_only)
+    for t in params.parameters():  # float64 redraws
         t.data = rng.standard_normal(t.shape) * 0.3
     wt_data = Tensor(rng.standard_normal((1, 2, 2, 4, 4)), requires_grad=True)
     msg_data = Tensor(rng.standard_normal((1, 2, 2, 4)), requires_grad=True)
@@ -117,8 +116,8 @@ def model_grad_check() -> float:
     ``grad_check`` samples 3 entries of each tensor from seed 0; checking every entry is too slow.
     """
     rng = np.random.default_rng(0)
-    model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
-    # generic parameter values so every path carries signal
+    model = M.build_model(M.micro_config(), seed=0)
+    # generic float64 parameter values so every path carries signal
     for _, p in model.named_parameters():
         p.data = rng.standard_normal(p.shape) * 0.1
     images = Tensor(rng.standard_normal((1, 128, 128, 3)))

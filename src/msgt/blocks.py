@@ -56,7 +56,7 @@ def _bias_gather_index(window_size: int, with_msg: bool) -> np.ndarray:
     return idx
 
 
-def bias_matrix(table: Tensor, msg_key: Optional[Tensor], with_msg: bool = True) -> Tensor:
+def bias_matrix(table: Tensor, msg_key: Optional[Tensor], with_msg: bool) -> Tensor:
     """Assemble the additive attention bias, shape (heads, T, T), for the window of the table's span."""
     heads, span = table.shape[:2]
     flat = T.reshape(table, (heads, -1))
@@ -147,27 +147,28 @@ def _exchange_regions(x: Tensor, rh: int, rw: int, s: int, anchor: str, mode: st
 def manipulate_msg(msg: Tensor, region_size: int, anchor: str, mode: str) -> Tensor:
     """Exchange the (B, Gh, Gw, C) messenger grid within its ``region_size`` regions aligned to ``anchor``.
 
-    ``mode`` runs over each of :func:`windows.build_region_view`'s at most 2x2 blocks, and the grid is
-    reassembled. ``shuffle`` needs S² | C at every grid size.
+    ``mode`` runs over each block of :func:`windows.build_region_view`'s at most two row bands by two
+    column bands, and the grid is reassembled. ``shuffle`` needs S² | C at every grid size.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown manipulation mode {mode!r}; expected one of {MODES}")
-    blocks = W.build_region_view(msg.shape[1:3], region_size, anchor)
+    rows, cols = W.build_region_view(msg.shape[1:3], region_size, anchor)
     if mode == "shuffle" and msg.shape[3] % region_size**2:
         raise ConfigError(
             f"channels {msg.shape[3]} do not split into shuffle size {region_size}'s {region_size**2} channel groups"
         )
     if mode == "none":
         return msg
-    rows: dict[int, list[Tensor]] = {}
-    for r, c, rh, rw in blocks:
-        part = msg if len(blocks) == 1 else msg[:, r, c]
-        rows.setdefault(r.start, []).append(_exchange_regions(part, rh, rw, region_size, anchor, mode))
+    whole = len(rows) == len(cols) == 1
+    parts = [
+        [_exchange_regions(msg if whole else msg[:, r, c], rh, rw, region_size, anchor, mode) for c, rw in cols]
+        for r, rh in rows
+    ]
 
     def join(parts, axis):
         return T.concat(parts, axis=axis) if len(parts) > 1 else parts[0]
 
-    return join([join(parts, 2) for parts in rows.values()], 1)
+    return join([join(row, 2) for row in parts], 1)
 
 
 # -- the block ------------------------------------------------------------------------

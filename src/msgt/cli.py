@@ -23,6 +23,11 @@ from typing import Optional
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 USAGE_EXIT, RUNTIME_EXIT = 1, 2
+# an OSError on a path the user gave (--config, --checkpoint, --out, an IDX file) is a usage failure
+PATH_ERRORS = {
+    FileNotFoundError: "file not found", IsADirectoryError: "is a directory", NotADirectoryError: "not a directory",
+    PermissionError: "permission denied", FileExistsError: "file exists",
+}
 PROBE_MAC_BUDGET = 2**32  # analyze-comm runs no reach probe whose forward costs more
 
 
@@ -111,7 +116,7 @@ def _coerce(value, like, key: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if isinstance(like, tuple) and isinstance(value, list) and len(value) == len(like):
-        return tuple(_coerce(v, d, key) for v, d in zip(value, like))
+        return tuple(_coerce(v, d, f"{key}[{i}]") for i, (v, d) in enumerate(zip(value, like)))
     if type(value) is type(like) or {type(value), type(like)} <= {int, float}:
         with contextlib.suppress(ValueError, OverflowError):
             if type(like)(value) == value:
@@ -120,7 +125,7 @@ def _coerce(value, like, key: str):
     raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
-def parse_config(raw: dict, seed_override: Optional[int] = None):
+def parse_config(raw: dict, seed_override: Optional[int]):
     """Build (TrainConfig, DatasetSpec) from the JSON schema.
 
     Top-level keys: arch, stages[], window_size, shuffle_sizes[], input_size,
@@ -286,16 +291,16 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_gen_data(args) -> int:
     import numpy as np
 
-    from .data import generate_synthetic, save_idx
+    from .data import save_idx, synthetic_rows
 
     _, data_spec = parse_config(load_config(args.config), args.seed)
-    ds = generate_synthetic(data_spec)
+    labels, rows = synthetic_rows(data_spec)  # checks the spec, renders nothing yet
     os.makedirs(args.out, exist_ok=True)
-    images_u8 = np.round(ds.gray[..., 0] * 255.0).astype(np.uint8)
+    images_u8 = np.round(rows(0, len(labels))[..., 0] * 255.0).astype(np.uint8)
     images_path = os.path.join(args.out, "textures-images.idx3-ubyte")
     labels_path = os.path.join(args.out, "textures-labels.idx1-ubyte")
-    save_idx(images_u8, ds.labels, images_path, labels_path)
-    print(f"wrote {len(ds)} images to {images_path}")
+    save_idx(images_u8, labels, images_path, labels_path)
+    print(f"wrote {len(labels)} images to {images_path}")
     print(f"wrote labels to {labels_path}")
     return 0
 
@@ -327,8 +332,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (ConfigError, ContractError, FormatError, ShapeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_EXIT
-        except FileNotFoundError as exc:  # a missing input: the --config, --checkpoint or an IDX file
-            print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        except tuple(PATH_ERRORS) as exc:
+            print(f"error: {PATH_ERRORS[type(exc)]}: {exc.filename}", file=sys.stderr)
             return USAGE_EXIT
     except _UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -82,14 +82,15 @@ def generate_synthetic(spec: DatasetSpec) -> Dataset:
     Gaussian pixel noise, clipped to [0, 1]. Identical (spec, seed) pairs
     produce identical bytes. Any other ``data.source`` raises ``ConfigError``.
     """
-    if spec.source != "synthetic-textures":
-        raise ConfigError(f"data.source {spec.source!r} is not generated; only 'synthetic-textures' is")
-    labels, rows = _synthetic(spec)
+    labels, rows = synthetic_rows(spec)
     return Dataset(gray=rows(0, len(labels)), labels=labels)
 
 
-def _synthetic(spec: DatasetSpec):
-    """The labels, and ``rows(lo, hi)``: rows lo:hi in a new array, to be called in row order (one rng stream)."""
+def synthetic_rows(spec: DatasetSpec):
+    """Check ``spec``, then return the labels and ``rows(lo, hi)``: rows lo:hi in a new array, to be
+    called in row order (one rng stream). Nothing is rendered before the first call."""
+    if spec.source != "synthetic-textures":
+        raise ConfigError(f"data.source {spec.source!r} is not generated; only 'synthetic-textures' is")
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.num_train + spec.num_val
@@ -125,7 +126,7 @@ def load_data(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     spec.validate()
     t, v = spec.num_train, spec.num_val
     if spec.source == "synthetic-textures":
-        labels, rows = _synthetic(spec)
+        labels, rows = synthetic_rows(spec)
     else:
         labels, rows = _idx(spec.images_path, spec.labels_path, spec.image_size)
         bad = np.flatnonzero(labels >= spec.num_classes)

@@ -152,14 +152,14 @@ def with_shuffle_sizes(cfg: ArchConfig, sizes) -> ArchConfig:
 # -- initialization -------------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """Normal(0, ``INIT_STD``) truncated at two deviations, allocated once at ``dtype`` and filled in place.
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, ``INIT_STD``) truncated at two deviations, allocated once in float32 and filled in place.
 
     Float64 draws pass through ``INIT_CHUNK``-value (512 KiB) chunks into the output; then each
     round redraws (in C order) and rechecks only the draws still beyond two deviations. Values
     and rng stream equal one whole-tensor draw, as ``standard_normal`` fills sequentially.
     """
-    out = np.empty(shape, dtype)
+    out = np.empty(shape, np.float32)
     flat = out.reshape(-1)
     bad = [np.empty(0, np.intp)]
     for lo in range(0, flat.size, INIT_CHUNK):
@@ -175,17 +175,17 @@ def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarra
     return out
 
 
-def _param_makers(rng: np.random.Generator, dtype):
-    """Trainable-tensor factories: trunc-normal ``proj``, ``zeros`` and ``ones``."""
+def _param_makers(rng: np.random.Generator):
+    """Trainable float32 tensor factories: trunc-normal ``proj``, ``zeros`` and ``ones``."""
 
     def proj(*shape):
-        return Tensor(trunc_normal(rng, shape, dtype), requires_grad=True)
+        return Tensor(trunc_normal(rng, shape), requires_grad=True)
 
     def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
     def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
     return proj, zeros, ones
 
@@ -196,14 +196,13 @@ def make_block_params(
     num_heads: int,
     window_size: int,
     shuffle_size: int,
-    mode: str = "shuffle",
+    mode: str,
+    use_msg: bool,
+    msg_only: bool,
     anchor: str = W.TOP_LEFT,
-    dtype=np.float32,
-    use_msg: bool = True,
-    msg_only: bool = False,
 ) -> B.BlockParams:
     """Fresh block parameters: trunc-normal projections, zero biases and bias tables (none if ``msg_only``)."""
-    proj, zeros, ones = _param_makers(rng, dtype)
+    proj, zeros, ones = _param_makers(rng)
     span = 2 * window_size - 1
     return B.BlockParams(
         norm1_gamma=ones(channels),
@@ -260,11 +259,11 @@ class Model:
         return [t for _, t in self.named_parameters()]
 
 
-def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
-    """Deterministically initialize a model from ``seed``."""
+def build_model(cfg: ArchConfig, seed: int) -> Model:
+    """Deterministically initialize a float32 model from ``seed``."""
     cfg.validate()
     rng = np.random.default_rng(seed)
-    proj, zeros, ones = _param_makers(rng, dtype)
+    proj, zeros, ones = _param_makers(rng)
     c1 = cfg.stages[0].dim
     embed_weight = proj(PATCH_KERNEL, PATCH_KERNEL, 3, c1)
     embed_bias = zeros(c1)
@@ -277,7 +276,7 @@ def build_model(cfg: ArchConfig, seed: int, dtype=np.float32) -> Model:
             make_block_params(
                 rng, s.dim, s.num_heads, cfg.window_size, s.shuffle_size, mode=cfg.manipulation,
                 anchor=W.BOTTOM_RIGHT if cfg.task == "det-backbone" and bi % 2 else W.TOP_LEFT,  # detection alternates
-                dtype=dtype, use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
+                use_msg=cfg.use_msg, msg_only=msg_only_block(cfg, si, bi),
             )
             for bi in range(s.num_blocks)
         ]
@@ -311,7 +310,7 @@ def rerandomize_msg_input(model: Model, seed: int) -> None:
     if model.msg_input is None:
         raise ConfigError("model was built without messenger tokens")
     rng = np.random.default_rng(seed)
-    model.msg_input.data = trunc_normal(rng, model.msg_input.shape, model.msg_input.dtype)
+    model.msg_input.data = trunc_normal(rng, model.msg_input.shape)
 
 
 # -- forward --------------------------------------------------------------------
@@ -346,8 +345,8 @@ def forward(
     """Run the full hierarchy.
 
     Classification returns (B, num_classes) logits from the pooled final
-    messenger tokens; det-backbone mode returns the four per-stage patch
-    feature maps at strides 4/8/16/32 instead.
+    messenger tokens; det-backbone mode returns the four per-stage (B, H, W, C)
+    patch maps at strides 4/8/16/32 instead.
 
     No layer is stochastic: ``mode`` and ``rng`` change no output and draw nothing.
     Both go once the benchmark stops passing them (ROADMAP item 7).
@@ -359,7 +358,7 @@ def forward(
     batch = images.shape[0]
 
     msg: Optional[Tensor] = None  # the (B, Gh, Gw, C) messenger grid
-    stage_outputs: list[W.FeatureMap] = []
+    stage_outputs: list[Tensor] = []
     for si in range(NUM_STAGES):
         padded, extents = W.pad_to_window_multiple(fm, cfg.window_size)
         wt = W.partition_windows(padded, cfg.window_size)
@@ -376,7 +375,7 @@ def forward(
             wt, msg = B.detach_msg(wt)
         fm = W.crop_to(W.reverse_windows(wt), extents)
         if cfg.task == "det-backbone":  # a classifier never reads the stage maps
-            stage_outputs.append(fm)
+            stage_outputs.append(fm.tokens)
         if si < NUM_STAGES - 1:
             fm, msg = W.merge_tokens(fm, msg, model.merge_weights[si], model.merge_biases[si])
 

@@ -323,8 +323,8 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     return _op(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    n = a.data.size if axis is None else np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)])
+def tmean(a: Tensor, axis) -> Tensor:
+    n = np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)])
     return mul(tsum(a, axis), 1.0 / float(n))
 
 
@@ -447,7 +447,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _op(y, (a, b, bias), backward, matmul=macs, other=0 if bias is None else y.size)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     """``x @ weight + bias`` over the last axis, flattening leading axes first.
 
     Flattening keeps the backward pass a single GEMM per operand instead of
@@ -706,8 +706,8 @@ def conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor],
-    stride: int = 1,
-    padding: int = 0,
+    stride: int,
+    padding: int,
 ) -> Tensor:
     """2-d cross-correlation over channel-last maps.
 

@@ -182,7 +182,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
     return T.mul(T.tsum(T.mul(logp, Tensor(target))), -1.0 / n)
 
 
-def evaluate(model: Model, ds: D.Dataset, batch_size: int, smoothing: float = 0.0) -> tuple[float, float]:
+def evaluate(model: Model, ds: D.Dataset, batch_size: int, smoothing: float) -> tuple[float, float]:
     """Mean loss and top-1 accuracy over a dataset, eval mode."""
     losses, hits, seen = 0.0, 0.0, 0
     with T.no_grad():

@@ -66,8 +66,8 @@ class WindowedTokens:
         return self.windows.shape[4]
 
 
-def _segments(extent: int, region: int, anchor: str) -> list[tuple[int, int, int]]:
-    """Split one grid axis into at most two (start, stop, band) segments.
+def _segments(extent: int, region: int, anchor: str) -> list[tuple[slice, int]]:
+    """Split one grid axis into at most two (slice, band) segments, in order.
 
     The full ``region``-wide bands form one segment and the leftover
     partial band the other; the partial band sits at the end opposite
@@ -78,37 +78,31 @@ def _segments(extent: int, region: int, anchor: str) -> list[tuple[int, int, int
         segs = [(0, extent - partial, region), (extent - partial, extent, partial)]
     else:
         segs = [(0, partial, partial), (partial, extent, region)]
-    return [seg for seg in segs if seg[0] < seg[1]]
+    return [(slice(start, stop), band) for start, stop, band in segs if start < stop]
 
 
 def build_region_view(
-    grid_shape: tuple[int, int],
-    region_size: int,
-    anchor: str = TOP_LEFT,
-) -> list[tuple[slice, slice, int, int]]:
-    """Tile a window grid into SxS shuffle regions: the at most 2x2 (rows, cols, rh, rw) blocks.
+    grid_shape: tuple[int, int], region_size: int, anchor: str
+) -> tuple[list[tuple[slice, int]], list[tuple[slice, int]]]:
+    """Tile a window grid into SxS shuffle regions: the (rows, cols) bands, each a list of (slice, extent).
 
-    Complete regions align to ``anchor`` and leftover windows form partial regions at the
-    opposite corner, so each axis has at most two segments, and the block at grid slices
-    ``rows``, ``cols`` is tiled by rh x rw regions. A region larger than the grid is the whole grid.
+    Complete regions align to ``anchor`` and leftover windows form partial regions at the opposite
+    corner, so each axis has at most two bands; the block at row band (r, rh) and column band (c, rw)
+    is tiled by rh x rw regions. A region larger than the grid is the whole grid.
     """
     if region_size < 1:
         raise ConfigError(f"region size must be >= 1, got {region_size}")
     if anchor not in (TOP_LEFT, BOTTOM_RIGHT):
         raise ConfigError(f"unknown anchor {anchor!r}")
-    (gh, gw), s = grid_shape, region_size
-    return [
-        (slice(r0, r1), slice(c0, c1), rh, rw)
-        for r0, r1, rh in _segments(gh, s, anchor)
-        for c0, c1, rw in _segments(gw, s, anchor)
-    ]
+    return _segments(grid_shape[0], region_size, anchor), _segments(grid_shape[1], region_size, anchor)
 
 
 def regions(grid_shape: tuple[int, int], region_size: int, anchor: str = TOP_LEFT) -> list[np.ndarray]:
     """Per region of :func:`build_region_view`'s tiling, the flat (row-major) window indices it covers."""
-    blocks = build_region_view(grid_shape, region_size, anchor)
-    rows = sorted({(a, a + rh) for r, _, rh, _ in blocks for a in range(r.start, r.stop, rh)})
-    cols = sorted({(a, a + rw) for _, c, _, rw in blocks for a in range(c.start, c.stop, rw)})
+    rows, cols = (
+        [(a, a + e) for s, e in segs for a in range(s.start, s.stop, e)]
+        for segs in build_region_view(grid_shape, region_size, anchor)
+    )
     flat = np.arange(grid_shape[0] * grid_shape[1]).reshape(grid_shape)
     return [flat[r0:r1, c0:c1].reshape(-1) for r0, r1 in rows for c0, c1 in cols]
 

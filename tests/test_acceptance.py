@@ -95,9 +95,9 @@ def test_criterion_5_gradient_fidelity():
 
 def test_criterion_6_information_flow():
     t0 = time.time()
-    reached = information_reach(mode="shuffle", use_msg=True, num_blocks=2, seed=6)
-    confined_none = information_reach(mode="none", use_msg=True, num_blocks=2, seed=6)
-    confined_nomsg = information_reach(mode="none", use_msg=False, num_blocks=2, seed=6)
+    reached = information_reach(2, "shuffle", 2, use_msg=True, num_blocks=2, seed=6)
+    confined_none = information_reach(2, "none", 2, use_msg=True, num_blocks=2, seed=6)
+    confined_nomsg = information_reach(2, "none", 2, use_msg=False, num_blocks=2, seed=6)
     ok = (
         bool(reached.all())
         and confined_none.sum() == 1
@@ -123,7 +123,7 @@ def test_criterion_8_closed_form_vs_instrumented():
     rng = np.random.default_rng(8)
     gh = gw = 2
     ws, ch, heads = 4, 16, 2
-    params = M.make_block_params(rng, ch, heads, ws, 2)
+    params = M.make_block_params(rng, ch, heads, ws, 2, "shuffle", use_msg=True, msg_only=False)
     wt = W.WindowedTokens(Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)))
     msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
     with T.count_macs() as counter:
@@ -166,9 +166,9 @@ def test_criterion_9_toy_learnability(trained_micro):
 def test_criterion_10_input_msg_rerandomization(trained_micro):
     result, _ = trained_micro
     _, val_ds = load_data(ACCEPT_DATA)
-    _, top1_learned = evaluate(result.model, val_ds, ACCEPT_TRAIN.batch_size)
+    _, top1_learned = evaluate(result.model, val_ds, ACCEPT_TRAIN.batch_size, 0.0)
     M.rerandomize_msg_input(result.model, seed=ACCEPT_TRAIN.seed + 1)
-    _, top1_rerandomized = evaluate(result.model, val_ds, ACCEPT_TRAIN.batch_size)
+    _, top1_rerandomized = evaluate(result.model, val_ds, ACCEPT_TRAIN.batch_size, 0.0)
     delta = abs(top1_learned - top1_rerandomized)
     report(10, "re-randomizing input messenger tokens moves val top-1 by <= 2 points",
            delta <= 0.02, f"learned {top1_learned:.3f} vs rerandomized {top1_rerandomized:.3f}")

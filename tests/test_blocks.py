@@ -148,7 +148,7 @@ class TestMessengerSlotFromTokenCount:
 
     def test_direct_record_exchanges_like_an_attached_one(self):
         c, w = 8, 2
-        params = make_block_params(np.random.default_rng(38), c, 2, w, 2)
+        params = make_block_params(np.random.default_rng(38), c, 2, w, 2, "shuffle", use_msg=True, msg_only=False)
         attached = B.attach_msg(make_windows(1, 2, 2, w, c, seed=39), make_msg(1, 2, 2, c, seed=40))
         direct = W.WindowedTokens(Tensor(attached.windows.data.copy()))
         want = B.block_forward(attached, params).windows.data
@@ -257,7 +257,7 @@ class TestBiasIndex:
 class TestLocalMsa:
     def _params(self, c, heads, w, seed=7):
         rng = np.random.default_rng(seed)
-        return make_block_params(rng, c, heads, w, 1)
+        return make_block_params(rng, c, heads, w, 1, "shuffle", use_msg=True, msg_only=False)
 
     @staticmethod
     def _probabilities(wt, params):
@@ -438,7 +438,7 @@ class TestBlockForward:
     def test_zeroed_projections_make_identity_block(self):
         rng = np.random.default_rng(30)
         c, w = 8, 2
-        params = make_block_params(rng, c, 2, w, 2, mode="shuffle")
+        params = make_block_params(rng, c, 2, w, 2, "shuffle", use_msg=True, msg_only=False)
         params.out_weight.data[:] = 0
         params.out_bias.data[:] = 0
         params.mlp_w2.data[:] = 0
@@ -455,7 +455,8 @@ class TestBlockForward:
     def test_block_exchanges_over_its_own_regions(self, anchor, mode):
         """With the residual branches zeroed, the block's messengers leave as its params' exchange of them."""
         c, w = 8, 2
-        params = make_block_params(np.random.default_rng(30), c, 2, w, 2, mode=mode, anchor=anchor)
+        rng = np.random.default_rng(30)
+        params = make_block_params(rng, c, 2, w, 2, mode, use_msg=True, msg_only=False, anchor=anchor)
         for t in (params.out_weight, params.out_bias, params.mlp_w2, params.mlp_b2):
             t.data[:] = 0
         msg = make_msg(1, 3, 2, c, seed=32)  # partial regions at the edge opposite the anchor
@@ -465,32 +466,32 @@ class TestBlockForward:
         assert not np.array_equal(out_msg.data, B.manipulate_msg(msg, 2, other, mode).data)
 
     def test_mode_none_keeps_windows_isolated(self):
-        reached = information_reach(mode="none", use_msg=True, seed=3)
+        reached = information_reach(2, "none", 2, use_msg=True, seed=3)
         assert reached[0, 0]
         assert not reached[0, 1] and not reached[1, 0] and not reached[1, 1]
 
     def test_shuffle_reaches_whole_region_in_two_blocks(self):
-        reached = information_reach(mode="shuffle", use_msg=True, num_blocks=2, seed=4)
+        reached = information_reach(2, "shuffle", 2, use_msg=True, num_blocks=2, seed=4)
         assert reached.all()
 
     def test_no_msg_blocks_stay_local(self):
-        reached = information_reach(mode="none", use_msg=False, num_blocks=3, seed=5)
+        reached = information_reach(2, "none", 2, use_msg=False, num_blocks=3, seed=5)
         assert reached[0, 0] and reached.sum() == 1
 
     @pytest.mark.parametrize("region", [2, 3, 4])
     @pytest.mark.parametrize("window", [1, 2, 3, 7])
     def test_reach_is_the_receptive_field_formula(self, window, region):
         """Two shuffle blocks reach (S*w)^2 tokens: all S*S windows of w*w; without exchange, one window."""
-        reached = information_reach(region, "shuffle", window=window)
+        reached = information_reach(region, "shuffle", window)
         assert reached.all() and reached.sum() * window**2 == C.receptive_field(C.MSG_SHUFFLE, window, region)
         for use_msg in (True, False):
-            confined = information_reach(region, "none", use_msg=use_msg, window=window)
+            confined = information_reach(region, "none", window, use_msg=use_msg)
             assert confined[0, 0] and confined.sum() == 1
 
     def test_micro_block_gradients(self):
         rng = np.random.default_rng(33)
         c, w = 4, 2
-        params = make_block_params(rng, c, 1, w, 2, mode="shuffle", dtype=np.float64)
+        params = make_block_params(rng, c, 1, w, 2, "shuffle", use_msg=True, msg_only=False)
         for t in params.parameters():
             t.data = rng.standard_normal(t.shape) * 0.3
         wt_data = Tensor(rng.standard_normal((1, 2, 2, w * w, c)), requires_grad=True)
@@ -508,7 +509,7 @@ class TestBlockForward:
     def test_messenger_only_block_is_the_full_blocks_messenger_grid(self):
         rng = np.random.default_rng(35)
         c, w = 8, 2
-        params = make_block_params(rng, c, 2, w, 2, mode="shuffle", dtype=np.float64)
+        params = make_block_params(rng, c, 2, w, 2, "shuffle", use_msg=True, msg_only=False)
         for t in params.parameters():
             t.data = rng.standard_normal(t.shape) * 0.3
         f64 = np.float64
@@ -522,20 +523,20 @@ class TestBlockForward:
             B.block_forward(make_windows(1, 2, 3, w, c), msg_only)
 
     def test_bias_heads_must_match_attention_heads(self):
-        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2)
+        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2, "shuffle", use_msg=True, msg_only=False)
         one_head = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="2 heads"):
             replace(params, bias_table=one_head)
         assert replace(params, bias_table=None, msg_key_bias=None).bias_table is None
 
     def test_messenger_key_bias_without_bias_table_rejected(self):
-        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2)
+        params = make_block_params(np.random.default_rng(34), 8, 2, 2, 2, "shuffle", use_msg=True, msg_only=False)
         with pytest.raises(ConfigError, match="messenger key bias needs a bias table"):
             replace(params, bias_table=None)
 
     def test_mlp_must_be_four_x(self):
         rng = np.random.default_rng(34)
-        params = make_block_params(rng, 4, 1, 2, 2)
+        params = make_block_params(rng, 4, 1, 2, 2, "shuffle", use_msg=True, msg_only=False)
         with pytest.raises(ConfigError):
             replace(
                 params,

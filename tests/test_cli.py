@@ -111,7 +111,7 @@ class TestConfigKeys:
         changed, default = {str: lambda v: v + "-set", int: lambda v: v + 1, float: lambda v: v + 0.5}, DatasetSpec()
         for f in fields(default):
             value = changed[type(getattr(default, f.name))](getattr(default, f.name))
-            _, spec = cli.parse_config({"data": {f.name: value}})
+            _, spec = cli.parse_config({"data": {f.name: value}}, None)
             assert getattr(spec, f.name) == value, f"data.{f.name}"
 
 
@@ -321,7 +321,7 @@ class TestConfigFuzz:
     def test_mutated_config_is_rejected_or_valid(self, raw):
         """parse_config plus the checks that run before compute raise only ConfigError."""
         try:
-            cfg, data = cli.parse_config(raw)
+            cfg, data = cli.parse_config(raw, None)
             check_run(cfg, data)
         except ConfigError:
             pass
@@ -338,7 +338,7 @@ class TestConfigFuzz:
         extra = [(p, e) for p, e in extra if p != path[: len(p)]]  # never cut or replace the bad key
         raw = _apply(base, extra + [bad])
         with pytest.raises(ConfigError):
-            cfg, data = cli.parse_config(raw)
+            cfg, data = cli.parse_config(raw, None)
             check_run(cfg, data)
 
 
@@ -355,7 +355,7 @@ def _readme_schema() -> dict:
 def _accepted_keys(raw) -> set:
     """The keys parse_config names as expected when ``raw`` holds an unknown one."""
     with pytest.raises(ConfigError, match="unknown config key") as info:
-        cli.parse_config(raw)
+        cli.parse_config(raw, None)
     return set(ast.literal_eval(str(info.value).split("expected one of ", 1)[1]))
 
 
@@ -439,7 +439,7 @@ class TestDataAndTraining:
         assert f"val loss {last_val.split(',')[3]} " in out
 
     def test_eval_rejects_a_version1_checkpoint_exit_1(self, capsys, tmp_path, config_file):
-        cfg, _ = cli.parse_config(json.loads(open(config_file).read()))
+        cfg, _ = cli.parse_config(json.loads(open(config_file).read()), None)
         model = M.build_model(cfg.arch_config(), seed=3)
         v1 = tmp_path / "v1.ckpt"
         write_records(v1, 1, [(name, t.data) for name, t in model.named_parameters()])
@@ -512,7 +512,7 @@ class TestDataAndTraining:
     def test_eval_rejects_bad_batch_size_exit_1(self, capsys, tmp_path, config_file, batch_size):
         raw = json.loads(open(config_file).read())
         ckpt = str(tmp_path / "model.ckpt")
-        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        save_checkpoint(M.build_model(cli.parse_config(raw, None)[0].arch_config(), seed=0), ckpt)
         raw["batch_size"] = batch_size
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
@@ -544,7 +544,7 @@ class TestDataAndTraining:
 
     def test_eval_rejects_empty_val_split_exit_1(self, capsys, tmp_path, config_file):
         raw = json.loads(open(config_file).read())
-        cfg, _ = cli.parse_config(raw)
+        cfg, _ = cli.parse_config(raw, None)
         ckpt = str(tmp_path / "model.ckpt")
         save_checkpoint(M.build_model(cfg.arch_config(), seed=0), ckpt)
         raw["data"]["num_val"] = 0
@@ -556,7 +556,7 @@ class TestDataAndTraining:
 
     def test_eval_rejects_image_size_off_the_model_input_exit_1(self, capsys, tmp_path, config_file):
         raw = json.loads(open(config_file).read())
-        cfg, _ = cli.parse_config(raw)
+        cfg, _ = cli.parse_config(raw, None)
         ckpt = str(tmp_path / "model.ckpt")
         save_checkpoint(M.build_model(cfg.arch_config(), seed=0), ckpt)
         raw["data"]["image_size"] = 60
@@ -577,6 +577,9 @@ class TestDataAndTraining:
             ("data", {"size": 128}, "unknown config key 'data.size'"),
             ("stages", [{**s, "mlp": 4} for s in FUZZ_STAGES["stages"]], "unknown config key 'stages[0].mlp'"),
             ("windows", 4, "unknown config key 'windows'"),
+            ("stages", [1, 2, 3, 4], "config key 'stages[0]' must be dict, got 1"),
+            ("shuffle_sizes", [4, 4, "x", 1], "config key 'shuffle_sizes[2]' must be int, got 'x'"),
+            ("optimizer", {"betas": [0.9, "x"]}, "config key 'optimizer.betas[1]' must be float, got 'x'"),
         ],
     )
     def test_malformed_config_exit_1_naming_key(self, capsys, tmp_path, config_file, key, value, message):
@@ -613,7 +616,8 @@ class TestDataAndTraining:
         bad.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(tmp_path / "run"))
         assert code == 1
-        assert f"error: config key '{'.'.join(path)}' must be finite, got {shown}" in err and "runtime error" not in err
+        key = ".".join(path) + ("[0]" if isinstance(value, list) else "")  # a list names its element
+        assert f"error: config key '{key}' must be finite, got {shown}" in err and "runtime error" not in err
         assert not (tmp_path / "run").exists()
 
     def test_idx_label_out_of_range_exit_1(self, capsys, tmp_path, config_file):
@@ -632,7 +636,7 @@ class TestDataAndTraining:
         path = tmp_path / "idx.json"
         path.write_text(json.dumps(raw))
         ckpt = str(tmp_path / "model.ckpt")  # eval reads the checkpoint before the data
-        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        save_checkpoint(M.build_model(cli.parse_config(raw, None)[0].arch_config(), seed=0), ckpt)
         for argv in (["train", "--out", str(tmp_path / "run")], ["eval", "--checkpoint", ckpt]):
             code, _, err = run_cli(capsys, *argv, "--config", str(path))
             assert code == 1
@@ -645,7 +649,7 @@ class TestDataAndTraining:
         save_idx(np.zeros((24, 8, 8), dtype=np.uint8), np.arange(24) % 4, ip, lp)
         raw = json.loads(open(config_file).read())
         ckpt = str(tmp_path / "model.ckpt")
-        save_checkpoint(M.build_model(cli.parse_config(raw)[0].arch_config(), seed=0), ckpt)
+        save_checkpoint(M.build_model(cli.parse_config(raw, None)[0].arch_config(), seed=0), ckpt)
         gone = str(tmp_path / "gone.idx")
         for images, labels in ((gone, lp), (ip, gone)):
             raw["data"] = {
@@ -659,6 +663,56 @@ class TestDataAndTraining:
                 assert code == 1, err
                 assert f"error: file not found: {gone}" in err and "runtime error" not in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("case", ["checkpoint-dir", "config-dir", "out-under-file", "gen-data-out-file"])
+    def test_unusable_path_exit_1_naming_it(self, capsys, tmp_path, config_file, monkeypatch, case):
+        """A directory read as a file, a file as a directory, or an existing file as gen-data's --out."""
+        from msgt import data as D
+
+        rendered, synthetic_rows = [], D.synthetic_rows
+
+        def recording(spec):
+            labels, rows = synthetic_rows(spec)
+            return labels, lambda lo, hi: rendered.append((lo, hi)) or rows(lo, hi)
+
+        monkeypatch.setattr(D, "synthetic_rows", recording)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv, message = {
+            "checkpoint-dir": (["eval", "--config", config_file, "--checkpoint", str(tmp_path)], "is a directory"),
+            "config-dir": (["train", "--config", str(tmp_path)], "is a directory"),
+            "out-under-file": (["train", "--config", config_file, "--out", f"{a_file}/x"], "not a directory"),
+            "gen-data-out-file": (["gen-data", "--config", config_file, "--out", str(a_file)], "file exists"),
+        }[case]
+        message += ": " + argv[-1]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert f"error: {message}" in err and "runtime error" not in err and "wrote" not in out
+        assert rendered == [] and a_file.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (FileNotFoundError(2, "No such file or directory", "out"), 1, "error: file not found: out"),
+            (IsADirectoryError(21, "Is a directory", "out"), 1, "error: is a directory: out"),
+            (NotADirectoryError(20, "Not a directory", "out"), 1, "error: not a directory: out"),
+            (PermissionError(13, "Permission denied", "out"), 1, "error: permission denied: out"),
+            (FileExistsError(17, "File exists", "out"), 1, "error: file exists: out"),
+            (OSError(28, "No space left on device", "out"), 2, "runtime error: [Errno 28] No space left on device"),
+            (OSError(5, "Input/output error", "out"), 2, "runtime error: [Errno 5] Input/output error"),
+        ],
+    )
+    def test_path_error_exit_1_other_os_error_exit_2(
+        self, capsys, tmp_path, config_file, monkeypatch, error, code, message
+    ):
+        """A path the user gave that cannot be used is a usage failure; a full disk or a failing device is not."""
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(os, "makedirs", fail)
+        got, _, err = run_cli(capsys, "gen-data", "--config", config_file, "--out", str(tmp_path / "out"))
+        assert got == code and message in err
 
     def test_eval_missing_checkpoint_exit_1_before_rendering_val(self, capsys, tmp_path, config_file, monkeypatch):
         from msgt import train as TR
@@ -719,7 +773,7 @@ class TestDataAndTraining:
             "num_classes": 4,
             "seed": 5,
         }
-        cfg, data = cli.parse_config(raw)
+        cfg, data = cli.parse_config(raw, None)
         arch = cfg.arch_config()
         assert arch.window_size == 4
         assert [s.shuffle_size for s in arch.stages] == [2, 2, 2, 1]
@@ -757,7 +811,7 @@ class TestDataAndTraining:
 
     def test_window_size_applies_to_presets_and_the_default_and_trains(self, capsys, tmp_path, config_file):
         for raw in ({"arch": "micro", "window_size": 2}, {"window_size": 2}):
-            assert cli.parse_config(raw)[0].arch_config() == M.micro_config(window_size=2)
+            assert cli.parse_config(raw, None)[0].arch_config() == M.micro_config(window_size=2)
         raw = json.loads(open(config_file).read())
         raw["window_size"] = 2
         path = tmp_path / "window2.json"
@@ -769,12 +823,12 @@ class TestDataAndTraining:
         assert model.stages[0][0].bias_table.shape == (1, 3, 3)
 
     def test_preset_keeps_task_and_input_size(self):
-        cfg, _ = cli.parse_config({"arch": "micro", "task": "det-backbone", "input_size": 96})
+        cfg, _ = cli.parse_config({"arch": "micro", "task": "det-backbone", "input_size": 96}, None)
         arch = cfg.arch_config()
         assert (arch.task, arch.input_size) == ("det-backbone", 96)
         assert arch.stages == M.micro_config().stages
         with pytest.raises(ConfigError, match="unknown arch preset"):
-            cli.parse_config({"arch": "huge", "task": "cls"})
+            cli.parse_config({"arch": "huge", "task": "cls"}, None)
 
     def test_train_rejects_det_backbone_exit_1(self, capsys, tmp_path, config_file):
         raw = json.loads(open(config_file).read())

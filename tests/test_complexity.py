@@ -45,7 +45,7 @@ class TestFlopsBlock:
         wt = W.partition_windows(W.pad_to_window_multiple(fm, window)[0], window)
         windows = wt.windows.shape[1] * wt.windows.shape[2]
         assert windows == -(-grid_h // window) * -(-grid_w // window) > grid_h * grid_w // window**2
-        params = M.make_block_params(rng, 16, 2, window, 1)
+        params = M.make_block_params(rng, 16, 2, window, 1, "shuffle", use_msg=True, msg_only=False)
         with T.count_macs() as counter:
             B.block_forward(wt, params)
         assert counter["matmul"] == C.flops_block(windows, window, 16, with_msg=False)
@@ -113,7 +113,7 @@ class TestModelFlops:
         rng = np.random.default_rng(0)
         gh = gw = 2
         ws, ch, heads = 4, 16, 2
-        params = M.make_block_params(rng, ch, heads, ws, 2)
+        params = M.make_block_params(rng, ch, heads, ws, 2, "shuffle", use_msg=True, msg_only=False)
         wt = W.WindowedTokens(Tensor(rng.standard_normal((1, gh, gw, ws * ws, ch)).astype(np.float32)))
         msg = Tensor(rng.standard_normal((1, gh, gw, ch)).astype(np.float32))
         with T.count_macs() as counter:

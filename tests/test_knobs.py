@@ -1,14 +1,17 @@
-"""Every public ``msgt`` function is used, and each of its defaulted parameters set, in ``src/`` or ``bench/``.
+"""Every public ``msgt`` function is used in ``src/`` or ``bench/``, and each of its defaulted
+parameters is both set and left at its default there.
 
-A function that only tests call is dead code, and a default that no caller overrides is a constant
-written as a knob: it widens the interface and invites checks that guard nothing. The scan reads
+A function that only tests call is dead code. A default that no caller overrides is a constant
+written as a knob: it widens the interface and invites checks that guard nothing. A default that
+every caller overrides is read only by tests, so the value belongs at the calls. The scan reads
 source, not running code. A call matches a function by the callee's last name (``f(...)``,
-``M.f(...)``; ``Tensor(...)`` for ``Tensor.__init__``) and passes a parameter by keyword, or by
-position before any ``*args``. Passing the default's own expression sets nothing. Passing on a
-defaulted parameter of an enclosing public function sets the callee's only where that one is set.
-A ``**kwargs`` forward names nothing, so it sets nothing: what only such a forward, a test or a
-command line sets is listed in ``UNSEEN``, and a function that only tests call in ``UNCALLED``,
-each with its reason. A public function of ``tensor`` is checked for use by
+``M.f(...)``; ``Tensor(...)`` for ``Tensor.__init__``) and names a parameter by keyword, or by
+position before any ``*args``; a ``**kwargs`` forward names nothing. A call leaves every parameter
+it does not name at its default. A named parameter is set, unless the call passes the default's own
+expression, which neither sets nor leaves it. Passing on a defaulted parameter of an enclosing
+public function sets the callee's only where that one is set. What only a ``**kwargs`` forward, a
+test or a command line sets is listed in ``UNSEEN``, and a function that only tests call in
+``UNCALLED``, each with its reason. A public function of ``tensor`` is checked for use by
 ``test_model.py::TestNoDeadOps``, which runs the model, not here.
 
 Matching by last name cannot tell a ``msgt`` function from a numpy function or a method of the same
@@ -68,10 +71,11 @@ def public_functions(skip_module: str = "") -> dict[str, tuple[list[str], dict[s
     return found
 
 
-def scan(functions) -> tuple[set, dict]:
-    """The (function, parameter) pairs that calls in src/ or bench/ set outright, and the forwards:
-    callee pair -> the enclosing functions' pairs whose values it takes."""
-    direct, forwards = set(), {}
+def scan(functions) -> tuple[set, dict, set]:
+    """The (function, parameter) pairs that calls in src/ or bench/ set outright, the forwards:
+    callee pair -> the enclosing functions' pairs whose values it takes, and the pairs that some
+    call leaves at the default."""
+    direct, forwards, left = set(), {}, set()
 
     def visit(node, scopes):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -92,6 +96,7 @@ def scan(functions) -> tuple[set, dict]:
                 for param, value in passed:
                     if param in defaults:
                         passes(callee, param, value, defaults[param], scopes)
+                left.update((callee, param) for param in defaults.keys() - {param for param, _ in passed})
         for child in ast.iter_child_nodes(node):
             visit(child, scopes)
 
@@ -107,7 +112,7 @@ def scan(functions) -> tuple[set, dict]:
 
     for path in sources():
         visit(ast.parse(path.read_text()), [])
-    return direct, forwards
+    return direct, forwards, left
 
 
 def closure(start: set, forwards: dict) -> set:
@@ -137,7 +142,7 @@ def test_every_public_function_is_used():
 
 def test_every_default_is_set_by_some_caller():
     functions = public_functions()
-    direct, forwards = scan(functions)
+    direct, forwards, _ = scan(functions)
     set_somewhere = closure(direct | set(UNSEEN), forwards)
     unset = sorted(
         f"{fn}({param}=...)" for fn, (_, defaults) in functions.items() for param in defaults
@@ -146,29 +151,64 @@ def test_every_default_is_set_by_some_caller():
     assert not unset, f"no call in src/ or bench/ sets these; make them constants: {', '.join(unset)}"
 
 
+def test_every_default_is_left_by_some_caller():
+    """``UNCALLED`` functions have no caller to leave one."""
+    functions = public_functions()
+    _, _, left = scan(functions)
+    always_set = sorted(
+        f"{fn}({param}=...)" for fn, (_, defaults) in functions.items() if fn not in UNCALLED for param in defaults
+        if (fn, param) not in left
+    )
+    assert not always_set, f"every call in src/ or bench/ sets these; drop the defaults: {', '.join(always_set)}"
+
+
+@pytest.mark.parametrize(
+    "fn, param",
+    [
+        ("bias_matrix", "with_msg"), ("build_region_view", "anchor"), ("conv2d", "stride"), ("conv2d", "padding"),
+        ("evaluate", "smoothing"), ("linear", "bias"), ("parse_config", "seed_override"), ("tmean", "axis"),
+        ("information_reach", "region_size"), ("information_reach", "mode"), ("information_reach", "window"),
+        ("make_block_params", "mode"), ("make_block_params", "use_msg"), ("make_block_params", "msg_only"),
+    ],
+)
+def test_value_every_call_passes_has_no_default(fn, param):
+    """Each call states these values; a default would be read only by tests."""
+    positional, defaults = public_functions()[fn]
+    assert param in positional and param not in defaults
+
+
+@pytest.mark.parametrize("fn", ["build_model", "make_block_params", "trunc_normal"])
+def test_builds_take_no_dtype(fn):
+    """Models are built in float32; a float64 check widens or redraws the build."""
+    positional, defaults = public_functions()[fn]
+    assert "dtype" not in positional and "dtype" not in defaults
+
+
 def test_every_unseen_entry_is_a_defaulted_parameter_no_call_sets():
     """An entry whose parameter went, or that a call now sets, is stale."""
     functions = public_functions()
     assert all(param in functions.get(fn, ((), {}))[1] for fn, param in UNSEEN)
-    direct, forwards = scan(functions)
+    direct, forwards, _ = scan(functions)
     assert not set(UNSEEN) & closure(direct, forwards)
 
 
 @pytest.mark.parametrize(
-    "body, elsewhere, is_set",
+    "body, elsewhere, is_set, is_left",
     [
-        ("f(1)", "", False),  # left at its default
-        ("f(1, b=1)", "", False),  # the default's own expression sets nothing
-        ("f(1, 2)", "", True),  # by position
-        ("M.f(a=1, b=2)", "", True),  # by keyword, through a module attribute
-        ("f(*args, 2)", "", False),  # nothing at or after a *args counts
-        ("f(1, **kwargs)", "", False),  # a ** forward names nothing
-        ("f(1, c)", "", False),  # forwards g's default, which no call sets
-        ("f(1, c)", "g(4)", True),  # forwards g's default, which a call sets
+        ("f(1)", "", False, True),  # left at its default
+        ("f(1, b=1)", "", False, False),  # the default's own expression neither sets nor leaves it
+        ("f(1, 2)", "", True, False),  # by position
+        ("M.f(a=1, b=2)", "", True, False),  # by keyword, through a module attribute
+        ("f(*args, 2)", "", False, True),  # nothing at or after a *args counts
+        ("f(*args, b=2)", "", True, False),  # a keyword after a *args counts
+        ("f(1, **kwargs)", "", False, True),  # a ** forward names nothing
+        ("f(1, c)", "", False, False),  # forwards g's default, which no call sets
+        ("f(1, c)", "g(4)", True, False),  # forwards g's default, which a call sets
+        ("f(1)", "f(1, 2)", True, True),  # one call leaves it, another sets it
     ],
 )
-def test_scan_reads_calls_by_the_stated_rules(tmp_path, monkeypatch, body, elsewhere, is_set):
-    """The guard's rules, on a one-module package: does anything set ``f``'s ``b``?"""
+def test_scan_reads_calls_by_the_stated_rules(tmp_path, monkeypatch, body, elsewhere, is_set, is_left):
+    """The guard's rules, on a one-module package: does any call set ``f``'s ``b``, and does any leave it?"""
     (tmp_path / "src" / "msgt").mkdir(parents=True)
     (tmp_path / "bench").mkdir()
     (tmp_path / "src" / "msgt" / "m.py").write_text(
@@ -180,4 +220,6 @@ def test_scan_reads_calls_by_the_stated_rules(tmp_path, monkeypatch, body, elsew
     monkeypatch.setattr(guard, "PACKAGE", tmp_path / "src" / "msgt")
     functions = public_functions()
     assert functions["f"] == (["a", "b"], {"b": ast.dump(ast.Constant(1))})
-    assert (("f", "b") in closure(*scan(functions))) == is_set
+    direct, forwards, left = scan(functions)
+    assert (("f", "b") in closure(direct, forwards)) == is_set
+    assert (("f", "b") in left) == is_left

@@ -1,5 +1,6 @@
 """Model assembly tests: configs, initialization, forward geometry, counting."""
 
+import copy
 import functools
 import gc
 import inspect
@@ -38,6 +39,14 @@ def tiny_model():
 def rand_images(b, size, seed=0):
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal((b, size, size, 3)).astype(np.float32))
+
+
+def widen(model: M.Model) -> M.Model:
+    """A float64 copy of a float32 build, for the checks that run in float64."""
+    wide = copy.deepcopy(model)
+    for p in wide.parameters():
+        p.data = p.data.astype(np.float64)
+    return wide
 
 
 class TestConfigs:
@@ -139,7 +148,7 @@ class TestStageGeometry:
             images = Tensor(np.random.default_rng(0).standard_normal((1, h, w, 3)).astype(np.float32))
             with T.no_grad():
                 maps = M.forward(model, images)
-            assert [fm.tokens.shape for fm in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
+            assert [m.shape for m in maps] == [(1, *e, s.dim) for (e, _), s in zip(geometry, cfg.stages)]
 
     def test_merged_messenger_grid_is_the_next_window_grid(self):
         """The merge maps e tokens to ceil(e/2), so with one window w it maps a ceil(e/w) grid to
@@ -207,7 +216,7 @@ class TestValidateIsExact:
         with T.count_macs() as counter:
             out = M.forward(model, images, mode="train", rng=np.random.default_rng(1))
         assert counter["matmul"] + counter["conv"] == batch * C.model_flops(cfg)["total_macs"]
-        outs = [fm.tokens for fm in out] if cfg.task == "det-backbone" else [out]
+        outs = out if cfg.task == "det-backbone" else [out]
         loss = T.tsum(T.concat([T.reshape(T.mul(o, o), (-1,)) for o in outs], axis=0))
         loss.backward()
         assert all(np.isfinite(p.grad).all() for p in model.parameters() if p.grad is not None)
@@ -215,7 +224,7 @@ class TestValidateIsExact:
         wide = Tensor(np.random.default_rng(2).standard_normal((1, size, width, 3)).astype(np.float32))
         with T.no_grad():
             out = M.forward(model, wide)
-        outs = [fm.tokens for fm in out] if cfg.task == "det-backbone" else [out]
+        outs = out if cfg.task == "det-backbone" else [out]
         assert all(np.isfinite(o.data).all() for o in outs)
 
 
@@ -340,7 +349,7 @@ class TestLiveBytes:
         """The graph keeps no array its backward does not read, so the caller decides what lives."""
         rng = np.random.default_rng(3)
         c, w = 16, 4
-        blocks = [M.make_block_params(rng, c, 2, w, 2) for _ in range(2)]
+        blocks = [M.make_block_params(rng, c, 2, w, 2, "shuffle", use_msg=True, msg_only=False) for _ in range(2)]
         params = [p for blk in blocks for p in blk.parameters()]
         data = rng.standard_normal((2, 2, 2, w * w + 1, c)).astype(np.float32)
         weight = Tensor(rng.standard_normal(data.shape).astype(np.float32))
@@ -417,20 +426,19 @@ class TestBuild:
         [(0,), (3, 0, 2), (1,), (1, 1), (5,), (7, 11), (96, 384), (3, 3, 16, 32)]
         + [(65536,), (65537,), (2, 65536), (300, 300), (3, 3, 64, 128)],  # across INIT_CHUNK boundaries
     )
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_trunc_normal_matches_the_full_rescan(self, seed, shape, dtype):
-        def full_rescan(rng, shape, std, dtype):  # the loop that re-checked every entry each round
+    def test_trunc_normal_matches_the_full_rescan(self, seed, shape):
+        def full_rescan(rng, shape, std):  # the loop that re-checked every entry each round
             out = rng.standard_normal(shape) * std
             bad = np.abs(out) > 2 * std
             while bad.any():
                 out[bad] = rng.standard_normal(int(bad.sum())) * std
                 bad = np.abs(out) > 2 * std
-            return out.astype(dtype)
+            return out.astype(np.float32)
 
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = M.trunc_normal(got_rng, shape, dtype)
-        want = full_rescan(want_rng, shape, 0.02, dtype)
-        assert got.dtype == dtype and got.shape == shape
+        got = M.trunc_normal(got_rng, shape)
+        want = full_rescan(want_rng, shape, 0.02)
+        assert got.dtype == np.float32 and got.shape == shape
         assert got.tobytes() == want.tobytes()
         assert got_rng.standard_normal() == want_rng.standard_normal()  # the same draws were consumed
 
@@ -551,7 +559,9 @@ import msgt
 for info in pkgutil.iter_modules(msgt.__path__):
     importlib.import_module("msgt." + info.name)
 from msgt import model as M, tensor as T
-model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+model = M.build_model(M.micro_config(), seed=0)
+for p in model.parameters():
+    p.data = p.data.astype(np.float64)
 images = T.Tensor(np.random.default_rng(0).standard_normal((1, 128, 128, 3)))
 T.tsum(M.forward(model, images, mode="train")).backward()
 print(sum(p.grad is not None for p in model.parameters()), len(model.parameters()))
@@ -617,10 +627,7 @@ class TestFloat32Fidelity:
 
     @staticmethod
     def assert_close_to_float64(f32, images, objective):
-        f64 = M.build_model(f32.config, seed=0, dtype=np.float64)
-        for (name, p32), (name64, p64) in zip(f32.named_parameters(), f64.named_parameters(), strict=True):
-            assert name == name64
-            p64.data = p32.data.astype(np.float64)
+        f64 = widen(f32)
         losses = []
         for model, x in ((f32, images), (f64, Tensor(images.data.astype(np.float64)))):
             for p in model.parameters():
@@ -646,7 +653,7 @@ class TestFloat32Fidelity:
         f32 = M.build_model(M.micro_config(task="det-backbone"), seed=0)
 
         def objective(maps):
-            return functools.reduce(T.add, [T.tsum(T.mul(fm.tokens, fm.tokens)) for fm in maps])
+            return functools.reduce(T.add, [T.tsum(T.mul(m, m)) for m in maps])
 
         self.assert_close_to_float64(f32, rand_images(4, size), objective)
 
@@ -769,7 +776,7 @@ class TestForward:
         The messenger's query row of the bias is zero and has no parameter: one constant
         over a whole score row would be removed by the softmax.
         """
-        model = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+        model = widen(M.build_model(M.micro_config(), seed=0))
         assert not [name for name, _ in model.named_parameters() if "msg_query" in name]
         images = Tensor(np.random.default_rng(8).standard_normal((2, 128, 128, 3)))
         with T.no_grad():
@@ -790,7 +797,7 @@ class TestForward:
             M.build_model(M.micro_config(task="det-backbone"), seed=0),
             rand_images(1, 128),
         )
-        assert maps[-1].tokens.shape[1:3] == (4, 4)
+        assert maps[-1].shape[1:3] == (4, 4)
         assert model.config.stages[-1].shuffle_size == 1
 
     def test_det_backbone_stride_pyramid(self):
@@ -800,7 +807,7 @@ class TestForward:
         x = Tensor(rng.standard_normal((1, 136, 200, 3)).astype(np.float32))
         with T.no_grad():
             maps = M.forward(model, x)
-        shapes = [fm.tokens.shape for fm in maps]
+        shapes = [m.shape for m in maps]
         assert shapes == [
             (1, 34, 50, 16),
             (1, 17, 25, 32),
@@ -808,6 +815,17 @@ class TestForward:
             (1, 5, 7, 128),
         ]
 
+
+    @pytest.mark.parametrize("size", [128, 136, 100])
+    @pytest.mark.parametrize("mode", B.MODES)
+    def test_det_backbone_returns_four_plain_maps(self, mode, size):
+        """Each stage map is a (B, H, W, C) Tensor of the stage's extents and width, not a FeatureMap."""
+        cfg = M.micro_config(task="det-backbone", manipulation=mode, input_size=size)
+        with T.no_grad():
+            maps = M.forward(M.build_model(cfg, seed=0), rand_images(2, size))
+        assert [type(m) for m in maps] == [Tensor] * M.NUM_STAGES
+        assert [m.shape for m in maps] == [(2, *e, s.dim) for (e, _), s in zip(M.stage_geometry(cfg), cfg.stages)]
+        assert all(np.isfinite(m.data).all() for m in maps)
 
 class TestNoDeadOps:
     def test_model_reaches_every_public_tensor_function(self, monkeypatch):
@@ -836,7 +854,7 @@ class TestNoDeadOps:
             cross_entropy(logits, np.array([0, 3])).backward()
         M.forward(M.build_model(M.micro_config(task="det-backbone"), seed=0), rand_images(1, 160))
         with T.no_grad():
-            wide = M.build_model(M.micro_config(), seed=0, dtype=np.float64)
+            wide = widen(M.build_model(M.micro_config(), seed=0))
             M.forward(wide, Tensor(rand_images(1, 128).data.astype(np.float64)))
         assert sorted(set(public) - reached - {"grad_check", "phi32"}) == []
 
@@ -924,9 +942,9 @@ class TestMessengerOnlyFinalBlock:
 
     @staticmethod
     def _run(forward, cfg, mode, batch=2):
-        model = M.build_model(cfg, seed=0, dtype=np.float64)
+        model = M.build_model(cfg, seed=0)
         rng = np.random.default_rng(1)
-        for p in model.parameters():  # generic values, so every path carries signal
+        for p in model.parameters():  # generic float64 values, so every path carries signal
             p.data = rng.standard_normal(p.shape) * 0.3
         images = Tensor(rng.standard_normal((batch, cfg.input_size, cfg.input_size, 3)))
         weights = Tensor(rng.standard_normal((batch, cfg.num_classes)))

@@ -148,8 +148,9 @@ class TestRegions:
         anchor=st.sampled_from([W.TOP_LEFT, W.BOTTOM_RIGHT]),
     )
     def test_blocks_tile_grid_with_one_region_shape_each(self, gh, gw, region, anchor):
-        blocks = W.build_region_view((gh, gw), region, anchor)
-        assert len(blocks) <= 4
+        bands = W.build_region_view((gh, gw), region, anchor)
+        assert all(1 <= len(axis) <= 2 for axis in bands)
+        blocks = [(rows, cols, rh, rw) for rows, rh in bands[0] for cols, rw in bands[1]]
         cover = np.zeros((gh, gw), dtype=int)
         for rows, cols, rh, rw in blocks:
             assert (rows.stop - rows.start) % rh == 0 and (cols.stop - cols.start) % rw == 0
@@ -163,6 +164,24 @@ class TestRegions:
                 if rows.start <= r.min() and r.max() < rows.stop and cols.start <= c.min() and c.max() < cols.stop
             ]
             assert len(home) == 1 and (np.ptp(r) + 1, np.ptp(c) + 1) == home[0]
+
+    @pytest.mark.parametrize("anchor", [W.TOP_LEFT, W.BOTTOM_RIGHT])
+    @pytest.mark.parametrize("region", [1, 2, 3, 4])
+    def test_bands_are_the_per_axis_cuts_from_the_anchor(self, region, anchor):
+        """Per axis, at most two (slice, extent) bands in order: the full regions counted from the
+        anchor's side, and the partial one at the far side (the whole axis if the region is larger)."""
+
+        def cuts(extent):  # region intervals, counted from the anchor's end of the axis
+            ends = range(extent, 0, -region) if anchor == W.BOTTOM_RIGHT else range(region, extent + region, region)
+            return sorted((max(e - region, 0), min(e, extent)) for e in ends)
+
+        for gh in range(1, 8):
+            for gw in range(1, 8):
+                for extent, bands in zip((gh, gw), W.build_region_view((gh, gw), region, anchor)):
+                    assert 1 <= len(bands) <= 2 and len({e for _, e in bands}) == len(bands)
+                    assert [b.start for b, _ in bands[1:]] == [b.stop for b, _ in bands[:-1]]
+                    got = [(a, a + e) for b, e in bands for a in range(b.start, b.stop, e)]
+                    assert got == cuts(extent) and got[-1][1] == extent
 
     def test_oversized_region_is_one_region(self):
         regions = W.regions((2, 2), 4, W.TOP_LEFT)
